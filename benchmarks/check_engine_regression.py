@@ -53,29 +53,9 @@ def normalized(entry: dict, key: str) -> float:
     return float(entry[key]) / host_factor
 
 
-#: engine-path flags that change what the tracked workload measures; an
-#: entry missing a flag predates it, which means the (default-on) behavior
-FLAG_KEYS = ("macro_batching", "request_schedules", "bulk_drain")
-
-
-def flag_config(entry: dict) -> tuple:
-    """The entry's engine-flag configuration (missing keys default True)."""
-    return tuple(bool(entry.get(key, True)) for key in FLAG_KEYS)
-
-
 def check_metric(engine: list[dict], key: str, label: str) -> bool:
-    """Gate one metric over the entries that recorded it; True = pass.
-
-    Only entries whose engine-flag configuration matches the newest
-    entry's are compared: a contrast run recorded with an oracle path
-    (``--legacy-fanout`` / ``--legacy-schedules``) measures a deliberately
-    slower engine and must neither trip the gate nor drag the median down
-    for real regressions to hide behind.
-    """
+    """Gate one metric over the entries that recorded it; True = pass."""
     recorded = [e for e in engine if key in e]
-    if recorded:
-        flags = flag_config(recorded[-1])
-        recorded = [e for e in recorded if flag_config(e) == flags]
     if len(recorded) < 2:
         print(f"{label}: {len(recorded)} entr"
               f"{'y' if len(recorded) == 1 else 'ies'} with the metric: "

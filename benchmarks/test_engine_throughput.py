@@ -163,9 +163,6 @@ def test_engine_throughput(once):
             "bench": "engine",
             "timestamp": time.time(),
             "n_ops": cfg.n_ops,
-            "macro_batching": cfg.macro_batching,
-            "request_schedules": cfg.request_schedules,
-            "schedule_hit_rate": perf["schedule_hit_rate"],
             "events": perf["events"],
             "wall_seconds": perf["wall_seconds"],
             "sim_seconds": perf["sim_seconds"],
@@ -190,137 +187,6 @@ def test_engine_throughput(once):
         f"engine throughput regressed: {perf['events_per_sec']:.0f} ev/s is "
         f"only {speedup_events:.2f}x the host-scaled seed baseline "
         f"({baseline_evps:.0f} ev/s); the bar is {MIN_ENGINE_SPEEDUP}x"
-    )
-
-
-def test_steady_state_write():
-    """Isolate the path this PR's table-driven schedules optimize: a pure
-    uncontended write loop (updates only, no reads, no faults, no drain),
-    best-of-3.  The tracked ``engine`` entry dilutes the fast path with
-    recycle/drain work; this entry is the undiluted steady-state number,
-    and its ``schedule_hit_rate`` must stay at 1.0 — any admission decline
-    on this workload means a probe went conservative on a fault-free
-    cluster."""
-    cfg = ExperimentConfig(
-        method="tsue",
-        trace="tencloud-writeonly",
-        n_ops=1200,
-        n_clients=16,
-        hot_files=2,
-        drain=False,
-    )
-    runs = [run_experiment(cfg).perf for _ in range(3)]
-    perf = max(runs, key=lambda p: p["sim_ops_per_sec"])
-    assert len({p["events"] for p in runs}) == 1, runs
-    host_factor, cal = _host_factor()
-    _append_bench(
-        {
-            "bench": "steady_state_write",
-            "timestamp": time.time(),
-            "n_ops": cfg.n_ops,
-            "macro_batching": cfg.macro_batching,
-            "request_schedules": cfg.request_schedules,
-            "schedule_hit_rate": perf["schedule_hit_rate"],
-            "events": perf["events"],
-            "wall_seconds": perf["wall_seconds"],
-            "events_per_sec": perf["events_per_sec"],
-            "sim_ops_per_sec": perf["sim_ops_per_sec"],
-            "runs": [
-                {
-                    "wall_seconds": p["wall_seconds"],
-                    "sim_ops_per_sec": p["sim_ops_per_sec"],
-                }
-                for p in runs
-            ],
-            "calibration_seconds": cal,
-            "host_factor": host_factor,
-        }
-    )
-    # every update dispatch on a fault-free steady-state run must take the
-    # compiled schedule (reads don't enter the update fast path)
-    assert perf["schedule_hit_rate"] == 1.0, perf
-
-
-def test_drain_phase():
-    """Isolate the phase the bulk drain plane targets: replay a write-heavy
-    trace, then time the drain/recycle tail on its own (the per-phase
-    ``drain_*`` split in ``ExperimentResult.perf``), bulk plane on vs off,
-    best-of-3 each.
-
-    The event structure is flag-invariant by contract, so the drain event
-    counts must agree across all six runs — the wall-clock ratio is then a
-    pure host-math comparison: packed delta gathers + parity panels vs the
-    per-extent oracle.  The ratio is recorded (with the plane's engagement
-    counters) rather than pinned to a hard bar: on gather-bound workloads
-    the per-byte GF table lookups are identical on both paths and the
-    plane's winnable margin is the bookkeeping around them.  The assert is
-    a regression floor — the plane must never make the drain materially
-    slower than the oracle it replaces."""
-    import dataclasses
-
-    base = ExperimentConfig(
-        method="tsue",
-        trace="tencloud-writeonly",
-        n_ops=1200,
-        n_clients=16,
-        hot_files=2,
-    )
-    runs: dict[bool, list] = {}
-    for flag in (True, False):
-        cfg = dataclasses.replace(base, bulk_drain=flag)
-        runs[flag] = [run_experiment(cfg) for _ in range(3)]
-    # flag-invariant event structure: every run agrees on both phase counts
-    assert len({r.perf["events"] for rs in runs.values() for r in rs}) == 1
-    assert len({r.perf["drain_events"] for rs in runs.values() for r in rs}) == 1
-    best = {
-        flag: min(rs, key=lambda r: r.perf["drain_wall_seconds"])
-        for flag, rs in runs.items()
-    }
-    on, off = best[True].perf, best[False].perf
-    ratio = (
-        off["drain_us_per_event"] / on["drain_us_per_event"]
-        if on["drain_us_per_event"] > 0
-        else float("inf")
-    )
-    host_factor, cal = _host_factor()
-    _append_bench(
-        {
-            "bench": "drain_phase",
-            "timestamp": time.time(),
-            "n_ops": base.n_ops,
-            "macro_batching": base.macro_batching,
-            "request_schedules": base.request_schedules,
-            "bulk_drain": True,
-            "drain_events": on["drain_events"],
-            "drain_wall_seconds": on["drain_wall_seconds"],
-            "drain_us_per_event": on["drain_us_per_event"],
-            "oracle_drain_wall_seconds": off["drain_wall_seconds"],
-            "oracle_drain_us_per_event": off["drain_us_per_event"],
-            "drain_speedup": ratio,
-            "bulk_stats": best[True].extra.get("bulk_drain"),
-            "runs": [
-                {
-                    "bulk_drain": flag,
-                    "drain_wall_seconds": r.perf["drain_wall_seconds"],
-                    "drain_us_per_event": r.perf["drain_us_per_event"],
-                }
-                for flag, rs in runs.items()
-                for r in rs
-            ],
-            "calibration_seconds": cal,
-            "host_factor": host_factor,
-        }
-    )
-    stats = best[True].extra.get("bulk_drain") or {}
-    # the plane must actually engage on this workload (else the bench
-    # compares the oracle with itself and the ratio is meaningless)
-    assert stats.get("consumed", 0) > 0 and stats.get("parity_panels", 0) > 0, stats
-    # regression floor, not a speedup bar (see docstring): same tolerance
-    # doctrine as the nightly gate
-    assert ratio >= 0.70, (
-        f"bulk drain plane made the drain phase materially slower: "
-        f"{on['drain_us_per_event']:.2f} us/ev (on) vs "
-        f"{off['drain_us_per_event']:.2f} us/ev (off), ratio {ratio:.2f}"
     )
 
 
@@ -349,9 +215,6 @@ def test_thousand_osd_smoke():
             "timestamp": time.time(),
             "n_osds": cfg.n_osds,
             "n_ops": cfg.n_ops,
-            "macro_batching": cfg.macro_batching,
-            "request_schedules": cfg.request_schedules,
-            "schedule_hit_rate": perf["schedule_hit_rate"],
             "events": perf["events"],
             "wall_seconds": perf["wall_seconds"],
             "sim_seconds": perf["sim_seconds"],

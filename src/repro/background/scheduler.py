@@ -139,29 +139,6 @@ class BackgroundScheduler:
         """
         if not self.enabled:
             return
-        yield self._submit(item)
-
-    def request_batch(self, items: list[WorkItem]) -> Generator:
-        """Wait for the arbiter to grant every item of a batch.
-
-        The bulk-drain entry point (see :func:`~repro.core.recycler.
-        unit_batch_recycle_op`): a drain that settles a whole queue of log
-        units submits its work items *up front* — the per-OSD WSFQ heap
-        orders the complete batch against competing streams instead of
-        discovering it one item at a time — then waits them out in order.
-        Byte accounting is per item, so stream stats and the governor see
-        exactly what the equivalent ``request`` sequence would have
-        submitted; a single-item batch is event-for-event identical to
-        :meth:`request`.  No-op while disabled, like :meth:`request`.
-        """
-        if not self.enabled:
-            return
-        grants = [self._submit(item) for item in items]
-        for grant in grants:
-            yield grant
-
-    def _submit(self, item: WorkItem) -> Event:
-        """Enqueue one item on its OSD lane; returns the grant event."""
         env = self.ecfs.env
         stats = self.streams[item.stream]
         stats.submitted_items += 1
@@ -185,7 +162,7 @@ class BackgroundScheduler:
         elif lane.wake is not None and not lane.wake.triggered:
             lane.wake.succeed()
         self._ensure_governor()
-        return grant
+        yield grant
 
     def expedite(self, stream: str) -> int:
         """Release every *queued* grant of ``stream`` immediately, bypassing

@@ -107,22 +107,13 @@ class Client:
         yield self.env.timeout(ecfs.config.costs.gf_mul(k * bs, terms=m))
         parities = ecfs.rs.encode(blocks)
 
-        if ecfs.config.macro_batching:
-            yield spawn_fanout(
-                self.env,
-                [
-                    self._send_block(BlockId(file_id, stripe, i), content)
-                    for i, content in enumerate(blocks + parities)
-                ],
-            )
-        else:
-            sends = []
-            for i, content in enumerate(blocks + parities):
-                bid = BlockId(file_id, stripe, i)
-                sends.append(
-                    self.env.process(self._send_block(bid, content), name=f"w{bid}")
-                )
-            yield self.env.all_of(sends)
+        yield spawn_fanout(
+            self.env,
+            [
+                self._send_block(BlockId(file_id, stripe, i), content)
+                for i, content in enumerate(blocks + parities)
+            ],
+        )
         ecfs.mds.mark_written(file_id, stripe * k * bs, k * bs)
 
     def _send_block(self, bid: BlockId, content: np.ndarray) -> Generator:

@@ -66,28 +66,6 @@ class ClusterConfig:
     header_bytes: int = 200
     ack_bytes: int = 64
     costs: CPUCosts = field(default_factory=CPUCosts)
-    # macro-op fan-out batching (repro.sim.batch): steady-state k+m fan-outs
-    # run as one latch + flat event chains instead of one process per shard.
-    # The per-leg path is kept as the equivalence oracle — digests must be
-    # byte-identical either way (tests/test_macro_batching_equivalence.py).
-    macro_batching: bool = True
-    # table-driven steady-state write schedules (repro.sim.schedule): an
-    # uncontended write runs as one precompiled slot table instead of a
-    # 4-6 frame generator tower, bailing back to the generator path on any
-    # contention/fault/churn check.  Kept as a flag so the generator path
-    # remains the equivalence oracle (tests/test_request_schedules.py);
-    # inert unless macro_batching is also on (the slot tables fan out
-    # through the batched event structure).
-    request_schedules: bool = True
-    # bulk recycle/drain plane (repro.sim.bulk): when a drain or watermark
-    # recycle has several settleable log units queued, live extents are
-    # gathered in one pass, merged deltas applied with one GF gather per
-    # stripe column, and parity regenerated side by side
-    # (RSCode.encode_partial) — pure host-side precompute consumed at the
-    # same yield points, so the simulated event structure is untouched.
-    # The per-unit/per-extent recycler stays in the tree as the byte-exact
-    # equivalence oracle (tests/test_bulk_drain.py).
-    bulk_drain: bool = True
     seed: int = 2025
 
     def validate(self) -> None:

@@ -93,27 +93,9 @@ class ECFS:
             self.method.attach(osd)
         self.method.start_background()
 
-        # table-driven steady-state write schedules (repro.sim.schedule):
-        # None when disabled, and inert without macro-op batching — the
-        # compiled slot tables fan out through the batched event structure,
-        # so the legacy generator path is the oracle for both flags at once
+        # always None: perfbench/driver.py (frozen by BENCHMARK.json) reads both
         self.schedules = None
-        if getattr(self.config, "request_schedules", True) and getattr(
-            self.config, "macro_batching", True
-        ):
-            from repro.sim.schedule import ScheduleEngine
-
-            self.schedules = ScheduleEngine(self)
-
-        # bulk recycle/drain plane (repro.sim.bulk): None when disabled.
-        # Pure host-side precompute of the drain math — consumed at the
-        # same yield points, so the per-unit recycler stays the
-        # byte-exact oracle (tests/test_bulk_drain.py).
         self.bulk = None
-        if getattr(self.config, "bulk_drain", True):
-            from repro.sim.bulk import BulkDrainEngine
-
-            self.bulk = BulkDrainEngine(self)
 
         self.clients: list[Client] = []
         self._rng = np.random.default_rng(self.config.seed)
@@ -140,10 +122,6 @@ class ECFS:
     # ------------------------------------------------------- stripe activity
     def freeze_stripe(self, file_id: int, stripe: int) -> None:
         self._frozen_stripes.incr((file_id, stripe))
-        # reconstruction/migration/resync windows rewrite real blocks out
-        # of band: void any precomputed bulk-drain deltas
-        if self.bulk is not None:
-            self.bulk.note_churn()
 
     def thaw_stripe(self, file_id: int, stripe: int) -> None:
         self._frozen_stripes.decr((file_id, stripe))

@@ -178,88 +178,10 @@ class OSD:
         )
         yield from self.device.submit(req)
 
-    # ----------------------------------------- batched (chain) device IO
-    # Chain twins of the generators above: same validation, addressing,
-    # lane-floor priority, and cursor mutation at the call tick — but the
-    # device I/O runs as a flat event chain instead of a generator frame.
-    # Liveness/range errors raise synchronously, which matches the legacy
-    # helpers (their bodies run at the call tick under ``yield from``);
-    # fan-out starters catch and fail the leg, as a leg process would.
-
-    def io_block_c(
-        self,
-        kind: IOKind,
-        block_id: Hashable,
-        offset: int,
-        size: int,
-        priority: int = IOPriority.FOREGROUND,
-        overwrite: bool = False,
-        tag: str = "",
-    ):
-        self._check_alive()
-        if offset < 0 or size <= 0 or offset + size > self.block_size:
-            raise IntegrityError(
-                f"{self.name}: I/O [{offset},{offset+size}) outside block"
-            )
-        req = IORequest(
-            kind=kind,
-            offset=self.block_addr(block_id) + offset,
-            size=size,
-            stream="blocks",
-            priority=self._lane_priority(priority),
-            overwrite=overwrite and kind is IOKind.WRITE,
-            tag=tag,
-        )
-        return self.device.submit_chain(req)
-
-    def io_log_append_c(
-        self,
-        stream: str,
-        size: int,
-        priority: int = IOPriority.FOREGROUND,
-        tag: str = "",
-    ):
-        self._check_alive()
-        cursor = self._log_cursor.get(stream, 0)
-        req = IORequest(
-            kind=IOKind.WRITE,
-            offset=self._log_base(stream) + cursor,
-            size=size,
-            stream=self._qualified_stream(stream),
-            priority=self._lane_priority(priority),
-            overwrite=False,
-            tag=tag,
-        )
-        self._log_cursor[stream] = cursor + size
-        return self.device.submit_chain(req)
-
-    def io_at_c(
-        self,
-        kind: IOKind,
-        addr: int,
-        size: int,
-        stream: str,
-        priority: int = IOPriority.FOREGROUND,
-        overwrite: bool = False,
-        tag: str = "",
-    ):
-        self._check_alive()
-        req = IORequest(
-            kind=kind,
-            offset=addr,
-            size=size,
-            stream=self._qualified_stream(stream),
-            priority=self._lane_priority(priority),
-            overwrite=overwrite and kind is IOKind.WRITE,
-            tag=tag,
-        )
-        return self.device.submit_chain(req)
-
     # ------------------------------------------------------------- failure
     def fail(self) -> None:
         """Take the node down; blocks remain lost until recovery rebuilds."""
         self.failed = True
-        self._note_churn()
 
     def restart(self) -> None:
         """Bring a transiently-down node back with its contents intact.
@@ -269,21 +191,6 @@ class OSD:
         MDS and the update method hear about it too.
         """
         self.failed = False
-        self._note_churn()
-
-    def _note_churn(self) -> None:
-        """Invalidate the schedule fast path's cached steadiness probe and
-        any precomputed bulk-drain deltas — every fail/restart site in the
-        tree funnels through :meth:`fail` / :meth:`restart`, so the caches
-        can only ever be stale in the conservative direction."""
-        method = self.method
-        if method is not None:
-            engine = method.ecfs.schedules
-            if engine is not None:
-                engine.note_churn()
-            bulk = method.ecfs.bulk
-            if bulk is not None:
-                bulk.note_churn()
 
     def recover_to(self, replacement: "OSD") -> None:  # pragma: no cover - doc
         raise NotImplementedError("use repro.cluster.recovery.RecoveryManager")

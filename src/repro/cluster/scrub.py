@@ -208,7 +208,3 @@ class Scrubber:
             osd.store.write(bid, 0, fixed[i])
             osd.store.mark_clean(bid)
             blocks[i] = fixed[i]
-        # repair rewrites real blocks without freezing the stripe: void
-        # any precomputed bulk-drain deltas that read the old bytes
-        if ecfs.bulk is not None:
-            ecfs.bulk.note_churn()

@@ -67,20 +67,6 @@ class TwoLevelIndex:
     def extent_map(self, block: Hashable) -> Optional[ExtentMap]:
         return self._maps.get(block)
 
-    def read_ranges_many(
-        self, block: Hashable, ranges: list[tuple[int, int]]
-    ) -> Optional[np.ndarray]:
-        """Packed multi-range gather from one block's extent map.
-
-        Flat uint8 buffer with the ranges concatenated in order, or None
-        if the block is unknown or any byte is uncovered (see
-        :meth:`ExtentMap.read_ranges_many`).
-        """
-        emap = self._maps.get(block)
-        if emap is None:
-            return None
-        return emap.read_ranges_many(ranges)
-
     def clear(self) -> None:
         self._maps.clear()
         self._bitmaps.clear()

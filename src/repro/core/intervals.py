@@ -144,42 +144,6 @@ class ExtentMap:
             out[s - offset : e - offset] = ext.data[s - ext.start : e - ext.start]
         return out
 
-    def read_ranges_many(
-        self, ranges: list[tuple[int, int]]
-    ) -> Optional[np.ndarray]:
-        """Gather many ``(offset, size)`` ranges into ONE packed buffer.
-
-        Returns a flat uint8 array of ``sum(sizes)`` bytes with the ranges
-        concatenated in argument order, or ``None`` if *any* byte of any
-        range is uncovered — the all-or-nothing contract lets bulk drain
-        planners fall back to the per-extent oracle without partial state.
-        Equivalent to ``np.concatenate([read_range(o, s) for o, s in
-        ranges])`` but with a single allocation and no per-range temporaries.
-        """
-        total = 0
-        for _off, size in ranges:
-            if size <= 0:
-                return None
-            total += size
-        out = np.empty(total, dtype=np.uint8)
-        pos = 0
-        for offset, size in ranges:
-            end = offset + size
-            lo, hi = self._overlap_range(offset, end)
-            cursor = offset
-            for ext in self._extents[lo:hi]:
-                if ext.start > cursor:
-                    return None  # gap inside the range
-                e = min(ext.end, end)
-                out[pos + cursor - offset : pos + e - offset] = ext.data[
-                    cursor - ext.start : e - ext.start
-                ]
-                cursor = e
-            if cursor < end:
-                return None
-            pos += size
-        return out
-
     def extents(self) -> Iterator[Extent]:
         return iter(self._extents)
 

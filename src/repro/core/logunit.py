@@ -128,13 +128,6 @@ class LogUnit:
             )
         self.state = to
 
-    @property
-    def plan_key(self) -> tuple[int, int]:
-        """``(unit_id, generation)`` — names one fill cycle uniquely; the
-        bulk drain plane keys precomputed delta plans on it so a reused
-        unit can never consume a stale plan."""
-        return (self.unit_id, self.generation)
-
     # -- residence windows (Table 2) ----------------------------------------
     @property
     def buffer_interval(self) -> Optional[float]:

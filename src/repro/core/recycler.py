@@ -17,12 +17,7 @@ from repro.background.work import RecycleOp
 from repro.core.intervals import Extent
 from repro.core.logunit import LogUnit
 
-__all__ = [
-    "BlockWork",
-    "RecyclePlanner",
-    "unit_recycle_op",
-    "unit_batch_recycle_op",
-]
+__all__ = ["BlockWork", "RecyclePlanner", "unit_recycle_op"]
 
 
 def unit_recycle_op(osd_name: str, pool_name: str, unit: LogUnit) -> RecycleOp:
@@ -31,19 +26,6 @@ def unit_recycle_op(osd_name: str, pool_name: str, unit: LogUnit) -> RecycleOp:
     recycle will read, merge, and write back), charged to the hosting OSD's
     background budget under the ``recycle`` stream."""
     return RecycleOp(osd=osd_name, nbytes=int(unit.used), tag=pool_name)
-
-
-def unit_batch_recycle_op(
-    osd_name: str, pool_name: str, units: list[LogUnit]
-) -> RecycleOp:
-    """One grant covering a whole unit batch (bulk drain): the byte cost is
-    the summed live content, so the arbiter's accounting matches issuing one
-    :func:`unit_recycle_op` per unit — only the grant count changes."""
-    return RecycleOp(
-        osd=osd_name,
-        nbytes=sum(int(u.used) for u in units),
-        tag=pool_name,
-    )
 
 
 @dataclass
@@ -74,10 +56,8 @@ class RecyclePlanner:
     def plan(self, unit: LogUnit, record: bool = True) -> list[BlockWork]:
         """Work items for one sealed unit, ordered by lane then block.
 
-        ``record=False`` skips the cumulative stats update — the bulk drain
-        plane peeks ahead at queued units to precompute deltas, and those
-        units are planned again (with recording) when their own recycle
-        runs; counting the peek would double the reported plan stats.
+        ``record=False`` skips the cumulative stats update, for callers
+        (``perfbench/probes.py``) that plan a unit without recycling it.
         """
         if self.n_lanes < 1:
             raise ValueError("need at least one lane")

@@ -77,42 +77,6 @@ class RSCode:
                     row ^= tmp
         return out
 
-    def encode_partial(self, cols: Sequence[int], data: np.ndarray) -> np.ndarray:
-        """Parity *deltas* for updates touching a subset of data columns.
-
-        ``data`` is a ``(len(cols), n)`` uint8 matrix of data deltas where
-        row ``r`` sits at stripe data index ``cols[r]``; the result is the
-        ``(m, n)`` matrix of parity deltas (absent columns contribute
-        nothing).  Same skip-0 / xor-for-1 / ``np.take(out=)`` kernel as
-        :meth:`encode_matrix`, so the bytes match folding per-extent
-        ``gf_mul_scalar`` products one at a time — the bulk drain plane
-        leans on that equality.  Duplicate columns are allowed and simply
-        accumulate (XOR), matching repeated per-extent inserts.
-        """
-        data = np.asarray(data, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[0] != len(cols):
-            raise ConfigError(
-                f"expected a ({len(cols)}, n) delta matrix, got {data.shape}"
-            )
-        for c in cols:
-            if not 0 <= int(c) < self.k:
-                raise ConfigError(f"data column {c} outside stripe (k={self.k})")
-        n = data.shape[1]
-        out = np.zeros((self.m, n), dtype=np.uint8)
-        tmp = np.empty(n, dtype=np.uint8)
-        for i in range(self.m):
-            row = out[i]
-            for r, c in enumerate(cols):
-                coef = int(self.coding[i, int(c)])
-                if coef == 0:
-                    continue
-                if coef == 1:
-                    row ^= data[r]
-                else:
-                    np.take(gf_mul_row(coef), data[r], out=tmp)
-                    row ^= tmp
-        return out
-
     def verify(
         self, data_blocks: Sequence[np.ndarray], parity_blocks: Sequence[np.ndarray]
     ) -> bool:

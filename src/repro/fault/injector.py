@@ -144,9 +144,6 @@ class FaultInjector:
             osd = self.ecfs.osd_hosting(bid)
             nbytes = min(event.nbytes, self.ecfs.config.block_size - event.offset)
             osd.store.corrupt(bid, event.offset, nbytes)
-            if self.ecfs.bulk is not None:
-                # corruption mutates real block bytes out of band
-                self.ecfs.bulk.note_churn()
             self.corrupted.append(bid)
             self._note(f"corrupt {bid} on {osd.name} ({nbytes}B)")
             yield env.timeout(0)

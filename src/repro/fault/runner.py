@@ -84,15 +84,6 @@ class ScenarioSpec:
     background: Optional[BackgroundConfig] = None
     #: admission override for frontend runs (e.g. the AIMD adaptive mode)
     admission: Optional[Any] = None
-    #: macro-op fan-out batching (repro.sim.batch); False runs the per-leg
-    #: oracle path — digests must match either way
-    macro_batching: bool = True
-    #: table-driven request schedules (repro.sim.schedule); False runs the
-    #: generator oracle path — digests must match either way
-    request_schedules: bool = True
-    #: vectorized bulk drain/recycle plane (repro.sim.bulk); False runs the
-    #: per-unit/per-extent oracle path — digests must match either way
-    bulk_drain: bool = True
     #: builds the fault schedule (specs are reusable: a fresh schedule per run)
     build_faults: Callable[["ScenarioSpec"], FaultSchedule] = field(
         default=lambda spec: FaultSchedule()
@@ -112,9 +103,6 @@ class ScenarioSpec:
             osds_per_host=self.osds_per_host,
             hosts_per_rack=self.hosts_per_rack,
             background=self.background or BackgroundConfig(),
-            macro_batching=self.macro_batching,
-            request_schedules=self.request_schedules,
-            bulk_drain=self.bulk_drain,
             seed=seed,
         )
 

@@ -226,15 +226,6 @@ class FrontEnd:
         if self.admission.config.adaptive:
             out["admission_backoffs"] = float(self.admission.backoffs)
             out["admission_min_rate_scale"] = self.admission.min_rate_scale
-        # table-driven write schedules: updates submitted through this
-        # pipeline reach repro.sim.schedule via frontend.ops.execute_update,
-        # so the fast path's admission counters belong in the same read-out
-        schedules = self.ecfs.schedules
-        if schedules is not None:
-            out["schedule_attempts"] = float(schedules.attempts)
-            out["schedule_hits"] = float(schedules.hits)
-            out["schedule_bails"] = float(schedules.bails)
-            out["schedule_hit_rate"] = float(schedules.hit_rate)
         return out
 
     # ------------------------------------------------------------ scheduler

@@ -24,13 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.client import UpdateOp
     from repro.cluster.ecfs import ECFS
 
-__all__ = [
-    "locate_clamped",
-    "execute_update",
-    "finish_update",
-    "execute_read",
-    "hedged_reconstruct",
-]
+__all__ = ["locate_clamped", "execute_update", "execute_read", "hedged_reconstruct"]
 
 
 def locate_clamped(
@@ -48,19 +42,7 @@ def execute_update(ecfs: "ECFS", client: str, op: "UpdateOp") -> Generator:
 
     The op's payload and issue time are already fixed by the caller, so a
     retrying front end re-executes the *same* op deterministically.
-
-    An uncontended steady-state dispatch takes the compiled fast path
-    (:mod:`repro.sim.schedule`): the whole request runs as one precomputed
-    slot table and this generator suspends exactly once, on the request's
-    completion chain.  Anything else — engine off, frozen stripe, armed
-    fault, unsteady cluster — runs the legacy generator path below, which
-    stays the byte-exact equivalence oracle.
     """
-    schedules = ecfs.schedules
-    if schedules is not None:
-        done = schedules.try_update(client, op)
-        if done is not None:
-            return (yield done)
     block = op.block
     size = op.size
     # reconstruction may hold the stripe frozen (capture -> re-home);
@@ -69,24 +51,8 @@ def execute_update(ecfs: "ECFS", client: str, op: "UpdateOp") -> Generator:
     if ecfs.stripe_frozen(block.file_id, block.stripe):
         yield from ecfs.wait_stripe_thaw(block.file_id, block.stripe)
     primary = ecfs.osd_hosting(block)
-    yield from ecfs.net.transfer(
-        client, primary.name, size + ecfs.config.header_bytes
-    )
-    return (yield from finish_update(ecfs, client, op, primary))
-
-
-def finish_update(ecfs: "ECFS", client: str, op: "UpdateOp", primary) -> Generator:
-    """Generator: the dispatch tail from payload-on-primary to recorded ack.
-
-    Factored out of :func:`execute_update` so the schedule fast path can
-    bail out *mid-request* into exactly this code when a compile-out check
-    fails (stripe froze, primary re-homed): the fast path has already
-    shipped the payload to ``primary``, which is precisely the state this
-    generator picks up from.
-    """
-    block = op.block
-    size = op.size
     hdr = ecfs.config.header_bytes
+    yield from ecfs.net.transfer(client, primary.name, size + hdr)
     # an epoch remap (rebalance move, recovery re-home) can change the
     # block's home while the request is in flight: chase the redirect
     # like a real client retrying on wrong-primary.  Zero-cost on the

@@ -19,7 +19,6 @@ __all__ = [
     "gf_add",
     "gf_mul",
     "gf_mul_scalar",
-    "gf_mul_into",
     "gf_mul_row",
     "gf_div",
     "gf_inv",
@@ -92,26 +91,6 @@ def gf_mul_scalar(coef: int, data) -> np.ndarray:
     if coef == 1:
         return data.copy()
     return np.take(_MUL[coef], data)
-
-
-def gf_mul_into(coef: int, data: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Scalar multiply into a preallocated ``out`` array.
-
-    Byte-identical to :func:`gf_mul_scalar` for every coefficient
-    (including the 0/1 special cases) but with the caller owning the
-    destination, so bulk gathers over packed extent buffers allocate once
-    per batch instead of once per extent.
-    """
-    coef = int(coef)
-    if not 0 <= coef < 256:
-        raise ValueError(f"coefficient {coef} outside GF(256)")
-    if coef == 0:
-        out[...] = 0
-    elif coef == 1:
-        np.copyto(out, data)
-    else:
-        np.take(_MUL[coef], data, out=out)
-    return out
 
 
 def gf_mul_row(coef: int) -> np.ndarray:

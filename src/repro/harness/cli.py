@@ -277,9 +277,6 @@ def _run_profile(args) -> int:
     cfg = ExperimentConfig(
         method=method,
         n_ops=args.ops if args.ops is not None else 1500,
-        macro_batching=not args.legacy_fanout,
-        request_schedules=not args.legacy_schedules,
-        bulk_drain=not args.legacy_bulk_drain,
     )
     profiler = cProfile.Profile()
     profiler.enable()
@@ -290,11 +287,7 @@ def _run_profile(args) -> int:
         f"profiled {method} run: {cfg.n_ops} ops, {perf['events']:.0f} events "
         f"in {perf['wall_seconds']:.3f}s wall "
         f"({perf['events_per_sec']:.0f} ev/s, "
-        f"{perf['sim_ops_per_sec']:.0f} sim-ops/s, "
-        f"macro_batching={'off' if args.legacy_fanout else 'on'}, "
-        f"request_schedules={'off' if args.legacy_schedules else 'on'}, "
-        f"bulk_drain={'off' if args.legacy_bulk_drain else 'on'}, "
-        f"schedule_hit_rate={perf['schedule_hit_rate']:.2f})\n"
+        f"{perf['sim_ops_per_sec']:.0f} sim-ops/s)\n"
         f"phases: replay {perf['replay_events']:.0f} ev in "
         f"{perf['replay_wall_seconds']:.3f}s "
         f"({perf['replay_us_per_event']:.2f} us/ev), "
@@ -513,24 +506,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sort",
         default="cumulative",
         help="with 'profile': pstats sort key (cumulative, tottime, calls...)",
-    )
-    prof.add_argument(
-        "--legacy-fanout",
-        action="store_true",
-        help="with 'profile': run the per-leg oracle path instead of "
-        "macro-op batching (contrast profiles)",
-    )
-    prof.add_argument(
-        "--legacy-schedules",
-        action="store_true",
-        help="with 'profile': run the generator oracle path instead of "
-        "table-driven request schedules (contrast profiles)",
-    )
-    prof.add_argument(
-        "--legacy-bulk-drain",
-        action="store_true",
-        help="with 'profile': run the per-unit/per-extent oracle drain "
-        "instead of the vectorized bulk plane (contrast profiles)",
     )
     topo = parser.add_argument_group("topology options")
     topo.add_argument(

@@ -89,15 +89,6 @@ class ExperimentConfig:
     #: drain logs after replay (Table 1 accounting); recovery experiments
     #: set False — the paper fails the node with logs outstanding
     drain: bool = True
-    #: macro-op fan-out batching (the legacy per-leg path is the
-    #: equivalence oracle — same digests either way)
-    macro_batching: bool = True
-    #: table-driven steady-state write schedules (the generator path is the
-    #: equivalence oracle — same digests either way)
-    request_schedules: bool = True
-    #: vectorized bulk drain/recycle plane (the per-unit/per-extent path is
-    #: the equivalence oracle — same digests either way)
-    bulk_drain: bool = True
     method_options: dict[str, Any] = field(default_factory=dict)
 
     def cluster_config(self) -> ClusterConfig:
@@ -110,9 +101,6 @@ class ExperimentConfig:
             log_unit_size=self.log_unit_size,
             log_max_units=self.log_max_units,
             log_pools=self.log_pools,
-            macro_batching=self.macro_batching,
-            request_schedules=self.request_schedules,
-            bulk_drain=self.bulk_drain,
             seed=self.seed,
         )
 
@@ -203,12 +191,6 @@ def _run_experiment(cfg: ExperimentConfig, keep_cluster: bool) -> ExperimentResu
             # when an optimization REMOVES events (events/sec rewards doing
             # the same work with more scaffolding; ops/sec does not)
             "sim_ops_per_sec": cfg.n_ops / wall if wall > 0 else 0.0,
-            # fraction of update dispatches the compiled schedule fast
-            # path admitted (repro.sim.schedule); 0.0 when the engine is
-            # off so BENCH entries stay comparable
-            "schedule_hit_rate": (
-                ecfs.schedules.hit_rate if ecfs.schedules is not None else 0.0
-            ),
             # per-phase split: replay = build+populate+replay, drain = the
             # drain/verify tail (zero when cfg.drain and cfg.verify are off)
             "replay_wall_seconds": replay_wall,
@@ -223,8 +205,6 @@ def _run_experiment(cfg: ExperimentConfig, keep_cluster: bool) -> ExperimentResu
             ),
         },
     )
-    if ecfs.bulk is not None:
-        result.extra["bulk_drain"] = ecfs.bulk.stats()
     if hasattr(ecfs.method, "stall_stats"):
         result.extra["stalls"] = ecfs.method.stall_stats()
     if hasattr(ecfs.method, "peak_memory_bytes"):

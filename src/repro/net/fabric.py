@@ -169,14 +169,6 @@ class NetworkFabric:
     def partitioned(self) -> bool:
         return bool(self._groups)
 
-    @property
-    def quiescent(self) -> bool:
-        """No partition and no armed link fault anywhere on the fabric —
-        the steady-state probe the schedule fast path gates admission on
-        (under either condition ``transfer_chain`` already falls back to
-        the generator path internally)."""
-        return not self._faults and not self._groups
-
     def transfer(self, src: str, dst: str, nbytes: int) -> Generator:
         """Move ``nbytes`` from ``src`` to ``dst``; yields until delivered."""
         if nbytes < 0:

@@ -34,7 +34,6 @@ from repro.sim.core import (
     Process,
     SimulationError,
     Timeout,
-    failed_chain,
     spawn_fanout,
 )
 from repro.sim.resources import PriorityResource, Resource, Store
@@ -57,6 +56,5 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "failed_chain",
     "spawn_fanout",
 ]

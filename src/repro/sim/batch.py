@@ -24,8 +24,8 @@ events: flat callback sequences (a batched network transfer, a batched
 device I/O) that complete *inline* at their final event's pop, the way a
 ``yield from`` sub-generator resumes its caller without an extra hop.
 
-Timing equivalence with the per-leg path (the property the determinism
-digests pin down):
+Timing equivalence with the per-leg idiom (``tests/test_sim_batch.py``
+runs seeded leg programs through both):
 
 * the starter drains from ``bucket0`` immediately after the spawning
   process suspends — the exact slot the first ``Initialize`` occupied — and
@@ -54,7 +54,7 @@ from repro.sim.core import (
     SimulationError,
 )
 
-__all__ = ["Chain", "CountdownLatch", "drive_chain", "failed_chain", "spawn_fanout"]
+__all__ = ["Chain", "CountdownLatch", "drive_chain", "spawn_fanout"]
 
 
 class _LaneCtx:
@@ -110,17 +110,6 @@ class Chain(Event):
         # engine's already-processed fast path when the creator yields the
         # chain; a chain abandoned *without* ever being waited on must be
         # routed to a latch by its creator instead.
-
-
-def failed_chain(env: Environment, exc: BaseException) -> Chain:
-    """A chain born failed — lets flat compositions report a synchronous
-    error (dead node, bad range) through the normal waiter path instead of
-    raising out of an event callback."""
-    chain = Chain(env)
-    chain._ok = False
-    chain._value = exc
-    chain._state = _PROCESSED
-    return chain
 
 
 class CountdownLatch(Event):

@@ -816,7 +816,7 @@ class Environment:
 # latch is importable next to AllOf/AnyOf as part of the engine surface.
 # Resolved lazily (PEP 562) — batch imports from this module, so an eager
 # import here would be circular when batch is imported first.
-_BATCH_EXPORTS = frozenset({"Chain", "CountdownLatch", "failed_chain", "spawn_fanout"})
+_BATCH_EXPORTS = frozenset({"Chain", "CountdownLatch", "spawn_fanout"})
 
 
 def __getattr__(name):

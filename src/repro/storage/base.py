@@ -270,14 +270,6 @@ class StorageDevice:
     def queue_depth(self) -> int:
         return self.resource.queue_len + self.resource.count
 
-    @property
-    def quiescent(self) -> bool:
-        """No armed slow/stuck fault on this device — the steady-state
-        probe the schedule fast path gates admission on (an armed fault is
-        still handled exactly by ``submit``/``submit_chain`` if it lands
-        mid-request)."""
-        return self.slow_factor == 1.0 and self.env.now_us >= self._stuck_until_us
-
     # ------------------------------------------------------------ internals
     def _classify(self, req: IORequest) -> bool:
         """Sequentiality from the stream's access history; updates history."""

@@ -41,9 +41,6 @@ class UpdateMethod:
 
     def __init__(self, ecfs: "ECFS") -> None:
         self.ecfs = ecfs
-        # macro-op batching: steady-state fan-outs use latch + event chains;
-        # False keeps the per-leg process path (the equivalence oracle)
-        self.batched = bool(getattr(ecfs.config, "macro_batching", True))
         # stripes whose popped log content is mid-application (the entries
         # left the visible log but their parity work has not finished):
         # counted so overlapping recycles nest correctly; the last release
@@ -309,18 +306,6 @@ class UpdateMethod:
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         raise NotImplementedError
 
-    def schedule_plan(self):
-        """Steady-state write timeline for the schedule compiler
-        (:mod:`repro.sim.schedule`): a tuple of slots mirroring this
-        method's ``handle_update`` body slot for slot — the same sync
-        effects at the same callback instants, the same leg generators
-        through the same ``spawn_fanout`` calls — or ``None`` to always
-        take the generator path.  Compiled once per (method, k, m) shape
-        and only executed on requests admitted as uncontended, so the
-        declaration covers exactly the no-fault no-churn case;
-        ``handle_update`` remains the oracle for everything else."""
-        return None
-
     def handle_read(
         self, osd: OSD, block: BlockId, offset: int, size: int
     ) -> Generator:
@@ -403,7 +388,7 @@ class UpdateMethod:
         )
 
     def forward_c(self, src: OSD, dst: OSD, nbytes: int):
-        """:meth:`forward` as a flat event chain (macro-op batching)."""
+        """:meth:`forward` as a flat event chain."""
         return self.ecfs.net.transfer_chain(
             src.name, dst.name, nbytes + self.ecfs.config.header_bytes
         )

@@ -57,10 +57,6 @@ class CoRD(UpdateMethod):
     # ------------------------------------------------------------ front end
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         delta = yield from self.data_rmw(osd, op)
-        yield from self._deliver(osd, op, delta)
-
-    def _deliver(self, osd: OSD, op: UpdateOp, delta) -> Generator:
-        """Ship the data delta to the stripe's collector and append it."""
         collector = self._collector_of(op.block)
         if collector.failed:
             # the data block holds the update in place; every parity row
@@ -75,17 +71,6 @@ class CoRD(UpdateMethod):
             # collector died mid-append: the delta reached no parity row
             for _j, _posd, pbid in self.parity_targets(op.block):
                 self._mark_parity_resync(pbid)
-
-    def schedule_plan(self):
-        from repro.sim.schedule import gen_slot
-
-        def rmw(run):
-            return self.data_rmw(run.primary, run.op)
-
-        def deliver(run):
-            return self._deliver(run.primary, run.op, run.val)
-
-        return (gen_slot(rmw), gen_slot(deliver))
 
     def _collector_of(self, block: BlockId) -> OSD:
         pbid = BlockId(block.file_id, block.stripe, self.ecfs.rs.k)  # parity 0
@@ -152,22 +137,7 @@ class CoRD(UpdateMethod):
         self, collector: OSD, snapshot: _Buffers, priority: int
     ) -> Generator:
         rs = self.ecfs.rs
-        bulk = self.ecfs.bulk
         for (file_id, stripe), per_idx in snapshot.items():
-            # bulk plane: one dense encode_partial panel regenerates ALL m
-            # parity rows' merged deltas for this stripe up front (the
-            # snapshot is immutable once popped, so the precompute cannot
-            # go stale).  The per-extent gf timeouts below are still
-            # charged in the oracle's exact order — only the merged-map
-            # arithmetic is replaced.
-            panel = None
-            if bulk is not None:
-                panel = bulk.stripe_parity_extents(
-                    [
-                        (didx, list(emap.extents()))
-                        for didx, emap in per_idx.items()
-                    ]
-                )
             for j in range(rs.m):
                 pbid = BlockId(file_id, stripe, rs.k + j)
                 posd = self.ecfs.osd_hosting(pbid)
@@ -176,22 +146,13 @@ class CoRD(UpdateMethod):
                     # node restarts, or re-encoded by its rebuild
                     self._mark_parity_resync(pbid)
                     continue
-                if panel is not None:
-                    for _didx, emap in per_idx.items():
-                        for ext in emap.extents():
-                            yield self.env.timeout(self.costs.gf_mul(ext.size))
-                    exts = panel[j]
-                else:
-                    merged = ExtentMap(MergePolicy.XOR)
-                    for didx, emap in per_idx.items():
-                        coef = self.parity_coef(j, didx)
-                        for ext in emap.extents():
-                            yield self.env.timeout(self.costs.gf_mul(ext.size))
-                            merged.insert(
-                                ext.start, gf_mul_scalar(coef, ext.data), own=True
-                            )
-                    exts = list(merged.extents())
-                for ext in exts:
+                merged = ExtentMap(MergePolicy.XOR)
+                for didx, emap in per_idx.items():
+                    coef = self.parity_coef(j, didx)
+                    for ext in emap.extents():
+                        yield self.env.timeout(self.costs.gf_mul(ext.size))
+                        merged.insert(ext.start, gf_mul_scalar(coef, ext.data), own=True)
+                for ext in merged.extents():
                     try:
                         yield from self.forward(collector, posd, ext.size)
                         yield from self.parity_rmw(

@@ -51,26 +51,6 @@ class FullLogging(UpdateMethod):
         self._locks[osd.name] = Resource(self.env, capacity=1)
 
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
-        yield from self._append_locked(osd, op)
-        # replicate the record to every parity OSD's log (fault tolerance)
-        if self.batched:
-            sends = [
-                self._mirror(osd, posd, op)
-                for _j, posd, _pbid in self.parity_targets(op.block)
-                if not posd.failed
-            ]
-            if sends:
-                yield spawn_fanout(self.env, sends)
-            return
-        sends = [
-            self.env.process(self._mirror(osd, posd, op), name=f"fl-p{j}")
-            for j, posd, _pbid in self.parity_targets(op.block)
-            if not posd.failed
-        ]
-        if sends:
-            yield self.env.all_of(sends)
-
-    def _append_locked(self, osd: OSD, op: UpdateOp) -> Generator:
         # single-log mutual exclusion: appends wait out any recycle
         with self._locks[osd.name].request() as lock:
             yield lock
@@ -80,22 +60,14 @@ class FullLogging(UpdateMethod):
             self._log_bytes[osd.name] += op.size
             self._raw_entries[osd.name] += 1
             self.ecfs.oracle.apply(op.block, op.offset, op.payload)
-
-    def schedule_plan(self):
-        from repro.sim.schedule import fanout_slot, gen_slot
-
-        def append(run):
-            return self._append_locked(run.primary, run.op)
-
-        def mirror_legs(run):
-            osd, op = run.primary, run.op
-            return [
-                self._mirror(osd, posd, op)
-                for _j, posd, _pbid in self.parity_targets(op.block)
-                if not posd.failed
-            ]
-
-        return (gen_slot(append), fanout_slot(mirror_legs))
+        # replicate the record to every parity OSD's log (fault tolerance)
+        sends = [
+            self._mirror(osd, posd, op)
+            for _j, posd, _pbid in self.parity_targets(op.block)
+            if not posd.failed
+        ]
+        if sends:
+            yield spawn_fanout(self.env, sends)
 
     def _mirror(self, osd: OSD, posd: OSD, op: UpdateOp) -> Generator:
         yield from self.forward(osd, posd, op.size)
@@ -175,39 +147,19 @@ class FullLogging(UpdateMethod):
             self._log_bytes[osd.name] = 0
 
     def _apply_block_log(self, osd: OSD, block: BlockId, emap: ExtentMap) -> Generator:
-        exts = list(emap.extents())
-        # bulk plane: gather every extent's old bytes and derive the deltas
-        # in one packed pass up front (the recycle lock excludes appends and
-        # reads, and the extents are disjoint, so only out-of-band churn —
-        # epoch-guarded — can invalidate the precompute mid-walk)
-        bulk = self.ecfs.bulk
-        plan = plan_epoch = None
-        if bulk is not None and exts and bulk.healthy():
-            plan_epoch, plan = bulk.plan_block_deltas(osd.store, block, exts)
-        for i, ext in enumerate(exts):
+        for ext in emap.extents():
             # read old, write merged data in place, derive deltas
             yield from osd.io_block(
                 IOKind.READ, block, ext.start, ext.size,
                 IOPriority.BACKGROUND, tag="fl-recycle",
             )
-            present = block in osd.store
-            delta = None
-            if plan is not None:
-                planned, expect = plan[i]
-                if plan_epoch == bulk.epoch and present == expect:
-                    bulk.consumed += 1
-                    delta = planned
-                else:
-                    bulk.fallbacks += 1
-                    plan = None  # churn voids the whole remaining plan
-            if delta is None:
-                old = (
-                    osd.store.read(block, ext.start, ext.size)
-                    if present
-                    else np.zeros(ext.size, dtype=np.uint8)
-                )
-                delta = old ^ ext.data
+            old = (
+                osd.store.read(block, ext.start, ext.size)
+                if block in osd.store
+                else np.zeros(ext.size, dtype=np.uint8)
+            )
             yield self.env.timeout(self.costs.xor(ext.size))
+            delta = old ^ ext.data
             yield from osd.io_block(
                 IOKind.WRITE, block, ext.start, ext.size,
                 IOPriority.BACKGROUND, overwrite=True, tag="fl-recycle",

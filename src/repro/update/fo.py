@@ -4,11 +4,6 @@ In-place update of the data block *and* every parity block, all in the
 critical path.  All I/O is small-grained and random; the update path is the
 longest of all methods (Fig. 1), but with zero log debt FO recovers fastest
 (Fig. 8b's reference point).
-
-FO keeps no logs, so the bulk drain plane (``ClusterConfig.bulk_drain``,
-:mod:`repro.sim.bulk`) has nothing to batch here: ``flush`` is the base
-class's no-op and the method is trivially byte-identical under either flag
-setting (the equivalence tests still run it through the full matrix).
 """
 
 from __future__ import annotations
@@ -33,39 +28,13 @@ class FullOverwrite(UpdateMethod):
         delta = yield from self.data_rmw(osd, op)
         # 2. for every parity block: compute the parity delta at the data
         #    node (GF multiply), ship it, and RMW the parity block in place.
-        if self.batched:
-            yield spawn_fanout(
-                self.env,
-                [
-                    self._update_parity(osd, posd, pbid, op, delta, j)
-                    for j, posd, pbid in self.parity_targets(op.block)
-                ],
-            )
-            return
-        jobs = []
-        for j, posd, pbid in self.parity_targets(op.block):
-            jobs.append(
-                self.env.process(
-                    self._update_parity(osd, posd, pbid, op, delta, j),
-                    name=f"fo-p{j}",
-                )
-            )
-        yield self.env.all_of(jobs)
-
-    def schedule_plan(self):
-        from repro.sim.schedule import fanout_slot, gen_slot
-
-        def rmw(run):
-            return self.data_rmw(run.primary, run.op)
-
-        def parity_legs(run):
-            osd, op, delta = run.primary, run.op, run.val
-            return [
+        yield spawn_fanout(
+            self.env,
+            [
                 self._update_parity(osd, posd, pbid, op, delta, j)
                 for j, posd, pbid in self.parity_targets(op.block)
-            ]
-
-        return (gen_slot(rmw), fanout_slot(parity_legs))
+            ],
+        )
 
     def _update_parity(self, osd: OSD, posd: OSD, pbid, op: UpdateOp, delta, j) -> Generator:
         yield self.env.timeout(self.costs.gf_mul(op.size))

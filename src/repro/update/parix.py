@@ -15,15 +15,6 @@ The parity-side log keeps, per (parity block, source data block):
 
 Recycling then applies ``a_ij (D_n ^ D_0)`` per extent — Eq. (4)'s
 temporal-locality collapse, which is exactly PARIX's selling point.
-
-The bulk drain plane (``ClusterConfig.bulk_drain``, :mod:`repro.sim.bulk`)
-has nothing to precompute here: both operands of every recycle delta
-(``D_0`` and ``D_n``) live in the in-memory pair logs — immutable once the
-recycle pops them — not in the block store, so there are no old-byte
-gathers to batch and no staleness window to guard.  Each extent's single
-``parity_delta`` product is already the minimal host math; the method is
-trivially byte-identical under either flag setting (the equivalence tests
-run it through the full matrix regardless).
 """
 
 from __future__ import annotations
@@ -83,39 +74,6 @@ class PARIX(UpdateMethod):
 
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         targets = self.parity_targets(op.block)
-        live = yield from self._commit_local(osd, op, targets)
-
-        # Wire + log-append charges.  The new data ships first; the parity
-        # node probes its speculation log to decide whether it already holds
-        # D0.  When it does not, it NACKs and the old data follows — the
-        # serial "2x network latency" penalty of Fig. 1.
-        live_targets = [(j, posd) for j, posd, _pbid in targets if not posd.failed]
-        if self.batched:
-            yield from self._ship_batched(osd, op, live, live_targets)
-            return
-        sends = [
-            self.env.process(self._ship(osd, posd, op.size), name=f"parix-new-p{j}")
-            for j, posd in live_targets
-        ]
-        yield self.env.all_of(sends)
-        if live is not None:
-            # NACK comes back before the data node can ship the old bytes
-            nacks = [
-                self.env.process(
-                    self.forward(posd, osd, 0), name=f"parix-nack-p{j}"
-                )
-                for j, posd in live_targets
-            ]
-            yield self.env.all_of(nacks)
-            sends = [
-                self.env.process(self._ship(osd, posd, op.size), name=f"parix-old-p{j}")
-                for j, posd in live_targets
-            ]
-            yield self.env.all_of(sends)
-
-    def _commit_local(self, osd: OSD, op: UpdateOp, targets) -> Generator:
-        """Locked speculative-write phase; returns the captured D0 bytes
-        (``None`` when every touched address already shipped its baseline)."""
         # Front end is serialized per block so the parity logs' old/new state
         # commits in the same order as the in-place writes.
         with osd.block_lock(op.block).request() as lock:
@@ -172,44 +130,25 @@ class PARIX(UpdateMethod):
                     self._log_bytes[posd.name] += op.size
                 log.log_new(op.offset, op.payload)
                 self._log_bytes[posd.name] += op.size
-        return live
 
-    def _ship_batched(self, osd: OSD, op: UpdateOp, live, live_targets) -> Generator:
+        # Wire + log-append charges.  The new data ships first; the parity
+        # node probes its speculation log to decide whether it already holds
+        # D0.  When it does not, it NACKs and the old data follows — the
+        # serial "2x network latency" penalty of Fig. 1.
+        live_targets = [posd for _j, posd, _pbid in targets if not posd.failed]
         yield spawn_fanout(
-            self.env, [self._ship(osd, posd, op.size) for _j, posd in live_targets]
+            self.env, [self._ship(osd, posd, op.size) for posd in live_targets]
         )
         if live is not None:
             # NACK comes back before the data node can ship the old bytes
             # (callable legs: each becomes one wire chain, no driver)
             yield spawn_fanout(
                 self.env,
-                [
-                    (lambda p=posd: self.forward_c(p, osd, 0))
-                    for _j, posd in live_targets
-                ],
+                [(lambda p=posd: self.forward_c(p, osd, 0)) for posd in live_targets],
             )
             yield spawn_fanout(
-                self.env,
-                [self._ship(osd, posd, op.size) for _j, posd in live_targets],
+                self.env, [self._ship(osd, posd, op.size) for posd in live_targets]
             )
-
-    def schedule_plan(self):
-        from repro.sim.schedule import effect_slot, gen_slot
-
-        def setup(run):
-            run.ctx["targets"] = self.parity_targets(run.op.block)
-
-        def commit(run):
-            return self._commit_local(run.primary, run.op, run.ctx["targets"])
-
-        def ship(run):
-            targets = run.ctx["targets"]
-            live_targets = [
-                (j, posd) for j, posd, _pbid in targets if not posd.failed
-            ]
-            return self._ship_batched(run.primary, run.op, run.val, live_targets)
-
-        return (effect_slot(setup), gen_slot(commit), gen_slot(ship))
 
     def _ship(self, osd: OSD, posd: OSD, size: int) -> Generator:
         yield from self.forward(osd, posd, size)

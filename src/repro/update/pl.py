@@ -13,7 +13,6 @@ scheduler's ``recycle`` stream.
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from typing import Generator
 
@@ -32,41 +31,8 @@ from repro.update.base import UpdateMethod
 __all__ = ["ParityLogging"]
 
 
-class _DeprecatedThreshold:
-    """Shim for the retired ``ParityLogging.RECYCLE_THRESHOLD`` module
-    constant: reading it warns and reports the config default — the live
-    knob is ``ClusterConfig.recycle_high_watermark``.  A data descriptor,
-    so *instance* writes to the old knob fail loudly instead of silently
-    doing nothing (class-level rebinding cannot be intercepted without a
-    metaclass; the AttributeError message covers the common tuning path).
-    """
-
-    def __get__(self, obj, objtype=None) -> int:
-        warnings.warn(
-            "ParityLogging.RECYCLE_THRESHOLD is deprecated; use "
-            "ClusterConfig.recycle_high_watermark (cluster/config.py)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if obj is not None:
-            return obj.ecfs.config.recycle_high_watermark
-        from repro.cluster.config import ClusterConfig
-
-        return ClusterConfig.recycle_high_watermark
-
-    def __set__(self, obj, value) -> None:
-        raise AttributeError(
-            "RECYCLE_THRESHOLD no longer drives recycling; set "
-            "ClusterConfig.recycle_high_watermark / recycle_low_watermark "
-            "instead"
-        )
-
-
 class ParityLogging(UpdateMethod):
     name = "pl"
-
-    #: deprecated: see ClusterConfig.recycle_high_watermark
-    RECYCLE_THRESHOLD = _DeprecatedThreshold()
 
     def __init__(self, ecfs) -> None:
         super().__init__(ecfs)
@@ -78,38 +44,13 @@ class ParityLogging(UpdateMethod):
 
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         delta = yield from self.data_rmw(osd, op)
-        if self.batched:
-            yield spawn_fanout(
-                self.env,
-                [
-                    self._log_parity(osd, posd, pbid, op, delta, j)
-                    for j, posd, pbid in self.parity_targets(op.block)
-                ],
-            )
-            return
-        jobs = []
-        for j, posd, pbid in self.parity_targets(op.block):
-            jobs.append(
-                self.env.process(
-                    self._log_parity(osd, posd, pbid, op, delta, j), name=f"pl-p{j}"
-                )
-            )
-        yield self.env.all_of(jobs)
-
-    def schedule_plan(self):
-        from repro.sim.schedule import fanout_slot, gen_slot
-
-        def rmw(run):
-            return self.data_rmw(run.primary, run.op)
-
-        def log_legs(run):
-            osd, op, delta = run.primary, run.op, run.val
-            return [
+        yield spawn_fanout(
+            self.env,
+            [
                 self._log_parity(osd, posd, pbid, op, delta, j)
                 for j, posd, pbid in self.parity_targets(op.block)
-            ]
-
-        return (gen_slot(rmw), fanout_slot(log_legs))
+            ],
+        )
 
     def _log_parity(self, osd: OSD, posd: OSD, pbid, op: UpdateOp, delta, j) -> Generator:
         yield self.env.timeout(self.costs.gf_mul(op.size))
@@ -205,19 +146,12 @@ class ParityLogging(UpdateMethod):
             # stretch the reduced-redundancy exposure window the repair
             # stream's heavy weight exists to minimize.
             if priority >= IOPriority.BACKGROUND:
-                # batch-grant arbiter path: one RecycleOp covers the whole
-                # replayed backlog (byte accounting is the sum of every
-                # popped entry), submitted through the bulk-drain batch
-                # entry point — a single-item batch is event-for-event
-                # identical to a plain request()
-                yield from self.ecfs.background.request_batch(
-                    [
-                        RecycleOp(
-                            osd=posd.name,
-                            nbytes=sum(int(d.shape[0]) for _p, _o, d in entries),
-                            tag="paritylog",
-                        )
-                    ]
+                yield from self.ecfs.background.request(
+                    RecycleOp(
+                        osd=posd.name,
+                        nbytes=sum(int(d.shape[0]) for _p, _o, d in entries),
+                        tag="paritylog",
+                    )
                 )
             # PL's recycle is random-read-heavy: the log is read back and
             # every entry is applied individually (no locality merging).

@@ -46,39 +46,13 @@ class ParityLoggingReserved(UpdateMethod):
 
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         delta = yield from self.data_rmw(osd, op)
-        if self.batched:
-            yield spawn_fanout(
-                self.env,
-                [
-                    self._append_reserved(osd, posd, pbid, op, delta, j)
-                    for j, posd, pbid in self.parity_targets(op.block)
-                ],
-            )
-            return
-        jobs = []
-        for j, posd, pbid in self.parity_targets(op.block):
-            jobs.append(
-                self.env.process(
-                    self._append_reserved(osd, posd, pbid, op, delta, j),
-                    name=f"plr-p{j}",
-                )
-            )
-        yield self.env.all_of(jobs)
-
-    def schedule_plan(self):
-        from repro.sim.schedule import fanout_slot, gen_slot
-
-        def rmw(run):
-            return self.data_rmw(run.primary, run.op)
-
-        def reserved_legs(run):
-            osd, op, delta = run.primary, run.op, run.val
-            return [
+        yield spawn_fanout(
+            self.env,
+            [
                 self._append_reserved(osd, posd, pbid, op, delta, j)
                 for j, posd, pbid in self.parity_targets(op.block)
-            ]
-
-        return (gen_slot(rmw), fanout_slot(reserved_legs))
+            ],
+        )
 
     def _append_reserved(self, osd: OSD, posd: OSD, pbid, op: UpdateOp, delta, j) -> Generator:
         yield self.env.timeout(self.costs.gf_mul(op.size))
@@ -140,18 +114,7 @@ class ParityLoggingReserved(UpdateMethod):
             total = sum(int(d.shape[0]) for _o, d in entries)
             yield self.env.timeout(self.costs.xor(total))
             posd.store.ensure(pbid)
-            # bulk plane: coalesce the scattered reserved-area deltas into
-            # maximal disjoint extents before touching the block — XOR is
-            # byte-commutative, so the folded application is byte-identical
-            # to replaying every raw entry (the timeout above still charges
-            # the raw total)
-            bulk = self.ecfs.bulk
-            apply_entries = (
-                bulk.fold_xor(entries)
-                if bulk is not None and len(entries) > 1
-                else entries
-            )
-            for offset, pdelta in apply_entries:
+            for offset, pdelta in entries:
                 posd.store.xor_in(pbid, offset, pdelta)
             yield from posd.io_at(
                 IOKind.WRITE,

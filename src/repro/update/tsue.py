@@ -230,60 +230,11 @@ class TSUE(UpdateMethod):
         # order, before any interleaving-prone I/O below.
         self.ecfs.oracle.apply(op.block, op.offset, op.payload)
         # persist locally and replicate, concurrently; ack when all durable
-        if self.batched:
-            legs = [self._persist_local(osd, pool, op)]
-            for r in range(self.opts.datalog_replicas):
-                legs.append(self._replicate(osd, op, r))
-            yield spawn_fanout(self.env, legs)
-        else:
-            jobs = [
-                self.env.process(
-                    self._persist_local(osd, pool, op), name=f"tsue-persist{op.op_id}"
-                )
-            ]
-            for r in range(self.opts.datalog_replicas):
-                jobs.append(
-                    self.env.process(
-                        self._replicate(osd, op, r), name=f"tsue-rep{op.op_id}.{r}"
-                    )
-                )
-            yield self.env.all_of(jobs)
+        legs = [self._persist_local(osd, pool, op)]
+        for r in range(self.opts.datalog_replicas):
+            legs.append(self._replicate(osd, op, r))
+        yield spawn_fanout(self.env, legs)
         self.append_times["datalog"].append(self.env.now - t0)
-
-    def schedule_plan(self):
-        from repro.sim.schedule import effect_slot, fanout_slot, gen_slot
-
-        def setup(run):
-            run.ctx["t0"] = self.env.now
-            run.ctx["pool"] = self._pool(run.primary, "datalog", run.op.block)
-
-        def append(run):
-            op = run.op
-            # in-memory append (may stall on the unit quota — Fig. 6a; a
-            # stalled append parks this run on the same quota event)
-            return run.ctx["pool"].append(op.block, op.offset, op.payload, own=True)
-
-        def commit(run):
-            op = run.op
-            self.ecfs.oracle.apply(op.block, op.offset, op.payload)
-
-        def persist_legs(run):
-            osd, op = run.primary, run.op
-            legs = [self._persist_local(osd, run.ctx["pool"], op)]
-            for r in range(self.opts.datalog_replicas):
-                legs.append(self._replicate(osd, op, r))
-            return legs
-
-        def record(run):
-            self.append_times["datalog"].append(self.env.now - run.ctx["t0"])
-
-        return (
-            effect_slot(setup),
-            gen_slot(append),
-            effect_slot(commit),
-            fanout_slot(persist_legs),
-            effect_slot(record),
-        )
 
     def _persist_local(self, osd: OSD, pool: LogPool, op: UpdateOp) -> Generator:
         stream = self._dl_streams[self._pool_idx(op.block)]
@@ -355,47 +306,14 @@ class TSUE(UpdateMethod):
         self, osd: OSD, pool: LogPool, pidx: int, unit: LogUnit
     ) -> Generator:
         items = self.planner.plan(unit)
-        # bulk drain plane: precompute this unit's deltas AND every unit
-        # queued behind it in one packed-buffer pass (repro.sim.bulk).
-        # Plan only on a healthy, boost-free cluster — recovery paths
-        # rewrite real blocks through case-by-case oracle code.
-        bulk = self.ecfs.bulk
-        if (
-            bulk is not None
-            and not self._recovery_boost
-            and bulk.healthy()
-            and bulk.datalog_plan(pool.name, unit) is None
-        ):
-            batch = [(unit, items)]
-            for queued in pool.recyclable.items:
-                if bulk.datalog_plan(pool.name, queued) is None:
-                    batch.append(
-                        (queued, self.planner.plan(queued, record=False))
-                    )
-            bulk.plan_datalog_batch(osd.store, pool.name, batch)
         lanes = list(self.planner.lanes(items))
-        if self.batched:
-            if lanes:
-                yield spawn_fanout(
-                    self.env,
-                    [self._datalog_lane(osd, pool, unit, lane) for lane in lanes],
-                )
-        else:
-            procs = [
-                self.env.process(
-                    self._datalog_lane(osd, pool, unit, lane),
-                    name=f"tsue-dlane-{osd.name}",
-                )
-                for lane in lanes
-            ]
-            if procs:
-                yield self.env.all_of(procs)
-        if bulk is not None:
-            bulk.drop_datalog_plan(pool.name, unit)
+        if lanes:
+            yield spawn_fanout(
+                self.env,
+                [self._datalog_lane(osd, pool, unit, lane) for lane in lanes],
+            )
 
     def _datalog_lane(self, osd: OSD, pool: LogPool, unit: LogUnit, lane_items) -> Generator:
-        bulk = self.ecfs.bulk
-        plan = bulk.datalog_plan(pool.name, unit) if bulk is not None else None
         for work in lane_items:
             block = self._real_block(work.block)
             for ext in work.extents:
@@ -413,21 +331,14 @@ class TSUE(UpdateMethod):
                     IOKind.READ, block, ext.start, ext.size,
                     IOPriority.BACKGROUND, tag="tsue-dl-recycle",
                 )
-                present = block in osd.store
-                # bulk fast path: the delta was precomputed in one packed
-                # XOR pass over the whole unit queue; the plan re-checks
-                # churn + expected presence and hands back None to fall
-                # back to the oracle math (bytes identical either way)
-                delta = plan.take(key, present) if plan is not None else None
-                if delta is None:
-                    # snapshot via read-only view: the XOR materializes the
-                    # delta before the next yield, so no copy is needed
-                    old = (
-                        osd.store.read_view(block, ext.start, ext.size)
-                        if present
-                        else np.zeros(ext.size, dtype=np.uint8)
-                    )
-                    delta = old ^ ext.data
+                # snapshot via read-only view: the XOR materializes the
+                # delta before the next yield, so no copy is needed
+                old = (
+                    osd.store.read_view(block, ext.start, ext.size)
+                    if block in osd.store
+                    else np.zeros(ext.size, dtype=np.uint8)
+                )
+                delta = old ^ ext.data
                 yield self.env.timeout(self.costs.xor(ext.size))
                 # forward the delta BEFORE the in-place overwrite: should the
                 # node die in between, a replay recomputes the same delta
@@ -439,11 +350,6 @@ class TSUE(UpdateMethod):
                     IOPriority.BACKGROUND, overwrite=True, tag="tsue-dl-recycle",
                 )
                 osd.store.write(block, ext.start, ext.data)
-                # a concurrent recycle (settle-forced flush racing the
-                # arbitered loop) may resurrect a live range this write
-                # just changed: void other plans' entries on this block
-                if bulk is not None:
-                    bulk.note_block_write(block, exempt=plan)
                 unit.recycle_progress.add(key)
 
     def _forward_delta(
@@ -556,26 +462,12 @@ class TSUE(UpdateMethod):
             block = self._real_block(work.block)
             per_stripe[(block.file_id, block.stripe)].append((block, work))
         rs = self.ecfs.rs
-        bulk = self.ecfs.bulk
         out: list[tuple[tuple, BlockId, object]] = []
         occurrences: dict[tuple, int] = defaultdict(int)
         for (file_id, stripe), works in per_stripe.items():
-            # bulk drain plane: one dense encode_partial panel per stripe
-            # instead of one gf_mul_scalar temporary per (extent, parity
-            # row).  Pure math over the sealed unit's immutable extents —
-            # byte- and boundary-identical to the XOR-merged ExtentMap
-            # (repro.sim.bulk.union_spans documents why), so it needs no
-            # health/epoch gating.
-            panel = None
-            if self.opts.backend_locality and bulk is not None:
-                panel = bulk.stripe_parity_extents(
-                    [(block.idx, work.extents) for block, work in works]
-                )
             for j in range(rs.m):
                 pbid = BlockId(file_id, stripe, rs.k + j)
-                if panel is not None:
-                    exts = panel[j]
-                elif self.opts.backend_locality:
+                if self.opts.backend_locality:
                     merged = ExtentMap(MergePolicy.XOR)
                     for block, work in works:
                         coef = self.parity_coef(j, block.idx)
@@ -668,22 +560,11 @@ class TSUE(UpdateMethod):
     ) -> Generator:
         items = self.planner.plan(unit)
         lanes = list(self.planner.lanes(items))
-        if self.batched:
-            if lanes:
-                yield spawn_fanout(
-                    self.env,
-                    [self._paritylog_lane(osd, unit, lane) for lane in lanes],
-                )
-            return
-        procs = [
-            self.env.process(
-                self._paritylog_lane(osd, unit, lane),
-                name=f"tsue-plane-{osd.name}",
+        if lanes:
+            yield spawn_fanout(
+                self.env,
+                [self._paritylog_lane(osd, unit, lane) for lane in lanes],
             )
-            for lane in lanes
-        ]
-        if procs:
-            yield self.env.all_of(procs)
 
     def _paritylog_lane(self, osd: OSD, unit: LogUnit, lane_items) -> Generator:
         for work in lane_items:
@@ -1096,10 +977,6 @@ class TSUE(UpdateMethod):
                     IOPriority.BACKGROUND, overwrite=True, tag="tsue-ship",
                 )
                 dst.store.write(block, ext.start, ext.data)
-                # the move's freeze already bumped the bulk epoch; the
-                # targeted registry stays coherent regardless
-                if self.ecfs.bulk is not None:
-                    self.ecfs.bulk.note_block_write(block)
             else:  # paritylog: merge the pending parity delta into the copy
                 yield from self.parity_rmw(
                     dst, block, ext.start, ext.data,

@@ -336,21 +336,6 @@ def test_pl_recycle_watermarks_trigger_background_drain():
     assert ecfs.verify() > 0
 
 
-def test_recycle_threshold_shim_warns():
-    from repro.update.pl import ParityLogging
-
-    with pytest.warns(DeprecationWarning):
-        value = ParityLogging.RECYCLE_THRESHOLD
-    assert value == ClusterConfig.recycle_high_watermark
-    # instance writes to the dead knob fail loudly instead of silently
-    # doing nothing (the live knob is the ClusterConfig watermark)
-    ecfs = ECFS(
-        ClusterConfig(n_osds=8, k=4, m=2, block_size=64 * KiB), method="pl"
-    )
-    with pytest.raises(AttributeError):
-        ecfs.method.RECYCLE_THRESHOLD = 1 << 20
-
-
 def test_watermark_config_validation():
     with pytest.raises(Exception):
         ClusterConfig(recycle_low_watermark=2048, recycle_high_watermark=1024).validate()

@@ -252,6 +252,25 @@ def test_quiesce_waits_out_stragglers():
     assert ecfs.verify() > 0
 
 
+def test_deadline_abandon_counts_each_leg_once():
+    """Regression: a read leg that stays alive across several deadline
+    wake-ups (its cancel interrupt takes a queue hop to drain) used to be
+    re-cancelled and re-counted on every wake.  The abandon path now
+    remembers already-cancelled legs, so ``cancelled_legs`` counts each leg
+    at most once per attempt — bounded by the legs the attempt spawned."""
+    from repro.fault.runner import ScenarioRunner
+    from repro.fault.scenarios import get_scenario
+
+    spec = get_scenario("slo-qos-crash")
+    result = ScenarioRunner(spec).run(seed=7)
+    stats = result.frontend_stats
+    deadline_exp = stats.get("deadline_expired", 0)
+    # each expired deadline abandons one attempt: at most primary + hedge
+    # legs are cancelled per attempt, never more (the double-count bug
+    # inflated this linearly with straggler lifetime)
+    assert stats.get("cancelled_legs", 0) <= 2 * deadline_exp, stats
+
+
 # ------------------------------------------------------------- determinism
 @pytest.mark.parametrize("name", ["slo-qos-crash", "slo-qos-partition"])
 def test_slo_scenario_digest_determinism(name):
