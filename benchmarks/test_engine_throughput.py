@@ -1,8 +1,9 @@
 """Engine-throughput perf tier: events/sec + sweep speedups -> BENCH_engine.json.
 
-The tracked perf tier of the ROADMAP: every run appends one entry to the
-``BENCH_engine.json`` trajectory file at the repo root (uploaded as a CI
-artifact by the nightly job), recording
+The tracked perf tier of the ROADMAP: a run with ``REPRO_BENCH_RECORD=1``
+(the nightly job sets it; tier-1 does not, so a verify run leaves the tree
+clean) appends one entry to the ``BENCH_engine.json`` trajectory file at
+the repo root (uploaded as a CI artifact by the nightly job), recording
 
 * **engine** — wall-clock, DES events, events/sec, and simulated-ops/sec
   of the profiled 1500-op TSUE experiment, against the recorded
@@ -114,7 +115,10 @@ def _compact(entries: list[dict]) -> list[dict]:
 
 
 def _append_bench(entry: dict) -> None:
-    """Append one entry to the BENCH_engine.json trajectory file."""
+    """Append one entry to the BENCH_engine.json trajectory file — only
+    when ``REPRO_BENCH_RECORD=1`` asks for the tracked file to be written."""
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
     doc = {"schema": 1, "entries": []}
     if _BENCH_PATH.exists():
         try:

@@ -11,6 +11,14 @@ because appends stall until recycling frees a unit).
 
 The pool can also *shrink*: :meth:`trim` drops RECYCLED units above
 ``min_units`` when the workload is idle, releasing memory (§3.2.2).
+
+**Log debt** is content not yet recycled: a non-empty active unit plus the
+sealed units counted by :attr:`backlog`.  The pool moves that count at the
+transitions that change it and adds/removes its key in the owner's ``live``
+set when it goes idle -> live or back, so drains and settlement checks visit
+the pools that hold debt instead of scanning every pool.  Every transition
+that gives a pool debt or clears it therefore goes through a method here,
+never through :attr:`units` directly.
 """
 
 from __future__ import annotations
@@ -41,7 +49,11 @@ class LogPool:
         max_units: int = 4,
         block_size: int = 0,
         merge: bool = True,
+        live: Optional[set] = None,
+        live_key: Hashable = None,
     ) -> None:
+        """``live`` is the owner's set of pools holding debt; this pool keeps
+        ``live_key`` in it exactly while :attr:`holds_debt`."""
         if min_units < 1 or max_units < min_units:
             raise ConfigError(
                 f"quota must satisfy 1 <= min ({min_units}) <= max ({max_units})"
@@ -64,6 +76,9 @@ class LogPool:
         #: sealed units for the recycler (a DES Store, so recyclers block on get)
         self.recyclable: Store = Store(env)
         self._space_waiters: list[Event] = []
+        self._backlog = 0
+        self._live = live
+        self._live_key = live_key
 
         # statistics
         self.appends = 0
@@ -113,7 +128,10 @@ class LogPool:
                     raise UnavailableError(
                         f"log pool {self.name} died while an append waited"
                     )
+        was_clean = not self.active.used
         self.active.append(block, offset, data, self.env.now, own=own)
+        if was_clean:
+            self._sync_live()
         self.appends += 1
         self.append_bytes += nbytes
 
@@ -164,21 +182,45 @@ class LogPool:
         buf = unit.buffer_interval or 0.0
         rec = unit.recycle_interval or 0.0
         self.residence.append((buf, rec))
+        # a recycle that outlives fail() finishes a unit this queue dropped
+        if unit in self.units:
+            self._backlog -= 1
         if self._space_waiters and self._acquire_active():
             for waiter in self._space_waiters:
                 if not waiter.triggered:
                     waiter.succeed()
             self._space_waiters.clear()
+        self._sync_live()
 
     def fail(self) -> None:
         """Node death: error out waiting appenders instead of leaving them
-        blocked on recycling that will never happen, and refuse new appends
-        (so a front end never acks an update this pool cannot make durable)."""
+        blocked on recycling that will never happen, refuse new appends (so
+        a front end never acks an update this pool cannot make durable), and
+        drop the queue — the owner stashed what recovery replays, so the
+        pool holds no debt afterwards."""
         self._dead = True
         waiters, self._space_waiters = self._space_waiters, []
         for waiter in waiters:
             if not waiter.triggered:
                 waiter.succeed()
+        self.units.clear()
+        self.active = self._new_unit()
+        self.units.append(self.active)
+        self.recyclable.items.clear()
+        self._backlog = 0
+        self._sync_live()
+
+    def requeue_interrupted(self) -> None:
+        """Node restart with the recycler gone: put units cut off mid-recycle
+        back in line; the recycle replays from their progress marks."""
+        for unit in self.units:
+            if unit.state is LogUnitState.RECYCLING:
+                # direct reset (not a normal lifecycle transition).  The
+                # requeue goes to the FRONT — units sealed during the outage
+                # are newer, and OVERWRITE merging needs oldest-first
+                # application.
+                unit.state = LogUnitState.RECYCLABLE
+                self.recyclable.put_front(unit)
 
     def trim(self) -> int:
         """Drop RECYCLED units above ``min_units``; returns units freed."""
@@ -213,10 +255,14 @@ class LogPool:
     @property
     def backlog(self) -> int:
         """Units sealed but not yet recycled."""
-        return sum(
-            1
-            for u in self.units
-            if u.state in (LogUnitState.RECYCLABLE, LogUnitState.RECYCLING)
+        return self._backlog
+
+    @property
+    def holds_debt(self) -> bool:
+        """True while any content here is still to be recycled."""
+        active = self.active
+        return self._backlog > 0 or (
+            active.used > 0 and active.state is LogUnitState.EMPTY
         )
 
     # ------------------------------------------------------------ internals
@@ -235,7 +281,17 @@ class LogPool:
         if self.active.state is not LogUnitState.EMPTY:
             raise IntegrityError("active unit is not appendable")
         self.active.seal(self.env.now)
+        # only a non-empty active unit is ever sealed, so the pool is already
+        # live: the debt moves from the active unit to the backlog
+        self._backlog += 1
         self.recyclable.put(self.active)
+
+    def _sync_live(self) -> None:
+        if self._live is not None:
+            if self.holds_debt:
+                self._live.add(self._live_key)
+            else:
+                self._live.discard(self._live_key)
 
     def _acquire_active(self) -> bool:
         """Find/allocate an EMPTY unit and move it to the tail; False if the

@@ -230,15 +230,7 @@ def after_ops(n: int) -> Callable[["ECFS"], bool]:
 
 def total_recycled_units(ecfs: "ECFS") -> int:
     """Units fully recycled so far (0 for methods without log pools)."""
-    pools = getattr(ecfs.method, "pools", None)
-    if not pools:
-        return 0
-    return sum(
-        len(pool.residence)
-        for layers in pools.values()
-        for layer_pools in layers.values()
-        for pool in layer_pools
-    )
+    return getattr(ecfs.method, "recycled_units", 0)
 
 
 def after_recycles(n: int) -> Callable[["ECFS"], bool]:

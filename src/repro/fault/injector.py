@@ -56,8 +56,12 @@ class FaultInjector:
         self.scrub_reports: list[ScrubReport] = []
         self.rebalance_reports: list[RebalanceReport] = []
         self.corrupted: list = []  # BlockIds injected with latent errors
-        self.skipped: list[str] = []  # events whose trigger deadline passed
+        #: events never applied: the trigger's deadline passed, or its
+        #: predicate could no longer turn true (see :meth:`workload_finished`)
+        self.skipped: list[str] = []
         self._procs: list = []
+        self._polling: list[Trigger] = []  # predicate triggers still unfired
+        self._workload_over = False
 
     # ------------------------------------------------------------------ API
     def start(self) -> None:
@@ -69,8 +73,16 @@ class FaultInjector:
 
     def done(self):
         """Event firing when every scheduled fault (and its follow-up, e.g.
-        a crash's recovery) has been applied."""
+        a crash's recovery) has been applied or skipped."""
         return self.ecfs.env.all_of(self._procs)
+
+    def workload_finished(self) -> None:
+        """The workload was replayed and drained: no client op completes
+        from here on.  A predicate trigger still false once every other
+        fault process has finished can then never fire (``after_ops(n)``
+        counts *completed* ops, and ops that failed during an outage leave
+        the count short for good); it is skipped instead of polled forever."""
+        self._workload_over = True
 
     # ------------------------------------------------------------ processes
     def _arm(self, trigger: Trigger, event: FaultEvent) -> Generator:
@@ -79,12 +91,31 @@ class FaultInjector:
             if trigger.at > env.now:
                 yield env.timeout_at(trigger.at)
         else:
-            while not trigger.when(self.ecfs):
-                if trigger.deadline is not None and env.now >= trigger.deadline:
-                    self.skipped.append(type(event).__name__)
-                    return
-                yield env.timeout(trigger.poll)
+            self._polling.append(trigger)
+            try:
+                while not trigger.when(self.ecfs):
+                    if trigger.deadline is not None and env.now >= trigger.deadline:
+                        self.skipped.append(type(event).__name__)
+                        return
+                    if self._stalled():
+                        self.skipped.append(type(event).__name__)
+                        self._note(f"skip {type(event).__name__}: trigger cannot fire")
+                        return
+                    yield env.timeout(trigger.poll)
+            finally:
+                self._polling.remove(trigger)
         yield from self._apply(event)
+
+    def _stalled(self) -> bool:
+        """True when nothing is left that could turn a pending predicate
+        true: the workload is over, every fault process still alive is
+        itself polling, and none of their predicates holds right now (one
+        that does fires later this tick and may unblock the others)."""
+        return (
+            self._workload_over
+            and sum(p.is_alive for p in self._procs) == len(self._polling)
+            and not any(t.when(self.ecfs) for t in self._polling)
+        )
 
     def _note(self, text: str) -> None:
         self.log.append((self.ecfs.env.now, text))

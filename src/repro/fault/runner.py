@@ -283,6 +283,7 @@ class ScenarioRunner:
         # fault (and its recovery) run to completion, then flush the
         # replays/repairs the faults produced
         ecfs.drain()
+        injector.workload_finished()
         ecfs.env.run(injector.done())
         if frontend is not None:
             # a fault's recovery may have released straggler legs: wait the

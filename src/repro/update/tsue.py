@@ -130,6 +130,13 @@ class TSUE(UpdateMethod):
 
         # per-OSD, per-layer pools: pools[osd.name][layer][pool index]
         self.pools: dict[str, dict[str, list[LogPool]]] = {}
+        # the log-debt ledger: per layer, the (osd.idx, pool index) of every
+        # pool holding unrecycled content.  The pools move themselves in and
+        # out (LogPool.holds_debt); drain and settlement read it instead of
+        # scanning every OSD x pool x unit
+        self._live: dict[str, set[tuple[int, int]]] = {l: set() for l in _LAYERS}
+        #: units fully recycled so far, all layers
+        self.recycled_units = 0
         self.planner = RecyclePlanner(n_lanes=self.lanes)
         # residence/append timing per layer (Table 2), seconds
         self.append_times: dict[str, list[float]] = {l: [] for l in _LAYERS}
@@ -188,6 +195,8 @@ class TSUE(UpdateMethod):
                     max_units=self.max_units,
                     block_size=self.ecfs.config.block_size,
                     merge=merge,
+                    live=self._live[layer],
+                    live_key=(osd.idx, p),
                 )
                 for p in range(self.n_pools)
             ]
@@ -297,6 +306,7 @@ class TSUE(UpdateMethod):
             except IntegrityError:
                 return  # the node died mid-recycle; recovery takes over
             pool.unit_recycled(unit)
+            self.recycled_units += 1
             # a finished unit settles stripes (its content is merged):
             # wake drain/quiesce/reconstruction waiters to re-check
             self.ecfs.notify_settlement()
@@ -592,13 +602,11 @@ class TSUE(UpdateMethod):
                 # units are part of the backlog this drain is waiting out
                 self.ecfs.background.expedite("recycle")
             busy = False
-            for osd in self.ecfs.osds:
+            for osd, pool in self._live_pools(layer):
                 if osd.failed:
                     continue
-                for pool in self.pools[osd.name][layer]:
-                    pool.seal_active_if_dirty()
-                    if pool.backlog or len(pool.recyclable):
-                        busy = True
+                pool.seal_active_if_dirty()
+                busy = True
             if not busy:
                 return
             # sleep until a unit finishes recycling (or a node dies and its
@@ -616,9 +624,7 @@ class TSUE(UpdateMethod):
         """
         while any(
             unit.state is LogUnitState.RECYCLING
-            for layers in (self.pools[victim.name],)
-            for pools in layers.values()
-            for pool in pools
+            for pool in self._live_pools_on(victim)
             for unit in pool.units
         ):
             # woken by the recycler's unit-finished notification
@@ -672,15 +678,11 @@ class TSUE(UpdateMethod):
         # subsumed by the re-encoded rebuild, as are its accepted tokens
         self._pending_parity.pop(victim.name, None)
         self._seen_tokens.pop(victim.name, None)
-        # victim pools are dead: error out blocked appenders and empty the
-        # queues so drains skip their backlog
+        # victim pools are dead: error out blocked appenders and drop the
+        # queues, so the ledger holds no debt for this node
         for pools in layers.values():
             for pool in pools:
                 pool.fail()
-                pool.units.clear()
-                pool.units.append(pool._new_unit())
-                pool.active = pool.units[0]
-                pool.recyclable.items.clear()
 
     def on_node_restarted(self, osd: OSD) -> None:
         """Resume background work on a bounced node: requeue unit recycles
@@ -692,15 +694,7 @@ class TSUE(UpdateMethod):
                 proc = self._recycler_procs.get((osd.name, layer, pidx))
                 if proc is not None and proc.is_alive:
                     continue  # survived the outage; its unit is still its own
-                for unit in pool.units:
-                    if unit.state is LogUnitState.RECYCLING:
-                        # direct reset (not a normal lifecycle transition):
-                        # the recycle replays from its progress marks.  The
-                        # requeue goes to the FRONT — units sealed during
-                        # the outage are newer, and OVERWRITE merging needs
-                        # oldest-first application.
-                        unit.state = LogUnitState.RECYCLABLE
-                        pool.recyclable.put_front(unit)
+                pool.requeue_interrupted()
                 self._spawn_recycler(osd, layer, pidx, pool)
         pending = self._pending_parity.pop(osd.name, [])
         if pending:
@@ -834,17 +828,16 @@ class TSUE(UpdateMethod):
         DataLog records are NOT unsettled — their data is still only in the
         log, so data and parity agree."""
         out: set[tuple[int, int]] = set(self._busy_stripes)
-        for layers in self.pools.values():
-            for layer, pools in layers.items():
-                for pool in pools:
-                    for unit in pool.units:
-                        if not unit.used or unit.state is LogUnitState.RECYCLED:
-                            continue
-                        if layer == "datalog" and unit.state is not LogUnitState.RECYCLING:
-                            continue
-                        for key in unit.index.blocks():
-                            block = self._real_block(key)
-                            out.add((block.file_id, block.stripe))
+        for layer in _LAYERS:
+            for _osd, pool in self._live_pools(layer):
+                for unit in pool.units:
+                    if not unit.used or unit.state is LogUnitState.RECYCLED:
+                        continue
+                    if layer == "datalog" and unit.state is not LogUnitState.RECYCLING:
+                        continue
+                    for key in unit.index.blocks():
+                        block = self._real_block(key)
+                        out.add((block.file_id, block.stripe))
         # deltas parked for a bounced node or stashed for recovery replay
         # are also applied-in-data, pending-on-parity
         for entries in self._pending_parity.values():
@@ -860,17 +853,13 @@ class TSUE(UpdateMethod):
         recycle applies them to whichever store the *log* lives on).  Any
         live unit on any layer holding content for ``block`` blocks the
         move until a flush settles it."""
-        layers = self.pools.get(osd.name)
-        if not layers:
-            return False
-        for pools in layers.values():
-            for pool in pools:
-                for unit in pool.units:
-                    if not unit.used or unit.state is LogUnitState.RECYCLED:
-                        continue
-                    for key in unit.index.blocks():
-                        if self._real_block(key) == block:
-                            return True
+        for pool in self._live_pools_on(osd):
+            for unit in pool.units:
+                if not unit.used or unit.state is LogUnitState.RECYCLED:
+                    continue
+                for key in unit.index.blocks():
+                    if self._real_block(key) == block:
+                        return True
         return False
 
     # ------------------------------------------------- migration (log move)
@@ -1001,8 +990,7 @@ class TSUE(UpdateMethod):
         )
         return sum(
             u.used
-            for layer in _LAYERS
-            for pool in self.pools[osd.name][layer]
+            for pool in self._live_pools_on(osd)
             for u in pool.units
             if u.state in live
         )
@@ -1051,6 +1039,26 @@ class TSUE(UpdateMethod):
         return {"stalls": stalls, "stall_time": stall_time}
 
     # ------------------------------------------------------------ internals
+    def _live_pools(self, layer: str) -> list[tuple[OSD, LogPool]]:
+        """``layer``'s pools that hold debt, in ``(osd.idx, pool index)``
+        order — the order a scan over every OSD's pools visits them, which
+        the drain must keep: sealing wakes recyclers, and the wake order is
+        part of the event sequence."""
+        osds = self.ecfs.osds
+        return [
+            (osds[idx], self.pools[osds[idx].name][layer][p])
+            for idx, p in sorted(self._live[layer])
+        ]
+
+    def _live_pools_on(self, osd: OSD) -> list[LogPool]:
+        """``osd``'s pools that hold debt, any layer."""
+        return [
+            pool
+            for pools in self.pools.get(osd.name, {}).values()
+            for pool in pools
+            if pool.holds_debt
+        ]
+
     def _pool_idx(self, block: BlockId) -> int:
         return self.ecfs.placement.pool_of(block) % self.n_pools
 
