@@ -3,8 +3,8 @@
 from repro.harness import fig1
 
 
-def test_fig1_update_path_latency(once):
-    text, rows = once(lambda: fig1.run())
+def test_fig1_update_path_latency():
+    text, rows = fig1.run()
     print("\n" + text)
 
     warm = {m: v["warm update (us)"] for m, v in rows.items()}

@@ -50,9 +50,10 @@ def _assert_ratio_bands(data):
         assert 2.0 <= vals["TSUE"] / vals["PLR"] <= 12.0, (row, vals)
 
 
-def test_fig5_throughput(once):
-    text, data = once(lambda: fig5.run())
+def test_fig5_throughput(quick_golden):
+    text, data = fig5.run()
     print("\n" + text)
+    quick_golden(text, "fig5_quick.txt")
 
     _assert_tsue_wins_every_cell(data)
     _assert_gap_grows_with_m(data)

@@ -8,9 +8,10 @@ stable over the run.
 from repro.harness import fig6
 
 
-def test_fig6a_quota_effect(once):
-    text, data = once(lambda: fig6.run_fig6a())
+def test_fig6a_quota_effect(quick_golden):
+    text, data = fig6.run_fig6a()
     print("\n" + text)
+    quick_golden(text, "fig6a_quick.txt")
 
     q2, q4 = data["quota=2"], data["quota=4"]
     # adequate quota clearly beats the starved configuration ...

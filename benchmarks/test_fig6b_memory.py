@@ -7,9 +7,10 @@ quota; memory stays a small fraction of node RAM (0.15%-1.5% on 256 GB).
 from repro.harness import fig6
 
 
-def test_fig6b_memory_sweep(once):
-    text, rows = once(lambda: fig6.run_fig6b())
+def test_fig6b_memory_sweep(quick_golden):
+    text, rows = fig6.run_fig6b()
     print("\n" + text)
+    quick_golden(text, "fig6b_quick.txt")
 
     quotas = sorted(rows, key=lambda r: int(r.split()[0]))
     iops = [rows[q]["IOPS"] for q in quotas]

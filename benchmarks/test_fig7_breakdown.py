@@ -8,9 +8,10 @@ contributes little; the DeltaLog (O5) adds roughly +30%.
 from repro.harness import fig7
 
 
-def test_fig7_breakdown(once):
-    text, rows = once(lambda: fig7.run())
+def test_fig7_breakdown(quick_golden):
+    text, rows = fig7.run()
     print("\n" + text)
+    quick_golden(text, "fig7_quick.txt")
 
     for label, steps in rows.items():
         base = steps["Baseline"]

@@ -8,8 +8,8 @@ I/O costs a seek, while TSUE's appends stay sequential.
 from repro.harness import fig8
 
 
-def test_fig8a_hdd_throughput(once):
-    text, rows = once(lambda: fig8.run_fig8a())
+def test_fig8a_hdd_throughput():
+    text, rows = fig8.run_fig8a()
     print("\n" + text)
 
     for volume, vals in rows.items():

@@ -8,9 +8,10 @@ deferred-log methods (PL, PLR, PARIX) pay log settlement before rebuilding.
 from repro.harness import fig8
 
 
-def test_fig8b_recovery_bandwidth(once):
-    text, rows = once(lambda: fig8.run_fig8b())
+def test_fig8b_recovery_bandwidth(quick_golden):
+    text, rows = fig8.run_fig8b()
     print("\n" + text)
+    quick_golden(text, "fig8b_quick.txt")
 
     for volume, vals in rows.items():
         fo = vals["FO"]

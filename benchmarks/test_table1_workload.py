@@ -10,8 +10,8 @@ lifespan advantage.
 from repro.harness import table1
 
 
-def test_table1_workload(once):
-    text, data = once(lambda: table1.run())
+def test_table1_workload():
+    text, data = table1.run()
     print("\n" + text)
     rows = data["rows"]
 

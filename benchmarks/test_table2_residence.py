@@ -9,9 +9,10 @@ unit-fill time at our scale).
 from repro.harness import table2
 
 
-def test_table2_residence(once):
-    text, raw = once(lambda: table2.run())
+def test_table2_residence(quick_golden):
+    text, raw = table2.run()
     print("\n" + text)
+    quick_golden(text, "table2_quick.txt")
 
     for trace, stats in raw.items():
         dl = stats["datalog"]

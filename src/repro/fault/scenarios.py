@@ -865,7 +865,7 @@ def _spec_bg_storm_crash_recovery() -> ScenarioSpec:
 # after the arrival window instead of inside it.  The acceptance criterion
 # (overall foreground p99 strictly better with the governor on, every
 # stream still drained) is asserted across the pair in
-# tests/test_background.py and reported nightly in BENCH_engine.json.
+# tests/test_background.py.
 _BG_GOV_GEOMETRY = dict(
     n_osds=12,
     k=4,

@@ -264,8 +264,9 @@ def _run_background(args) -> int:
 
 
 def _run_profile(args) -> int:
-    """cProfile the tracked engine workload (the 1500-op TSUE experiment of
-    BENCH_engine.json) and print the top-N cumulative-time table."""
+    """cProfile one experiment (default: perfbench's ``tsue_mixed_ten`` cell
+    at 1500 ops) and print the top-N cumulative-time table.  Host time is
+    *measured* by ``perfbench/run.py``; this only says where it goes."""
     # imported lazily so plain experiment runs stay light
     import cProfile
     import io
@@ -459,8 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         "--ops",
         type=int,
         default=None,
-        help="ops per cell (default 1200; 'profile' defaults to the tracked "
-        "1500-op engine workload)",
+        help="ops per cell (default 1200; 'profile' defaults to 1500)",
     )
     sweep.add_argument(
         "--workers",

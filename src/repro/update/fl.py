@@ -23,6 +23,7 @@ import numpy as np
 from repro.cluster.client import UpdateOp
 from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
+from repro.common.errors import IntegrityError
 from repro.core.intervals import ExtentMap, MergePolicy
 from repro.ec.incremental import parity_delta
 from repro.sim import Resource

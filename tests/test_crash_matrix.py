@@ -7,9 +7,12 @@ rebuilds the node, and the stripe-verify oracle must pass byte-for-byte:
 no acked update may be lost, none may double-apply.
 """
 
+import sys
+
 import pytest
 
 from repro.cluster import ClusterConfig, ECFS
+from repro.common.errors import IntegrityError
 from repro.fault.events import CrashOSD, FaultSchedule, after_ops
 from repro.fault.injector import FaultInjector
 from repro.harness.runner import resolve_trace
@@ -18,7 +21,23 @@ from repro.traces.synthetic import generate_trace
 from repro.update import METHODS
 
 
-def _run_crash(method: str, victim: int = 0, seed: int = 21, n_ops: int = 150):
+def _spy_handler_resyncs(method, handled: list) -> None:
+    """Append to ``handled`` the name of every function that marks a parity
+    row for resync from inside an ``except IntegrityError`` block."""
+    mark = method._mark_parity_resync
+
+    def spy(pbid):
+        if isinstance(sys.exc_info()[1], IntegrityError):
+            handled.append(sys._getframe(1).f_code.co_name)
+        mark(pbid)
+
+    method._mark_parity_resync = spy
+
+
+def _run_crash(
+    method: str, victim: int = 0, seed: int = 21, n_ops: int = 150,
+    schedule: FaultSchedule | None = None, handled: list | None = None,
+):
     ecfs = ECFS(
         ClusterConfig(
             n_osds=10, k=4, m=2, block_size=1 << 16, log_unit_size=1 << 17,
@@ -27,9 +46,12 @@ def _run_crash(method: str, victim: int = 0, seed: int = 21, n_ops: int = 150):
         method=method,
     )
     files = ecfs.populate(n_files=2, stripes_per_file=2, fill="random")
-    schedule = FaultSchedule().when(
-        after_ops(n_ops // 3), CrashOSD(osd=victim, recover=True)
-    )
+    if handled is not None:
+        _spy_handler_resyncs(ecfs.method, handled)
+    if schedule is None:
+        schedule = FaultSchedule().when(
+            after_ops(n_ops // 3), CrashOSD(osd=victim, recover=True)
+        )
     injector = FaultInjector(ecfs, schedule)
     injector.start()
     trace = generate_trace(
@@ -38,6 +60,7 @@ def _run_crash(method: str, victim: int = 0, seed: int = 21, n_ops: int = 150):
     )
     replay = TraceReplayer(ecfs, trace).run(4, tolerate_failures=True)
     ecfs.drain()
+    injector.workload_finished()
     ecfs.env.run(injector.done())
     ecfs.drain()
     return ecfs, injector, replay
@@ -63,4 +86,32 @@ def test_ops_fail_during_outage_but_service_continues():
     ecfs, _injector, replay = _run_crash("tsue", seed=77, n_ops=240)
     # the workload finished despite the mid-stream crash; clients kept going
     assert replay.ops_issued + replay.failures == 240
+    assert ecfs.verify() == 4
+
+
+@pytest.mark.parametrize(
+    "method, handler, crashes",
+    [
+        # parity host osd5 dies while FL's drain-time recycle (replay ends at
+        # 6.1 ms) is between the liveness check and the parity write
+        ("fl", "_apply_block_log", [(0.0064, 5)]),
+        # osd0 dies holding unmerged log entries; osd4, a parity host of its
+        # block, dies while the rebuild replays them onto the parity rows
+        ("fl", "post_rebuild", [(0.002, 0), (0.0036, 4)]),
+        # parity host osd6 dies recycling its own pair logs (drain from 9.7 ms)
+        ("parix", "_recycle_osd", [(0.0107, 6)]),
+    ],
+)
+def test_parity_host_dies_mid_apply(method, handler, crashes):
+    """The ``except IntegrityError`` of each log-apply loop marks the row for
+    resync (these three raised ``NameError`` before the import was added)."""
+    schedule = FaultSchedule()
+    for t, osd in crashes:
+        schedule.at(t, CrashOSD(osd=osd, recover=True))
+    handled: list[str] = []
+    ecfs, injector, _replay = _run_crash(method, schedule=schedule, handled=handled)
+    # sim time is deterministic; if a timing change moves the window, scan
+    # crash times until the handler is reached again
+    assert handler in handled, f"crash at {crashes} missed {handler}: {handled}"
+    assert len(injector.recovery_reports) == len(crashes)
     assert ecfs.verify() == 4

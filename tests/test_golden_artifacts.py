@@ -7,35 +7,24 @@ instead of silently shifting a published number.  They run in the fast CI
 tier, so a result-changing commit cannot land without either fixing the
 regression or deliberately re-blessing the files (and bumping
 ``CACHE_SCHEMA`` in :mod:`repro.harness.sweep`, which the blessing commit
-must justify).
+must justify).  The quick-scale fig5 / fig6a / fig6b / fig7 / fig8b /
+table2 goldens beside them are compared inside the ``benchmarks/`` runs
+that already generate those figures (``quick_golden``), not a second time
+here.
 
 Goldens were last blessed for the integer-microsecond event core: service
 and wire times now round onto the µs grid, which moved every latency by
 sub-µs amounts (e.g. fig1's TSUE warm update is exactly 381 µs).
 """
 
-from __future__ import annotations
-
-import pathlib
-
 from repro.harness import fig1, table1
 
-_GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-
-def _assert_matches(text: str, name: str) -> None:
-    want = (_GOLDEN / name).read_text()
-    assert text == want, (
-        f"{name} diverged from the committed golden; if the change is "
-        f"intended, re-bless tests/golden/{name} and bump CACHE_SCHEMA"
-    )
-
-
-def test_fig1_byte_compat():
+def test_fig1_byte_compat(assert_golden):
     text, _ = fig1.run()
-    _assert_matches(text, "fig1.txt")
+    assert_golden(text, "fig1.txt")
 
 
-def test_table1_quick_byte_compat():
+def test_table1_quick_byte_compat(assert_golden):
     text, _ = table1.run(scale="quick")
-    _assert_matches(text, "table1_quick.txt")
+    assert_golden(text, "table1_quick.txt")

@@ -211,6 +211,22 @@ def test_serial_retry_isolates_dead_cells():
     assert results[1] == 0.0
 
 
+def _pid_cell(_arg) -> int:
+    return os.getpid()
+
+
+@pytest.mark.parametrize("cell_timeout, in_process", [(None, True), (30.0, False)])
+def test_one_cpu_host_goes_serial_unless_a_timeout_needs_children(
+    monkeypatch, cell_timeout, in_process
+):
+    """On one core a pool only adds per-child start-up cost, so workers=4
+    runs in-process — except when a cell_timeout needs killable children."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    ex = SweepExecutor(workers=4, cell_timeout=cell_timeout)
+    pids = ex._run(["a", "b", "c"], [0, 1, 2], _pid_cell)
+    assert [pid == os.getpid() for pid in pids] == [in_process] * 3
+
+
 def test_failed_cells_are_not_cached(tmp_path):
     ex = SweepExecutor(workers=1, strict=False, cache_dir=str(tmp_path))
     ex._run(["a"], ["boom"], _crash_cell)
