@@ -472,7 +472,7 @@ class ECFS:
                 draw = self._rng.integers(0, 256, (spf, k, bs), dtype=np.uint8)
                 coded = np.empty((k + m, spf * bs), dtype=np.uint8)
                 # coded[i, s*bs:(s+1)*bs] is block i of stripe s
-                coded[:k] = draw.transpose(1, 0, 2).reshape(k, spf * bs)
+                coded[:k].reshape(k, spf, bs)[:] = draw.transpose(1, 0, 2)
                 coded[k:] = self.rs.encode_matrix(coded[:k])
                 # Blocks are read-only views into this one matrix; the
                 # stores/oracle promote to private copies on first write.

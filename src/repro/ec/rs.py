@@ -12,8 +12,8 @@ import numpy as np
 
 from repro.common.errors import ConfigError, DecodeError
 from repro.ec.matrices import coding_matrix
-from repro.gf.field import gf_mul_row, gf_mul_scalar
-from repro.gf.matrix import gf_mat_inv, identity
+from repro.gf.field import gf_matmul
+from repro.gf.matrix import gf_mat_inv, gf_mat_mul, identity
 
 __all__ = ["RSCode"]
 
@@ -43,50 +43,32 @@ class RSCode:
     # ------------------------------------------------------------------ API
     def encode(self, data_blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Compute the m parity blocks for k equal-sized data blocks."""
-        blocks = self._as_block_matrix(data_blocks, self.k)
-        return list(self.encode_matrix(blocks))
+        return list(gf_matmul(self.coding, self._checked(data_blocks)))
 
     def encode_matrix(self, data: np.ndarray) -> np.ndarray:
         """Vectorized encode of a ``(k, n)`` uint8 matrix into ``(m, n)``.
 
         ``n`` can span many stripes laid side by side: GF arithmetic is
         column-independent, so encoding the concatenation equals
-        concatenating per-stripe encodes.  The bulk-populate path uses this
-        to amortize coefficient dispatch over a whole file instead of
-        paying it per block.  One scratch row is reused for every gather
-        (``np.take(..., out=)``), so the only allocation is the output.
+        concatenating per-stripe encodes (the bulk-populate path encodes a
+        whole file in one call).
         """
         data = np.asarray(data, dtype=np.uint8)
         if data.ndim != 2 or data.shape[0] != self.k:
             raise ConfigError(
                 f"expected a ({self.k}, n) data matrix, got {data.shape}"
             )
-        n = data.shape[1]
-        out = np.zeros((self.m, n), dtype=np.uint8)
-        tmp = np.empty(n, dtype=np.uint8)
-        for i in range(self.m):
-            row = out[i]
-            for j in range(self.k):
-                coef = int(self.coding[i, j])
-                if coef == 0:
-                    continue
-                if coef == 1:
-                    row ^= data[j]
-                else:
-                    np.take(gf_mul_row(coef), data[j], out=tmp)
-                    row ^= tmp
-        return out
+        return gf_matmul(self.coding, data)
 
     def verify(
         self, data_blocks: Sequence[np.ndarray], parity_blocks: Sequence[np.ndarray]
     ) -> bool:
         """True iff the given parities match a fresh encode of the data."""
-        expected = self.encode(data_blocks)
         if len(parity_blocks) != self.m:
             return False
         return all(
             np.array_equal(exp, np.asarray(got, dtype=np.uint8))
-            for exp, got in zip(expected, parity_blocks)
+            for exp, got in zip(self.encode(data_blocks), parity_blocks)
         )
 
     def decode(
@@ -99,9 +81,14 @@ class RSCode:
         ``available`` maps *stripe index* (0..k-1 data, k..k+m-1 parity) to
         block content; ``erased`` lists the stripe indices to rebuild.  Any k
         available blocks suffice.  Returns {index: reconstructed block}.
+
+        One matrix product: inverting the k surviving generator rows gives
+        the data from the survivors, so generator row ``e`` times that
+        inverse gives block ``e`` from them — ``inv[e]`` for a data block,
+        ``coding[e-k] @ inv`` for a parity block.
         """
         erased = sorted(set(int(e) for e in erased))
-        for idx in erased:
+        for idx in (*erased, *available):
             if not 0 <= idx < self.k + self.m:
                 raise DecodeError(f"block index {idx} outside stripe")
         if len(erased) > self.m:
@@ -116,58 +103,24 @@ class RSCode:
                 f"only {len(avail_idx)} surviving blocks, need k={self.k}"
             )
         use = avail_idx[: self.k]
-        sub = self.generator[use]  # k x k, full rank by MDS property
-        inv = gf_mat_inv(sub)
-
-        blocks = self._as_block_matrix([available[i] for i in use], self.k)
-        size = blocks.shape[1]
-
-        out: dict[int, np.ndarray] = {}
-        # First recover any erased *data* blocks, then re-encode parity rows.
-        data_needed = [e for e in erased if e < self.k]
-        parity_needed = [e for e in erased if e >= self.k]
-        recovered_data: dict[int, np.ndarray] = {}
-        for e in data_needed:
-            acc = np.zeros(size, dtype=np.uint8)
-            for j in range(self.k):
-                coef = int(inv[e, j])
-                if coef:
-                    acc ^= gf_mul_scalar(coef, blocks[j])
-            recovered_data[e] = acc
-            out[e] = acc
-        if parity_needed:
-            # Rebuild full data vector (decode missing rows lazily).
-            full_data: list[np.ndarray] = []
-            for d in range(self.k):
-                if d in recovered_data:
-                    full_data.append(recovered_data[d])
-                elif d in available:
-                    full_data.append(np.asarray(available[d], dtype=np.uint8))
-                else:
-                    acc = np.zeros(size, dtype=np.uint8)
-                    for j in range(self.k):
-                        coef = int(inv[d, j])
-                        if coef:
-                            acc ^= gf_mul_scalar(coef, blocks[j])
-                    full_data.append(acc)
-            parities = self.encode(full_data)
-            for e in parity_needed:
-                out[e] = parities[e - self.k]
-        return out
+        inv = gf_mat_inv(self.generator[use])  # k x k, full rank by MDS property
+        rebuilt = gf_matmul(
+            gf_mat_mul(self.generator[erased], inv),
+            self._checked([available[i] for i in use]),
+        )
+        return dict(zip(erased, rebuilt))
 
     # ------------------------------------------------------------- helpers
-    @staticmethod
-    def _as_block_matrix(blocks: Sequence[np.ndarray], expect: int) -> np.ndarray:
-        if len(blocks) != expect:
-            raise ConfigError(f"expected {expect} blocks, got {len(blocks)}")
+    def _checked(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """``blocks`` as uint8 arrays, once they are k equal-sized 1-D blocks."""
+        if len(blocks) != self.k:
+            raise ConfigError(f"expected {self.k} blocks, got {len(blocks)}")
         arrs = [np.asarray(b, dtype=np.uint8) for b in blocks]
-        size = arrs[0].shape[-1] if arrs[0].ndim else 0
-        for a in arrs:
-            if a.ndim != 1:
-                raise ConfigError("blocks must be 1-D uint8 arrays")
-            if a.shape[0] != size:
-                raise ConfigError("all blocks in a stripe must be equal-sized")
-        return np.stack(arrs, axis=0)
+        if any(a.ndim != 1 for a in arrs):
+            raise ConfigError("blocks must be 1-D uint8 arrays")
+        if any(a.shape != arrs[0].shape for a in arrs):
+            raise ConfigError("all blocks in a stripe must be equal-sized")
+        return arrs
 
     def __repr__(self) -> str:
         return f"RSCode(k={self.k}, m={self.m}, kind={self.matrix_kind!r})"

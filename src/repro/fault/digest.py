@@ -48,7 +48,7 @@ def content_digest(ecfs: "ECFS") -> str:
         osd = ecfs.osd_hosting(bid)
         h.update(str(bid).encode())
         if bid in osd.store:
-            h.update(np.ascontiguousarray(osd.store.view(bid)).tobytes())
+            h.update(np.ascontiguousarray(osd.store.view(bid)))
         else:
             h.update(b"<absent>")
     return h.hexdigest()

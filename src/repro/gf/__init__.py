@@ -13,6 +13,7 @@ from repro.gf.field import (
     gf_exp_table,
     gf_inv,
     gf_log_table,
+    gf_matmul,
     gf_mul,
     gf_mul_scalar,
     gf_pow,
@@ -33,6 +34,7 @@ __all__ = [
     "gf_exp_table",
     "gf_inv",
     "gf_log_table",
+    "gf_matmul",
     "gf_mul",
     "gf_mul_scalar",
     "gf_pow",

@@ -3,7 +3,10 @@
 Matrices are 2-D ``uint8`` numpy arrays.  Inversion is Gauss-Jordan with
 partial "pivoting" (any nonzero pivot works in a field).  These routines run
 on k x k decode matrices (k <= 128 in practice), so clarity beats micro-
-optimization here; the per-byte hot path lives in :func:`repro.gf.field.gf_mul_scalar`.
+optimization here; block-sized data goes through :func:`repro.gf.field.gf_matmul`
+(a coefficient matrix times whole blocks — :func:`gf_mat_mul` is the reference
+its tests compare against) and :func:`repro.gf.field.gf_mul_scalar` (one
+coefficient times a delta).
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Unit + property tests for Reed-Solomon coding and incremental updates."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.ec import (
     stripe_parity_delta,
     vandermonde_matrix,
 )
+from repro.gf.field import _pair_tables
 from repro.gf.matrix import gf_mat_rank
 
 
@@ -77,23 +80,43 @@ def test_bad_geometry_rejected():
         RSCode(2, 0)
 
 
-@settings(max_examples=20, deadline=None)
+def _full_stripe(rs, size, seed):
+    data, parity = _stripe(rs, size=size, seed=seed)
+    return dict(enumerate(data + parity))
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     k=st.integers(min_value=2, max_value=8),
-    m=st.integers(min_value=1, max_value=4),
+    # m = 3 pads a table word, m > 4 spans two output-row groups
+    m=st.integers(min_value=1, max_value=6),
+    size=st.sampled_from((1, 255, 256, 4097)),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_any_m_erasures_recoverable(k, m, seed):
+def test_any_m_erasures_recoverable(k, m, size, seed):
     rng = np.random.default_rng(seed)
     rs = RSCode(k, m)
-    data, parity = _stripe(rs, size=256, seed=seed)
-    full = {i: b for i, b in enumerate(data)}
-    full.update({k + j: p for j, p in enumerate(parity)})
+    full = _full_stripe(rs, size, seed)
     erased = sorted(rng.choice(k + m, size=m, replace=False).tolist())
     survivors = {i: v for i, v in full.items() if i not in erased}
     rebuilt = rs.decode(survivors, erased)
+    assert sorted(rebuilt) == erased
     for e in erased:
         assert np.array_equal(rebuilt[e], full[e])
+
+
+def test_mixed_data_and_parity_erasure_matches_fresh_encode():
+    rs = RSCode(6, 4)
+    full = _full_stripe(rs, 4096, seed=11)
+    erased = [1, 4, 7, 9]  # two data blocks, two parity blocks
+    survivors = {i: v for i, v in full.items() if i not in erased}
+    rebuilt = rs.decode(survivors, erased)
+    data = [rebuilt.get(i, full[i]) for i in range(6)]
+    fresh = rs.encode(data)
+    for e in erased:
+        want = full[e] if e < 6 else fresh[e - 6]
+        assert np.array_equal(rebuilt[e], want)
+        assert rebuilt[e].flags.writeable  # recovery replays updates onto it
 
 
 def test_too_many_erasures_rejected():
@@ -117,6 +140,77 @@ def test_decode_insufficient_survivors():
     data, _ = _stripe(rs)
     with pytest.raises(DecodeError):
         rs.decode({0: data[0], 1: data[1]}, [2])
+
+
+def test_decode_rejects_available_index_outside_stripe():
+    """A stray key is a DecodeError like every other undecodable request,
+    not a numpy IndexError from indexing the generator matrix."""
+    rs = RSCode(4, 2)
+    data, _ = _stripe(rs)
+    with pytest.raises(DecodeError):
+        rs.decode({0: data[0], 1: data[1], 2: data[2], 9: data[3]}, [3])
+    with pytest.raises(DecodeError):
+        rs.decode({-1: data[0], 1: data[1], 2: data[2], 3: data[3]}, [0])
+
+
+def test_verify_checks_parity_count_before_encoding(monkeypatch):
+    rs = RSCode(4, 2)
+    data, parity = _stripe(rs)
+    encodes = []
+    encode = rs.encode
+    monkeypatch.setattr(rs, "encode", lambda blocks: encodes.append(1) or encode(blocks))
+    assert not rs.verify(data, parity[:1])
+    assert not rs.verify(data, parity + parity)
+    assert not encodes
+    assert rs.verify(data, parity) and encodes == [1]
+
+
+# ------------------------------------------------------------ fused kernel
+def test_block_path_gathers_once_per_byte_pair_per_column(monkeypatch):
+    """The mechanism as a count: an encode, and a decode of one erased block
+    (data or parity), each read every input byte pair through ``np.take``
+    exactly once — k*n/2 gathered elements, not one per byte per coefficient
+    — and never stack the blocks into a copy first."""
+    rs = RSCode(4, 2)
+    n = 64 * 1024  # a 256 KiB stripe
+    full = _full_stripe(rs, n, seed=5)
+    gathered = []
+    take = np.take
+
+    def counting_take(a, indices, *args, **kwargs):
+        gathered.append(np.size(indices))
+        return take(a, indices, *args, **kwargs)
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("np.stack copies the stripe")
+
+    monkeypatch.setattr(np, "take", counting_take)
+    monkeypatch.setattr(np, "stack", no_stack)
+
+    parity = rs.encode([full[i] for i in range(4)])
+    assert sum(gathered) == rs.k * n // 2
+    assert all(np.array_equal(p, full[4 + j]) for j, p in enumerate(parity))
+
+    for erased in (2, 5):
+        gathered.clear()
+        survivors = {i: v for i, v in full.items() if i != erased}
+        rebuilt = rs.decode(survivors, [erased])
+        assert sum(gathered) == rs.k * n // 2
+        assert np.array_equal(rebuilt[erased], full[erased])
+
+
+def test_pair_table_cache_stays_at_its_bound():
+    """Tables are cached per coefficient matrix; more distinct decode
+    matrices than the LRU holds must evict, not grow."""
+    rs = RSCode(6, 4)
+    full = _full_stripe(rs, 64, seed=3)
+    bound = _pair_tables.cache_info().maxsize
+    patterns = list(combinations(range(10), 2))[: bound + 8]
+    for erased in patterns:
+        survivors = {i: v for i, v in full.items() if i not in erased}
+        rebuilt = rs.decode(survivors, erased)
+        assert all(np.array_equal(rebuilt[e], full[e]) for e in erased)
+    assert _pair_tables.cache_info().currsize == bound
 
 
 # --------------------------------------------------------------- increments

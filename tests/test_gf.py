@@ -14,11 +14,13 @@ from repro.gf import (
     gf_mat_mul,
     gf_mat_rank,
     gf_mat_vec,
+    gf_matmul,
     gf_mul,
     gf_mul_scalar,
     gf_pow,
     identity,
 )
+from repro.gf.field import _CHUNK
 
 scalars = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -108,6 +110,81 @@ def test_mul_scalar_returns_copy():
     out = gf_mul_scalar(1, data)
     out[0] = 99
     assert data[0] == 1
+
+
+# ----------------------------------------------------- fused matrix kernel
+#: row lengths: empty, the odd-tail-only case, one pair, odd, 4 KiB + 1, and
+#: more than one gather chunk (odd, so chunking and the tail meet)
+_MATMUL_LENGTHS = (0, 1, 2, 255, 4097, 2 * _CHUNK + 4099)
+_LAYOUTS = ("plain", "odd-offset", "strided", "read-only")
+
+
+def _laid_out(rng, n, layout):
+    """A length-``n`` uint8 row in the given memory layout, and its buffer."""
+    if layout == "strided":
+        buf = rng.integers(0, 256, 2 * n, dtype=np.uint8)
+        return buf[::2], buf
+    buf = rng.integers(0, 256, n + 1, dtype=np.uint8)
+    row = buf[1:] if layout == "odd-offset" else buf[:n]
+    if layout == "read-only":
+        row.flags.writeable = False
+    return row, buf
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=9),  # 5 and 9 cross a four-row group
+    c=st.integers(min_value=1, max_value=8),
+    n=st.sampled_from(_MATMUL_LENGTHS),
+    layouts=st.lists(st.sampled_from(_LAYOUTS), min_size=8, max_size=8),
+    special=st.sampled_from(("none", "zero-row", "zero-col", "ones", "binary")),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_matmul_equals_reference(r, c, n, layouts, special, seed):
+    """The fused kernel is ``gf_mat_mul`` on the stacked rows, whatever the
+    group count, row length, coefficient pattern or memory layout — and it
+    neither writes to its inputs nor hands back memory it shares with them."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, 256, (r, c), dtype=np.uint8)
+    if special == "zero-row":
+        matrix[rng.integers(r)] = 0
+    elif special == "zero-col":
+        matrix[:, rng.integers(c)] = 0
+    elif special == "ones":
+        matrix[rng.integers(r), rng.integers(c)] = 1
+    elif special == "binary":
+        matrix &= 1
+    rows, bufs = zip(*(_laid_out(rng, n, layouts[j]) for j in range(c)))
+    before = [buf.copy() for buf in bufs]
+
+    out = gf_matmul(matrix, rows)
+
+    assert out.shape == (r, n) and out.dtype == np.uint8
+    assert np.array_equal(out, gf_mat_mul(matrix, np.stack(rows)))
+    assert all(np.array_equal(buf, was) for buf, was in zip(bufs, before))
+    assert out.flags.writeable
+    assert not any(np.shares_memory(out, buf) for buf in bufs)
+
+
+def test_matmul_accepts_a_2d_block_matrix():
+    rng = np.random.default_rng(5)
+    matrix = rng.integers(0, 256, (3, 4), dtype=np.uint8)
+    data = rng.integers(0, 256, (4, 1001), dtype=np.uint8)
+    assert np.array_equal(gf_matmul(matrix, data), gf_mat_mul(matrix, data))
+    assert np.array_equal(gf_matmul(matrix, list(data)), gf_mat_mul(matrix, data))
+
+
+def test_matmul_rejects_mismatched_shapes():
+    matrix = np.ones((2, 3), dtype=np.uint8)
+    row = np.zeros(8, dtype=np.uint8)
+    with pytest.raises(ValueError):
+        gf_matmul(matrix, [row, row])  # three columns, two rows
+    with pytest.raises(ValueError):
+        gf_matmul(matrix, [row, row, row[:7]])
+    with pytest.raises(ValueError):
+        gf_matmul(matrix, [row.reshape(2, 4)] * 3)
+    with pytest.raises(ValueError):
+        gf_matmul(matrix[0], [row])  # not a matrix
 
 
 # ----------------------------------------------------------------- matrix
