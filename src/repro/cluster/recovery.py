@@ -24,6 +24,7 @@ import numpy as np
 from repro.background.work import RepairOp
 from repro.cluster.ecfs import ECFS
 from repro.cluster.ids import BlockId
+from repro.common.zeromem import zero_template
 from repro.storage.base import IOKind, IOPriority
 
 __all__ = ["RecoveryReport", "RecoveryManager"]
@@ -200,7 +201,7 @@ class RecoveryManager:
                 available[src_bid.idx] = (
                     src.store.read(src_bid)
                     if src_bid in src.store
-                    else np.zeros(ecfs.config.block_size, dtype=np.uint8)
+                    else zero_template(ecfs.config.block_size)
                 )
             # decode: k GF-scaled XOR accumulations over a full block
             yield env.timeout(

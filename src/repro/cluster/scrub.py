@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.background.work import ScrubOp
 from repro.cluster.ids import BlockId
+from repro.common.zeromem import zero_template
 from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -168,7 +169,7 @@ class Scrubber:
                 report.latent_errors.append(bid)
             blocks.append(
                 osd.store.read(bid) if bid in osd.store
-                else np.zeros(bs, dtype=np.uint8)
+                else zero_template(bs)
             )
         if bad and self.repair:
             if len(bad) > ecfs.rs.m:

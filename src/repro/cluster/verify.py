@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.cluster.ids import BlockId
 from repro.common.errors import IntegrityError
+from repro.common.zeromem import zero_block, zero_template
 from repro.ec.rs import RSCode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,9 +36,9 @@ class GroundTruth:
         self._blocks: dict[BlockId, np.ndarray] = {}
         self.applied_updates = 0
         # copy-on-write zero template (bulk zero-fill populate registers
-        # hundreds of blocks; most never see an update)
-        self._zero = np.zeros(block_size, dtype=np.uint8)
-        self._zero.flags.writeable = False
+        # hundreds of blocks; most never see an update) — the same object
+        # the block stores of this block size hold
+        self._zero = zero_template(block_size)
 
     def touch(self, block: BlockId) -> None:
         """Register a known-zero block without allocating (CoW template)."""
@@ -81,11 +82,9 @@ class GroundTruth:
             raise IntegrityError("oracle write outside block")
         target = self._blocks.get(block)
         if target is None or target is self._zero:
-            # CoW promotion on the first real write: calloc, not memcpy —
-            # the zero template's contents are free to rematerialize
-            target = self._blocks[block] = np.zeros(
-                self.block_size, dtype=np.uint8
-            )
+            # CoW promotion on the first real write: a carve from a
+            # lazily-zero mmap arena, resident only where bytes land
+            target = self._blocks[block] = zero_block(self.block_size)
         elif not target.flags.writeable:
             target = self._blocks[block] = target.copy()
         target[offset : offset + data.shape[0]] = data
@@ -105,9 +104,7 @@ class GroundTruth:
         for i in range(rs.k):
             bid = BlockId(file_id, stripe, i)
             osd = ecfs.osd_hosting(bid)
-            got = osd.store.view(bid) if bid in osd.store else np.zeros(
-                self.block_size, dtype=np.uint8
-            )
+            got = osd.store.view(bid) if bid in osd.store else self._zero
             want = self.expected(bid)
             if not np.array_equal(got, want):
                 diff = int(np.count_nonzero(got != want))
@@ -120,9 +117,7 @@ class GroundTruth:
         for j in range(rs.m):
             bid = BlockId(file_id, stripe, rs.k + j)
             osd = ecfs.osd_hosting(bid)
-            got = osd.store.view(bid) if bid in osd.store else np.zeros(
-                self.block_size, dtype=np.uint8
-            )
+            got = osd.store.view(bid) if bid in osd.store else self._zero
             if not np.array_equal(np.asarray(got), expected_parity[j]):
                 diff = int(np.count_nonzero(np.asarray(got) != expected_parity[j]))
                 raise IntegrityError(

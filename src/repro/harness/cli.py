@@ -265,7 +265,8 @@ def _run_background(args) -> int:
 
 def _run_profile(args) -> int:
     """cProfile one experiment (default: perfbench's ``tsue_mixed_ten`` cell
-    at 1500 ops) and print the top-N cumulative-time table.  Host time is
+    at 1500 ops; ``--osds`` widens the cluster) and print its phase and
+    memory lines and the top-N cumulative-time table.  Host time is
     *measured* by ``perfbench/run.py``; this only says where it goes."""
     # imported lazily so plain experiment runs stay light
     import cProfile
@@ -278,6 +279,7 @@ def _run_profile(args) -> int:
     cfg = ExperimentConfig(
         method=method,
         n_ops=args.ops if args.ops is not None else 1500,
+        n_osds=args.osds,
     )
     profiler = cProfile.Profile()
     profiler.enable()
@@ -285,7 +287,8 @@ def _run_profile(args) -> int:
     profiler.disable()
     perf = result.perf
     print(
-        f"profiled {method} run: {cfg.n_ops} ops, {perf['events']:.0f} events "
+        f"profiled {method} run: {cfg.n_ops} ops on {cfg.n_osds} OSDs, "
+        f"{perf['events']:.0f} events "
         f"in {perf['wall_seconds']:.3f}s wall "
         f"({perf['events_per_sec']:.0f} ev/s, "
         f"{perf['sim_ops_per_sec']:.0f} sim-ops/s)\n"
@@ -295,6 +298,9 @@ def _run_profile(args) -> int:
         f"drain {perf['drain_events']:.0f} ev in "
         f"{perf['drain_wall_seconds']:.3f}s "
         f"({perf['drain_us_per_event']:.2f} us/ev)\n"
+        f"memory: rss {perf['rss_mb_end']:.1f} MiB at end, "
+        f"{perf['minor_faults']:.0f} minor faults, "
+        f"{perf['sys_seconds']:.3f}s sys\n"
     )
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
@@ -516,7 +522,9 @@ def main(argv: list[str] | None = None) -> int:
         default="join,decommission,weight",
         help="comma-separated topology events for the movement matrix",
     )
-    topo.add_argument("--osds", type=int, default=16)
+    topo.add_argument(
+        "--osds", type=int, default=16, help="cluster size (also with 'profile')"
+    )
     topo.add_argument("--k", type=int, default=4)
     topo.add_argument("--m", type=int, default=2)
     topo.add_argument("--osds-per-host", type=int, default=1)

@@ -9,7 +9,7 @@ from typing import Any, Optional
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.ecfs import ECFS
-from repro.common.perf import parked_gc
+from repro.common.perf import host_usage, parked_gc, rss_mb
 from repro.common.units import KiB, MiB
 from repro.metrics.workload import WorkloadReport, aggregate_workload
 from repro.net.fabric import NetParams
@@ -137,6 +137,7 @@ def run_experiment(cfg: ExperimentConfig, keep_cluster: bool = False) -> Experim
 
 def _run_experiment(cfg: ExperimentConfig, keep_cluster: bool) -> ExperimentResult:
     wall0 = time.perf_counter()
+    sys0, faults0 = host_usage()
     from repro.harness.prefix import cached_trace, populate_cached
 
     ecfs = ECFS(
@@ -173,6 +174,7 @@ def _run_experiment(cfg: ExperimentConfig, keep_cluster: bool) -> ExperimentResu
     events = ecfs.env.steps
     drain_wall = wall - replay_wall
     drain_events = events - replay_events
+    sys1, faults1 = host_usage()
     result = ExperimentResult(
         config=cfg,
         iops=replay.iops,
@@ -203,6 +205,11 @@ def _run_experiment(cfg: ExperimentConfig, keep_cluster: bool) -> ExperimentResu
             "drain_us_per_event": (
                 drain_wall * 1e6 / drain_events if drain_events else 0.0
             ),
+            # memory plane: kernel time and page faults the run cost, and
+            # what is resident with the cluster still alive
+            "sys_seconds": sys1 - sys0,
+            "minor_faults": float(faults1 - faults0),
+            "rss_mb_end": rss_mb(),
         },
     )
     if hasattr(ecfs.method, "stall_stats"):

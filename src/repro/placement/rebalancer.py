@@ -39,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
-import numpy as np
-
 from repro.background.work import MoveOp
+from repro.common.zeromem import zero_template
 from repro.placement.planner import MigrationPlan
 from repro.storage.base import IOKind, IOPriority
 
@@ -230,7 +229,7 @@ class Rebalancer:
             data = (
                 src.store.read(block)
                 if block in src.store
-                else np.zeros(bs, dtype=np.uint8)
+                else zero_template(bs)
             )
             dosd = ecfs.osds[dst]
             yield from dosd.io_block(

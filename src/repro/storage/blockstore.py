@@ -12,6 +12,7 @@ from typing import Hashable, Iterable, Iterator
 import numpy as np
 
 from repro.common.errors import IntegrityError
+from repro.common.zeromem import zero_block, zero_template
 
 __all__ = ["BlockStore"]
 
@@ -27,10 +28,10 @@ class BlockStore:
         #: blocks carrying a latent sector error (drive-detectable on read)
         self.corrupted: set[Hashable] = set()
         # copy-on-write zero template: zero-filled blocks share one
-        # read-only array until first mutation (bulk populate creates
-        # thousands of them; most are never written)
-        self._zero = np.zeros(block_size, dtype=np.uint8)
-        self._zero.flags.writeable = False
+        # read-only array — the same object in every store of this block
+        # size — until first mutation (bulk populate creates thousands of
+        # them; most are never written)
+        self._zero = zero_template(block_size)
 
     def __contains__(self, block_id: Hashable) -> bool:
         return block_id in self._blocks
@@ -103,22 +104,16 @@ class BlockStore:
         zero = self._zero
         self._blocks.update((bid, zero) for bid in ids)
 
-    def ensure(self, block_id: Hashable) -> np.ndarray:
-        if block_id not in self._blocks:
-            self._blocks[block_id] = np.zeros(self.block_size, dtype=np.uint8)
-        return self._blocks[block_id]
-
     def _writable(self, block_id: Hashable) -> np.ndarray:
         """Copy-on-write promotion: hand back a privately owned, writable
         array for ``block_id``, materializing it if missing."""
         block = self._blocks.get(block_id)
         if block is None or block is self._zero:
-            # Zero-template promotion: a calloc'd array (lazily page-zeroed
-            # by the OS) beats memcpy'ing 256 KiB of zeros — this is the
-            # hottest copy in the update path per the profile.
-            block = self._blocks[block_id] = np.zeros(
-                self.block_size, dtype=np.uint8
-            )
+            # Zero-template promotion: a carve from a lazily-zero mmap
+            # arena — a page becomes resident when a byte is written to it,
+            # so a 4 KiB write into a 256 KiB block costs 4 KiB of memory,
+            # not the block.
+            block = self._blocks[block_id] = zero_block(self.block_size)
         elif not block.flags.writeable:
             block = self._blocks[block_id] = block.copy()
         return block
@@ -170,8 +165,8 @@ class BlockStore:
         which scrubbing consults to localize and repair the block."""
         if block_id not in self._blocks:
             raise IntegrityError(f"block {block_id!r} does not exist")
-        block = self._writable(block_id)
         self._check_range(offset, nbytes)
+        block = self._writable(block_id)
         block[offset : offset + nbytes] ^= 0xA5  # guaranteed to change bytes
         self.corrupted.add(block_id)
 

@@ -26,6 +26,7 @@ from repro.cluster.client import UpdateOp
 from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
 from repro.common.refcount import RefCounter
+from repro.common.zeromem import zero_template
 from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -210,7 +211,7 @@ class UpdateMethod:
                     )
                     data.append(
                         osd.store.read(bid) if bid in osd.store
-                        else np.zeros(bs, dtype=np.uint8)
+                        else zero_template(bs)
                     )
                 yield self.env.timeout(self.costs.gf_mul(bs * rs.k, terms=rs.m))
                 parity = rs.encode(data)
@@ -378,7 +379,6 @@ class UpdateMethod:
         yield from posd.io_block(
             IOKind.WRITE, pblock, offset, size, priority, overwrite=True, tag=tag
         )
-        posd.store.ensure(pblock)
         posd.store.xor_in(pblock, offset, pdelta)
 
     def forward(self, src: OSD, dst: OSD, nbytes: int) -> Generator:

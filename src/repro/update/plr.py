@@ -113,7 +113,6 @@ class ParityLoggingReserved(UpdateMethod):
             )
             total = sum(int(d.shape[0]) for _o, d in entries)
             yield self.env.timeout(self.costs.xor(total))
-            posd.store.ensure(pbid)
             for offset, pdelta in entries:
                 posd.store.xor_in(pbid, offset, pdelta)
             yield from posd.io_at(

@@ -48,3 +48,11 @@ def test_scale_flag_sets_env(monkeypatch, capsys):
     import os
 
     assert os.environ["REPRO_SCALE"] == "quick"
+
+
+def test_profile_via_cli(capsys):
+    assert main(["profile", "--ops", "100", "--osds", "24", "--top", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "profiled tsue run: 100 ops on 24 OSDs" in out
+    assert "phases: replay" in out
+    assert "memory: rss" in out and "minor faults" in out

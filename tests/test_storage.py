@@ -205,7 +205,7 @@ def test_blockstore_write_and_xor():
 
 def test_blockstore_bounds_checked():
     bs = BlockStore(64)
-    bs.ensure("b")
+    bs.create("b")
     with pytest.raises(IntegrityError):
         bs.read("b", 60, 10)
     with pytest.raises(IntegrityError):
