@@ -52,9 +52,6 @@ class BackgroundConfig:
     backoff: float = 0.5
     recover: float = 0.2
     floor: float = 0.1
-    #: the governor parks itself after this many consecutive idle samples
-    #: (no backlog anywhere); resubmitted work re-arms it
-    idle_exit: int = 4
 
     def weight(self, stream: str) -> float:
         try:

@@ -286,12 +286,12 @@ class BackgroundScheduler:
 
     def _governor(self) -> Generator:
         """AIMD throttle on the background token scale, driven by the
-        windowed foreground p99.  Exits after ``idle_exit`` consecutive
-        samples with no backlog (re-armed by the next submission)."""
+        windowed foreground p99.  Parks itself after 4 consecutive idle
+        samples (no backlog anywhere); resubmitted work re-arms it."""
         env = self.ecfs.env
         cfg = self.config
         idle = 0
-        while idle < cfg.idle_exit:
+        while idle < 4:
             yield env.timeout(cfg.interval)
             p99 = self._foreground_p99()
             # "maintenance active" = backlog outstanding OR a grant landed

@@ -125,10 +125,7 @@ class Client:
         yield from osd.io_block(
             IOKind.WRITE, bid, 0, content.shape[0], IOPriority.FOREGROUND
         )
-        if bid in osd.store:
-            osd.store.write(bid, 0, content)
-        else:
-            osd.store.create(bid, content)
+        osd.store.put(bid, content)
         if bid.idx < ecfs.rs.k:
             ecfs.oracle.apply(bid, 0, content)
             ecfs.oracle.applied_updates -= 1  # normal writes aren't updates

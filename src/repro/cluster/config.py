@@ -47,10 +47,8 @@ class ClusterConfig:
     failure_domain: str = "host"  # "host" | "rack"
     # TSUE log sizing (per pool); §5.3.2: unit 16 MiB, 2..20 units, 4 pools
     log_unit_size: int = 4 * MiB
-    log_min_units: int = 2
     log_max_units: int = 4
     log_pools: int = 4
-    recycle_lanes: int = 4
     # deferred-recycle watermarks (PL-style node-wide logs): recycling is
     # triggered when a node's log passes the high watermark and drains it
     # back below the low one.  Formerly a module constant in repro.update.pl
@@ -98,11 +96,3 @@ class ClusterConfig:
             self.background.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    @property
-    def stripe_width(self) -> int:
-        return self.k + self.m
-
-    @property
-    def stripe_data_bytes(self) -> int:
-        return self.k * self.block_size

@@ -89,10 +89,6 @@ class MDS:
         idx = within // self.block_size
         return BlockId(file_id, stripe, idx), within % self.block_size
 
-    def n_stripes(self, file_id: int, k: int) -> int:
-        meta = self.lookup(file_id)
-        return -(-meta.size // (k * self.block_size))
-
     # ----------------------------------------------------------- liveness
     def heartbeat(self, osd_idx: int, now: float) -> None:
         self.heartbeats[osd_idx] = now

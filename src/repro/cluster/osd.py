@@ -15,6 +15,7 @@ stripes remain verifiable.
 
 from __future__ import annotations
 
+import zlib
 from typing import TYPE_CHECKING, Generator, Hashable
 
 from repro.common.errors import IntegrityError, UnavailableError
@@ -25,7 +26,15 @@ from repro.storage.blockstore import BlockStore
 if TYPE_CHECKING:  # pragma: no cover
     from repro.update.base import UpdateMethod
 
-__all__ = ["OSD"]
+__all__ = ["OSD", "scattered_addr"]
+
+
+def scattered_addr(label: str) -> int:
+    """32-bit device address for a named log region: scattered over the
+    device, and the same in every process — ``hash()`` of anything holding
+    a ``str`` moves with ``PYTHONHASHSEED``, and the address feeds the
+    device's sequential-or-random classification, i.e. simulated time."""
+    return zlib.crc32(label.encode())
 
 
 class OSD:
@@ -70,7 +79,7 @@ class OSD:
         base = self._log_bases.get(stream)
         if base is None:
             base = self._log_bases[stream] = self._LOG_REGION + (
-                hash(stream) & 0xFFFF
+                scattered_addr(stream) & 0xFFFF
             ) * (1 << 34)
         return base
 
@@ -117,7 +126,7 @@ class OSD:
         tag: str = "",
     ) -> Generator:
         """In-place block I/O at the block's disk address."""
-        self._check_alive()
+        self.check_alive()
         if offset < 0 or size <= 0 or offset + size > self.block_size:
             raise IntegrityError(
                 f"{self.name}: I/O [{offset},{offset+size}) outside block"
@@ -141,7 +150,7 @@ class OSD:
         tag: str = "",
     ) -> Generator:
         """Sequential append of ``size`` bytes on log stream ``stream``."""
-        self._check_alive()
+        self.check_alive()
         cursor = self._log_cursor.get(stream, 0)
         req = IORequest(
             kind=IOKind.WRITE,
@@ -166,7 +175,7 @@ class OSD:
         tag: str = "",
     ) -> Generator:
         """Raw addressed I/O (reserved-space log schemes)."""
-        self._check_alive()
+        self.check_alive()
         req = IORequest(
             kind=kind,
             offset=addr,
@@ -192,10 +201,13 @@ class OSD:
         """
         self.failed = False
 
-    def recover_to(self, replacement: "OSD") -> None:  # pragma: no cover - doc
-        raise NotImplementedError("use repro.cluster.recovery.RecoveryManager")
-
-    def _check_alive(self) -> None:
+    def check_alive(self) -> None:
+        """Raise :class:`UnavailableError` if the node is down.  Every I/O
+        checks on entry; a log append checks again between its device I/O and
+        its commit to the in-memory log — the I/O of a node that died
+        meanwhile still returns, but ``on_node_failed`` already dropped that
+        node's log, and an entry committed now would sit on a dead node that
+        no flush ever visits."""
         if self.failed:
             raise UnavailableError(f"{self.name} has failed")
 

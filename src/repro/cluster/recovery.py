@@ -24,7 +24,6 @@ import numpy as np
 from repro.background.work import RepairOp
 from repro.cluster.ecfs import ECFS
 from repro.cluster.ids import BlockId
-from repro.common.zeromem import zero_template
 from repro.storage.base import IOKind, IOPriority
 
 __all__ = ["RecoveryReport", "RecoveryManager"]
@@ -198,11 +197,7 @@ class RecoveryManager:
                     # latent sector error surfaced by the read checksum
                     # between selection and capture: retry with another
                     raise IntegrityError(f"{src_bid} failed its checksum")
-                available[src_bid.idx] = (
-                    src.store.read(src_bid)
-                    if src_bid in src.store
-                    else zero_template(ecfs.config.block_size)
-                )
+                available[src_bid.idx] = src.store.read(src_bid)
             # decode: k GF-scaled XOR accumulations over a full block
             yield env.timeout(
                 ecfs.config.costs.gf_mul(ecfs.config.block_size, terms=ecfs.rs.k)
@@ -217,10 +212,7 @@ class RecoveryManager:
             yield from tosd.io_block(
                 IOKind.WRITE, block, 0, ecfs.config.block_size, self._io_priority
             )
-            if block in tosd.store:
-                tosd.store.write(block, 0, rebuilt)
-            else:
-                tosd.store.create(block, rebuilt)
+            tosd.store.put(block, rebuilt)
             # epoch remap: the rebuilt block's actual home is now `target`
             # (cleared automatically if a later epoch makes it ideal again)
             ecfs.placement.pin(block, target)

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.background.work import ScrubOp
 from repro.cluster.ids import BlockId
-from repro.common.zeromem import zero_template
 from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -167,10 +166,7 @@ class Scrubber:
             if bid in osd.store.corrupted:
                 bad.append(i)
                 report.latent_errors.append(bid)
-            blocks.append(
-                osd.store.read(bid) if bid in osd.store
-                else zero_template(bs)
-            )
+            blocks.append(osd.store.read(bid))
         if bad and self.repair:
             if len(bad) > ecfs.rs.m:
                 report.unrecoverable.append((file_id, stripe))

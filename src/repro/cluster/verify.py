@@ -104,7 +104,7 @@ class GroundTruth:
         for i in range(rs.k):
             bid = BlockId(file_id, stripe, i)
             osd = ecfs.osd_hosting(bid)
-            got = osd.store.view(bid) if bid in osd.store else self._zero
+            got = osd.store.view(bid)
             want = self.expected(bid)
             if not np.array_equal(got, want):
                 diff = int(np.count_nonzero(got != want))
@@ -117,7 +117,7 @@ class GroundTruth:
         for j in range(rs.m):
             bid = BlockId(file_id, stripe, rs.k + j)
             osd = ecfs.osd_hosting(bid)
-            got = osd.store.view(bid) if bid in osd.store else self._zero
+            got = osd.store.view(bid)
             if not np.array_equal(np.asarray(got), expected_parity[j]):
                 diff = int(np.count_nonzero(np.asarray(got) != expected_parity[j]))
                 raise IntegrityError(

@@ -21,11 +21,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-__all__ = ["MergePolicy", "Extent", "ExtentMap"]
+__all__ = ["MergePolicy", "Extent", "ExtentMap", "overlay"]
 
 
 class MergePolicy(enum.Enum):
@@ -52,6 +52,18 @@ class Extent:
 
     def __repr__(self) -> str:
         return f"Extent[{self.start}, {self.end})"
+
+
+def overlay(buf: np.ndarray, offset: int, extents: Iterable[Extent]) -> np.ndarray:
+    """Copy onto ``buf`` — the bytes of ``[offset, offset + len(buf))`` —
+    whatever part of each extent falls inside that window.  Extents are
+    applied in the order given, so a later one wins where two overlap."""
+    end = offset + buf.shape[0]
+    for ext in extents:
+        s, e = max(ext.start, offset), min(ext.end, end)
+        if s < e:
+            buf[s - offset : e - offset] = ext.data[s - ext.start : e - ext.start]
+    return buf
 
 
 class ExtentMap:
@@ -134,15 +146,10 @@ class ExtentMap:
         several extents); None if any byte is missing."""
         if self.uncovered(offset, size):
             return None
-        # full coverage is guaranteed above: every byte of `out` is
-        # assigned below, so the zero-fill would be pure waste
-        out = np.empty(size, dtype=np.uint8)
+        # full coverage is guaranteed above: every byte of the buffer is
+        # assigned below, so a zero-fill would be pure waste
         lo, hi = self._overlap_range(offset, offset + size)
-        for ext in self._extents[lo:hi]:
-            s = max(ext.start, offset)
-            e = min(ext.end, offset + size)
-            out[s - offset : e - offset] = ext.data[s - ext.start : e - ext.start]
-        return out
+        return overlay(np.empty(size, dtype=np.uint8), offset, self._extents[lo:hi])
 
     def extents(self) -> Iterator[Extent]:
         return iter(self._extents)

@@ -29,7 +29,7 @@ from typing import Generator, Hashable, Optional
 import numpy as np
 
 from repro.common.errors import ConfigError, IntegrityError, UnavailableError
-from repro.core.intervals import MergePolicy
+from repro.core.intervals import MergePolicy, overlay
 from repro.core.logunit import LogUnit, LogUnitState
 from repro.sim import Environment, Event, Store
 
@@ -154,16 +154,11 @@ class LogPool:
         """Apply any logged (newer) bytes of ``block`` onto ``buf`` — the
         partial-hit read path ensuring no stale data is returned (§3.3.3).
         Units are applied oldest to newest so later records win."""
-        end = offset + size
+        window = buf[:size]
         for unit in self.units:
             emap = unit.index.extent_map(block)
-            if emap is None:
-                continue
-            for ext in emap.extents():
-                s = max(ext.start, offset)
-                e = min(ext.end, end)
-                if s < e:
-                    buf[s - offset : e - offset] = ext.data[s - ext.start : e - ext.start]
+            if emap is not None:
+                overlay(window, offset, emap.extents())
         return buf
 
     def seal_active_if_dirty(self) -> None:
@@ -264,6 +259,16 @@ class LogPool:
         return self._backlog > 0 or (
             active.used > 0 and active.state is LogUnitState.EMPTY
         )
+
+    def live_units(self) -> list[LogUnit]:
+        """The units behind :attr:`holds_debt`, oldest first: content still
+        to be recycled, whether filling, sealed or mid-recycle.  A RECYCLED
+        unit keeps its index and ``used`` only as a read cache — its content
+        is already merged and must never be replayed, shipped or counted."""
+        return [
+            u for u in self.units
+            if u.used and u.state is not LogUnitState.RECYCLED
+        ]
 
     # ------------------------------------------------------------ internals
     def _new_unit(self) -> LogUnit:

@@ -55,9 +55,6 @@ class MigrationPlan:
     def sources(self) -> set[int]:
         return {op.src for op in self.moves}
 
-    def destinations(self) -> set[int]:
-        return {op.dst for op in self.moves}
-
     def assert_minimal(self, max_fraction: float) -> None:
         """Raise unless the plan moves at most ``max_fraction`` of blocks —
         e.g. ``1.5 / n`` for a single-device join on an n-device cluster."""

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.background.work import MoveOp
-from repro.common.zeromem import zero_template
 from repro.placement.planner import MigrationPlan
 from repro.storage.base import IOKind, IOPriority
 
@@ -226,19 +225,12 @@ class Rebalancer:
             if src.failed:
                 self.skipped += 1
                 return
-            data = (
-                src.store.read(block)
-                if block in src.store
-                else zero_template(bs)
-            )
+            data = src.store.read(block)
             dosd = ecfs.osds[dst]
             yield from dosd.io_block(
                 IOKind.WRITE, block, 0, bs, IOPriority.BACKGROUND, tag="rebalance"
             )
-            if block in dosd.store:
-                dosd.store.write(block, 0, data)
-            else:
-                dosd.store.create(block, data, own=True)
+            dosd.store.put(block, data, own=True)
             # ship whatever live log content still addresses the block (the
             # fast path usually settled it to zero; races and the ship path
             # land here) — applied at the destination under the freeze, with

@@ -121,9 +121,6 @@ class Topology:
         """All devices, sorted by OSD id (the canonical iteration order)."""
         return [self._devices[i] for i in sorted(self._devices)]
 
-    def weight_of(self, osd: int) -> float:
-        return self._devices[osd].weight
-
     def weights(self) -> dict[int, float]:
         return {i: d.weight for i, d in sorted(self._devices.items())}
 

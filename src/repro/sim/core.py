@@ -588,16 +588,13 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        """Float-seconds scheduling shim (``priority`` is the phase lane)."""
+    def _schedule(self, event: Event, priority: int = 1) -> None:
+        """Schedule ``event`` for the current tick (``priority`` is the
+        phase lane)."""
         seq = self._counter
         self._counter = seq + 1
         event._seq = seq
-        if delay:
-            heappush(
-                self._heap, (self._now + round(delay * 1e6), priority, seq, event)
-            )
-        elif self._draining and priority == PHASE_NORMAL:
+        if self._draining and priority == PHASE_NORMAL:
             self._bucket1.append(event)
         elif self._draining and priority == PHASE_URGENT:
             self._bucket0.append(event)

@@ -266,10 +266,6 @@ class StorageDevice:
         sequential = self._peek_classify(req)
         return self._service_time(req, sequential)
 
-    @property
-    def queue_depth(self) -> int:
-        return self.resource.queue_len + self.resource.count
-
     # ------------------------------------------------------------ internals
     def _classify(self, req: IORequest) -> bool:
         """Sequentiality from the stream's access history; updates history."""

@@ -56,15 +56,20 @@ class BlockStore:
         if data is None:
             self._blocks[block_id] = self._zero  # CoW: promoted on mutation
         else:
-            data = np.asarray(data, dtype=np.uint8)
-            if data.shape != (self.block_size,):
-                raise IntegrityError(
-                    f"block {block_id!r}: size {data.shape} != {self.block_size}"
-                )
-            if own and data.flags.owndata and data.flags.writeable:
-                self._blocks[block_id] = data
-            else:
-                self._blocks[block_id] = data.copy()
+            self.put(block_id, data, own=own)
+
+    def put(self, block_id: Hashable, data: np.ndarray, own: bool = False) -> None:
+        """Land a whole block, whether or not the store already holds it —
+        a client stripe write, a rebuild, a migration copy or a parity
+        resync arrives the same way on a first write and on a rewrite.  The
+        previous array is dropped, not written through, so a read-only
+        populate view is never promoted just to be overwritten.  ``own`` as
+        for :meth:`create`."""
+        data = self._whole_block(block_id, data)
+        if own and data.flags.owndata and data.flags.writeable:
+            self._blocks[block_id] = data
+        else:
+            self._blocks[block_id] = data.copy()
 
     def create_shared(self, block_id: Hashable, data: np.ndarray) -> None:
         """Materialize a block as a read-only view sharing ``data``'s buffer.
@@ -78,11 +83,7 @@ class BlockStore:
         """
         if block_id in self._blocks:
             raise IntegrityError(f"block {block_id!r} already exists")
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != (self.block_size,):
-            raise IntegrityError(
-                f"block {block_id!r}: size {data.shape} != {self.block_size}"
-            )
+        data = self._whole_block(block_id, data)
         if data.flags.writeable:
             data = data.view()
             data.flags.writeable = False
@@ -91,9 +92,7 @@ class BlockStore:
     def create_zero(self, block_id: Hashable) -> None:
         """Materialize a zero-filled block sharing the CoW template (no
         allocation); promoted to a private copy on first mutation."""
-        if block_id in self._blocks:
-            raise IntegrityError(f"block {block_id!r} already exists")
-        self._blocks[block_id] = self._zero
+        self.create(block_id)
 
     def create_zero_many(self, block_ids: Iterable[Hashable]) -> None:
         """Bulk :meth:`create_zero`: one existence sweep, one dict update."""
@@ -183,10 +182,18 @@ class BlockStore:
 
     # ------------------------------------------------------------ internals
     def _get(self, block_id: Hashable) -> np.ndarray:
-        try:
-            return self._blocks[block_id]
-        except KeyError:
-            raise IntegrityError(f"block {block_id!r} does not exist") from None
+        """A block nothing was written to reads as zeros — what
+        :meth:`write` and :meth:`xor_in` assume when they materialize one —
+        and stays absent (``not in`` the store) until a write lands."""
+        return self._blocks.get(block_id, self._zero)
+
+    def _whole_block(self, block_id: Hashable, data: np.ndarray) -> np.ndarray:
+        data = np.asarray(data, dtype=np.uint8)
+        if data.shape != (self.block_size,):
+            raise IntegrityError(
+                f"block {block_id!r}: size {data.shape} != {self.block_size}"
+            )
+        return data
 
     def _check_range(self, offset: int, size: int) -> None:
         if offset < 0 or size <= 0 or offset + size > self.block_size:

@@ -90,11 +90,6 @@ class FlashWearModel:
     def total_erases(self) -> float:
         return self.capacity_erases + self.gc_erases
 
-    def endurance_consumed(self) -> float:
-        """Fraction of the device's total PE budget consumed so far."""
-        budget = float(self.pe_cycles) * self.total_blocks
-        return self.total_erases / budget if budget else 0.0
-
     def lifespan_factor_vs(self, other: "FlashWearModel") -> float:
         """How many times longer this device lasts than ``other`` under the
         respective recorded workloads (ratio of erase rates)."""

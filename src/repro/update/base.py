@@ -18,15 +18,17 @@ updated in place; log-structured methods override it).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from collections import defaultdict
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator
 
 import numpy as np
 
 from repro.cluster.client import UpdateOp
 from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
+from repro.common.errors import IntegrityError
 from repro.common.refcount import RefCounter
-from repro.common.zeromem import zero_template
 from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +56,9 @@ class UpdateMethod:
         # stripe resync on peering.  A row whose host stays dead is the
         # rebuild's job (decode/re-encode), not the resync's.
         self._parity_resync: set[BlockId] = set()
+        # log bytes outstanding per OSD name, for the methods whose debt and
+        # memory footprint are the same per-node byte count
+        self._log_bytes: dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------ lifecycle
     def attach(self, osd: OSD) -> None:
@@ -68,7 +73,7 @@ class UpdateMethod:
 
     def log_debt_bytes(self, osd: OSD) -> int:
         """Outstanding log bytes on this OSD that recovery must merge first."""
-        return 0
+        return self._log_bytes.get(osd.name, 0)
 
     def unsettled_stripes(self) -> set[tuple[int, int]]:
         """Stripes with updates applied to data but still pending on parity.
@@ -209,10 +214,7 @@ class UpdateMethod:
                     yield from osd.io_block(
                         IOKind.READ, bid, 0, bs, priority, tag="parity-resync"
                     )
-                    data.append(
-                        osd.store.read(bid) if bid in osd.store
-                        else zero_template(bs)
-                    )
+                    data.append(osd.store.read(bid))
                 yield self.env.timeout(self.costs.gf_mul(bs * rs.k, terms=rs.m))
                 parity = rs.encode(data)
                 for pbid in rows:
@@ -224,25 +226,58 @@ class UpdateMethod:
                         IOKind.WRITE, pbid, 0, bs, priority,
                         overwrite=True, tag="parity-resync",
                     )
-                    j = pbid.idx - rs.k
-                    if pbid in posd.store:
-                        posd.store.write(pbid, 0, parity[j])
-                    else:
-                        posd.store.create(pbid, parity[j])
+                    posd.store.put(pbid, parity[pbid.idx - rs.k])
                     self._parity_resync.discard(pbid)
             finally:
                 ecfs.thaw_stripe(file_id, stripe)
 
-    def _stripes_busy_begin(self, stripes: set[tuple[int, int]]) -> None:
-        """Mark popped-log content as mid-application: there must be no
-        instant where a delta is neither in a visible log nor busy, or a
-        concurrent reconstruction could capture a torn stripe."""
+    @contextmanager
+    def _applying(self, stripes: set[tuple[int, int]]) -> Iterator[None]:
+        """Mark log content popped for ``stripes`` as mid-application: there
+        must be no instant where a delta is neither in a visible log nor
+        busy, or a concurrent reconstruction could capture a torn stripe.
+        Enter in the same step as the pop (no yield in between); the marks
+        drop when the last delta landed or the recycle gave up — also by
+        exception, so a node death mid-recycle leaves no stripe busy."""
         for key in stripes:
             self._busy_stripes.incr(key)
+        try:
+            yield
+        finally:
+            for key in stripes:
+                self._busy_stripes.decr(key)
 
-    def _stripes_busy_end(self, stripes: set[tuple[int, int]]) -> None:
-        for key in stripes:
-            self._busy_stripes.decr(key)
+    # ------------------------------------------------- per-OSD flush fan-out
+    def _hosted(
+        self, keys: Iterable, block_of: Callable = lambda key: key
+    ) -> dict[str, list]:
+        """Log keys grouped by the name of the OSD hosting their block NOW.
+        A log keyed by block travels with the block across placement epochs
+        and re-homes, so flush, ``recovery_prepare`` and ``on_node_failed``
+        all select by current host, never by the host at append time."""
+        per_osd: dict[str, list] = {}
+        for key in keys:
+            host = self.ecfs.osd_hosting(block_of(key))
+            per_osd.setdefault(host.name, []).append(key)
+        return per_osd
+
+    def _flush_per_osd(self, per_osd: dict, job: Callable, *args) -> Generator:
+        """Run ``job(osd, per_osd[osd.name], *args)`` as one process per live
+        OSD with work, and wait for all of them.  A dead OSD gets none: what
+        it logged was dropped or stashed by ``on_node_failed``, and nothing
+        lands there afterwards (:meth:`OSD.check_alive`)."""
+        jobs = [
+            self.env.process(
+                job(osd, per_osd[osd.name], *args),
+                name=f"{self.name}-flush-{osd.name}",
+            )
+            for osd in self.ecfs.osds
+            if not osd.failed and per_osd.get(osd.name)
+        ]
+        if jobs:
+            yield self.env.all_of(jobs)
+        else:
+            yield self.env.timeout(0)
 
     # ----------------------------------------------------- recovery hooks
     def quiesce_node(self, victim: OSD) -> Generator:
@@ -301,7 +336,7 @@ class UpdateMethod:
 
     def memory_bytes(self, osd: OSD) -> int:
         """Method memory footprint on this OSD (log buffers + indexes)."""
-        return 0
+        return self._log_bytes.get(osd.name, 0)
 
     # ------------------------------------------------------------- handlers
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
@@ -312,11 +347,7 @@ class UpdateMethod:
     ) -> Generator:
         """Default read path: the in-place data block."""
         yield from osd.io_block(IOKind.READ, block, offset, size)
-        return (
-            osd.store.read(block, offset, size)
-            if block in osd.store
-            else np.zeros(size, dtype=np.uint8)
-        )
+        return osd.store.read(block, offset, size)
 
     # ------------------------------------------------------ shared plumbing
     @property
@@ -342,12 +373,7 @@ class UpdateMethod:
             # Zero-copy capture: the XOR below materializes the delta from a
             # read-only view *before* any further yield, so the snapshot is
             # taken at the read instant without an ndarray.copy().
-            old = (
-                osd.store.read_view(op.block, op.offset, op.size)
-                if op.block in osd.store
-                else np.zeros(op.size, dtype=np.uint8)
-            )
-            delta = old ^ op.payload
+            delta = osd.store.read_view(op.block, op.offset, op.size) ^ op.payload
             yield self.env.timeout(self.costs.xor(op.size))
             yield from osd.io_block(
                 IOKind.WRITE, op.block, op.offset, op.size, priority, overwrite=True
@@ -380,6 +406,23 @@ class UpdateMethod:
             IOKind.WRITE, pblock, offset, size, priority, overwrite=True, tag=tag
         )
         posd.store.xor_in(pblock, offset, pdelta)
+
+    def deliver_parity(
+        self, src: OSD, posd: OSD, pbid: BlockId, offset: int, pdelta: np.ndarray,
+        priority: int, **rmw,
+    ) -> Generator:
+        """Ship a recycled parity delta ``src`` -> ``posd`` and apply it in
+        place (``rmw`` as for :meth:`parity_rmw`).  The delta already left
+        its log, so when ``posd`` dies before the write lands (after the
+        caller's liveness check) the row is marked for resync instead;
+        returns whether the delta landed."""
+        try:
+            yield from self.forward(src, posd, int(pdelta.shape[0]))
+            yield from self.parity_rmw(posd, pbid, offset, pdelta, priority, **rmw)
+        except IntegrityError:
+            self._mark_parity_resync(pbid)
+            return False
+        return True
 
     def forward(self, src: OSD, dst: OSD, nbytes: int) -> Generator:
         """One-way OSD-to-OSD transfer (payload + header)."""

@@ -47,8 +47,8 @@ class CoRD(UpdateMethod):
         super().__init__(ecfs)
         self.buffer_size = buffer_size or self.DEFAULT_BUFFER
         # collector state, per collector OSD name
+        # (``_log_bytes[name]`` is the fill level of that collector's buffer)
         self._buffers: dict[str, _Buffers] = defaultdict(dict)
-        self._buffer_used: dict[str, int] = defaultdict(int)
         self._recycling: dict[str, bool] = defaultdict(bool)
         self._waiters: dict[str, list[Event]] = defaultdict(list)
         self.stalls = 0
@@ -58,17 +58,14 @@ class CoRD(UpdateMethod):
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         delta = yield from self.data_rmw(osd, op)
         collector = self._collector_of(op.block)
-        if collector.failed:
-            # the data block holds the update in place; every parity row
-            # catches up via the degraded-stripe resync
-            for _j, _posd, pbid in self.parity_targets(op.block):
-                self._mark_parity_resync(pbid)
-            return
-        yield from self.forward(osd, collector, op.size)
         try:
+            collector.check_alive()
+            yield from self.forward(osd, collector, op.size)
             yield from self._collector_append(collector, op, delta)
         except IntegrityError:
-            # collector died mid-append: the delta reached no parity row
+            # the collector was down or died mid-append, so the delta
+            # reached no parity row: the data block holds the update in
+            # place and every row catches up via the degraded-stripe resync
             for _j, _posd, pbid in self.parity_targets(op.block):
                 self._mark_parity_resync(pbid)
 
@@ -78,7 +75,7 @@ class CoRD(UpdateMethod):
 
     def _collector_append(self, collector: OSD, op: UpdateOp, delta) -> Generator:
         name = collector.name
-        while self._buffer_used[name] + op.size > self.buffer_size:
+        while self._log_bytes[name] + op.size > self.buffer_size:
             if not self._recycling[name]:
                 self._start_recycle(collector)
             else:
@@ -91,23 +88,29 @@ class CoRD(UpdateMethod):
                 yield waiter
                 self.stall_time += self.env.now - t0
         yield from collector.io_log_append("cord-buffer", op.size, tag="cord-append")
+        collector.check_alive()  # died with the append in flight: not buffered
         per_idx = self._buffers[name].setdefault(
             (op.block.file_id, op.block.stripe), {}
         )
         emap = per_idx.setdefault(op.block.idx, ExtentMap(MergePolicy.XOR))
         emap.insert(op.offset, delta, own=True)
-        self._buffer_used[name] += op.size
+        self._log_bytes[name] += op.size
 
     # -------------------------------------------------------------- recycle
+    def _take_buffer(self, collector: OSD) -> _Buffers:
+        """Snapshot + clear the collector's buffer."""
+        snapshot = self._buffers[collector.name]
+        self._buffers[collector.name] = {}
+        self._log_bytes[collector.name] = 0
+        return snapshot
+
     def _start_recycle(self, collector: OSD) -> None:
-        """Snapshot + clear the buffer; recycle the snapshot in background."""
+        """Recycle a snapshot of the buffer in the background."""
         name = collector.name
-        snapshot = self._buffers[name]
-        self._buffers[name] = {}
-        self._buffer_used[name] = 0
         self._recycling[name] = True
         self.env.process(
-            self._recycle_job(collector, snapshot), name=f"cord-recycle-{name}"
+            self._recycle_job(collector, self._take_buffer(collector)),
+            name=f"cord-recycle-{name}",
         )
 
     def _recycle_job(self, collector: OSD, snapshot: _Buffers) -> Generator:
@@ -126,70 +129,50 @@ class CoRD(UpdateMethod):
         self, collector: OSD, snapshot: _Buffers, priority: int
     ) -> Generator:
         """Eq. (5) merge + fan-out + in-place parity application."""
-        stripes = set(snapshot.keys())
-        self._stripes_busy_begin(stripes)
-        try:
-            yield from self._apply_snapshot_inner(collector, snapshot, priority)
-        finally:
-            self._stripes_busy_end(stripes)
-
-    def _apply_snapshot_inner(
-        self, collector: OSD, snapshot: _Buffers, priority: int
-    ) -> Generator:
         rs = self.ecfs.rs
-        for (file_id, stripe), per_idx in snapshot.items():
-            for j in range(rs.m):
-                pbid = BlockId(file_id, stripe, rs.k + j)
-                posd = self.ecfs.osd_hosting(pbid)
-                if posd.failed:
-                    # this row misses the merged deltas: resynced when the
-                    # node restarts, or re-encoded by its rebuild
-                    self._mark_parity_resync(pbid)
-                    continue
-                merged = ExtentMap(MergePolicy.XOR)
-                for didx, emap in per_idx.items():
-                    coef = self.parity_coef(j, didx)
-                    for ext in emap.extents():
-                        yield self.env.timeout(self.costs.gf_mul(ext.size))
-                        merged.insert(ext.start, gf_mul_scalar(coef, ext.data), own=True)
-                for ext in merged.extents():
-                    try:
-                        yield from self.forward(collector, posd, ext.size)
-                        yield from self.parity_rmw(
-                            posd, pbid, ext.start, ext.data, priority,
+        with self._applying(set(snapshot)):
+            for (file_id, stripe), per_idx in snapshot.items():
+                for j in range(rs.m):
+                    pbid = BlockId(file_id, stripe, rs.k + j)
+                    posd = self.ecfs.osd_hosting(pbid)
+                    if posd.failed:
+                        # this row misses the merged deltas: resynced when
+                        # the node restarts, or re-encoded by its rebuild
+                        self._mark_parity_resync(pbid)
+                        continue
+                    merged = ExtentMap(MergePolicy.XOR)
+                    for didx, emap in per_idx.items():
+                        coef = self.parity_coef(j, didx)
+                        for ext in emap.extents():
+                            yield self.env.timeout(self.costs.gf_mul(ext.size))
+                            merged.insert(
+                                ext.start, gf_mul_scalar(coef, ext.data), own=True
+                            )
+                    for ext in merged.extents():
+                        landed = yield from self.deliver_parity(
+                            collector, posd, pbid, ext.start, ext.data, priority,
                             tag="cord-recycle",
                         )
-                    except IntegrityError:
-                        # the parity host died mid-apply; the snapshot was
-                        # already popped, so the row is repaired by resync
-                        # (restart) or its rebuild's re-encode
-                        self._mark_parity_resync(pbid)
-                        break
+                        if not landed:
+                            # the parity host died mid-apply; the snapshot
+                            # was already popped, so the row is repaired by
+                            # resync (restart) or its rebuild's re-encode
+                            break
 
     # ---------------------------------------------------------------- drain
     def flush(self) -> Generator:
         # wait out in-flight recycles (event-based), then recycle the residue
         while any(self._recycling.values()):
             yield self.ecfs.settlement_event()
-        jobs = []
-        for osd in self.ecfs.osds:
-            if self._buffer_used.get(osd.name):
-                snapshot = self._buffers[osd.name]
-                self._buffers[osd.name] = {}
-                self._buffer_used[osd.name] = 0
-                jobs.append(
-                    self.env.process(
-                        self._apply_snapshot(osd, snapshot, IOPriority.BACKGROUND),
-                        name=f"cord-flush-{osd.name}",
-                    )
-                )
-        if jobs:
-            yield self.env.all_of(jobs)
-        else:
-            yield self.env.timeout(0)
-
-    def log_debt_bytes(self, osd: OSD) -> int:
-        return self._buffer_used.get(osd.name, 0)
+        # every buffer is taken now, before the first job runs
+        residue = {
+            osd.name: self._take_buffer(osd)
+            for osd in self.ecfs.osds
+            if self._log_bytes.get(osd.name)
+        }
+        yield from self._flush_per_osd(
+            residue, self._apply_snapshot, IOPriority.BACKGROUND
+        )
 
     def _pending_unsettled(self) -> set[tuple[int, int]]:
         """Collector-buffered deltas and in-flight recycle snapshots have
@@ -216,17 +199,13 @@ class CoRD(UpdateMethod):
             for file_id, stripe in snapshot.keys():
                 for j in range(rs.m):
                     self._parity_resync.add(BlockId(file_id, stripe, rs.k + j))
-        self._buffer_used[victim.name] = 0
+        self._log_bytes[victim.name] = 0
         self._recycling[victim.name] = False
 
     def recovery_prepare(self, osd: OSD) -> Generator:
         while self._recycling.get(osd.name):
             yield self.ecfs.settlement_event()
-        if self._buffer_used.get(osd.name):
-            snapshot = self._buffers[osd.name]
-            self._buffers[osd.name] = {}
-            self._buffer_used[osd.name] = 0
-            yield from self._apply_snapshot(osd, snapshot, IOPriority.FOREGROUND)
-
-    def memory_bytes(self, osd: OSD) -> int:
-        return self._buffer_used.get(osd.name, 0)
+        if self._log_bytes.get(osd.name):
+            yield from self._apply_snapshot(
+                osd, self._take_buffer(osd), IOPriority.FOREGROUND
+            )

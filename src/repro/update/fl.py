@@ -15,16 +15,14 @@ latency decomposition and for workload accounting comparisons.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Generator
 
 import numpy as np
 
 from repro.cluster.client import UpdateOp
 from repro.cluster.ids import BlockId
-from repro.cluster.osd import OSD
-from repro.common.errors import IntegrityError
-from repro.core.intervals import ExtentMap, MergePolicy
+from repro.cluster.osd import OSD, scattered_addr
+from repro.core.intervals import ExtentMap, MergePolicy, overlay
 from repro.ec.incremental import parity_delta
 from repro.sim import Resource
 from repro.sim.batch import spawn_fanout
@@ -41,8 +39,6 @@ class FullLogging(UpdateMethod):
         super().__init__(ecfs)
         # data-OSD side: block -> latest-wins extent map of logged new data
         self._datalog: dict[BlockId, ExtentMap] = {}
-        self._log_bytes: dict[str, int] = defaultdict(int)
-        self._raw_entries: dict[str, int] = defaultdict(int)
         self._locks: dict[str, Resource] = {}
         # unmerged entries of a failed node, recovered from the parity-side
         # mirror logs and replayed onto the rebuilt blocks
@@ -56,10 +52,10 @@ class FullLogging(UpdateMethod):
         with self._locks[osd.name].request() as lock:
             yield lock
             yield from osd.io_log_append("fulllog", op.size, tag="fl-append")
+            osd.check_alive()  # died with the append in flight: not logged
             emap = self._datalog.setdefault(op.block, ExtentMap(MergePolicy.OVERWRITE))
             emap.insert(op.offset, op.payload, own=True)
             self._log_bytes[osd.name] += op.size
-            self._raw_entries[osd.name] += 1
             self.ecfs.oracle.apply(op.block, op.offset, op.payload)
         # replicate the record to every parity OSD's log (fault tolerance)
         sends = [
@@ -84,46 +80,24 @@ class FullLogging(UpdateMethod):
         with self._locks[osd.name].request() as lock:
             yield lock
             yield from osd.io_block(IOKind.READ, block, offset, size)
-            buf = (
-                osd.store.read(block, offset, size)
-                if block in osd.store
-                else np.zeros(size, dtype=np.uint8)
-            )
+            buf = osd.store.read(block, offset, size)
             if emap is not None:
                 # extra random read of the log region holding the overlay
                 yield from osd.io_at(
                     IOKind.READ,
-                    addr=hash((block, "fl")) & 0xFFFFFFFF,
+                    addr=scattered_addr(f"fl:{block}"),
                     size=size,
                     stream="fulllog-read",
                     tag="fl-read-merge",
                 )
-                for ext in emap.extents():
-                    s, e = max(ext.start, offset), min(ext.end, offset + size)
-                    if s < e:
-                        buf[s - offset : e - offset] = ext.data[s - ext.start : e - ext.start]
+                overlay(buf, offset, emap.extents())
         return buf
 
     # -------------------------------------------------------------- recycle
     def flush(self) -> Generator:
-        per_osd: dict[str, list[BlockId]] = defaultdict(list)
-        for block in list(self._datalog):
-            per_osd[self.ecfs.osd_hosting(block).name].append(block)
-        jobs = []
-        for osd in self.ecfs.osds:
-            if osd.failed:
-                continue  # stashed at failure; replayed onto the rebuild
-            blocks = per_osd.get(osd.name)
-            if blocks:
-                jobs.append(
-                    self.env.process(
-                        self._recycle_osd(osd, blocks), name=f"fl-flush-{osd.name}"
-                    )
-                )
-        if jobs:
-            yield self.env.all_of(jobs)
-        else:
-            yield self.env.timeout(0)
+        # a failed OSD's entries were stashed at failure and are replayed
+        # onto the rebuild
+        yield from self._flush_per_osd(self._hosted(self._datalog), self._recycle_osd)
         # parity-side mirror logs are garbage once the primaries merged
         self._log_bytes.clear()
 
@@ -138,13 +112,9 @@ class FullLogging(UpdateMethod):
                 emap = self._datalog.get(block)
                 if emap is None:
                     continue
-                stripes = {(block.file_id, block.stripe)}
-                self._stripes_busy_begin(stripes)
-                try:
+                with self._applying({(block.file_id, block.stripe)}):
                     yield from self._apply_block_log(osd, block, emap)
                     self._datalog.pop(block, None)
-                finally:
-                    self._stripes_busy_end(stripes)
             self._log_bytes[osd.name] = 0
 
     def _apply_block_log(self, osd: OSD, block: BlockId, emap: ExtentMap) -> Generator:
@@ -154,11 +124,7 @@ class FullLogging(UpdateMethod):
                 IOKind.READ, block, ext.start, ext.size,
                 IOPriority.BACKGROUND, tag="fl-recycle",
             )
-            old = (
-                osd.store.read(block, ext.start, ext.size)
-                if block in osd.store
-                else np.zeros(ext.size, dtype=np.uint8)
-            )
+            old = osd.store.read(block, ext.start, ext.size)
             yield self.env.timeout(self.costs.xor(ext.size))
             delta = old ^ ext.data
             yield from osd.io_block(
@@ -166,35 +132,35 @@ class FullLogging(UpdateMethod):
                 IOPriority.BACKGROUND, overwrite=True, tag="fl-recycle",
             )
             osd.store.write(block, ext.start, ext.data)
-            for j, posd, pbid in self.parity_targets(block):
-                if posd.failed:
-                    # this parity row misses the delta: resynced when the
-                    # node restarts, or re-encoded by its rebuild
-                    self._mark_parity_resync(pbid)
-                    continue
-                yield self.env.timeout(self.costs.gf_mul(ext.size))
-                pdelta = parity_delta(self.parity_coef(j, block.idx), delta)
-                try:
-                    yield from self.forward(osd, posd, ext.size)
-                    yield from self.parity_rmw(
-                        posd, pbid, ext.start, pdelta,
-                        IOPriority.BACKGROUND, tag="fl-recycle",
-                    )
-                except IntegrityError:
-                    # died between the liveness check and the write
-                    self._mark_parity_resync(pbid)
+            yield from self._update_parity(osd, block, ext.start, delta, "fl-recycle")
 
-    def log_debt_bytes(self, osd: OSD) -> int:
-        return self._log_bytes.get(osd.name, 0)
+    def _update_parity(
+        self, src: OSD, block: BlockId, offset: int, delta: np.ndarray,
+        tag: str, frozen_ok: bool = False,
+    ) -> Generator:
+        """Bring every parity row of ``block``'s stripe up to date with a
+        data delta computed at ``src``."""
+        for j, posd, pbid in self.parity_targets(block):
+            if posd.failed:
+                # this parity row misses the delta: resynced when the
+                # node restarts, or re-encoded by its rebuild
+                self._mark_parity_resync(pbid)
+                continue
+            yield self.env.timeout(self.costs.gf_mul(int(delta.shape[0])))
+            pdelta = parity_delta(self.parity_coef(j, block.idx), delta)
+            # a host that dies between the liveness check above and the
+            # write leaves the row resync-marked
+            yield from self.deliver_parity(
+                src, posd, pbid, offset, pdelta, IOPriority.BACKGROUND,
+                tag=tag, frozen_ok=frozen_ok,
+            )
 
     def on_node_failed(self, victim: OSD) -> None:
         # the victim's unmerged log entries survive in the parity-side
         # mirrors: stash them for replay onto the rebuilt blocks so no
         # acked update is lost
-        for block in list(self._datalog):
-            if self.ecfs.osd_hosting(block).name == victim.name:
-                emap = self._datalog.pop(block)
-                self._stash[block] = list(emap.extents())
+        for block in self._hosted(self._datalog).get(victim.name, ()):
+            self._stash[block] = list(self._datalog.pop(block).extents())
         self._log_bytes[victim.name] = 0
 
     def post_rebuild(self, block: BlockId, target: OSD, rebuilt: np.ndarray) -> Generator:
@@ -212,22 +178,9 @@ class FullLogging(UpdateMethod):
             old = rebuilt[ext.start : ext.end].copy()
             yield self.env.timeout(self.costs.xor(ext.size))
             rebuilt[ext.start : ext.end] = ext.data
-            delta = old ^ ext.data
-            for j, posd, pbid in self.parity_targets(block):
-                if posd.failed:
-                    # re-encoded by its own rebuild, or resynced on restart
-                    self._mark_parity_resync(pbid)
-                    continue
-                yield self.env.timeout(self.costs.gf_mul(ext.size))
-                pdelta = parity_delta(self.parity_coef(j, block.idx), delta)
-                try:
-                    yield from self.forward(target, posd, ext.size)
-                    yield from self.parity_rmw(
-                        posd, pbid, ext.start, pdelta,
-                        IOPriority.BACKGROUND, tag="fl-replay", frozen_ok=True,
-                    )
-                except IntegrityError:
-                    self._mark_parity_resync(pbid)  # died mid-apply
+            yield from self._update_parity(
+                target, block, ext.start, old ^ ext.data, "fl-replay", frozen_ok=True
+            )
         self._stash.pop(block, None)
 
     def degraded_overlay(
@@ -240,12 +193,7 @@ class FullLogging(UpdateMethod):
             yield self.env.timeout(0)
             return buf
         yield from self._read_mirror(block, size, "fl-degraded")
-        end = offset + size
-        for ext in exts:
-            s, e = max(ext.start, offset), min(ext.end, end)
-            if s < e:
-                buf[s - offset : e - offset] = ext.data[s - ext.start : e - ext.start]
-        return buf
+        return overlay(buf, offset, exts)
 
     def _read_mirror(self, block: BlockId, size: int, tag: str) -> Generator:
         """Charge one mirror-log read at a surviving parity OSD."""
@@ -253,7 +201,7 @@ class FullLogging(UpdateMethod):
             if not posd.failed:
                 yield from posd.io_at(
                     IOKind.READ,
-                    addr=hash((block, "fl")) & 0xFFFFFFFF,
+                    addr=scattered_addr(f"fl:{block}"),
                     size=max(1, size),
                     stream="fulllog-mirror-read",
                     tag=tag,
@@ -262,11 +210,5 @@ class FullLogging(UpdateMethod):
         yield self.env.timeout(0)
 
     def recovery_prepare(self, osd: OSD) -> Generator:
-        mine = [
-            b for b in list(self._datalog)
-            if self.ecfs.osd_hosting(b).name == osd.name
-        ]
+        mine = self._hosted(self._datalog).get(osd.name, [])
         yield from self._recycle_osd(osd, mine)
-
-    def memory_bytes(self, osd: OSD) -> int:
-        return self._log_bytes.get(osd.name, 0)

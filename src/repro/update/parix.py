@@ -19,14 +19,14 @@ temporal-locality collapse, which is exactly PARIX's selling point.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Generator, Optional
+from operator import itemgetter
+from typing import Generator
 
 import numpy as np
 
 from repro.cluster.client import UpdateOp
 from repro.cluster.ids import BlockId
-from repro.cluster.osd import OSD
+from repro.cluster.osd import OSD, scattered_addr
 from repro.common.errors import IntegrityError
 from repro.core.intervals import ExtentMap, MergePolicy
 from repro.ec.incremental import parity_delta
@@ -35,6 +35,8 @@ from repro.storage.base import IOKind, IOPriority
 from repro.update.base import UpdateMethod
 
 __all__ = ["PARIX"]
+
+_PBID = itemgetter(0)  # pair logs are keyed (parity block, data idx)
 
 
 class _PairLog:
@@ -71,7 +73,6 @@ class PARIX(UpdateMethod):
         self._seen: dict[BlockId, ExtentMap] = {}
         # parity-OSD side: (pbid, data idx) -> pair log
         self._logs: dict[tuple[BlockId, int], _PairLog] = {}
-        self._log_bytes: dict[str, int] = defaultdict(int)
 
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         targets = self.parity_targets(op.block)
@@ -84,11 +85,7 @@ class PARIX(UpdateMethod):
                 # PARIX must capture D0 once per address: read the original
                 # bytes before the speculative overwrite.
                 yield from osd.io_block(IOKind.READ, op.block, op.offset, op.size)
-                live = (
-                    osd.store.read(op.block, op.offset, op.size)
-                    if op.block in osd.store
-                    else np.zeros(op.size, dtype=np.uint8)
-                )
+                live = osd.store.read(op.block, op.offset, op.size)
             # speculative in-place write of the new data (no read needed)
             yield from osd.io_block(
                 IOKind.WRITE, op.block, op.offset, op.size, overwrite=True
@@ -103,11 +100,7 @@ class PARIX(UpdateMethod):
                 # while our write was in flight: the fresh log generation
                 # needs baselines after all, and the pre-write bytes are
                 # still in the store right now
-                live = (
-                    osd.store.read(op.block, op.offset, op.size)
-                    if op.block in osd.store
-                    else np.zeros(op.size, dtype=np.uint8)
-                )
+                live = osd.store.read(op.block, op.offset, op.size)
             osd.store.write(op.block, op.offset, op.payload)
             self.ecfs.oracle.apply(op.block, op.offset, op.payload)
             if live is not None and not any(
@@ -160,7 +153,7 @@ class PARIX(UpdateMethod):
         # device-bound despite skipping the data-side read.
         yield from posd.io_at(
             IOKind.WRITE,
-            addr=hash((posd.name, "parix-index", size)) & 0xFFFFFFFF,
+            addr=scattered_addr(f"parix-index:{posd.name}:{size}"),
             size=4096,
             stream="parixlog-index",
             overwrite=True,
@@ -182,25 +175,11 @@ class PARIX(UpdateMethod):
 
     # ------------------------------------------------------------- recycle
     def flush(self) -> Generator:
-        per_osd: dict[str, list[tuple[BlockId, int]]] = defaultdict(list)
-        for key in list(self._logs):
-            per_osd[self.ecfs.osd_hosting(key[0]).name].append(key)
-        jobs = []
-        for osd in self.ecfs.osds:
-            if osd.failed:
-                continue  # dropped at failure; re-encoded by the rebuild
-            keys = per_osd.get(osd.name)
-            if keys:
-                jobs.append(
-                    self.env.process(
-                        self._recycle_osd(osd, keys, IOPriority.BACKGROUND),
-                        name=f"parix-flush-{osd.name}",
-                    )
-                )
-        if jobs:
-            yield self.env.all_of(jobs)
-        else:
-            yield self.env.timeout(0)
+        # a failed OSD's pair logs were dropped at failure; its rows are
+        # re-encoded by the rebuild
+        yield from self._flush_per_osd(
+            self._hosted(self._logs, _PBID), self._recycle_osd, IOPriority.BACKGROUND
+        )
 
     def _recycle_osd(
         self, posd: OSD, keys: list[tuple[BlockId, int]], priority: int
@@ -215,16 +194,13 @@ class PARIX(UpdateMethod):
             # into the fresh pair log, or its delta would be computed
             # against a baseline the parity never had
             self._seen.pop(BlockId(pbid.file_id, pbid.stripe, didx), None)
-            stripes = {(pbid.file_id, pbid.stripe)}
-            self._stripes_busy_begin(stripes)
-            try:
-                yield from self._apply_pair_log(posd, pbid, didx, log, priority)
-            except IntegrityError:
-                # the node died mid-recycle with the pair log already
-                # popped: the row resyncs on restart / its rebuild
-                self._mark_parity_resync(pbid)
-            finally:
-                self._stripes_busy_end(stripes)
+            with self._applying({(pbid.file_id, pbid.stripe)}):
+                try:
+                    yield from self._apply_pair_log(posd, pbid, didx, log, priority)
+                except IntegrityError:
+                    # the node died mid-recycle with the pair log already
+                    # popped: the row resyncs on restart / its rebuild
+                    self._mark_parity_resync(pbid)
         self._log_bytes[posd.name] = 0
 
     def _apply_pair_log(
@@ -255,9 +231,6 @@ class PARIX(UpdateMethod):
         # the recycled pair log loses its D0 baselines: the data OSD must
         # ship fresh baselines on the next update of that data block
 
-    def log_debt_bytes(self, osd: OSD) -> int:
-        return self._log_bytes.get(osd.name, 0)
-
     def _pending_unsettled(self) -> set[tuple[int, int]]:
         """Speculation-logged pairs describe in-place data the parity blocks
         have not absorbed yet."""
@@ -270,20 +243,12 @@ class PARIX(UpdateMethod):
     def on_node_failed(self, victim: OSD) -> None:
         """The victim's speculation logs die with its parity blocks; data
         blocks are updated in place, so re-encoded rebuilds subsume them."""
-        for key in list(self._logs):
+        for key in self._hosted(self._logs, _PBID).get(victim.name, ()):
             pbid, didx = key
-            if self.ecfs.osd_hosting(pbid).name == victim.name:
-                del self._logs[key]
-                self._seen.pop(BlockId(pbid.file_id, pbid.stripe, didx), None)
+            del self._logs[key]
+            self._seen.pop(BlockId(pbid.file_id, pbid.stripe, didx), None)
         self._log_bytes[victim.name] = 0
 
     def recovery_prepare(self, posd: OSD) -> Generator:
-        mine = [
-            key
-            for key in list(self._logs)
-            if self.ecfs.osd_hosting(key[0]).name == posd.name
-        ]
+        mine = self._hosted(self._logs, _PBID).get(posd.name, [])
         yield from self._recycle_osd(posd, mine, IOPriority.FOREGROUND)
-
-    def memory_bytes(self, osd: OSD) -> int:
-        return self._log_bytes.get(osd.name, 0)

@@ -38,7 +38,6 @@ class ParityLogging(UpdateMethod):
         super().__init__(ecfs)
         # per-OSD: list of (parity BlockId, offset, pdelta) in arrival order
         self._logs: dict[str, list[tuple[BlockId, int, np.ndarray]]] = defaultdict(list)
-        self._log_bytes: dict[str, int] = defaultdict(int)
         #: nodes with a watermark-triggered background recycle in flight
         self._draining: set[str] = set()
 
@@ -59,6 +58,7 @@ class ParityLogging(UpdateMethod):
         try:
             # sequential append into the node-wide parity log
             yield from posd.io_log_append("paritylog", op.size, tag="pl-append")
+            posd.check_alive()  # died with the append in flight: not logged
         except IntegrityError:
             # the parity node died with the data already committed in
             # place: the stripe resyncs once the node restarts or rebuilds
@@ -94,15 +94,10 @@ class ParityLogging(UpdateMethod):
             self._draining.discard(posd.name)
 
     def flush(self) -> Generator:
-        jobs = [
-            self.env.process(self._recycle_node(osd), name=f"pl-flush-{osd.name}")
-            for osd in self.ecfs.osds
-            if not osd.failed and self._logs.get(osd.name)
-        ]
-        if jobs:
-            yield self.env.all_of(jobs)
-        else:
-            yield self.env.timeout(0)
+        # the log is node-wide and stays with the node that took the append
+        yield from self._flush_per_osd(
+            self._logs, lambda osd, _log: self._recycle_node(osd)
+        )
 
     def _recycle_node(
         self,
@@ -137,8 +132,7 @@ class ParityLogging(UpdateMethod):
         # busy-mark BEFORE the arbiter grant: while the grant is pending the
         # popped deltas are in neither the visible log nor the blocks, and a
         # concurrent reconstruction must not capture that torn state
-        self._stripes_busy_begin(stripes)
-        try:
+        with self._applying(stripes):
             # unified maintenance plane: the whole replay is one recycle
             # grant — but only when recycling AS background work.  A
             # FOREGROUND drain (recovery_prepare's pre-rebuild settlement)
@@ -178,11 +172,6 @@ class ParityLogging(UpdateMethod):
                     # the node died mid-recycle with the entries already
                     # popped: the row resyncs on restart / its rebuild
                     self._mark_parity_resync(pbid)
-        finally:
-            self._stripes_busy_end(stripes)
-
-    def log_debt_bytes(self, osd: OSD) -> int:
-        return self._log_bytes.get(osd.name, 0)
 
     def _pending_unsettled(self) -> set[tuple[int, int]]:
         """Logged parity deltas correspond to data already updated in place."""
@@ -202,6 +191,3 @@ class ParityLogging(UpdateMethod):
     def recovery_prepare(self, posd: OSD) -> Generator:
         """Merge this node's pending parity log before its blocks are used."""
         yield from self._recycle_node(posd, IOPriority.FOREGROUND)
-
-    def memory_bytes(self, osd: OSD) -> int:
-        return self._log_bytes.get(osd.name, 0)

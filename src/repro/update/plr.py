@@ -74,6 +74,7 @@ class ParityLoggingReserved(UpdateMethod):
                 IOKind.WRITE, addr, op.size, stream="plr-reserved",
                 overwrite=True, tag="plr-append",
             )
+            posd.check_alive()  # died with the append in flight: not logged
         except IntegrityError:
             # the parity node died with the data already committed in
             # place: the stripe resyncs once the node restarts or rebuilds
@@ -99,62 +100,49 @@ class ParityLoggingReserved(UpdateMethod):
         used = self._used.pop(pbid, 0)
         if not entries:
             return
-        stripes = {(pbid.file_id, pbid.stripe)}
-        self._stripes_busy_begin(stripes)
-        try:
-            base = posd.block_addr(pbid)
-            yield from posd.io_at(
-                IOKind.READ,
-                base,
-                posd.block_size + used,
-                stream="plr-recycle",
-                priority=priority,
-                tag="plr-recycle",
-            )
-            total = sum(int(d.shape[0]) for _o, d in entries)
-            yield self.env.timeout(self.costs.xor(total))
-            for offset, pdelta in entries:
-                posd.store.xor_in(pbid, offset, pdelta)
-            yield from posd.io_at(
-                IOKind.WRITE,
-                base,
-                posd.block_size,
-                stream="plr-recycle",
-                priority=priority,
-                overwrite=True,
-                tag="plr-recycle",
-            )
-        except IntegrityError:
-            # the node died mid-recycle with the reserved-area entries
-            # already popped: the row resyncs on restart / its rebuild
-            self._mark_parity_resync(pbid)
-        finally:
-            self._stripes_busy_end(stripes)
+        with self._applying({(pbid.file_id, pbid.stripe)}):
+            try:
+                base = posd.block_addr(pbid)
+                yield from posd.io_at(
+                    IOKind.READ,
+                    base,
+                    posd.block_size + used,
+                    stream="plr-recycle",
+                    priority=priority,
+                    tag="plr-recycle",
+                )
+                total = sum(int(d.shape[0]) for _o, d in entries)
+                yield self.env.timeout(self.costs.xor(total))
+                for offset, pdelta in entries:
+                    posd.store.xor_in(pbid, offset, pdelta)
+                yield from posd.io_at(
+                    IOKind.WRITE,
+                    base,
+                    posd.block_size,
+                    stream="plr-recycle",
+                    priority=priority,
+                    overwrite=True,
+                    tag="plr-recycle",
+                )
+            except IntegrityError:
+                # the node died mid-recycle with the reserved-area entries
+                # already popped: the row resyncs on restart / its rebuild
+                self._mark_parity_resync(pbid)
 
     # ------------------------------------------------------------- drain
     def flush(self) -> Generator:
-        per_osd: dict[str, list[BlockId]] = defaultdict(list)
-        for pbid in list(self._pending):
-            per_osd[self.ecfs.osd_hosting(pbid).name].append(pbid)
-        jobs = []
-        for osd in self.ecfs.osds:
-            blocks = per_osd.get(osd.name)
-            if blocks:
-                jobs.append(
-                    self.env.process(
-                        self._flush_osd(osd, blocks), name=f"plr-flush-{osd.name}"
-                    )
-                )
-        if jobs:
-            yield self.env.all_of(jobs)
-        else:
-            yield self.env.timeout(0)
+        yield from self._flush_per_osd(
+            self._hosted(self._pending), self._flush_osd, IOPriority.BACKGROUND
+        )
 
-    def _flush_osd(self, osd: OSD, blocks: list[BlockId]) -> Generator:
+    def _flush_osd(self, osd: OSD, blocks: list[BlockId], priority: int) -> Generator:
         for pbid in blocks:
-            yield from self._recycle_block(osd, pbid, IOPriority.BACKGROUND)
+            yield from self._recycle_block(osd, pbid, priority)
 
     def log_debt_bytes(self, osd: OSD) -> int:
+        """Reserved bytes in use next to the parity blocks ``osd`` hosts now.
+        The deltas live on disk in the reserved areas, so the base class's
+        ``memory_bytes`` of 0 stands."""
         return sum(
             used
             for pbid, used in self._used.items()
@@ -172,19 +160,10 @@ class ParityLoggingReserved(UpdateMethod):
     def on_node_failed(self, victim: OSD) -> None:
         # reserved-space deltas are colocated with their parity block and
         # die with it; re-encoded rebuilds subsume them
-        for pbid in list(self._pending):
-            if self.ecfs.osd_hosting(pbid).name == victim.name:
-                self._pending.pop(pbid, None)
-                self._used.pop(pbid, None)
+        for pbid in self._hosted(self._pending).get(victim.name, ()):
+            self._pending.pop(pbid, None)
+            self._used.pop(pbid, None)
 
     def recovery_prepare(self, posd: OSD) -> Generator:
-        mine = [
-            pbid
-            for pbid in list(self._pending)
-            if self.ecfs.osd_hosting(pbid).name == posd.name
-        ]
-        for pbid in mine:
-            yield from self._recycle_block(posd, pbid, IOPriority.FOREGROUND)
-
-    def memory_bytes(self, osd: OSD) -> int:
-        return 0  # deltas live on disk in the reserved areas
+        mine = self._hosted(self._pending).get(posd.name, [])
+        yield from self._flush_osd(posd, mine, IOPriority.FOREGROUND)

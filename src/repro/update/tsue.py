@@ -26,7 +26,8 @@ option presets (:meth:`TSUEOptions.breakdown`).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Generator, Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from repro.cluster.client import UpdateOp
 from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
-from repro.core.intervals import ExtentMap, MergePolicy
+from repro.core.intervals import ExtentMap, MergePolicy, overlay
 from repro.common.errors import IntegrityError
 from repro.core.logpool import LogPool
 from repro.core.logunit import LogUnit, LogUnitState, RawKey
@@ -59,11 +60,9 @@ class TSUEOptions:
     pools_per_device: Optional[int] = None  # O4: pools per SSD (None: config)
     use_deltalog: bool = True  # O5: DeltaLog layer (else direct to parity)
     datalog_replicas: int = 1  # extra copies (1 -> 2 total; HDD uses 2)
-    replicate_deltalog: bool = True  # delta copy at the 2nd parity OSD
     unit_size: Optional[int] = None  # default: ClusterConfig.log_unit_size
-    min_units: Optional[int] = None
+    min_units: Optional[int] = None  # default: 2
     max_units: Optional[int] = None
-    recycle_lanes: Optional[int] = None
     # §7 future-work extension: compress deltas before forwarding them over
     # the network (the log residence window leaves ample time to compress)
     compress_deltas: bool = False
@@ -110,7 +109,7 @@ class TSUE(UpdateMethod):
         cfg = ecfs.config
         self.unit_size = self.opts.unit_size or cfg.log_unit_size
         if self.opts.use_logpool:
-            self.min_units = self.opts.min_units or cfg.log_min_units
+            self.min_units = self.opts.min_units or 2
             self.max_units = self.opts.max_units or cfg.log_max_units
         else:
             # Without the FIFO pool (fig. 7 Baseline/O1/O2) there is a single
@@ -121,7 +120,6 @@ class TSUE(UpdateMethod):
             self.min_units = self.max_units = 1
             self.unit_size = min(self.unit_size, 128 * 1024)
         self.n_pools = max(1, self.opts.pools_per_device or cfg.log_pools)
-        self.lanes = self.opts.recycle_lanes or cfg.recycle_lanes
         # hoisted per-pool stream names: the persist/forward/recycle inner
         # loops hit one of these per I/O, and the f-string was measurable
         self._dl_streams = [f"datalog{p}" for p in range(self.n_pools)]
@@ -137,11 +135,16 @@ class TSUE(UpdateMethod):
         self._live: dict[str, set[tuple[int, int]]] = {l: set() for l in _LAYERS}
         #: units fully recycled so far, all layers
         self.recycled_units = 0
-        self.planner = RecyclePlanner(n_lanes=self.lanes)
+        self.planner = RecyclePlanner()
         # residence/append timing per layer (Table 2), seconds
         self.append_times: dict[str, list[float]] = {l: [] for l in _LAYERS}
         self.replica_log_bytes: dict[str, int] = defaultdict(int)
         self._recycler_procs: dict[tuple[str, str, int], object] = {}
+        self._recycler_of = {
+            "datalog": partial(self._recycle_unit_in_lanes, self._datalog_lane),
+            "deltalog": self._recycle_deltalog_unit,
+            "paritylog": partial(self._recycle_unit_in_lanes, self._paritylog_lane),
+        }
         # recovery stash: the victim's unrecycled DataLog extents (replayed
         # onto rebuilt blocks from the replica logs) and DeltaLog-derived
         # parity deltas (replayed to surviving ParityLogs from the
@@ -218,13 +221,8 @@ class TSUE(UpdateMethod):
         self._start_background_for(osd)
 
     def _spawn_recycler(self, osd: OSD, layer: str, pidx: int, pool: LogPool) -> None:
-        recycler_of = {
-            "datalog": self._recycle_datalog_unit,
-            "deltalog": self._recycle_deltalog_unit,
-            "paritylog": self._recycle_paritylog_unit,
-        }
         proc = self.env.process(
-            self._recycler_loop(osd, pool, pidx, recycler_of[layer]),
+            self._recycler_loop(osd, pool, self._recycler_of[layer]),
             name=f"tsue-{layer}-{osd.name}-{pidx}",
         )
         self._recycler_procs[(osd.name, layer, pidx)] = proc
@@ -273,18 +271,14 @@ class TSUE(UpdateMethod):
             yield self.env.timeout(self.costs.op_fixed)
             return hit
         yield from osd.io_block(IOKind.READ, block, offset, size)
-        buf = (
-            osd.store.read(block, offset, size)
-            if block in osd.store
-            else np.zeros(size, dtype=np.uint8)
-        )
+        buf = osd.store.read(block, offset, size)
         if pool.covers_any(block, offset, size):
             # partial overlap: never return stale bytes (§3.3.3)
             pool.overlay(block, offset, size, buf)
         return buf
 
     # ----------------------------------------------------------- recyclers
-    def _recycler_loop(self, osd: OSD, pool: LogPool, pidx: int, fn) -> Generator:
+    def _recycler_loop(self, osd: OSD, pool: LogPool, fn) -> Generator:
         while True:
             unit = yield pool.recyclable.get()
             # unified maintenance plane: wait for the arbiter's paced grant
@@ -302,7 +296,7 @@ class TSUE(UpdateMethod):
                 self.recovery_bypass_bytes += int(unit.used)
             unit.start_recycle(self.env.now)
             try:
-                yield from fn(osd, pool, pidx, unit)
+                yield from fn(osd, pool, unit)
             except IntegrityError:
                 return  # the node died mid-recycle; recovery takes over
             pool.unit_recycled(unit)
@@ -311,18 +305,18 @@ class TSUE(UpdateMethod):
             # wake drain/quiesce/reconstruction waiters to re-check
             self.ecfs.notify_settlement()
 
-    # -- stage 1: DataLog ----------------------------------------------------
-    def _recycle_datalog_unit(
-        self, osd: OSD, pool: LogPool, pidx: int, unit: LogUnit
+    def _recycle_unit_in_lanes(
+        self, lane_fn, osd: OSD, pool: LogPool, unit: LogUnit
     ) -> Generator:
-        items = self.planner.plan(unit)
-        lanes = list(self.planner.lanes(items))
+        """Plan ``unit`` per block and run its lanes concurrently (DataLog
+        and ParityLog; the DeltaLog recycle merges across blocks instead)."""
+        lanes = list(self.planner.lanes(self.planner.plan(unit)))
         if lanes:
             yield spawn_fanout(
-                self.env,
-                [self._datalog_lane(osd, pool, unit, lane) for lane in lanes],
+                self.env, [lane_fn(osd, pool, unit, lane) for lane in lanes]
             )
 
+    # -- stage 1: DataLog ----------------------------------------------------
     def _datalog_lane(self, osd: OSD, pool: LogPool, unit: LogUnit, lane_items) -> Generator:
         for work in lane_items:
             block = self._real_block(work.block)
@@ -341,26 +335,26 @@ class TSUE(UpdateMethod):
                     IOKind.READ, block, ext.start, ext.size,
                     IOPriority.BACKGROUND, tag="tsue-dl-recycle",
                 )
-                # snapshot via read-only view: the XOR materializes the
-                # delta before the next yield, so no copy is needed
-                old = (
-                    osd.store.read_view(block, ext.start, ext.size)
-                    if block in osd.store
-                    else np.zeros(ext.size, dtype=np.uint8)
-                )
-                delta = old ^ ext.data
-                yield self.env.timeout(self.costs.xor(ext.size))
-                # forward the delta BEFORE the in-place overwrite: should the
-                # node die in between, a replay recomputes the same delta
-                # from the unchanged block and the receivers dedup by token
                 token = (pool.name, unit.unit_id, unit.generation) + key
-                yield from self._forward_delta(osd, block, ext.start, delta, token)
-                yield from osd.io_block(
-                    IOKind.WRITE, block, ext.start, ext.size,
-                    IOPriority.BACKGROUND, overwrite=True, tag="tsue-dl-recycle",
-                )
-                osd.store.write(block, ext.start, ext.data)
+                yield from self._merge_extent(osd, block, ext, token, "tsue-dl-recycle")
                 unit.recycle_progress.add(key)
+
+    def _merge_extent(self, osd: OSD, block: BlockId, ext, token, tag: str) -> Generator:
+        """Merge one DataLog extent into ``block`` at ``osd`` (its read
+        already charged): delta out, then the new bytes in place."""
+        # snapshot via read-only view: the XOR materializes the delta
+        # before the next yield, so no copy is needed
+        delta = osd.store.read_view(block, ext.start, ext.size) ^ ext.data
+        yield self.env.timeout(self.costs.xor(ext.size))
+        # forward the delta BEFORE the in-place overwrite: should the node
+        # die in between, a replay recomputes the same delta from the
+        # unchanged block and the receivers dedup by token
+        yield from self._forward_delta(osd, block, ext.start, delta, token)
+        yield from osd.io_block(
+            IOKind.WRITE, block, ext.start, ext.size,
+            IOPriority.BACKGROUND, overwrite=True, tag=tag,
+        )
+        osd.store.write(block, ext.start, ext.data)
 
     def _forward_delta(
         self,
@@ -421,12 +415,8 @@ class TSUE(UpdateMethod):
         t0 = self.env.now
         size = int(delta.shape[0])
         rs = self.ecfs.rs
-        if token is not None:
-            # claim at entry (see _paritylog_append): concurrent replays of
-            # one delta must not both pass the check before either commits
-            if token in self._seen_tokens[p1.name]:
-                return  # duplicate delivery from a replayed recycle
-            self._seen_tokens[p1.name].add(token)
+        if not self._claim(p1, token):
+            return
         try:
             yield from self.forward(osd, p1, wire_size)
             # device append first, then the in-memory index: a crash in
@@ -441,11 +431,10 @@ class TSUE(UpdateMethod):
             dpool = self._pool(p1, "deltalog", block)
             yield from dpool.append(block, offset, delta, own=True)
         except IntegrityError:
-            if token is not None:
-                self._seen_tokens[p1.name].discard(token)  # nothing committed
+            self._unclaim(p1, token)
             raise
         self.append_times["deltalog"].append(self.env.now - t0)
-        if self.opts.replicate_deltalog and rs.m >= 2:
+        if rs.m >= 2:  # delta copy at the 2nd parity OSD
             p2 = self.ecfs.osd_hosting(
                 BlockId(block.file_id, block.stripe, rs.k + 1)
             )
@@ -459,6 +448,25 @@ class TSUE(UpdateMethod):
                     self.replica_log_bytes[p2.name] += size
                 except IntegrityError:
                     pass  # replica copy lost with p2; the primary log stands
+
+    def _claim(self, host: OSD, token: tuple | None) -> bool:
+        """Receiver-side dedup for a delivery to ``host``; False means a
+        duplicate from a replayed recycle, to be dropped.  The token is
+        claimed at ENTRY: two concurrent replays of one delta (e.g. two
+        overlapping recoveries draining the same stash) would both pass a
+        commit-time check before either commits."""
+        if token is None:
+            return True
+        seen = self._seen_tokens[host.name]
+        if token in seen:
+            return False
+        seen.add(token)
+        return True
+
+    def _unclaim(self, host: OSD, token: tuple | None) -> None:
+        """The delivery committed nothing: let its redelivery through."""
+        if token is not None:
+            self._seen_tokens[host.name].discard(token)
 
     # -- stage 2: DeltaLog ----------------------------------------------------
     def _plan_delta_forwards(self, unit: LogUnit) -> list[tuple[tuple, BlockId, object]]:
@@ -499,9 +507,7 @@ class TSUE(UpdateMethod):
                     out.append((("dx",) + base + (n,), pbid, ext))
         return out
 
-    def _recycle_deltalog_unit(
-        self, osd: OSD, pool: LogPool, pidx: int, unit: LogUnit
-    ) -> Generator:
+    def _recycle_deltalog_unit(self, osd: OSD, pool: LogPool, unit: LogUnit) -> Generator:
         # Charge the Eq. (5) GF work as the seed model did: one multiply per
         # SOURCE extent per parity row (the planning helper computes the
         # merged extents untimed so a crash-replay can recompute them).
@@ -533,13 +539,8 @@ class TSUE(UpdateMethod):
         pdelta: np.ndarray,
         token: tuple | None = None,
     ) -> Generator:
-        if token is not None:
-            # claim at entry: two concurrent replays of one delta (e.g. two
-            # overlapping recoveries draining the same stash) would both
-            # pass a commit-time check before either commits
-            if token in self._seen_tokens[posd.name]:
-                return  # duplicate delivery from a replayed recycle
-            self._seen_tokens[posd.name].add(token)
+        if not self._claim(posd, token):
+            return
         t0 = self.env.now
         ppool = self._pool(posd, "paritylog", pbid)
         if not posd.failed:
@@ -557,26 +558,14 @@ class TSUE(UpdateMethod):
                 return
             except IntegrityError:
                 pass  # the node died mid-append; fall through
-        if token is not None:
-            self._seen_tokens[posd.name].discard(token)  # nothing committed
+        self._unclaim(posd, token)
         if ppool.dead:
             return  # real crash: the re-encoded rebuild subsumes this delta
         # transiently down (bounce): buffer for replay at restart
         self._pending_parity[posd.name].append((token, pbid, offset, pdelta))
 
     # -- stage 3: ParityLog ----------------------------------------------------
-    def _recycle_paritylog_unit(
-        self, osd: OSD, pool: LogPool, pidx: int, unit: LogUnit
-    ) -> Generator:
-        items = self.planner.plan(unit)
-        lanes = list(self.planner.lanes(items))
-        if lanes:
-            yield spawn_fanout(
-                self.env,
-                [self._paritylog_lane(osd, unit, lane) for lane in lanes],
-            )
-
-    def _paritylog_lane(self, osd: OSD, unit: LogUnit, lane_items) -> Generator:
+    def _paritylog_lane(self, osd: OSD, pool: LogPool, unit: LogUnit, lane_items) -> Generator:
         for work in lane_items:
             pbid = self._real_block(work.block)
             for ext in work.extents:
@@ -642,21 +631,9 @@ class TSUE(UpdateMethod):
         its ``recycle_progress`` set and the receivers' dedup tokens make
         the replay exactly-once.
         """
-        def unrecycled(pool):
-            # RECYCLED units retain their index only as a read cache: their
-            # content is already merged and must NOT be replayed (deltas
-            # would double-apply).  Only live content counts.
-            for unit in pool.units:
-                if unit.used and unit.state in (
-                    LogUnitState.EMPTY,
-                    LogUnitState.RECYCLABLE,
-                    LogUnitState.RECYCLING,
-                ):
-                    yield unit
-
         layers = self.pools[victim.name]
         for pool in layers["datalog"]:
-            for unit in unrecycled(pool):
+            for unit in pool.live_units():
                 # ALL extents are stashed, including ones a mid-flight
                 # recycle already applied: degraded reads overlay them, and
                 # their replay self-cancels (the recomputed delta is zero
@@ -667,7 +644,7 @@ class TSUE(UpdateMethod):
                     self._stash_data.setdefault(block, []).extend(exts)
                     self._stash_bytes += sum(e.size for e in exts)
         for pool in layers["deltalog"]:
-            for unit in unrecycled(pool):
+            for unit in pool.live_units():
                 for key, pbid, ext in self._plan_delta_forwards(unit):
                     if key in unit.recycle_progress:
                         continue  # forwarded durably before the crash
@@ -696,23 +673,19 @@ class TSUE(UpdateMethod):
                     continue  # survived the outage; its unit is still its own
                 pool.requeue_interrupted()
                 self._spawn_recycler(osd, layer, pidx, pool)
-        pending = self._pending_parity.pop(osd.name, [])
-        if pending:
-            # busy-mark synchronously with the pop: the deltas must never be
-            # invisible to stripe-settlement checks
-            stripes = {(pbid.file_id, pbid.stripe) for _t, pbid, _o, _d in pending}
-            self._stripes_busy_begin(stripes)
+        if self._pending_parity.get(osd.name):
             self.env.process(
-                self._replay_pending(osd, pending, stripes),
-                name=f"tsue-pending-{osd.name}",
+                self._replay_pending(osd), name=f"tsue-pending-{osd.name}"
             )
 
-    def _replay_pending(self, osd: OSD, pending: list, stripes: set) -> Generator:
-        try:
+    def _replay_pending(self, osd: OSD) -> Generator:
+        # busy-mark synchronously with the pop: the deltas must never be
+        # invisible to stripe-settlement checks
+        pending = self._pending_parity.pop(osd.name, [])
+        stripes = {(pbid.file_id, pbid.stripe) for _t, pbid, _o, _d in pending}
+        with self._applying(stripes):
             for token, pbid, offset, pdelta in pending:
                 yield from self._paritylog_append(osd, pbid, offset, pdelta, token)
-        finally:
-            self._stripes_busy_end(stripes)
 
     def pre_rebuild(self) -> Generator:
         """Read stashed logs back from their replicas and replay the delta
@@ -729,16 +702,13 @@ class TSUE(UpdateMethod):
         # stop any racing double-delivery)
         replay, self._stash_delta = self._stash_delta, []
         stripes = {(pbid.file_id, pbid.stripe) for _t, pbid, _o, _d in replay}
-        self._stripes_busy_begin(stripes)
-        try:
+        with self._applying(stripes):
             for token, pbid, offset, pdelta in replay:
                 posd = self.ecfs.osd_hosting(pbid)
                 if posd.failed:
                     continue
                 yield self.env.timeout(self.costs.gf_mul(pdelta.shape[0]))
                 yield from self._paritylog_append(posd, pbid, offset, pdelta, token)
-        finally:
-            self._stripes_busy_end(stripes)
         yield from self._recovery_flush()
 
     def post_rebuild(self, block: BlockId, target: OSD, rebuilt: np.ndarray) -> Generator:
@@ -808,18 +778,13 @@ class TSUE(UpdateMethod):
                 stream="datalog-rep-read",
                 tag="tsue-degraded",
             )
-        end = offset + size
         # victim's pools (pre-teardown) hold the authoritative log content
         pools = self.pools.get(home.name)
         if pools:
             pool = pools["datalog"][self._pool_idx(block)]
             pool.overlay(block, offset, size, buf)
         # after on_node_failed, unrecycled extents live in the stash
-        for ext in self._stash_data.get(block, ()):
-            s, e = max(ext.start, offset), min(ext.end, end)
-            if s < e:
-                buf[s - offset : e - offset] = ext.data[s - ext.start : e - ext.start]
-        return buf
+        return overlay(buf, offset, self._stash_data.get(block, ()))
 
     def _pending_unsettled(self) -> set[tuple[int, int]]:
         """Stripes whose parity lags data: any DeltaLog/ParityLog content
@@ -830,9 +795,7 @@ class TSUE(UpdateMethod):
         out: set[tuple[int, int]] = set(self._busy_stripes)
         for layer in _LAYERS:
             for _osd, pool in self._live_pools(layer):
-                for unit in pool.units:
-                    if not unit.used or unit.state is LogUnitState.RECYCLED:
-                        continue
+                for unit in pool.live_units():
                     if layer == "datalog" and unit.state is not LogUnitState.RECYCLING:
                         continue
                     for key in unit.index.blocks():
@@ -853,14 +816,12 @@ class TSUE(UpdateMethod):
         recycle applies them to whichever store the *log* lives on).  Any
         live unit on any layer holding content for ``block`` blocks the
         move until a flush settles it."""
-        for pool in self._live_pools_on(osd):
-            for unit in pool.units:
-                if not unit.used or unit.state is LogUnitState.RECYCLED:
-                    continue
-                for key in unit.index.blocks():
-                    if self._real_block(key) == block:
-                        return True
-        return False
+        return any(
+            self._real_block(key) == block
+            for pool in self._live_pools_on(osd)
+            for unit in pool.live_units()
+            for key in unit.index.blocks()
+        )
 
     # ------------------------------------------------- migration (log move)
     def _live_block_extents(self, osd: OSD, block: BlockId) -> list:
@@ -880,16 +841,9 @@ class TSUE(UpdateMethod):
         layers = self.pools.get(osd.name)
         if not layers:
             return out
-        live = (
-            LogUnitState.EMPTY,
-            LogUnitState.RECYCLABLE,
-            LogUnitState.RECYCLING,
-        )
         for layer, prefix in (("datalog", "dl"), ("paritylog", "pl")):
             for pool in layers[layer]:
-                for unit in pool.units:
-                    if not unit.used or unit.state not in live:
-                        continue
+                for unit in pool.live_units():
                     for work in self.planner.plan(unit):
                         if self._real_block(work.block) != block:
                             continue
@@ -951,21 +905,9 @@ class TSUE(UpdateMethod):
         for layer, pool, unit, key, ext in records:
             token = (pool.name, unit.unit_id, unit.generation) + key
             if layer == "datalog":
-                old = (
-                    dst.store.read_view(block, ext.start, ext.size)
-                    if block in dst.store
-                    else np.zeros(ext.size, dtype=np.uint8)
-                )
-                delta = old ^ ext.data
-                yield self.env.timeout(self.costs.xor(ext.size))
-                # forward before the in-place write (the recycle's crash
-                # discipline), then land the new bytes at the destination
-                yield from self._forward_delta(dst, block, ext.start, delta, token)
-                yield from dst.io_block(
-                    IOKind.WRITE, block, ext.start, ext.size,
-                    IOPriority.BACKGROUND, overwrite=True, tag="tsue-ship",
-                )
-                dst.store.write(block, ext.start, ext.data)
+                # the recycle's own merge (and crash discipline), against
+                # the destination's copy
+                yield from self._merge_extent(dst, block, ext, token, "tsue-ship")
             else:  # paritylog: merge the pending parity delta into the copy
                 yield from self.parity_rmw(
                     dst, block, ext.start, ext.data,
@@ -980,19 +922,9 @@ class TSUE(UpdateMethod):
 
     # ------------------------------------------------------------- metrics
     def log_debt_bytes(self, osd: OSD) -> int:
-        """Unrecycled log bytes: content of EMPTY (active), RECYCLABLE and
-        RECYCLING units.  RECYCLED units retain ``used`` only as read-cache
-        metadata and carry no debt."""
-        live = (
-            LogUnitState.EMPTY,
-            LogUnitState.RECYCLABLE,
-            LogUnitState.RECYCLING,
-        )
+        """Unrecycled log bytes (:meth:`LogPool.live_units`)."""
         return sum(
-            u.used
-            for pool in self._live_pools_on(osd)
-            for u in pool.units
-            if u.state in live
+            u.used for pool in self._live_pools_on(osd) for u in pool.live_units()
         )
 
     def memory_bytes(self, osd: OSD) -> int:

@@ -7,6 +7,7 @@ rebuilds the node, and the stripe-verify oracle must pass byte-for-byte:
 no acked update may be lost, none may double-apply.
 """
 
+import inspect
 import sys
 
 import pytest
@@ -23,12 +24,17 @@ from repro.update import METHODS
 
 def _spy_handler_resyncs(method, handled: list) -> None:
     """Append to ``handled`` the name of every function that marks a parity
-    row for resync from inside an ``except IntegrityError`` block."""
+    row for resync from inside an ``except IntegrityError`` block, and of the
+    generators delegating to it (the handler the log-apply loops share is
+    ``UpdateMethod.deliver_parity``; the loop that reached it is its caller)."""
     mark = method._mark_parity_resync
 
     def spy(pbid):
         if isinstance(sys.exc_info()[1], IntegrityError):
-            handled.append(sys._getframe(1).f_code.co_name)
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_flags & inspect.CO_GENERATOR:
+                handled.append(frame.f_code.co_name)
+                frame = frame.f_back
         mark(pbid)
 
     method._mark_parity_resync = spy

@@ -7,6 +7,12 @@ hash of every block's bytes).  Any nondeterminism in the DES event order,
 RNG plumbing, or data movement changes the digest.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.fault.digest import cluster_digest, content_digest
@@ -61,3 +67,57 @@ def test_determinism_across_methods(method):
         return content_digest(run_experiment(cfg, keep_cluster=True).ecfs)
 
     assert digest() == digest()
+
+
+# ------------------------------------------------------ across hash seeds
+_OFFSETS_SNIPPET = """
+import json
+from repro.cluster import ClusterConfig, ECFS
+from repro.storage.base import StorageDevice
+
+offsets = []
+submit = StorageDevice.submit
+
+def recording_submit(device, req):
+    offsets.append([device.name, req.tag, req.offset])
+    return submit(device, req)
+
+StorageDevice.submit = recording_submit
+for method in ("fl", "parix"):
+    ecfs = ECFS(
+        ClusterConfig(n_osds=10, k=4, m=2, block_size=1 << 16, seed=5),
+        method=method,
+    )
+    files = ecfs.populate(n_files=1, stripes_per_file=1, fill="zeros")
+    (client,) = ecfs.add_clients(1)
+    # FL: a read of a logged range merges the log region in; PARIX: the
+    # first update of an address writes an index page at each parity node
+    ecfs.env.run(ecfs.env.process(client.update(files[0], 12345, 4000)))
+    ecfs.env.run(ecfs.env.process(client.read(files[0], 12345, 4000)))
+print(json.dumps(offsets))
+"""
+
+
+def _offsets_under(hash_seed: str) -> list:
+    src_dir = pathlib.Path(__file__).parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _OFFSETS_SNIPPET],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src_dir), PYTHONHASHSEED=hash_seed),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def test_device_addresses_do_not_move_with_the_hash_seed():
+    """Every simulated device address (the input of the sequential-or-random
+    classification, i.e. of service time) is the same under any
+    ``PYTHONHASHSEED`` — in particular the four that used to come from
+    ``hash()`` of something holding a ``str``: FL's log-region reads, PARIX's
+    index-page writes and every log stream's base address."""
+    one, two = _offsets_under("1"), _offsets_under("2")
+    tags = {tag for _device, tag, _offset in one}
+    assert {"fl-append", "fl-read-merge", "parix-append", "parix-index"} <= tags
+    assert one == two

@@ -10,7 +10,10 @@ regression or deliberately re-blessing the files (and bumping
 must justify).  The quick-scale fig5 / fig6a / fig6b / fig7 / fig8b /
 table2 goldens beside them are compared inside the ``benchmarks/`` runs
 that already generate those figures (``quick_golden``), not a second time
-here.
+here.  CI runs both tiers without a sweep cell cache (``REPRO_CACHE_DIR``
+unset): the cache is addressed by the cell's config, not the code, so a
+restored one would compare these goldens against cells an older commit
+computed.
 
 Goldens were last blessed for the integer-microsecond event core: service
 and wire times now round onto the µs grid, which moved every latency by

@@ -10,7 +10,7 @@ agreeing with the model on every query, and its structural invariants
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.intervals import ExtentMap, MergePolicy
+from repro.core.intervals import Extent, ExtentMap, MergePolicy, overlay
 
 SPACE = 256  # model byte-space size; small so overlaps/adjacency are common
 
@@ -141,6 +141,44 @@ def test_queries_match_model(policy, ops, qoff, qsize):
         assert qoff <= goff and goff + gsize <= qoff + qsize
         mask[goff - qoff : goff - qoff + gsize] = False
     assert np.array_equal(mask, window)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ops_strategy,
+    st.integers(min_value=0, max_value=SPACE - 1),
+    st.integers(min_value=1, max_value=64),
+)
+def test_overlay_matches_model_later_extent_wins(ops, qoff, qsize):
+    """``overlay`` lands raw, possibly overlapping extents on a window of a
+    read buffer exactly as writing them in order into the byte model does:
+    bytes no extent covers keep the buffer's value, a later extent wins."""
+    qsize = min(qsize, SPACE - qoff)
+    model = ByteModel(MergePolicy.OVERWRITE)
+    extents = []
+    for offset, size, fill in ops:
+        size = min(size, SPACE - offset)
+        data = ((np.arange(size) + fill) % 256).astype(np.uint8)
+        model.insert(offset, data)
+        extents.append(Extent(offset, data))
+    base = np.full(qsize, 0xEE, dtype=np.uint8)
+    want = np.where(
+        model.covered[qoff : qoff + qsize], model.bytes[qoff : qoff + qsize], base
+    )
+    buf = base.copy()
+    assert overlay(buf, qoff, extents) is buf
+    assert np.array_equal(buf, want)
+    # an ExtentMap's own extents overlay to the same bytes (what the log
+    # read paths pass), and reversing the raw order flips who wins
+    emap, _ = _build(MergePolicy.OVERWRITE, ops)
+    assert np.array_equal(overlay(base.copy(), qoff, emap.extents()), want)
+    first_wins = ByteModel(MergePolicy.OVERWRITE)
+    for ext in reversed(extents):
+        first_wins.insert(ext.start, ext.data)
+    assert np.array_equal(
+        overlay(base.copy(), qoff, reversed(extents))[model.covered[qoff : qoff + qsize]],
+        first_wins.bytes[qoff : qoff + qsize][model.covered[qoff : qoff + qsize]],
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,8 @@ over every unit of every pool survives only here, as the oracle:
 
 * a hypothesis state machine drives one pool through append / force-seal /
   recycle / quota stall / ``fail`` / restart requeue and recounts after
-  every step;
+  every step — the backlog, the live set and ``LogPool.live_units``, the one
+  place that says which units still hold unrecycled content;
 * whole fault scenarios recount across all three layers at every
   settlement notification and at the end of the run;
 * the drain's pool visits are counted on 120 and on 480 OSDs: they follow
@@ -54,6 +55,16 @@ def scan_holds_debt(pool: LogPool) -> bool:
     )
 
 
+def scan_debt_bytes(pool: LogPool) -> int:
+    """TSUE's ``log_debt_bytes`` as it was spelled before ``live_units``."""
+    unrecycled = (
+        LogUnitState.EMPTY,
+        LogUnitState.RECYCLABLE,
+        LogUnitState.RECYCLING,
+    )
+    return sum(u.used for u in pool.units if u.state in unrecycled)
+
+
 def assert_ledger_equals_scan(ecfs: ECFS) -> None:
     method = ecfs.method
     for layer, live in method._live.items():
@@ -61,6 +72,7 @@ def assert_ledger_equals_scan(ecfs: ECFS) -> None:
         for osd in ecfs.osds:
             for p, pool in enumerate(method.pools[osd.name][layer]):
                 assert pool.backlog == scan_backlog(pool), pool.name
+                assert sum(u.used for u in pool.live_units()) == scan_debt_bytes(pool)
                 if scan_holds_debt(pool):
                     expect.add((osd.idx, p))
         assert live == expect, layer
@@ -135,6 +147,12 @@ class PoolLedgerMachine(RuleBasedStateMachine):
         assert self.pool.backlog == scan_backlog(self.pool)
         assert self.pool.holds_debt == scan_holds_debt(self.pool)
         assert ("p" in self.live) == scan_holds_debt(self.pool)
+        live = self.pool.live_units()
+        assert sum(u.used for u in live) == scan_debt_bytes(self.pool)
+        assert bool(live) == scan_holds_debt(self.pool)
+        # oldest first, and never a read-cache (RECYCLED) or empty unit
+        assert live == [u for u in self.pool.units if u in live]
+        assert all(u.used and u.state is not LogUnitState.RECYCLED for u in live)
 
 
 PoolLedgerMachine.TestCase.settings = settings(

@@ -373,7 +373,7 @@ def test_run_until_event_drains_earlier_same_time_events():
     stop = env.event()
     stop._ok = True
     stop._state = 1  # triggered
-    env._schedule(stop, delay=1.0, priority=0)
+    env.schedule_at(stop, 1.0, priority=0)
     env.run(stop)
     assert order == ["a", "b"]
     # the logger processes' completion events were scheduled *after* the

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig, ECFS
 from repro.common.errors import IntegrityError
+from repro.fault.digest import content_digest
 from repro.sim import Environment
 from repro.storage import (
     BlockStore,
@@ -210,8 +212,74 @@ def test_blockstore_bounds_checked():
         bs.read("b", 60, 10)
     with pytest.raises(IntegrityError):
         bs.write("b", -1, np.ones(4, dtype=np.uint8))
+    # a block nothing was written to is bounds-checked like any other
     with pytest.raises(IntegrityError):
-        bs.read("missing")
+        bs.read("missing", 60, 10)
+    with pytest.raises(IntegrityError):
+        bs.read_view("missing", -1, 4)
+
+
+def test_blockstore_absent_block_reads_as_zeros_and_stays_absent():
+    bs = BlockStore(64)
+    for got in (
+        bs.read("missing"),
+        bs.read("missing", 8, 4),
+        bs.read_view("missing", 8, 4),
+        bs.view("missing"),
+    ):
+        assert got.dtype == np.uint8 and not got.any()
+    assert bs.read("missing").shape == bs.view("missing").shape == (64,)
+    bs.read("missing")[0] = 1  # a read is the caller's own copy, as ever
+    for view in (bs.view("missing"), bs.read_view("missing")):
+        with pytest.raises(ValueError):
+            view[0] = 1
+    # reading materializes nothing: the digest must still tell a block that
+    # was never written from one that holds zeros
+    assert "missing" not in bs and len(bs) == 0 and bs.nbytes() == 0
+    with pytest.raises(IntegrityError):
+        bs.corrupt("missing", 0, 4)
+    bs.xor_in("missing", 8, np.full(4, 9, dtype=np.uint8))
+    assert "missing" in bs and (bs.read("missing", 8, 4) == 9).all()
+
+
+def test_content_digest_tells_absent_from_zero():
+    ecfs = ECFS(ClusterConfig(n_osds=4, k=2, m=1, block_size=4096), method="fo")
+    ecfs.populate(n_files=1, stripes_per_file=1, fill="zeros")
+    with_zeros = content_digest(ecfs)
+    bid = min(ecfs.known_blocks)
+    store = ecfs.osd_hosting(bid).store
+    store.delete(bid)
+    assert bid not in store and not store.read(bid).any()
+    assert content_digest(ecfs) != with_zeros
+    store.create_zero(bid)
+    assert content_digest(ecfs) == with_zeros
+
+
+def test_blockstore_put_lands_a_whole_block_over_anything():
+    backing = np.arange(128, dtype=np.uint8).reshape(2, 64)
+    bs = BlockStore(64)
+    bs.create_shared("b", backing[1])
+
+    def no_promotion(block_id):
+        raise AssertionError(f"put promoted {block_id!r} before replacing it")
+
+    bs._writable = no_promotion
+    sevens = np.full(64, 7, dtype=np.uint8)
+    bs.put("b", sevens)
+    sevens[0] = 1  # copied in, like create()
+    assert (bs.read("b") == 7).all()
+    assert not np.shares_memory(bs.view("b"), backing)
+    assert (backing[1] == np.arange(64, 128)).all()
+    # first write and rewrite are the same call; own=True adopts the array
+    mine = np.full(64, 3, dtype=np.uint8)
+    bs.put("new", mine, own=True)
+    assert np.shares_memory(bs.view("new"), mine) and len(bs) == 2
+    bs.put("new", np.zeros(64, dtype=np.uint8))
+    assert not bs.read("new").any()
+    # a wrong-sized block is refused and what was there stays
+    with pytest.raises(IntegrityError):
+        bs.put("b", np.zeros(8, dtype=np.uint8))
+    assert (bs.read("b") == 7).all()
 
 
 def test_blockstore_create_twice_rejected():

@@ -191,3 +191,59 @@ def test_pl_accumulates_then_flushes_debt():
     ecfs.drain()
     assert ecfs.total_log_debt() == 0
     assert ecfs.verify() == 1
+
+
+# crash times at which an append is in flight on the victim (seed 21, 150
+# tencloud ops, 4 clients): its device I/O still returns after the node died
+_LOG_HOST_CRASHES = {
+    "fl": (5, 0.0011),
+    "pl": (5, 0.0006),
+    "plr": (5, 0.0007),
+    "parix": (5, 0.0010),
+    "cord": (5, 0.0006),
+}
+_LOGGED_ON = {
+    "fl": lambda m, osd: m._hosted(m._datalog).get(osd.name),
+    "pl": lambda m, osd: m._logs.get(osd.name),
+    "plr": lambda m, osd: m._hosted(m._pending).get(osd.name),
+    "parix": lambda m, osd: m._hosted(m._logs, lambda key: key[0]).get(osd.name),
+    "cord": lambda m, osd: m._buffers.get(osd.name),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_LOG_HOST_CRASHES))
+def test_flush_fanout_skips_a_dead_log_host_and_nothing_is_left_on_it(method):
+    """``on_node_failed`` drops or stashes what a log host held, and an append
+    whose I/O was in flight when the host died commits nothing — so the
+    per-OSD flush fan-out may skip dead OSDs for every method (PLR and CoRD
+    used to start a process for them; PL skipped them and kept the entry
+    for ever)."""
+    victim_idx, crash_at = _LOG_HOST_CRASHES[method]
+    ecfs = _cluster(method, seed=21)
+    files = ecfs.populate(n_files=2, stripes_per_file=2, fill="random")
+    trace = generate_trace(
+        tencloud_spec(), 150, files, ecfs.mds.lookup(files[0]).size, seed=21
+    )
+    victim = ecfs.osds[victim_idx]
+
+    def crash():
+        yield ecfs.env.timeout(crash_at)
+        ecfs.crash_osd(victim_idx)
+
+    ecfs.env.process(crash())
+    result = TraceReplayer(ecfs, trace).run(4, tolerate_failures=True)
+    assert result.failures > 0 and result.updates > 0
+
+    started = []
+    process = ecfs.env.process
+
+    def recording_process(generator, name=None):
+        started.append(name)
+        return process(generator, name=name)
+
+    ecfs.env.process = recording_process
+    ecfs.drain()
+    flushes = [n for n in started if n and n.startswith(f"{method}-flush-")]
+    assert flushes and f"{method}-flush-{victim.name}" not in flushes
+    assert not _LOGGED_ON[method](ecfs.method, victim)
+    assert ecfs.method.log_debt_bytes(victim) == 0
