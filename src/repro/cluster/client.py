@@ -127,8 +127,7 @@ class Client:
         )
         osd.store.put(bid, content)
         if bid.idx < ecfs.rs.k:
-            ecfs.oracle.apply(bid, 0, content)
-            ecfs.oracle.applied_updates -= 1  # normal writes aren't updates
+            ecfs.oracle.put(bid, content)  # a normal write, not an update
         yield from ecfs.net.transfer(osd.name, self.name, ecfs.config.ack_bytes)
 
     def _next_op(self) -> int:

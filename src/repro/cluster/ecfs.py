@@ -474,8 +474,9 @@ class ECFS:
                 # coded[i, s*bs:(s+1)*bs] is block i of stripe s
                 coded[:k].reshape(k, spf, bs)[:] = draw.transpose(1, 0, 2)
                 coded[k:] = self.rs.encode_matrix(coded[:k])
-                # Blocks are read-only views into this one matrix; the
-                # stores/oracle promote to private copies on first write.
+                # Blocks are read-only views into this one matrix; a
+                # store's or the oracle's write lands in the block's XOR
+                # delta, never in the matrix.
                 coded.flags.writeable = False
                 for s in range(spf):
                     lo = s * bs

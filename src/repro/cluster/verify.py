@@ -9,6 +9,12 @@ harness calls :meth:`verify_cluster` which checks, stripe by stripe, that
 
 Any divergence raises :class:`IntegrityError` — the reproduction's tests
 run every method through this oracle.
+
+The mirror is a :class:`~repro.storage.blockstore.BlockStore`, so the oracle
+shares, promotes and reads block bytes by the same rules as an OSD's store:
+zero-fill blocks stand on the zero template, populate blocks are read-only
+views of the populate matrix, and an update into one of those costs the
+pages it writes (an XOR delta), not a copy of the block.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 
 from repro.cluster.ids import BlockId
 from repro.common.errors import IntegrityError
-from repro.common.zeromem import zero_block, zero_template
 from repro.ec.rs import RSCode
+from repro.storage.blockstore import BlockStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.ecfs import ECFS
@@ -33,68 +39,35 @@ class GroundTruth:
 
     def __init__(self, block_size: int) -> None:
         self.block_size = block_size
-        self._blocks: dict[BlockId, np.ndarray] = {}
+        #: the mirror; only :meth:`apply` counts toward :attr:`applied_updates`
+        self.store = BlockStore(block_size)
         self.applied_updates = 0
-        # copy-on-write zero template (bulk zero-fill populate registers
-        # hundreds of blocks; most never see an update) — the same object
-        # the block stores of this block size hold
-        self._zero = zero_template(block_size)
-
-    def touch(self, block: BlockId) -> None:
-        """Register a known-zero block without allocating (CoW template)."""
-        self._blocks.setdefault(block, self._zero)
 
     def touch_many(self, blocks: Iterable[BlockId]) -> None:
-        """Bulk :meth:`touch` for the zero-fill populate path."""
-        zero = self._zero
-        setdefault = self._blocks.setdefault
-        for block in blocks:
-            setdefault(block, zero)
+        """Register known-zero blocks without allocating (zero-fill populate)."""
+        self.store.create_zero_many(blocks)
 
     def adopt(self, block: BlockId, data: np.ndarray) -> None:
-        """Register initial content zero-copy, outside update accounting.
+        """Register initial content zero-copy: a read-only view sharing the
+        caller's buffer (a populate matrix), never written through."""
+        self.store.create_shared(block, data)
 
-        Stores a read-only view sharing the caller's buffer (the vectorized
-        populate path carves blocks out of one backing matrix); the
-        copy-on-write promotion in :meth:`apply` gives the block a private
-        array on its first real update.  Does not count toward
-        :attr:`applied_updates` — this is initial state, not an update.
-        """
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != (self.block_size,):
-            raise IntegrityError(
-                f"oracle adopt: size {data.shape} != {self.block_size}"
-            )
-        if data.flags.writeable:
-            data = data.view()
-            data.flags.writeable = False
-        self._blocks[block] = data
-
-    def ensure(self, block: BlockId) -> np.ndarray:
-        arr = self._blocks.get(block)
-        if arr is None:
-            arr = self._blocks[block] = self._zero
-        return arr
+    def put(self, block: BlockId, data: np.ndarray) -> None:
+        """Land a whole block — a client stripe write — as
+        :meth:`BlockStore.put` does; initial content, not an update."""
+        self.store.put(block, data)
 
     def apply(self, block: BlockId, offset: int, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.uint8)
-        if offset < 0 or offset + data.shape[0] > self.block_size:
-            raise IntegrityError("oracle write outside block")
-        target = self._blocks.get(block)
-        if target is None or target is self._zero:
-            # CoW promotion on the first real write: a carve from a
-            # lazily-zero mmap arena, resident only where bytes land
-            target = self._blocks[block] = zero_block(self.block_size)
-        elif not target.flags.writeable:
-            target = self._blocks[block] = target.copy()
-        target[offset : offset + data.shape[0]] = data
+        """Commit one update."""
+        self.store.write(block, offset, data)
         self.applied_updates += 1
 
     def expected(self, block: BlockId) -> np.ndarray:
-        return self.ensure(block)
+        """Read-only committed bytes of ``block`` (zeros if never written)."""
+        return self.store.view(block)
 
     def stripes(self) -> set[tuple[int, int]]:
-        return {(b.file_id, b.stripe) for b in self._blocks}
+        return {(b.file_id, b.stripe) for b in self.store}
 
     # ------------------------------------------------------------ checking
     def verify_stripe(

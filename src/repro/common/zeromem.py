@@ -18,8 +18,13 @@ The two functions here hand out memory the kernel zeroes page by page:
   request larger than an arena gets a mapping of its own.
 * :func:`zero_template` — the one process-wide read-only zero array of a
   size, mapped ``PROT_READ`` so neither it nor any view of it can be made
-  writable.  Every ``BlockStore`` and the oracle stand the same object in
-  for their never-written blocks (``is`` identity marks "still zero").
+  writable.  Every ``BlockStore`` (the oracle's mirror is one) stands the
+  same object in for its never-written blocks (``is`` identity marks "still
+  zero").
+
+Callers: ``storage/blockstore.py`` only — a zero block is a promoted
+zero-template block or the XOR delta over a shared populate base; the oracle
+gets both through its ``BlockStore``.
 
 Two traps, both measured on the way here:
 
@@ -34,7 +39,8 @@ Two traps, both measured on the way here:
 
 The ``hasattr`` checks observe the platform (``MAP_PRIVATE`` and ``madvise``
 are POSIX/Linux); they are not options.  The allocator state is private to
-this module and, like the rest of the simulator, assumes one thread.
+this module, held in objects changed in place rather than in rebound
+globals, and, like the rest of the simulator, assumes one thread.
 """
 
 from __future__ import annotations
@@ -58,8 +64,20 @@ __all__ = ["zero_block", "zero_template"]
 ARENA_BYTES = 2 * MiB
 _PAGE = mmap.PAGESIZE
 
-_arena: np.ndarray | None = None  # the arena the bump pointer is carving
-_used = 0  # bytes of ``_arena`` handed out so far (a multiple of _PAGE)
+
+class _Bump:
+    """The bump pointer: the arena being carved and the bytes of it handed
+    out so far (a multiple of ``_PAGE``).  One instance, changed in place —
+    no module global is ever rebound."""
+
+    __slots__ = ("arena", "used")
+
+    def __init__(self) -> None:
+        self.arena: np.ndarray | None = None
+        self.used = 0
+
+
+_bump = _Bump()
 _templates: dict[int, np.ndarray] = {}
 
 
@@ -86,17 +104,17 @@ def _map(nbytes: int, writable: bool = True) -> np.ndarray:
 def zero_block(nbytes: int) -> np.ndarray:
     """A writable, page-aligned, zero-filled ``uint8`` array of ``nbytes``
     that nothing else references (see module docstring)."""
-    global _arena, _used
     if nbytes <= 0:
         raise ValueError("nbytes must be positive")
     if nbytes > ARENA_BYTES:
         return _map(nbytes)
     span = -(-nbytes // _PAGE) * _PAGE
-    if _arena is None or _used + span > ARENA_BYTES:
-        _arena, _used = _map(ARENA_BYTES), 0
-    start = _used
-    _used = start + span
-    return _arena[start : start + nbytes]
+    bump = _bump
+    if bump.arena is None or bump.used + span > ARENA_BYTES:
+        bump.arena, bump.used = _map(ARENA_BYTES), 0
+    start = bump.used
+    bump.used = start + span
+    return bump.arena[start : start + nbytes]
 
 
 def zero_template(nbytes: int) -> np.ndarray:

@@ -17,6 +17,8 @@ warm their own — and **faithful by construction**: a populate hit restores
 the exact block bytes, oracle state, MDS layout, *and* the post-populate
 RNG state, so a cached cell is byte-identical to a cold one (the scenario
 determinism tests double-run through this cache and assert equal digests).
+A hit copies no block: the stores and the oracle share the memo's read-only
+populate views, as a cold populate shares its matrix.
 
 Set ``REPRO_PREFIX_CACHE=0`` to disable both memos (debugging aid).
 """
@@ -27,8 +29,6 @@ import hashlib
 import os
 from dataclasses import fields
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from repro.fault.digest import canonical as _canonical
 
@@ -143,8 +143,11 @@ def populate_cached(
             "sizes": {
                 fid: ecfs.mds.lookup(fid).size for fid in file_ids
             },
+            # read-only views of the populate matrices: no store writes a
+            # shared base (mutations land in per-block XOR deltas), so the
+            # cold cell's run leaves them pristine for every later hit
             "blocks": [
-                (bid, np.array(ecfs.osd_hosting(bid).store.view(bid), copy=True))
+                (bid, ecfs.osd_hosting(bid).store.view(bid))
                 for bid in sorted(ecfs.known_blocks)
             ],
             # populate is the only consumer of the cluster RNG: restoring
@@ -158,11 +161,10 @@ def populate_cached(
         meta = ecfs.mds.create_file(snap["sizes"][fid])
         assert meta.file_id == fid, "MDS file-id allocation diverged"
     for bid, content in snap["blocks"]:
-        ecfs.osd_hosting(bid).store.create(bid, content.copy(), own=True)
+        ecfs.osd_hosting(bid).store.create_shared(bid, content)
         ecfs.known_blocks.add(bid)
         if bid.idx < k:
-            ecfs.oracle.apply(bid, 0, content)
-            ecfs.oracle.applied_updates -= 1
+            ecfs.oracle.adopt(bid, content)
     for fid in snap["file_ids"]:
         ecfs.mds.mark_written(fid, 0, snap["sizes"][fid])
     ecfs._rng.bit_generator.state = snap["rng_state"]

@@ -2,7 +2,23 @@
 
 Timing is charged by the device models; this class holds the actual bytes so
 the reproduction can verify end-to-end that every update path leaves stripes
-that still decode (see the integrity oracle in :mod:`repro.cluster.verify`).
+that still decode (see the integrity oracle in :mod:`repro.cluster.verify`,
+which keeps its own mirror in a store of this class).
+
+Block memory costs the pages written, not the block.  A block is held one of
+three ways, and a mutation never copies a whole block:
+
+* **the zero template** (:func:`~repro.common.zeromem.zero_template`) for a
+  zero-filled block; its first mutation gives it a lazily-resident
+  :func:`~repro.common.zeromem.zero_block`, which *is* its content;
+* **an owned writable array** (``put`` / ``create``, a promoted zero block),
+  mutated in place;
+* **a shared read-only base** (``create_shared``: a view into a populate
+  matrix) plus, from its first mutation on, an **XOR delta** carved by
+  ``zero_block``.  The content is ``base ^ delta``: a write stores
+  ``data ^ base[range]`` into the delta, ``xor_in`` and ``corrupt`` XOR into
+  it, so only the pages a mutation touches become resident and the base is
+  never written.
 """
 
 from __future__ import annotations
@@ -18,19 +34,21 @@ __all__ = ["BlockStore"]
 
 
 class BlockStore:
-    """Mapping of block id -> mutable uint8 array with ranged read/write."""
+    """Mapping of block id -> block bytes with ranged read/write."""
 
     def __init__(self, block_size: int) -> None:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.block_size = block_size
+        #: block id -> zero template, owned array, or shared read-only base
         self._blocks: dict[Hashable, np.ndarray] = {}
+        #: block id -> XOR delta over its shared base (see module docstring)
+        self._deltas: dict[Hashable, np.ndarray] = {}
         #: blocks carrying a latent sector error (drive-detectable on read)
         self.corrupted: set[Hashable] = set()
-        # copy-on-write zero template: zero-filled blocks share one
-        # read-only array — the same object in every store of this block
-        # size — until first mutation (bulk populate creates thousands of
-        # them; most are never written)
+        # zero-filled blocks share one read-only array — the same object in
+        # every store of this block size — until first mutation (bulk
+        # populate creates thousands of them; most are never written)
         self._zero = zero_template(block_size)
 
     def __contains__(self, block_id: Hashable) -> bool:
@@ -48,13 +66,13 @@ class BlockStore:
         """Materialize a block, zero-filled or from ``data``.
 
         ``own=True`` transfers ownership of ``data`` (a fresh, unshared,
-        writable uint8 array) to the store instead of copying it — the bulk-
-        populate and rebuild paths hand over arrays nothing else references.
+        writable uint8 array) to the store instead of copying it — the
+        rebuild paths hand over arrays nothing else references.
         """
         if block_id in self._blocks:
             raise IntegrityError(f"block {block_id!r} already exists")
         if data is None:
-            self._blocks[block_id] = self._zero  # CoW: promoted on mutation
+            self._blocks[block_id] = self._zero  # promoted on mutation
         else:
             self.put(block_id, data, own=own)
 
@@ -62,10 +80,10 @@ class BlockStore:
         """Land a whole block, whether or not the store already holds it —
         a client stripe write, a rebuild, a migration copy or a parity
         resync arrives the same way on a first write and on a rewrite.  The
-        previous array is dropped, not written through, so a read-only
-        populate view is never promoted just to be overwritten.  ``own`` as
-        for :meth:`create`."""
+        previous content (and any delta) is dropped, not written through.
+        ``own`` as for :meth:`create`."""
         data = self._whole_block(block_id, data)
+        self._deltas.pop(block_id, None)
         if own and data.flags.owndata and data.flags.writeable:
             self._blocks[block_id] = data
         else:
@@ -75,11 +93,10 @@ class BlockStore:
         """Materialize a block as a read-only view sharing ``data``'s buffer.
 
         The zero-copy sibling of ``create(own=True)`` for bulk paths that
-        carve many blocks out of one backing matrix (vectorized populate):
-        the store keeps a read-only view, so the usual copy-on-write
-        promotion in :meth:`_writable` gives the block a private array on
-        its first mutation.  The caller must not mutate the backing buffer
-        afterwards.
+        carve many blocks out of one backing matrix (vectorized populate,
+        a cached populate): the view becomes the block's base, and its
+        mutations land in an XOR delta, never in ``data``.  The caller must
+        not mutate the backing buffer afterwards.
         """
         if block_id in self._blocks:
             raise IntegrityError(f"block {block_id!r} already exists")
@@ -90,8 +107,8 @@ class BlockStore:
         self._blocks[block_id] = data
 
     def create_zero(self, block_id: Hashable) -> None:
-        """Materialize a zero-filled block sharing the CoW template (no
-        allocation); promoted to a private copy on first mutation."""
+        """Materialize a zero-filled block sharing the zero template (no
+        allocation); promoted to a lazily-resident block on first mutation."""
         self.create(block_id)
 
     def create_zero_many(self, block_ids: Iterable[Hashable]) -> None:
@@ -103,59 +120,66 @@ class BlockStore:
         zero = self._zero
         self._blocks.update((bid, zero) for bid in ids)
 
-    def _writable(self, block_id: Hashable) -> np.ndarray:
-        """Copy-on-write promotion: hand back a privately owned, writable
-        array for ``block_id``, materializing it if missing."""
+    def _writable(self, block_id: Hashable) -> tuple[np.ndarray, np.ndarray | None]:
+        """The writable array a mutation of ``block_id`` lands in, and the
+        shared base under it (``None`` when the array is the content);
+        materializes a missing block.  Both new arrays are carves from a
+        lazily-zero mmap arena: a page becomes resident when a byte is
+        written to it, so a 4 KiB write into a 256 KiB block costs 4 KiB of
+        memory, not the block."""
         block = self._blocks.get(block_id)
         if block is None or block is self._zero:
-            # Zero-template promotion: a carve from a lazily-zero mmap
-            # arena — a page becomes resident when a byte is written to it,
-            # so a 4 KiB write into a 256 KiB block costs 4 KiB of memory,
-            # not the block.
             block = self._blocks[block_id] = zero_block(self.block_size)
-        elif not block.flags.writeable:
-            block = self._blocks[block_id] = block.copy()
-        return block
+            return block, None
+        if block.flags.writeable:
+            return block, None
+        delta = self._deltas.get(block_id)
+        if delta is None:
+            delta = self._deltas[block_id] = zero_block(self.block_size)
+        return delta, block
 
     def read(self, block_id: Hashable, offset: int = 0, size: int | None = None) -> np.ndarray:
         """Copy out ``size`` bytes at ``offset`` (whole block by default)."""
-        block = self._get(block_id)
-        size = self.block_size - offset if size is None else size
-        self._check_range(offset, size)
-        return block[offset : offset + size].copy()
+        data = self._slice(block_id, offset, size)
+        # a fresh ``base ^ delta`` is already the caller's own copy
+        return data if data.flags.owndata else data.copy()
 
     def view(self, block_id: Hashable) -> np.ndarray:
-        """Zero-copy read-only view of a whole block."""
-        view = self._get(block_id).view()
-        view.flags.writeable = False
-        return view
+        """Read-only whole block (see :meth:`read_view`)."""
+        data = self._slice(block_id, 0, None)
+        data.flags.writeable = False
+        return data
 
     def read_view(
         self, block_id: Hashable, offset: int = 0, size: int | None = None
     ) -> np.ndarray:
-        """Zero-copy read-only view of a range — the hot-path alternative to
+        """Read-only bytes of a range — the hot-path alternative to
         :meth:`read` for callers that *consume* the bytes (e.g. XOR them
-        into a fresh delta) before the next simulation yield.  The view
-        aliases live storage: it reflects any later mutation, so snapshot
-        semantics require materializing a derived array immediately."""
-        block = self._get(block_id)
-        size = self.block_size - offset if size is None else size
-        self._check_range(offset, size)
-        view = block[offset : offset + size]
-        view.flags.writeable = False
-        return view
+        into a fresh delta) before the next simulation yield.  Zero-copy
+        where the block is one array; a block over a shared base returns
+        ``base ^ delta``, a fresh array.  Whether a later mutation shows
+        through is not specified, so snapshot semantics require
+        materializing a derived array immediately."""
+        data = self._slice(block_id, offset, size)
+        data.flags.writeable = False
+        return data
 
     def write(self, block_id: Hashable, offset: int, data: np.ndarray) -> None:
         """Write ``data`` at ``offset``, materializing the block if needed."""
         data = np.asarray(data, dtype=np.uint8)
+        end = offset + data.shape[0]
         self._check_range(offset, data.shape[0])
-        self._writable(block_id)[offset : offset + data.shape[0]] = data
+        target, base = self._writable(block_id)
+        if base is None:
+            target[offset:end] = data
+        else:
+            np.bitwise_xor(data, base[offset:end], out=target[offset:end])
 
     def xor_in(self, block_id: Hashable, offset: int, delta: np.ndarray) -> None:
         """In-place XOR merge — the parity-log recycle primitive."""
         delta = np.asarray(delta, dtype=np.uint8)
         self._check_range(offset, delta.shape[0])
-        self._writable(block_id)[offset : offset + delta.shape[0]] ^= delta
+        self._writable(block_id)[0][offset : offset + delta.shape[0]] ^= delta
 
     def corrupt(self, block_id: Hashable, offset: int, nbytes: int) -> None:
         """Inject a latent sector error: flip bytes in place, bypassing the
@@ -165,8 +189,9 @@ class BlockStore:
         if block_id not in self._blocks:
             raise IntegrityError(f"block {block_id!r} does not exist")
         self._check_range(offset, nbytes)
-        block = self._writable(block_id)
-        block[offset : offset + nbytes] ^= 0xA5  # guaranteed to change bytes
+        # XOR with a non-zero constant always changes the bytes, and lands
+        # in a delta exactly as in an owned array
+        self._writable(block_id)[0][offset : offset + nbytes] ^= 0xA5
         self.corrupted.add(block_id)
 
     def mark_clean(self, block_id: Hashable) -> None:
@@ -175,17 +200,25 @@ class BlockStore:
 
     def delete(self, block_id: Hashable) -> None:
         self._blocks.pop(block_id, None)
+        self._deltas.pop(block_id, None)
         self.corrupted.discard(block_id)
 
     def nbytes(self) -> int:
         return len(self._blocks) * self.block_size
 
     # ------------------------------------------------------------ internals
-    def _get(self, block_id: Hashable) -> np.ndarray:
-        """A block nothing was written to reads as zeros — what
-        :meth:`write` and :meth:`xor_in` assume when they materialize one —
-        and stays absent (``not in`` the store) until a write lands."""
-        return self._blocks.get(block_id, self._zero)
+    def _slice(self, block_id: Hashable, offset: int, size: int | None) -> np.ndarray:
+        """Bytes ``[offset, offset + size)`` of a block: a view of its array,
+        or ``base ^ delta`` as a fresh one.  A block nothing was written to
+        reads as zeros — what :meth:`write` and :meth:`xor_in` assume when
+        they materialize one — and stays absent (``not in`` the store) until
+        a write lands."""
+        size = self.block_size - offset if size is None else size
+        self._check_range(offset, size)
+        end = offset + size
+        data = self._blocks.get(block_id, self._zero)[offset:end]
+        delta = self._deltas.get(block_id)
+        return data if delta is None else data ^ delta[offset:end]
 
     def _whole_block(self, block_id: Hashable, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.uint8)

@@ -22,6 +22,7 @@ import numpy as np
 from repro.cluster.client import UpdateOp
 from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD, scattered_addr
+from repro.common.errors import UnavailableError
 from repro.core.intervals import ExtentMap, MergePolicy, overlay
 from repro.ec.incremental import parity_delta
 from repro.sim import Resource
@@ -211,4 +212,10 @@ class FullLogging(UpdateMethod):
 
     def recovery_prepare(self, osd: OSD) -> Generator:
         mine = self._hosted(self._datalog).get(osd.name, [])
-        yield from self._recycle_osd(osd, mine)
+        try:
+            yield from self._recycle_osd(osd, mine)
+        except UnavailableError:
+            # this host died mid-prepare: an entry is popped only after a
+            # full application, so what is left belongs to the stash /
+            # restart path, and the rebuild of the other victim goes on
+            pass

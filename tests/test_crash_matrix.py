@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ECFS
 from repro.common.errors import IntegrityError
-from repro.fault.events import CrashOSD, FaultSchedule, after_ops
+from repro.fault.events import BounceOSD, CrashOSD, FaultSchedule, after_ops
 from repro.fault.injector import FaultInjector
 from repro.harness.runner import resolve_trace
 from repro.traces.replayer import TraceReplayer
@@ -120,4 +120,20 @@ def test_parity_host_dies_mid_apply(method, handler, crashes):
     # crash times until the handler is reached again
     assert handler in handled, f"crash at {crashes} missed {handler}: {handled}"
     assert len(injector.recovery_reports) == len(crashes)
+    assert ecfs.verify() == 4
+
+
+def test_fl_prepare_host_dies_mid_prepare():
+    """osd7's recovery runs FL's ``recovery_prepare`` on every survivor;
+    osd4 bounces 19 us later, in the middle of its own prepare.  Its
+    ``UnavailableError`` used to escape ``env.run`` through
+    ``fail_and_recover``; the unpopped entries now go to the stash / restart
+    path and the rebuild of osd7 finishes."""
+    schedule = (
+        FaultSchedule()
+        .at(3.609e-3, CrashOSD(osd=7, recover=True))
+        .at(3.628e-3, BounceOSD(4, 3.184e-3))
+    )
+    ecfs, injector, _replay = _run_crash("fl", schedule=schedule)
+    assert [r.failed_osd for r in injector.recovery_reports] == [7]
     assert ecfs.verify() == 4

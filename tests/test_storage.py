@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ECFS
 from repro.common.errors import IntegrityError
@@ -301,3 +303,79 @@ def test_blockstore_wrong_size_create():
     bs = BlockStore(16)
     with pytest.raises(IntegrityError):
         bs.create("b", np.zeros(8, dtype=np.uint8))
+
+
+# ------------------------------------------------- shared bases, XOR deltas
+_MODEL_BS = 256
+_SHARED, _ZERO, _ABSENT = 0, 3, 4  # blocks 0-2 shared, 3 zero template, 4 absent
+_OPS = ("write", "xor_in", "corrupt", "put", "delete", "read", "read_view", "view")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_blockstore_over_a_readonly_base_matches_a_byte_model(data):
+    """Random ``write`` / ``xor_in`` / ``corrupt`` / ``put`` / ``delete`` /
+    reads on a store whose blocks start as views of one read-only matrix
+    (plus a zero-template block and an absent one), against plain numpy
+    arrays.  After every step the contents, the membership and
+    ``corrupted`` agree, and the matrix is still its pristine self."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    matrix = rng.integers(0, 256, (_ZERO, _MODEL_BS), dtype=np.uint8)
+    matrix.flags.writeable = False
+    pristine = matrix.copy()
+    zeros = np.zeros(_MODEL_BS, dtype=np.uint8)
+    store = BlockStore(_MODEL_BS)
+    model = {b: matrix[b].copy() for b in range(_ZERO)}
+    for b in range(_ZERO):
+        store.create_shared(b, matrix[b])
+    store.create_zero(_ZERO)
+    model[_ZERO] = zeros.copy()
+    corrupted: set[int] = set()
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        op = data.draw(st.sampled_from(_OPS), label="op")
+        b = data.draw(st.integers(_SHARED, _ABSENT), label="block")
+        off = data.draw(st.integers(0, _MODEL_BS - 1), label="offset")
+        size = data.draw(st.integers(1, _MODEL_BS - off), label="size")
+        payload = rng.integers(0, 256, size, dtype=np.uint8)
+        want = model.get(b, zeros).copy()
+        if op == "write":
+            store.write(b, off, payload)
+            want[off : off + size] = payload
+            model[b] = want
+        elif op == "xor_in":
+            store.xor_in(b, off, payload)
+            want[off : off + size] ^= payload
+            model[b] = want
+        elif op == "corrupt" and b not in model:
+            with pytest.raises(IntegrityError):
+                store.corrupt(b, off, size)
+        elif op == "corrupt":
+            store.corrupt(b, off, size)
+            want[off : off + size] ^= 0xA5
+            model[b] = want
+            corrupted.add(b)
+        elif op == "put":
+            block = rng.integers(0, 256, _MODEL_BS, dtype=np.uint8)
+            model[b] = block.copy()
+            store.put(b, block, own=data.draw(st.booleans(), label="own"))
+        elif op == "delete":
+            store.delete(b)
+            model.pop(b, None)
+            corrupted.discard(b)
+        elif op == "read":
+            got = store.read(b, off, size)
+            assert np.array_equal(got, want[off : off + size])
+            got ^= 0xFF  # the caller's own copy: the store does not see it
+        else:
+            if op == "view":
+                off, size = 0, _MODEL_BS
+                got = store.view(b)
+            else:
+                got = store.read_view(b, off, size)
+            assert not got.flags.writeable
+            assert np.array_equal(got, want[off : off + size])
+        for block in range(_SHARED, _ABSENT + 1):
+            assert np.array_equal(store.view(block), model.get(block, zeros))
+        assert set(store) == set(model)  # a read materializes nothing
+        assert store.corrupted == corrupted
+        assert np.array_equal(matrix, pristine)

@@ -282,3 +282,37 @@ def test_prefix_cache_shares_populate_and_trace(monkeypatch):
     off = ScenarioRunner(get_scenario("rolling-restart")).run(seed=31)
     assert off.digest == cold.digest
     prefix.clear_prefix_caches()
+
+
+def test_prefix_cache_hit_shares_the_snapshot_views():
+    """A populate hit copies no block: the stores and the oracle hold the
+    memo's read-only views, and the cold cell's later writes (XOR deltas)
+    never reach them."""
+    import numpy as np
+
+    from repro.cluster import ClusterConfig, ECFS
+    from repro.harness import prefix
+
+    prefix.clear_prefix_caches()
+    cfg = ClusterConfig(n_osds=8, k=4, m=2, block_size=1 << 14, seed=5)
+    cold = ECFS(cfg, method="fo")
+    files = prefix.populate_cached(cold, 2, 2)
+    (snap,) = prefix._populate_memo.values()
+    pristine = {bid: np.array(view) for bid, view in snap["blocks"]}
+    stamp = np.full(16, 0xEE, dtype=np.uint8)
+    for bid in pristine:
+        cold.osd_hosting(bid).store.write(bid, 0, stamp)
+        if bid.idx < cfg.k:
+            cold.oracle.apply(bid, 0, stamp)
+
+    warm = ECFS(cfg, method="fo")
+    assert prefix.populate_cached(warm, 2, 2) == files
+    for bid, view in snap["blocks"]:
+        assert not view.flags.writeable
+        assert np.array_equal(view, pristine[bid])
+        assert np.shares_memory(warm.osd_hosting(bid).store.view(bid), view)
+        if bid.idx < cfg.k:
+            assert np.shares_memory(warm.oracle.expected(bid), view)
+    assert warm.oracle.applied_updates == 0
+    assert warm.verify() == len(files) * 2
+    prefix.clear_prefix_caches()
