@@ -1,9 +1,9 @@
 """Benchmark-suite configuration.
 
 Each benchmark regenerates one table/figure of the paper on a scaled-down
-cluster (see DESIGN.md §5) and asserts the paper's qualitative *shape* —
-who wins and by roughly what factor.  Set ``REPRO_SCALE=full`` for runs
-closer to paper scale.
+cluster and asserts the paper's qualitative *shape* — who wins and by
+roughly what factor.  Set ``REPRO_SCALE=full`` for runs closer to paper
+scale.
 
 The experiments are single-shot deterministic simulations, so nothing here
 is timed: host time is measured by ``perfbench/run.py`` and nowhere else.

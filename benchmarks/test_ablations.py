@@ -1,4 +1,4 @@
-"""Ablations beyond the paper's figures (DESIGN.md §6).
+"""Ablations beyond the paper's figures.
 
 * DataLog replication count: 2-copy vs 3-copy front end (latency cost of
   durability),

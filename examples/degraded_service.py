@@ -57,7 +57,7 @@ def main() -> None:
         print(f"[t={fmt_time(env.now)}] osd{victim} just died "
               f"(holds {target})")
         # this read arrives before recovery re-homes the block: degraded
-        yield env.timeout(0.05)
+        yield env.timeout_us(50_000)
         t0 = env.now
         data = yield env.process(client.read(target.file_id, file_off, 4 * KiB))
         print(f"[t={fmt_time(env.now)}] degraded read served in "

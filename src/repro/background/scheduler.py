@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.background.config import BackgroundConfig
 from repro.background.work import STREAMS, WorkItem
 from repro.common.control import aimd_step
-from repro.sim import Event, PHASE_LATE
+from repro.sim import Event, PHASE_LATE, s_to_us
 from repro.storage.base import IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -239,7 +239,7 @@ class BackgroundScheduler:
         cfg = self.config
         # native-µs pacing constants; grant wakeups ride the LATE lane so a
         # token replenish at tick T sorts after all normal work at T
-        yield_poll_us = round(cfg.yield_poll * 1e6)
+        yield_poll_us = s_to_us(cfg.yield_poll)
         us_per_byte = 1e6 / cfg.bandwidth
         while True:
             if not lane.heap:
@@ -290,9 +290,10 @@ class BackgroundScheduler:
         samples (no backlog anywhere); resubmitted work re-arms it."""
         env = self.ecfs.env
         cfg = self.config
+        interval_us = s_to_us(cfg.interval)
         idle = 0
         while idle < 4:
-            yield env.timeout(cfg.interval)
+            yield env.timeout_us(interval_us)
             p99 = self._foreground_p99()
             # "maintenance active" = backlog outstanding OR a grant landed
             # within this sample interval (a drain-only check misreads

@@ -104,7 +104,7 @@ class Client:
             raise IntegrityError(f"stripe write needs {k * bs} bytes")
         blocks = [data[i * bs : (i + 1) * bs] for i in range(k)]
         # client-side encode: charge GF work for m parity blocks over k inputs
-        yield self.env.timeout(ecfs.config.costs.gf_mul(k * bs, terms=m))
+        yield self.env.timeout_us(ecfs.config.costs.gf_mul(k * bs, terms=m))
         parities = ecfs.rs.encode(blocks)
 
         yield spawn_fanout(

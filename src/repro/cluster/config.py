@@ -17,17 +17,21 @@ class CPUCosts:
 
     These make computation *visible* but small relative to I/O, as on the
     paper's testbed (SIMD GF multiply runs at several GB/s per core).
+    Rates are in seconds; a charge is rounded to µs once, at the end.
     """
 
     xor_per_byte: float = 0.1e-9
     gf_mul_per_byte: float = 0.4e-9
     op_fixed: float = 1.0e-6  # request handling / context switching
 
-    def xor(self, nbytes: int) -> float:
-        return self.op_fixed + nbytes * self.xor_per_byte
+    def xor(self, nbytes: int) -> int:
+        """µs to XOR ``nbytes``."""
+        return round((self.op_fixed + nbytes * self.xor_per_byte) * 1e6)
 
-    def gf_mul(self, nbytes: int, terms: int = 1) -> float:
-        return self.op_fixed + nbytes * self.gf_mul_per_byte * max(1, terms)
+    def gf_mul(self, nbytes: int, terms: int = 1, times: int = 1) -> int:
+        """µs for ``times`` multiplies of ``nbytes`` by ``terms`` coefficients."""
+        one = self.op_fixed + nbytes * self.gf_mul_per_byte * max(1, terms)
+        return round(one * times * 1e6)
 
 
 @dataclass

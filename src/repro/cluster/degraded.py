@@ -60,7 +60,7 @@ def degraded_read(
     results = yield env.all_of(fetches)
     available = {sid.idx: results[f] for sid, f in zip(sources, fetches)}
     # positional decode over just the requested range
-    yield env.timeout(ecfs.config.costs.gf_mul(size, terms=rs.k))
+    yield env.timeout_us(ecfs.config.costs.gf_mul(size, terms=rs.k))
     rebuilt = rs.decode(available, [block.idx])[block.idx]
     # acked-but-unrecycled updates live on in the (replicated) logs: overlay
     # them so the degraded read is never stale (§4.2)

@@ -244,7 +244,7 @@ class ECFS:
                     # resync skipped it behind still-draining deltas): fall
                     # back to a bounded poll so the in-flight settlement
                     # can advance
-                    yield self.env.timeout(1e-4)
+                    yield self.env.timeout_us(100)
                 continue
             # blocked on activity that signals its own completion: sleep
             # until the releasing transition wakes us

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
+from repro.sim import s_to_us
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.ecfs import ECFS
 
@@ -37,7 +39,7 @@ class HeartbeatService:
         if interval <= 0 or timeout <= interval:
             raise ValueError("need 0 < interval < timeout")
         self.ecfs = ecfs
-        self.interval = interval
+        self._interval_us = s_to_us(interval)
         self.timeout = timeout
         self.detected: list[tuple[int, float]] = []  # (osd idx, detect time)
         self.recovered: list[tuple[int, float]] = []  # (osd idx, readmit time)
@@ -79,7 +81,7 @@ class HeartbeatService:
 
         try:
             while True:
-                yield env.timeout(self.interval)
+                yield env.timeout_us(self._interval_us)
                 if osd.failed:
                     continue  # down: silent until a restart brings it back
                 yield from self.ecfs.net.transfer(osd.name, "mds", _HEARTBEAT_BYTES)
@@ -97,7 +99,7 @@ class HeartbeatService:
 
         try:
             while True:
-                yield env.timeout(self.interval)
+                yield env.timeout_us(self._interval_us)
                 mds.check_liveness(env.now)
                 # readmit declared-failed nodes that are beating again and
                 # actually alive (a rebuilt node stays failed: its blocks

@@ -147,7 +147,7 @@ class RecoveryManager:
                 # currently down, and decode raises DecodeError (fatal)
                 # once fewer than k survive.
                 queue.append(block)
-                yield env.timeout(0)
+                yield env.timeout_us(0)
 
     def _rebuild_block(self, block: BlockId, failed_idx: int) -> Generator:
         from repro.common.errors import IntegrityError
@@ -199,7 +199,7 @@ class RecoveryManager:
                     raise IntegrityError(f"{src_bid} failed its checksum")
                 available[src_bid.idx] = src.store.read(src_bid)
             # decode: k GF-scaled XOR accumulations over a full block
-            yield env.timeout(
+            yield env.timeout_us(
                 ecfs.config.costs.gf_mul(ecfs.config.block_size, terms=ecfs.rs.k)
             )
             rebuilt = ecfs.rs.decode(available, [block.idx])[block.idx]

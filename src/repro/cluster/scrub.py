@@ -174,7 +174,7 @@ class Scrubber:
                 yield from self._repair(file_id, stripe, bad, blocks)
                 for i in bad:
                     report.repaired.append(BlockId(file_id, stripe, i))
-        yield env.timeout(ecfs.config.costs.gf_mul(bs * ecfs.rs.k, terms=ecfs.rs.m))
+        yield env.timeout_us(ecfs.config.costs.gf_mul(bs * ecfs.rs.k, terms=ecfs.rs.m))
         expected = ecfs.rs.encode(blocks[: ecfs.rs.k])
         for j in range(ecfs.rs.m):
             if not np.array_equal(expected[j], blocks[ecfs.rs.k + j]):
@@ -191,8 +191,8 @@ class Scrubber:
         width = ecfs.rs.k + ecfs.rs.m
         good = [i for i in range(width) if i not in bad][: ecfs.rs.k]
         available = {i: blocks[i] for i in good}
-        yield env.timeout(
-            ecfs.config.costs.gf_mul(bs, terms=ecfs.rs.k) * len(bad)
+        yield env.timeout_us(
+            ecfs.config.costs.gf_mul(bs, terms=ecfs.rs.k, times=len(bad))
         )
         fixed = ecfs.rs.decode(available, bad)
         for i in bad:

@@ -32,6 +32,7 @@ from repro.fault.events import (
     WeightChange,
 )
 from repro.placement.rebalancer import RebalanceReport, Rebalancer
+from repro.sim import s_to_us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.ecfs import ECFS
@@ -89,7 +90,7 @@ class FaultInjector:
         env = self.ecfs.env
         if trigger.at is not None:
             if trigger.at > env.now:
-                yield env.timeout_at(trigger.at)
+                yield env.timeout_at_us(s_to_us(trigger.at))
         else:
             self._polling.append(trigger)
             try:
@@ -101,7 +102,7 @@ class FaultInjector:
                         self.skipped.append(type(event).__name__)
                         self._note(f"skip {type(event).__name__}: trigger cannot fire")
                         return
-                    yield env.timeout(trigger.poll)
+                    yield env.timeout_us(s_to_us(trigger.poll))
             finally:
                 self._polling.remove(trigger)
         yield from self._apply(event)
@@ -127,7 +128,7 @@ class FaultInjector:
             self._note(f"crash osd{event.osd}")
             if event.recover:
                 if event.detect_delay > 0:
-                    yield env.timeout(event.detect_delay)
+                    yield env.timeout_us(s_to_us(event.detect_delay))
                 report = yield env.process(
                     self.recovery.fail_and_recover(event.osd),
                     name=f"fault-recover-{event.osd}",
@@ -139,7 +140,7 @@ class FaultInjector:
             # node simply stops serving, then comes back with its data
             self.ecfs.osds[event.osd].fail()
             self._note(f"bounce osd{event.osd} down")
-            yield env.timeout(event.downtime)
+            yield env.timeout_us(s_to_us(event.downtime))
             self.ecfs.restart_osd(event.osd)
             self._note(f"bounce osd{event.osd} up")
         elif isinstance(event, DegradeNIC):
@@ -148,14 +149,14 @@ class FaultInjector:
             )
             self._note(f"degrade nic {event.node}")
             if event.duration is not None:
-                yield env.timeout(event.duration)
+                yield env.timeout_us(s_to_us(event.duration))
                 self.ecfs.net.restore(event.node)
                 self._note(f"restore nic {event.node}")
         elif isinstance(event, PartitionNet):
             self.ecfs.net.partition(event.group)
             self._note(f"partition {','.join(event.group)}")
             if event.heal_after is not None:
-                yield env.timeout(event.heal_after)
+                yield env.timeout_us(s_to_us(event.heal_after))
                 self.ecfs.net.heal()
                 self._note("partition healed")
         elif isinstance(event, SlowDisk):
@@ -163,13 +164,13 @@ class FaultInjector:
             device.set_slowdown(event.factor)
             self._note(f"slow disk osd{event.osd} x{event.factor}")
             if event.duration is not None:
-                yield env.timeout(event.duration)
+                yield env.timeout_us(s_to_us(event.duration))
                 device.set_slowdown(1.0)
                 self._note(f"disk osd{event.osd} healthy")
         elif isinstance(event, StickDisk):
             self.ecfs.osds[event.osd].device.stick(event.duration)
             self._note(f"stick disk osd{event.osd} for {event.duration}s")
-            yield env.timeout(event.duration)
+            yield env.timeout_us(s_to_us(event.duration))
         elif isinstance(event, CorruptBlock):
             bid = self._pick_block(event)
             osd = self.ecfs.osd_hosting(bid)
@@ -177,7 +178,7 @@ class FaultInjector:
             osd.store.corrupt(bid, event.offset, nbytes)
             self.corrupted.append(bid)
             self._note(f"corrupt {bid} on {osd.name} ({nbytes}B)")
-            yield env.timeout(0)
+            yield env.timeout_us(0)
         elif isinstance(event, OSDJoin):
             osd, plan = self.ecfs.join_osd(
                 weight=event.weight, host=event.host, rack=event.rack

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.common.errors import ReproError, is_retryable
 from repro.frontend import ops as _ops
-from repro.sim import Interrupt, Lane
+from repro.sim import Interrupt, Lane, s_to_us
 from repro.storage.base import IOPriority
 from repro.frontend.admission import AdmissionConfig, AdmissionController
 from repro.frontend.request import (
@@ -97,6 +97,7 @@ class FrontEnd:
         self.admission = AdmissionController(admission)
         self.budget = budget if budget is not None else RetryBudget()
         self.hedge_delay = hedge_delay
+        self._hedge_us = None if hedge_delay is None else s_to_us(hedge_delay)
         self.max_inflight = max_inflight
         self.slo = SLOTracker(ecfs.env, slo_targets)
 
@@ -346,7 +347,7 @@ class FrontEnd:
                 ):
                     retries += 1
                     self.counters["retries"] += 1
-                    yield env.timeout(delay)
+                    yield env.timeout_us(s_to_us(delay))
                     continue
                 result = RequestResult(
                     status=STATUS_FAILED,
@@ -389,10 +390,10 @@ class FrontEnd:
             and self.hedge_delay is not None
             and env.now + self.hedge_delay < deadline_at
         ):
-            hedge_timer = env.timeout(self.hedge_delay)
-        deadline_ev = (
-            env.timeout_at(deadline_at) if deadline_at != float("inf") else None
-        )
+            hedge_timer = env.timeout_us(self._hedge_us)
+        deadline_ev = None
+        if deadline_at != float("inf"):
+            deadline_ev = env.timeout_at_us(s_to_us(deadline_at))
         last_exc: BaseException = ReproError("attempt spawned no legs")
         cancelled: set = set()  # legs already cancel_chain'd (count once)
         try:

@@ -16,7 +16,7 @@ from typing import Generator, Iterable
 import numpy as np
 
 from repro.common.units import Gbps
-from repro.sim import Chain, CountdownLatch, Environment, Event, Resource
+from repro.sim import Chain, CountdownLatch, Environment, Event, Resource, s_to_us
 from repro.sim.batch import drive_chain
 from repro.sim.core import _PROCESSED
 
@@ -85,8 +85,8 @@ class NetworkFabric:
     nominally to model full-duplex pipelining without double-counting time).
     """
 
-    #: backoff before a lost message is retransmitted (seconds)
-    RETRANSMIT_TIMEOUT = 1e-3
+    #: backoff before a lost message is retransmitted (µs)
+    RETRANSMIT_TIMEOUT_US = 1_000
 
     def __init__(
         self,
@@ -98,8 +98,8 @@ class NetworkFabric:
         self.params = params or NetParams()
         self.params.validate()
         # native integer-µs constants for the transfer hot path
-        self._overhead_us = round(self.params.per_message_overhead * 1e6)
-        self._latency_us = round(self.params.latency * 1e6)
+        self._overhead_us = s_to_us(self.params.per_message_overhead)
+        self._latency_us = s_to_us(self.params.latency)
         self._us_per_byte = 1e6 / self.params.bandwidth
         self.nics: dict[str, NIC] = {}
         self.total_bytes = 0
@@ -199,12 +199,12 @@ class NetworkFabric:
                 1.0 - (dst_fault.loss_prob if dst_fault else 0.0)
             )
             wire_us = round(nbytes * self._us_per_byte / bw_factor)
-            extra_us = round(extra_latency * 1e6)
+            extra_us = s_to_us(extra_latency)
             # Lossy links retransmit after a timeout (deterministic RNG
             # stream).
             while loss > 0 and self._loss_rng.random() < loss:
                 self.dropped_msgs += 1
-                yield self.env.timeout(self.RETRANSMIT_TIMEOUT)
+                yield self.env.timeout_us(self.RETRANSMIT_TIMEOUT_US)
         else:
             # fault-free fast path (the overwhelmingly common case): no
             # fault-dict probes, no loss draw

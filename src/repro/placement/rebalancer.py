@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.background.work import MoveOp
 from repro.placement.planner import MigrationPlan
+from repro.sim import s_to_us
 from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids a package cycle)
@@ -152,7 +153,7 @@ class Rebalancer:
                 # a node died mid-move: leave the block to recovery (the
                 # remap entry keeps pointing at wherever it actually is)
                 self.skipped += 1
-                yield env.timeout(0)
+                yield env.timeout_us(0)
 
     def _throttle(self, nbytes: int, src_name: str) -> Generator:
         """Pace one move: a ``rebalance``-stream grant from the unified
@@ -170,7 +171,7 @@ class Rebalancer:
         start = max(env.now, self._bw_free_at)
         self._bw_free_at = start + nbytes / self.bandwidth_cap
         if start > env.now:
-            yield env.timeout_at(start)
+            yield env.timeout_at_us(s_to_us(start))
 
     def _move(self, block: BlockId, dst: int) -> Generator:
         ecfs = self.ecfs

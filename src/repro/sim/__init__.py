@@ -12,21 +12,22 @@ cluster model needs:
 * :class:`Store` — producer/consumer queue used for mailboxes and pipelines,
 * :class:`Interrupt` — cooperative cancellation (used by failure injection).
 
-The public API is in **seconds** (float); the engine itself runs on an
-integer-microsecond clock with ``(t_us, phase, seq)`` event ordering — see
-:mod:`repro.sim.core` for the native-µs entry points (``timeout_us``,
-``now_us``, ``schedule_at_us``) and the :data:`PHASE_URGENT` /
+The clock is an integer count of microseconds with ``(t_us, phase, seq)``
+event ordering, and every delay goes in as integer µs (``timeout_us``,
+``timeout_at_us``, ``schedule_at_us``); a value given in seconds is put on
+that grid once, where it enters, with :func:`s_to_us`.  Only
+``Environment.now`` (a read-only view) and ``run(until=...)`` speak seconds.
+See :mod:`repro.sim.core` for the :data:`PHASE_URGENT` /
 :data:`PHASE_NORMAL` / :data:`PHASE_LATE` same-time lanes.
 """
 
+from repro.sim.batch import Chain, CountdownLatch, spawn_fanout
 from repro.sim.core import (
     PHASE_LATE,
     PHASE_NORMAL,
     PHASE_URGENT,
     AllOf,
     AnyOf,
-    Chain,
-    CountdownLatch,
     Environment,
     Event,
     Interrupt,
@@ -34,7 +35,7 @@ from repro.sim.core import (
     Process,
     SimulationError,
     Timeout,
-    spawn_fanout,
+    s_to_us,
 )
 from repro.sim.resources import PriorityResource, Resource, Store
 
@@ -56,5 +57,6 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
+    "s_to_us",
     "spawn_fanout",
 ]

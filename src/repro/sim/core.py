@@ -13,11 +13,11 @@ Heap entries are ordered by ``(t_us, phase, seq)``:
   all normal work at the same tick);
 * ``seq`` — a global schedule-order counter breaking ties FIFO.
 
-The public API stays in float **seconds**: ``timeout``/``schedule_at``/
-``peek``/``run(until=...)`` convert at the boundary (``round(s * 1e6)``),
-so every existing caller keeps working.  Hot internal callers use the
-native integer entry points (``timeout_us``, ``now_us``, ``peek_us``,
-``schedule_at_us``) and skip the float conversion entirely.
+Every delay and absolute time goes in as integer µs (``timeout_us``,
+``timeout_at_us``, ``schedule_at_us``, ``peek_us``); a value given in
+seconds (a config interval, a fault schedule, a trace arrival) is converted
+once, where it enters, with :func:`s_to_us`.  Only :attr:`Environment.now`
+(a read-only view) and ``run(until=...)`` speak seconds.
 
 Hot-path notes
 --------------
@@ -44,7 +44,7 @@ loop is written for throughput:
   uncontended grants (see :mod:`repro.sim.resources`).
 
 Tie-break ordering: events scheduled at the same simulated time process in
-(phase, schedule-order) order; :meth:`Environment.peek` reports the next
+(phase, schedule-order) order; :meth:`Environment.peek_us` reports the next
 non-cancelled entry's time.
 """
 
@@ -67,6 +67,7 @@ __all__ = [
     "PHASE_URGENT",
     "PHASE_NORMAL",
     "PHASE_LATE",
+    "s_to_us",
 ]
 
 _INF = float("inf")
@@ -75,6 +76,11 @@ _INF = float("inf")
 PHASE_URGENT = 0
 PHASE_NORMAL = 1
 PHASE_LATE = 2
+
+
+def s_to_us(seconds: float) -> int:
+    """Seconds onto the engine's integer-µs grid (round half to even)."""
+    return round(seconds * 1e6)
 
 
 class SimulationError(RuntimeError):
@@ -203,43 +209,10 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` seconds after creation.
+    """An event born triggered, firing a whole number of µs after creation
+    (built by :meth:`Environment.timeout_us`)."""
 
-    The delay is quantized to the engine's integer-microsecond grid at
-    construction; :attr:`delay` reports the quantized value in seconds and
-    :attr:`delay_us` the native integer.
-    """
-
-    __slots__ = ("_delay_us",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        d_us = round(delay * 1e6)
-        # Inlined Event.__init__ + succeed: a Timeout is born triggered.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self._cancelled = False
-        self._delay_us = d_us
-        self._state = _TRIGGERED
-        seq = env._counter
-        env._counter = seq + 1
-        self._seq = seq
-        if d_us == 0 and env._draining:
-            env._bucket1.append(self)
-        else:
-            heappush(env._heap, (env._now + d_us, PHASE_NORMAL, seq, self))
-
-    @property
-    def delay(self) -> float:
-        return self._delay_us / 1e6
-
-    @property
-    def delay_us(self) -> int:
-        return self._delay_us
+    __slots__ = ()
 
 
 class Initialize(Event):
@@ -497,8 +470,8 @@ class AnyOf(_Condition):
 class Environment:
     """The simulation clock and event loop (integer-microsecond time)."""
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now: int = round(float(initial_time) * 1e6)
+    def __init__(self) -> None:
+        self._now = 0
         self._heap: list[tuple[int, int, int, Event]] = []
         self._counter = 0
         self._steps = 0
@@ -532,13 +505,10 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
     def timeout_us(
         self, delay_us: int, value: Any = None, phase: int = PHASE_NORMAL
     ) -> Timeout:
-        """Native integer-microsecond timeout (no float conversion).
+        """An event firing ``delay_us`` microseconds from now.
 
         ``phase`` selects the same-time lane; :data:`PHASE_LATE` wakeups
         sort after all normal work at their tick (used by maintenance
@@ -547,6 +517,7 @@ class Environment:
         """
         if delay_us < 0:
             raise ValueError(f"negative timeout delay {delay_us!r}us")
+        # Inlined Event.__init__ + succeed: a Timeout is born triggered.
         ev = Timeout.__new__(Timeout)
         ev.env = self
         ev.callbacks = []
@@ -554,7 +525,6 @@ class Environment:
         ev._ok = True
         ev._defused = False
         ev._cancelled = False
-        ev._delay_us = delay_us
         ev._state = _TRIGGERED
         seq = self._counter
         self._counter = seq + 1
@@ -565,15 +535,14 @@ class Environment:
             heappush(self._heap, (self._now + delay_us, phase, seq, ev))
         return ev
 
-    def timeout_at(self, when: float, value: Any = None) -> Event:
-        """An event firing at the *absolute* simulated time ``when`` (the
-        :meth:`schedule_at` fast path — no delay arithmetic at the call
-        site).  Used by schedulers that hold wall-of-time plans, e.g. the
-        fault injector's trigger list."""
+    def timeout_at_us(self, when_us: int, value: Any = None) -> Event:
+        """An event firing at the *absolute* simulated time ``when_us`` (no
+        delay arithmetic at the call site).  Used by schedulers that hold
+        wall-of-time plans, e.g. the fault injector's trigger list."""
         ev = Event(self)
         ev._value = value
         ev._state = _TRIGGERED
-        self.schedule_at(ev, when)
+        self.schedule_at_us(ev, when_us)
         return ev
 
     def process(
@@ -601,24 +570,19 @@ class Environment:
         else:
             heappush(self._heap, (self._now, priority, seq, event))
 
-    def schedule_at(self, event: Event, when: float, priority: int = 1) -> None:
-        """Absolute-time scheduling in float seconds (shim over
-        :meth:`schedule_at_us`).
-
-        ``event`` must already be triggered-but-unscheduled by the caller
-        (engine-internal use) or be an externally managed event; ``when``
-        must not be in the past.
-        """
-        self.schedule_at_us(event, round(when * 1e6), priority)
-
     def schedule_at_us(
         self, event: Event, when_us: int, phase: int = PHASE_NORMAL
     ) -> None:
-        """Absolute-time scheduling fast path (native integer microseconds)."""
+        """Schedule ``event`` at the absolute time ``when_us``.
+
+        ``event`` must already be triggered-but-unscheduled by the caller
+        (engine-internal use) or be an externally managed event; ``when_us``
+        must not be in the past.
+        """
         now = self._now
         if when_us < now:
             raise ValueError(
-                f"schedule_at({when_us / 1e6}) is in the past (now={now / 1e6})"
+                f"schedule_at_us({when_us}) is in the past (now_us={now})"
             )
         seq = self._counter
         self._counter = seq + 1
@@ -629,7 +593,8 @@ class Environment:
             heappush(self._heap, (when_us, phase, seq, event))
 
     def peek_us(self) -> Optional[int]:
-        """Integer-µs time of the next live entry, or ``None`` if none."""
+        """Integer-µs time of the next live entry, or ``None`` if none
+        (cancelled heads are discarded, as the run loop would)."""
         b0 = self._bucket0
         while b0 and b0[0]._cancelled:
             b0.popleft()._state = _PROCESSED
@@ -643,47 +608,18 @@ class Environment:
             heappop(heap)[3]._state = _PROCESSED
         return heap[0][0] if heap else None
 
-    def peek(self) -> float:
-        """Time of the next live (non-cancelled) entry, or +inf if none.
-
-        Cancelled placeholders at the head are discarded here, so ``peek``
-        and the run loop agree on what fires next.
-        """
-        t_us = self.peek_us()
-        return _INF if t_us is None else t_us / 1e6
-
-    def step(self) -> None:
-        """Process exactly one event (cancelled entries are skipped)."""
-        heap = self._heap
-        while heap:
-            when, _phase, _seq, event = heappop(heap)
-            if event._cancelled:
-                event._state = _PROCESSED
-                continue
-            self._now = when
-            self._steps += 1
-            callbacks = event.callbacks
-            event.callbacks = []
-            event._state = _PROCESSED
-            for cb in callbacks:
-                cb(event)
-            if not event._ok and not event._defused:
-                raise event._value  # unhandled failure
-            return
-        raise SimulationError("no scheduled events")
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the heap drains, a deadline passes, or an event fires.
 
-        ``until`` may be a time (float seconds), an :class:`Event` (returns
-        its value), or ``None`` (drain all events).
+        ``until`` may be a deadline in seconds (see :func:`s_to_us`), an
+        :class:`Event` (returns its value), or ``None`` (drain all events).
 
         When ``until`` is an event, the loop additionally drains events at
         the stop event's timestamp that were *scheduled before it* (smaller
         ``seq``), in (phase, seq) order, stopping at the first entry that
         is later-scheduled or later-timed.  Work enqueued at the same
         instant ahead of the stop event therefore completes before control
-        returns — and :meth:`peek` afterwards reports either a later time or
+        returns — and :meth:`peek_us` afterwards reports either a later time or
         a same-time event scheduled after the stop.
 
         The loop drains all events at one ``t_us`` per outer iteration:
@@ -710,7 +646,7 @@ class Environment:
             else:
                 u = float(until)
                 if u != _INF:
-                    deadline = round(u * 1e6)
+                    deadline = s_to_us(u)
                     if deadline < self._now:
                         raise ValueError(
                             f"until={u} is in the past (now={self._now / 1e6})"
@@ -807,18 +743,3 @@ class Environment:
         if deadline is not None:
             self._now = deadline
         return None
-
-
-# Macro-op batching primitives live in repro.sim.batch; exposed here so the
-# latch is importable next to AllOf/AnyOf as part of the engine surface.
-# Resolved lazily (PEP 562) — batch imports from this module, so an eager
-# import here would be circular when batch is imported first.
-_BATCH_EXPORTS = frozenset({"Chain", "CountdownLatch", "spawn_fanout"})
-
-
-def __getattr__(name):
-    if name in _BATCH_EXPORTS:
-        from repro.sim import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Generator, Optional, Sequence
 
-from repro.sim import Chain, CountdownLatch, Environment, PriorityResource
+from repro.sim import Chain, CountdownLatch, Environment, PriorityResource, s_to_us
 from repro.sim.core import _PROCESSED, Event
 
 __all__ = ["IOKind", "IOPriority", "IORequest", "DeviceCounters", "StorageDevice"]
@@ -155,7 +155,7 @@ class _SubmitChain:
 class StorageDevice:
     """Base class: queued service of IORequests on the DES.
 
-    Subclasses implement :meth:`_service_time` from their hardware model.
+    Subclasses implement :meth:`_service_time_us` from their hardware model.
     ``channels`` is the device's internal parallelism (NVMe SSDs serve several
     commands concurrently; HDDs serve one).
     """
@@ -257,14 +257,13 @@ class StorageDevice:
         if duration < 0:
             raise ValueError("stuck duration must be non-negative")
         self._stuck_until_us = max(
-            self._stuck_until_us, self.env.now_us + round(duration * 1e6)
+            self._stuck_until_us, self.env.now_us + s_to_us(duration)
         )
 
-    def estimate(self, req: IORequest) -> float:
-        """Service time the request *would* take now (no queueing, no state
-        change) — used by latency-path analyses."""
-        sequential = self._peek_classify(req)
-        return self._service_time(req, sequential)
+    def estimate(self, req: IORequest) -> int:
+        """Service time in µs the request *would* take now (no queueing, no
+        state change) — used by latency-path analyses."""
+        return self._service_time_us(req, self._peek_classify(req))
 
     # ------------------------------------------------------------ internals
     def _classify(self, req: IORequest) -> bool:
@@ -280,14 +279,9 @@ class StorageDevice:
         last_end = self._stream_end.get(req.stream)
         return last_end is not None and 0 <= req.offset - last_end <= self.SEQ_GAP
 
-    def _service_time(self, req: IORequest, sequential: bool) -> float:
-        raise NotImplementedError
-
     def _service_time_us(self, req: IORequest, sequential: bool) -> int:
-        """Integer-µs service time; the engine runs on this grid.  The
-        default quantizes :meth:`_service_time`; hot device models override
-        it with precomputed native-µs constants."""
-        return round(self._service_time(req, sequential) * 1e6)
+        """Integer-µs service time from the device's hardware model."""
+        raise NotImplementedError
 
     def _service_times_us(
         self, reqs: Sequence[IORequest], seqs: Sequence[bool]

@@ -44,18 +44,11 @@ class HDDevice(StorageDevice):
         self.params = params or HDDParams()
         self.params.validate()
         super().__init__(env, name, channels=1)
-        # precomputed native-µs constants for the submit hot path
+        # the timing model in µs: the params converted once, here
         p = self.params
         self._us_per_byte = 1e6 / p.seq_bw
         self._seq_cmd_us = p.seq_cmd_overhead * 1e6
         self._rand_us = (p.avg_seek + p.avg_rotation) * 1e6
-
-    def _service_time(self, req: IORequest, sequential: bool) -> float:
-        p = self.params
-        transfer = req.size / p.seq_bw
-        if sequential:
-            return p.seq_cmd_overhead + transfer
-        return p.avg_seek + p.avg_rotation + transfer
 
     def _service_time_us(self, req: IORequest, sequential: bool) -> int:
         transfer = req.size * self._us_per_byte

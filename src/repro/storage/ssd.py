@@ -56,23 +56,13 @@ class SSDevice(StorageDevice):
         self.params.validate()
         super().__init__(env, name, channels=self.params.channels)
         self.wear = wear or FlashWearModel()
-        # precomputed native-µs constants for the submit hot path
+        # the timing model in µs: the params converted once, here
         p = self.params
         self._us_rd_per_byte = 1e6 / p.seq_read_bw
         self._us_wr_per_byte = 1e6 / p.seq_write_bw
         self._seq_cmd_us = p.seq_cmd_overhead * 1e6
         self._rand_rd_us = p.rand_read_lat * 1e6
         self._rand_wr_us = p.rand_write_lat * 1e6
-
-    def _service_time(self, req: IORequest, sequential: bool) -> float:
-        p = self.params
-        if req.kind is IOKind.READ:
-            bw = p.seq_read_bw
-            cmd = p.seq_cmd_overhead if sequential else p.rand_read_lat
-        else:
-            bw = p.seq_write_bw
-            cmd = p.seq_cmd_overhead if sequential else p.rand_write_lat
-        return cmd + req.size / bw
 
     def _service_time_us(self, req: IORequest, sequential: bool) -> int:
         if req.kind is IOKind.READ:

@@ -4,7 +4,6 @@ The real traces are multi-GB downloads unavailable offline; each generator
 here reproduces the statistics the paper (and the traces' own publications)
 report — update ratio, request-size distribution, and spatio-temporal
 locality — which are the properties the update methods are sensitive to.
-See DESIGN.md §1 for the substitution argument.
 """
 
 from repro.traces.record import TraceRecord

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.cluster.ecfs import ECFS
 from repro.common.errors import DecodeError, IntegrityError
+from repro.sim import s_to_us
 from repro.traces.record import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -238,7 +239,7 @@ class OpenLoopReplayer:
         env = self.ecfs.env
         for record, when in zip(records, arrivals):
             if when > env.now:
-                yield env.timeout_at(float(when))
+                yield env.timeout_at_us(s_to_us(float(when)))
             completions.append(
                 self.frontend.submit(
                     "update" if record.op == "update" else "read",

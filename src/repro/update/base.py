@@ -69,7 +69,7 @@ class UpdateMethod:
 
     def flush(self) -> Generator:
         """Drain all logs so every stripe verifies.  Default: nothing to do."""
-        yield self.ecfs.env.timeout(0)
+        yield self.ecfs.env.timeout_us(0)
 
     def log_debt_bytes(self, osd: OSD) -> int:
         """Outstanding log bytes on this OSD that recovery must merge first."""
@@ -132,7 +132,7 @@ class UpdateMethod:
         ``block`` through the normal (arbitered) recycle machinery — the
         migration fast path.  Must terminate even under a floored governor
         and when ``osd`` dies mid-settle."""
-        yield self.env.timeout(0)
+        yield self.env.timeout_us(0)
 
     def collect_block_logs(self, src: OSD, block: BlockId) -> list:
         """Capture ``src``'s live log records addressed to ``block`` for
@@ -147,7 +147,7 @@ class UpdateMethod:
         charging the read at ``src``, the wire, and the writes at ``dst``.
         Marks the extents applied at the source so its own later recycle
         skips them.  Returns the number of log bytes shipped."""
-        yield self.env.timeout(0)
+        yield self.env.timeout_us(0)
         return 0
 
     def _resync_eligible(self, pbid: BlockId) -> bool:
@@ -178,7 +178,7 @@ class UpdateMethod:
         currently repairable stay marked for a later pass (or for their
         host's rebuild, whose re-encode makes the late repair a no-op)."""
         if not self._parity_resync:
-            yield self.env.timeout(0)
+            yield self.env.timeout_us(0)
             return
         ecfs = self.ecfs
         rs = ecfs.rs
@@ -215,7 +215,7 @@ class UpdateMethod:
                         IOKind.READ, bid, 0, bs, priority, tag="parity-resync"
                     )
                     data.append(osd.store.read(bid))
-                yield self.env.timeout(self.costs.gf_mul(bs * rs.k, terms=rs.m))
+                yield self.env.timeout_us(self.costs.gf_mul(bs * rs.k, terms=rs.m))
                 parity = rs.encode(data)
                 for pbid in rows:
                     posd = ecfs.osd_hosting(pbid)
@@ -277,12 +277,12 @@ class UpdateMethod:
         if jobs:
             yield self.env.all_of(jobs)
         else:
-            yield self.env.timeout(0)
+            yield self.env.timeout_us(0)
 
     # ----------------------------------------------------- recovery hooks
     def quiesce_node(self, victim: OSD) -> Generator:
         """Wait for in-flight background work on ``victim`` before it fails."""
-        yield self.ecfs.env.timeout(0)
+        yield self.ecfs.env.timeout_us(0)
 
     def on_node_failed(self, victim: OSD) -> None:
         """Adjust log state when ``victim`` dies.
@@ -318,11 +318,11 @@ class UpdateMethod:
 
     def post_rebuild(self, block: BlockId, target: OSD, rebuilt: np.ndarray) -> Generator:
         """Apply any stashed updates for a freshly decoded block."""
-        yield self.ecfs.env.timeout(0)
+        yield self.ecfs.env.timeout_us(0)
 
     def finalize_recovery(self) -> Generator:
         """Drain whatever the replay produced."""
-        yield self.ecfs.env.timeout(0)
+        yield self.ecfs.env.timeout_us(0)
 
     def degraded_overlay(
         self, block: BlockId, offset: int, size: int, buf: np.ndarray
@@ -331,7 +331,7 @@ class UpdateMethod:
         when its node died (consulted by degraded reads).  Methods that
         update data blocks in place have nothing logged for data blocks;
         TSUE overrides this to read the replica DataLog."""
-        yield self.ecfs.env.timeout(0)
+        yield self.ecfs.env.timeout_us(0)
         return buf
 
     def memory_bytes(self, osd: OSD) -> int:
@@ -374,7 +374,7 @@ class UpdateMethod:
             # read-only view *before* any further yield, so the snapshot is
             # taken at the read instant without an ndarray.copy().
             delta = osd.store.read_view(op.block, op.offset, op.size) ^ op.payload
-            yield self.env.timeout(self.costs.xor(op.size))
+            yield self.env.timeout_us(self.costs.xor(op.size))
             yield from osd.io_block(
                 IOKind.WRITE, op.block, op.offset, op.size, priority, overwrite=True
             )
@@ -401,7 +401,7 @@ class UpdateMethod:
             yield from self.ecfs.wait_stripe_thaw(pblock.file_id, pblock.stripe)
         size = int(pdelta.shape[0])
         yield from posd.io_block(IOKind.READ, pblock, offset, size, priority, tag=tag)
-        yield self.env.timeout(self.costs.xor(size))
+        yield self.env.timeout_us(self.costs.xor(size))
         yield from posd.io_block(
             IOKind.WRITE, pblock, offset, size, priority, overwrite=True, tag=tag
         )

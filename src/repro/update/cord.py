@@ -144,7 +144,7 @@ class CoRD(UpdateMethod):
                     for didx, emap in per_idx.items():
                         coef = self.parity_coef(j, didx)
                         for ext in emap.extents():
-                            yield self.env.timeout(self.costs.gf_mul(ext.size))
+                            yield self.env.timeout_us(self.costs.gf_mul(ext.size))
                             merged.insert(
                                 ext.start, gf_mul_scalar(coef, ext.data), own=True
                             )

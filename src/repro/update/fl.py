@@ -126,7 +126,7 @@ class FullLogging(UpdateMethod):
                 IOPriority.BACKGROUND, tag="fl-recycle",
             )
             old = osd.store.read(block, ext.start, ext.size)
-            yield self.env.timeout(self.costs.xor(ext.size))
+            yield self.env.timeout_us(self.costs.xor(ext.size))
             delta = old ^ ext.data
             yield from osd.io_block(
                 IOKind.WRITE, block, ext.start, ext.size,
@@ -147,7 +147,7 @@ class FullLogging(UpdateMethod):
                 # node restarts, or re-encoded by its rebuild
                 self._mark_parity_resync(pbid)
                 continue
-            yield self.env.timeout(self.costs.gf_mul(int(delta.shape[0])))
+            yield self.env.timeout_us(self.costs.gf_mul(int(delta.shape[0])))
             pdelta = parity_delta(self.parity_coef(j, block.idx), delta)
             # a host that dies between the liveness check above and the
             # write leaves the row resync-marked
@@ -172,12 +172,12 @@ class FullLogging(UpdateMethod):
         # onto a freshly decoded block is idempotent: old == new, delta 0)
         exts = self._stash.get(block)
         if not exts:
-            yield self.env.timeout(0)
+            yield self.env.timeout_us(0)
             return
         yield from self._read_mirror(block, sum(e.size for e in exts), "fl-replay")
         for ext in exts:
             old = rebuilt[ext.start : ext.end].copy()
-            yield self.env.timeout(self.costs.xor(ext.size))
+            yield self.env.timeout_us(self.costs.xor(ext.size))
             rebuilt[ext.start : ext.end] = ext.data
             yield from self._update_parity(
                 target, block, ext.start, old ^ ext.data, "fl-replay", frozen_ok=True
@@ -191,7 +191,7 @@ class FullLogging(UpdateMethod):
         log so acked-but-unmerged bytes are never served stale."""
         exts = self._stash.get(block)
         if not exts:
-            yield self.env.timeout(0)
+            yield self.env.timeout_us(0)
             return buf
         yield from self._read_mirror(block, size, "fl-degraded")
         return overlay(buf, offset, exts)
@@ -208,7 +208,7 @@ class FullLogging(UpdateMethod):
                     tag=tag,
                 )
                 return
-        yield self.env.timeout(0)
+        yield self.env.timeout_us(0)
 
     def recovery_prepare(self, osd: OSD) -> Generator:
         mine = self._hosted(self._datalog).get(osd.name, [])

@@ -223,7 +223,7 @@ class PARIX(UpdateMethod):
                 raise RuntimeError(
                     "PARIX invariant violated: updated byte missing D0"
                 )
-            yield self.env.timeout(self.costs.gf_mul(ext.size))
+            yield self.env.timeout_us(self.costs.gf_mul(ext.size))
             pdelta = parity_delta(self.parity_coef(j, didx), ext.data ^ old)
             yield from self.parity_rmw(
                 posd, pbid, ext.start, pdelta, priority, tag="parix-recycle"

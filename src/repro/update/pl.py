@@ -52,7 +52,7 @@ class ParityLogging(UpdateMethod):
         )
 
     def _log_parity(self, osd: OSD, posd: OSD, pbid, op: UpdateOp, delta, j) -> Generator:
-        yield self.env.timeout(self.costs.gf_mul(op.size))
+        yield self.env.timeout_us(self.costs.gf_mul(op.size))
         pdelta = parity_delta(self.parity_coef(j, op.block.idx), delta)
         yield from self.forward(osd, posd, op.size)
         try:

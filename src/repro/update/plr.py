@@ -55,7 +55,7 @@ class ParityLoggingReserved(UpdateMethod):
         )
 
     def _append_reserved(self, osd: OSD, posd: OSD, pbid, op: UpdateOp, delta, j) -> Generator:
-        yield self.env.timeout(self.costs.gf_mul(op.size))
+        yield self.env.timeout_us(self.costs.gf_mul(op.size))
         pdelta = parity_delta(self.parity_coef(j, op.block.idx), delta)
         yield from self.forward(osd, posd, op.size)
         try:
@@ -112,7 +112,7 @@ class ParityLoggingReserved(UpdateMethod):
                     tag="plr-recycle",
                 )
                 total = sum(int(d.shape[0]) for _o, d in entries)
-                yield self.env.timeout(self.costs.xor(total))
+                yield self.env.timeout_us(self.costs.xor(total))
                 for offset, pdelta in entries:
                     posd.store.xor_in(pbid, offset, pdelta)
                 yield from posd.io_at(

@@ -33,6 +33,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.cluster.client import UpdateOp
+from repro.cluster.config import CPUCosts
 from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
 from repro.core.intervals import ExtentMap, MergePolicy, overlay
@@ -41,7 +42,7 @@ from repro.core.logpool import LogPool
 from repro.core.logunit import LogUnit, LogUnitState, RawKey
 from repro.core.recycler import RecyclePlanner, unit_recycle_op
 from repro.gf.field import gf_mul_scalar
-from repro.sim.batch import spawn_fanout
+from repro.sim import s_to_us, spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 from repro.update.base import UpdateMethod
 
@@ -68,6 +69,10 @@ class TSUEOptions:
     compress_deltas: bool = False
     compression_ratio: float = 0.6  # compressed size / original size
     compress_cost_per_byte: float = 0.5e-9
+
+    def compress_us(self, costs: CPUCosts, nbytes: int) -> int:
+        """µs to compress an ``nbytes`` delta."""
+        return round((costs.op_fixed + nbytes * self.compress_cost_per_byte) * 1e6)
 
     @staticmethod
     def breakdown() -> dict[str, "TSUEOptions"]:
@@ -125,6 +130,8 @@ class TSUE(UpdateMethod):
         self._dl_streams = [f"datalog{p}" for p in range(self.n_pools)]
         self._dx_streams = [f"deltalog{p}" for p in range(self.n_pools)]
         self._px_streams = [f"paritylog{p}" for p in range(self.n_pools)]
+        # a read served from the log index costs request handling only
+        self._hit_us = s_to_us(cfg.costs.op_fixed)
 
         # per-OSD, per-layer pools: pools[osd.name][layer][pool index]
         self.pools: dict[str, dict[str, list[LogPool]]] = {}
@@ -268,7 +275,7 @@ class TSUE(UpdateMethod):
         hit = pool.lookup(block, offset, size)
         if hit is not None:
             # served from the in-memory log index: no device I/O
-            yield self.env.timeout(self.costs.op_fixed)
+            yield self.env.timeout_us(self._hit_us)
             return hit
         yield from osd.io_block(IOKind.READ, block, offset, size)
         buf = osd.store.read(block, offset, size)
@@ -345,7 +352,7 @@ class TSUE(UpdateMethod):
         # snapshot via read-only view: the XOR materializes the delta
         # before the next yield, so no copy is needed
         delta = osd.store.read_view(block, ext.start, ext.size) ^ ext.data
-        yield self.env.timeout(self.costs.xor(ext.size))
+        yield self.env.timeout_us(self.costs.xor(ext.size))
         # forward the delta BEFORE the in-place overwrite: should the node
         # die in between, a replay recomputes the same delta from the
         # unchanged block and the receivers dedup by token
@@ -377,9 +384,7 @@ class TSUE(UpdateMethod):
         if self.opts.compress_deltas:
             # compression happens off the critical path (the delta sits in
             # the DeltaLog buffer for seconds — §7), but the CPU is charged
-            yield self.env.timeout(
-                self.costs.op_fixed + size * self.opts.compress_cost_per_byte
-            )
+            yield self.env.timeout_us(self.opts.compress_us(self.costs, size))
             wire_size = max(1, int(size * self.opts.compression_ratio))
         if self.opts.use_deltalog and rs.m >= 1:
             p1 = self.ecfs.osd_hosting(BlockId(block.file_id, block.stripe, rs.k))
@@ -394,7 +399,7 @@ class TSUE(UpdateMethod):
         # no DeltaLog (or its home is down): compute each parity delta here,
         # fan out to ParityLogs (more network, more GF work at the data node)
         for j, posd, pbid in self.parity_targets(block):
-            yield self.env.timeout(self.costs.gf_mul(size))
+            yield self.env.timeout_us(self.costs.gf_mul(size))
             pdelta = gf_mul_scalar(self.parity_coef(j, block.idx), delta)
             ptoken = token + ("p", j) if token is not None else None
             if not posd.failed:
@@ -511,14 +516,17 @@ class TSUE(UpdateMethod):
         # Charge the Eq. (5) GF work as the seed model did: one multiply per
         # SOURCE extent per parity row (the planning helper computes the
         # merged extents untimed so a crash-replay can recompute them).
+        # The per-extent charges (CPUCosts.gf_mul's expression) are summed
+        # in seconds and put on the µs grid once.
         rs = self.ecfs.rs
-        gf_cost = sum(
-            rs.m * self.costs.gf_mul(ext.size)
+        costs = self.costs
+        gf_s = sum(
+            rs.m * (costs.op_fixed + ext.size * costs.gf_mul_per_byte)
             for bkey in unit.index.blocks()
             for ext in unit.index.extents(bkey)
         )
-        if gf_cost:
-            yield self.env.timeout(gf_cost)
+        if gf_s:
+            yield self.env.timeout_us(s_to_us(gf_s))
         for key, pbid, ext in self._plan_delta_forwards(unit):
             if key in unit.recycle_progress:
                 continue  # replay of an interrupted recycle
@@ -707,7 +715,7 @@ class TSUE(UpdateMethod):
                 posd = self.ecfs.osd_hosting(pbid)
                 if posd.failed:
                     continue
-                yield self.env.timeout(self.costs.gf_mul(pdelta.shape[0]))
+                yield self.env.timeout_us(self.costs.gf_mul(pdelta.shape[0]))
                 yield from self._paritylog_append(posd, pbid, offset, pdelta, token)
         yield from self._recovery_flush()
 
@@ -716,7 +724,7 @@ class TSUE(UpdateMethod):
         and forward the resulting deltas down the normal pipeline."""
         for ext in self._stash_data.pop(block, []):
             old = rebuilt[ext.start : ext.end].copy()
-            yield self.env.timeout(self.costs.xor(ext.size))
+            yield self.env.timeout_us(self.costs.xor(ext.size))
             rebuilt[ext.start : ext.end] = ext.data
             yield from self._forward_delta(target, block, ext.start, old ^ ext.data)
 
@@ -872,7 +880,7 @@ class TSUE(UpdateMethod):
             yielded = True
             yield self.ecfs.settlement_event()
         if not yielded:
-            yield self.env.timeout(0)
+            yield self.env.timeout_us(0)
 
     def collect_block_logs(self, src: OSD, block: BlockId) -> list:
         return self._live_block_extents(src, block)
@@ -894,7 +902,7 @@ class TSUE(UpdateMethod):
         """
         total = sum(ext.size for _l, _p, _u, _k, ext in records)
         if not records:
-            yield self.env.timeout(0)
+            yield self.env.timeout_us(0)
             return 0
         # one sequential read of the shipped extents at the source + wire
         yield from src.io_at(

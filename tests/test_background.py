@@ -158,7 +158,7 @@ def test_grants_yield_to_foreground_backlog_with_aging_bound():
     granted_at = []
 
     def bg_work():
-        yield env.timeout(0.001)  # let the flood build a backlog
+        yield env.timeout_us(1_000)  # let the flood build a backlog
         yield from ecfs.background.request(ScrubOp(osd=osd.name, nbytes=4096))
         granted_at.append(env.now)
 
@@ -261,7 +261,7 @@ def test_deadline_demotes_straggler_update_leg():
     ecfs.net.partition((home.name,))
 
     def heal():
-        yield ecfs.env.timeout(0.2)
+        yield ecfs.env.timeout_us(200_000)
         ecfs.net.heal()
 
     ecfs.env.process(heal())

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import BlockId, BlockKind, ClusterConfig, ECFS, Placement, block_kind
+from repro.cluster import (
+    BlockId, BlockKind, CPUCosts, ClusterConfig, ECFS, Placement, block_kind,
+)
 from repro.common.errors import ConfigError, IntegrityError
 from repro.storage.base import IOKind
 
@@ -152,6 +156,26 @@ def test_config_validation():
         ClusterConfig(block_size=0).validate()
     with pytest.raises(ConfigError):
         ClusterConfig(device="tape").validate()
+
+
+@given(
+    nbytes=st.integers(0, 4 << 20), terms=st.integers(1, 8), times=st.integers(1, 4)
+)
+@settings(deadline=None)
+def test_cpu_charges_are_the_seconds_formulas_rounded_once(nbytes, terms, times):
+    """Every CPU charge is its float-seconds formula put on the µs grid in
+    one rounding, so a caller yields exactly the tick it always did."""
+    from repro.update.tsue import TSUEOptions
+
+    costs = CPUCosts()
+    assert costs.xor(nbytes) == round((1e-6 + nbytes * 0.1e-9) * 1e6)
+    assert costs.gf_mul(nbytes, terms) == round((1e-6 + nbytes * 0.4e-9 * terms) * 1e6)
+    assert costs.gf_mul(nbytes, terms, times) == round(
+        (1e-6 + nbytes * 0.4e-9 * terms) * times * 1e6
+    )
+    assert TSUEOptions().compress_us(costs, nbytes) == round(
+        (1e-6 + nbytes * 0.5e-9) * 1e6
+    )
 
 
 def test_populate_random_creates_consistent_stripes():

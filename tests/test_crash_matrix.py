@@ -137,3 +137,94 @@ def test_fl_prepare_host_dies_mid_prepare():
     ecfs, injector, _replay = _run_crash("fl", schedule=schedule)
     assert [r.failed_osd for r in injector.recovery_reports] == [7]
     assert ecfs.verify() == 4
+
+
+def _two_fault(method: str, schedule: FaultSchedule, outcome: str, id: str):
+    return pytest.param(
+        method, schedule, outcome, id=id,
+        marks=pytest.mark.xfail(strict=True, raises=IntegrityError, reason=outcome),
+    )
+
+
+@pytest.mark.parametrize(
+    "method, schedule, outcome",
+    [
+        _two_fault(
+            "tsue",
+            FaultSchedule()
+            .at(2.309e-3, CrashOSD(4))
+            .at(4.967e-3, BounceOSD(8, 2.67e-3)),
+            "stripe f2.s1: parity block 0 stale (4079 bytes differ)",
+            "tsue-crash4-bounce8",
+        ),
+        _two_fault(
+            "fo",
+            FaultSchedule()
+            .at(2.825e-3, CrashOSD(0))
+            .at(3.242e-3, CrashOSD(7)),
+            "stripe f2.s0: parity block 0 stale (24476 bytes differ)",
+            "fo-crash0-crash7",
+        ),
+        _two_fault(
+            "fo",
+            FaultSchedule()
+            .at(4.672e-3, CrashOSD(7))
+            .at(4.866e-3, CrashOSD(0)),
+            "stripe f2.s0: parity block 0 stale (4074 bytes differ)",
+            "fo-crash7-crash0",
+        ),
+        _two_fault(
+            "fl",
+            FaultSchedule()
+            .at(1.684e-3, BounceOSD(9, 1.919e-3))
+            .at(2.940e-3, CrashOSD(7)),
+            "stripe f2.s0: parity block 1 stale (65285 bytes differ)",
+            "fl-bounce9-crash7",
+        ),
+        _two_fault(
+            "plr",
+            FaultSchedule()
+            .at(3.179e-3, BounceOSD(4, 0.946e-3))
+            .at(5.606e-3, CrashOSD(5)),
+            "stripe f1.s0: parity block 0 stale (4072 bytes differ)",
+            "plr-bounce4-crash5",
+        ),
+        _two_fault(
+            "plr",
+            FaultSchedule()
+            .at(5.402e-3, CrashOSD(6))
+            .at(6.504e-3, CrashOSD(0)),
+            "stripe f2.s0: data block 1 diverges from oracle in 4082 bytes",
+            "plr-crash6-crash0",
+        ),
+        _two_fault(
+            "cord",
+            FaultSchedule()
+            .at(1.853e-3, CrashOSD(1))
+            .at(3.503e-3, CrashOSD(5)),
+            "stripe f1.s1: data block 0 diverges from oracle in 4076 bytes",
+            "cord-crash1-crash5",
+        ),
+        _two_fault(
+            "cord",
+            FaultSchedule()
+            .at(3.349e-3, BounceOSD(9, 0.958e-3))
+            .at(4.704e-3, CrashOSD(8)),
+            "stripe f2.s0: data block 3 diverges from oracle in 65260 bytes",
+            "cord-bounce9-crash8",
+        ),
+    ],
+)
+def test_two_concurrent_faults(method, schedule, outcome):
+    """Two faults a few ms apart on RS(4,2) — at the code's tolerance m —
+    found by a random two-fault sweep.  Each still loses an acked update; a
+    fix turns its row into an XPASS (strict: the suite fails until the mark
+    goes).  The failure must stay the recorded one: these rows are timing
+    dependent, so a row that fails on another stripe or byte count means
+    something moved a simulated event."""
+    try:
+        ecfs, _injector, _replay = _run_crash(method, schedule=schedule)
+        ecfs.verify()
+    except IntegrityError as exc:
+        assert str(exc) == outcome
+        raise

@@ -182,19 +182,20 @@ def _make_program(seed: int):
     return program, n_events
 
 
-def _drive(env, make_all, make_any, program, n_events, trace):
+def _drive(env, timeout, program, n_events, trace):
+    """Run ``program`` on ``env``; ``timeout(seconds)`` builds its delays."""
     events = [env.event() for _ in range(n_events)]
     fired = [False] * n_events
 
     def proc(pid, steps):
         for op, arg in steps:
             if op == "sleep":
-                yield env.timeout(arg)
+                yield timeout(arg)
             elif op == "fire":
                 if not fired[arg]:
                     fired[arg] = True
                     events[arg].succeed((pid, arg))
-                yield env.timeout(0)
+                yield timeout(0)
             elif op == "wait":
                 # only wait on events some process will (or did) fire, else
                 # the run would deadlock identically but trace less
@@ -203,11 +204,11 @@ def _drive(env, make_all, make_any, program, n_events, trace):
                 ):
                     yield events[arg]
                 else:
-                    yield env.timeout(0)
+                    yield timeout(0)
             elif op == "all":
-                yield make_all([env.timeout(d) for d in arg])
+                yield env.all_of([timeout(d) for d in arg])
             elif op == "any":
-                yield make_any([env.timeout(d) for d in arg])
+                yield env.any_of([timeout(d) for d in arg])
             trace.append((round(env.now, 9), pid, op))
 
     for pid, steps in enumerate(program):
@@ -221,12 +222,12 @@ def test_randomized_program_matches_reference_engine(seed):
     program, n_events = _make_program(seed)
 
     ref_env = _RefEnvironment()
-    ref_trace = _drive(
-        ref_env, ref_env.all_of, ref_env.any_of, program, n_events, []
-    )
+    ref_trace = _drive(ref_env, ref_env.timeout, program, n_events, [])
 
     env = Environment()
-    opt_trace = _drive(env, env.all_of, env.any_of, program, n_events, [])
+    opt_trace = _drive(
+        env, lambda d: env.timeout_us(round(d * 1e6)), program, n_events, []
+    )
 
     assert opt_trace == ref_trace
     # The integer-µs core accumulates delays exactly; the float reference
@@ -282,21 +283,6 @@ def test_engine_fires_in_float_reference_order(entries):
         key=lambda i: (entries[i][0] / 1e6, entries[i][1], i),
     )
     assert order == expected
-
-
-def test_float_shim_accumulates_exactly_on_the_microsecond_grid():
-    """0.1 is not a binary float; ten of them sum to 0.9999999999999999.
-    The shim rounds each delay onto the µs grid, so ten 0.1 s timeouts land
-    on exactly one second — accumulated error is zero, not ulps."""
-    env = Environment()
-
-    def ticker():
-        for _ in range(10):
-            yield env.timeout(0.1)
-
-    env.run(env.process(ticker()))
-    assert env.now_us == 1_000_000
-    assert env.now == 1.0
 
 
 def test_hours_long_accumulation_stays_exact():

@@ -145,9 +145,9 @@ def test_bounce_restart_replays_buffered_parity_deltas():
     def flow():
         victim.fail()
         yield env.process(client.update(files[0], 0, 8192))
-        yield env.timeout(0.01)
+        yield env.timeout_us(10_000)
         ecfs.restart_osd(victim.idx)
-        yield env.timeout(0.01)
+        yield env.timeout_us(10_000)
 
     env.run(env.process(flow()))
     ecfs.drain()
@@ -167,9 +167,9 @@ def test_restart_requeues_interrupted_recycle():
             yield env.process(client.update(files[0], i * 4096, 4096))
         victim = ecfs.osd_hosting(BlockId(files[0], 0, 0))
         victim.fail()
-        yield env.timeout(0.005)
+        yield env.timeout_us(5_000)
         ecfs.restart_osd(victim.idx)
-        yield env.timeout(0.005)
+        yield env.timeout_us(5_000)
 
     env.run(env.process(flow()))
     ecfs.drain()

@@ -191,7 +191,7 @@ def test_retry_heals_transient_outage():
     victim.fail()  # transient: contents intact, no MDS declaration (a bounce)
 
     def heal():
-        yield ecfs.env.timeout(0.004)
+        yield ecfs.env.timeout_us(4_000)
         ecfs.restart_osd(victim.idx)
 
     ecfs.env.process(heal())
@@ -212,7 +212,7 @@ def test_hedged_read_dodges_partition():
     ecfs.net.partition((home.name,))
 
     def heal():
-        yield ecfs.env.timeout(0.5)
+        yield ecfs.env.timeout_us(500_000)
         ecfs.net.heal()
 
     ecfs.env.process(heal())
@@ -237,7 +237,7 @@ def test_quiesce_waits_out_stragglers():
     ecfs.net.partition((home.name,))
 
     def heal():
-        yield ecfs.env.timeout(0.2)
+        yield ecfs.env.timeout_us(200_000)
         ecfs.net.heal()
 
     ecfs.env.process(heal())

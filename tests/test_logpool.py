@@ -66,7 +66,7 @@ def test_quota_backpressure_stalls_appends():
     def recycler():
         unit = yield pool.recyclable.get()
         unit.start_recycle(env.now)
-        yield env.timeout(5.0)  # slow recycle
+        yield env.timeout_us(5_000_000)  # slow recycle
         pool.unit_recycled(unit)
 
     env.process(appender())
@@ -173,11 +173,11 @@ def test_residence_recorded_on_recycle():
 
     def flow():
         yield from pool.append("a", 0, _bytes(90))
-        yield env.timeout(2.0)
+        yield env.timeout_us(2_000_000)
         yield from pool.append("b", 0, _bytes(90))  # seal at t=2
         unit = yield pool.recyclable.get()
         unit.start_recycle(env.now)
-        yield env.timeout(1.0)
+        yield env.timeout_us(1_000_000)
         pool.unit_recycled(unit)
 
     env.run(env.process(flow()))

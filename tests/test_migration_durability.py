@@ -65,11 +65,11 @@ def _run_cell(method, fault, phase, seed=21, n_ops=140, background=None, **rebal
             outcome["recovery"] = report
         else:  # bounce: transient outage, contents intact, no rebuild
             ecfs.osds[_VICTIM].fail()
-            yield env.timeout(0.05)
+            yield env.timeout_us(50_000)
             ecfs.restart_osd(_VICTIM)
 
     def elastic():
-        yield env.timeout(5e-4)  # updates already in flight
+        yield env.timeout_us(500)  # updates already in flight
         _osd, plan = ecfs.join_osd()
         assert plan.moves
         if phase == "mid-epoch-advance":
@@ -80,7 +80,7 @@ def _run_cell(method, fault, phase, seed=21, n_ops=140, background=None, **rebal
         else:  # mid-migration
             proc = env.process(rebal.run(plan), name="rebal")
             while rebal.moved_blocks < 1:
-                yield env.timeout(2e-4)
+                yield env.timeout_us(200)
             fault_proc = env.process(inject(), name="inject")
             report = yield proc
         yield fault_proc

@@ -65,9 +65,9 @@ def test_thaw_waiter_wakes_exactly_at_last_release():
         woke.append(env.now)
 
     def thawer():
-        yield env.timeout(1.0)
+        yield env.timeout_us(1_000_000)
         ecfs.thaw_stripe(0, 0)  # one hold left: waiter must not wake
-        yield env.timeout(1.5)
+        yield env.timeout_us(1_500_000)
         ecfs.thaw_stripe(0, 0)  # last hold releases at t=2.5
 
     env.process(waiter())
@@ -91,7 +91,7 @@ def test_thaw_waiters_wake_in_fifo_order():
         env.process(waiter(tag))
 
     def thawer():
-        yield env.timeout(1.0)
+        yield env.timeout_us(1_000_000)
         ecfs.thaw_stripe(0, 0)
 
     env.process(thawer())
@@ -114,7 +114,7 @@ def test_inflight_release_wakes_stripe_waiter():
         woke.append(env.now)
 
     def releaser():
-        yield env.timeout(0.75)
+        yield env.timeout_us(750_000)
         ecfs.note_update_end(block)
 
     env.process(waiter())
@@ -133,7 +133,7 @@ def test_settlement_event_woken_by_notify():
         woke.append(env.now)
 
     def notifier():
-        yield env.timeout(2.0)
+        yield env.timeout_us(2_000_000)
         ecfs.notify_settlement()
 
     env.process(waiter())
@@ -159,9 +159,9 @@ def test_no_spurious_wakeups_while_frozen():
             wakes.append(env.now)
 
     def other_thaw():
-        yield env.timeout(1.0)
+        yield env.timeout_us(1_000_000)
         ecfs.thaw_stripe(0, 1)  # other stripe: no wake for (0, 0)
-        yield env.timeout(1.0)
+        yield env.timeout_us(1_000_000)
         ecfs.thaw_stripe(0, 0)
 
     env.process(waiter())

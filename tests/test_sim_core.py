@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import (
+    PHASE_URGENT,
     AllOf,
     AnyOf,
     Environment,
@@ -16,8 +17,8 @@ def test_timeout_advances_clock():
     env = Environment()
 
     def proc():
-        yield env.timeout(1.5)
-        yield env.timeout(0.5)
+        yield env.timeout_us(1_500_000)
+        yield env.timeout_us(500_000)
 
     env.process(proc())
     env.run()
@@ -29,7 +30,7 @@ def test_timeout_value_delivered():
     seen = []
 
     def proc():
-        value = yield env.timeout(1.0, value="hello")
+        value = yield env.timeout_us(1_000_000, value="hello")
         seen.append(value)
 
     env.process(proc())
@@ -40,7 +41,7 @@ def test_timeout_value_delivered():
 def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        env.timeout(-1)
+        env.timeout_us(-1)
 
 
 def test_event_succeed_wakes_waiter():
@@ -52,7 +53,7 @@ def test_event_succeed_wakes_waiter():
         got.append((yield ev))
 
     def firer():
-        yield env.timeout(3.0)
+        yield env.timeout_us(3_000_000)
         ev.succeed(42)
 
     env.process(waiter())
@@ -104,7 +105,7 @@ def test_process_return_value_via_yield():
     results = []
 
     def child():
-        yield env.timeout(1)
+        yield env.timeout_us(1_000_000)
         return "done"
 
     def parent():
@@ -120,7 +121,7 @@ def test_run_until_event_returns_value():
     env = Environment()
 
     def child():
-        yield env.timeout(2)
+        yield env.timeout_us(2_000_000)
         return 99
 
     proc = env.process(child())
@@ -132,7 +133,7 @@ def test_run_until_time_stops_clock():
 
     def ticker():
         while True:
-            yield env.timeout(1)
+            yield env.timeout_us(1_000_000)
 
     env.process(ticker())
     env.run(until=5.5)
@@ -151,8 +152,8 @@ def test_all_of_waits_for_every_event():
     done = []
 
     def proc():
-        t1 = env.timeout(1, value="a")
-        t2 = env.timeout(3, value="b")
+        t1 = env.timeout_us(1_000_000, value="a")
+        t2 = env.timeout_us(3_000_000, value="b")
         results = yield env.all_of([t1, t2])
         done.append(sorted(results.values()))
 
@@ -167,7 +168,7 @@ def test_any_of_fires_on_first():
     times = []
 
     def proc():
-        yield env.any_of([env.timeout(1), env.timeout(5)])
+        yield env.any_of([env.timeout_us(1_000_000), env.timeout_us(5_000_000)])
         times.append(env.now)
 
     env.process(proc())
@@ -194,12 +195,12 @@ def test_interrupt_raises_in_process():
 
     def victim():
         try:
-            yield env.timeout(100)
+            yield env.timeout_us(100_000_000)
         except Interrupt as intr:
             caught.append((intr.cause, env.now))
 
     def attacker(proc):
-        yield env.timeout(1)
+        yield env.timeout_us(1_000_000)
         proc.interrupt("failure-injection")
 
     proc = env.process(victim())
@@ -213,7 +214,7 @@ def test_interrupt_dead_process_is_noop():
     env = Environment()
 
     def quick():
-        yield env.timeout(0)
+        yield env.timeout_us(0)
 
     proc = env.process(quick())
     env.run()
@@ -249,7 +250,7 @@ def test_event_ordering_fifo_at_same_time():
     order = []
 
     def proc(tag):
-        yield env.timeout(1)
+        yield env.timeout_us(1_000_000)
         order.append(tag)
 
     for tag in "abc":
@@ -258,12 +259,12 @@ def test_event_ordering_fifo_at_same_time():
     assert order == ["a", "b", "c"]
 
 
-def test_peek_reports_next_event_time():
+def test_peek_us_reports_next_event_time():
     env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == pytest.approx(7.0)
+    env.timeout_us(7_000_000)
+    assert env.peek_us() == 7_000_000
     env.run()
-    assert env.peek() == float("inf")
+    assert env.peek_us() is None
 
 
 # ---------------------------------------------------------------- cancellation
@@ -271,14 +272,14 @@ def test_peek_reports_next_event_time():
 
 def test_cancelled_timeout_never_fires_nor_advances_clock():
     env = Environment()
-    t = env.timeout(5.0)
+    t = env.timeout_us(5_000_000)
     t.cancel()
     assert t.cancelled
     env.run()
     # the cancelled placeholder is discarded silently: no callback ran and
     # the clock never advanced to its timestamp
     assert env.now == 0.0
-    assert env.peek() == float("inf")
+    assert env.peek_us() is None
 
 
 def test_cancel_drops_waiter_wakeups():
@@ -292,12 +293,12 @@ def test_cancel_drops_waiter_wakeups():
         woke.append(env.now)
 
     ev = env.event()
-    t = env.timeout(1.0)
+    t = env.timeout_us(1_000_000)
     env.process(waiter(ev, t))
     t.cancel()
 
     def firer():
-        yield env.timeout(3.0)
+        yield env.timeout_us(3_000_000)
         ev.succeed()
 
     env.process(firer())
@@ -310,7 +311,7 @@ def test_cancel_pending_and_processed_is_noop():
     ev = env.event()
     ev.cancel()  # pending: no-op
     assert not ev.cancelled
-    t = env.timeout(0)
+    t = env.timeout_us(0)
     env.run()
     t.cancel()  # processed: no-op
     assert not t.cancelled
@@ -324,12 +325,12 @@ def test_interrupt_cancels_abandoned_timeout():
 
     def victim():
         try:
-            yield env.timeout(100)
+            yield env.timeout_us(100_000_000)
         except Interrupt as intr:
             caught.append((intr.cause, env.now))
 
     def attacker(proc):
-        yield env.timeout(1)
+        yield env.timeout_us(1_000_000)
         proc.interrupt("die")
 
     proc = env.process(victim())
@@ -337,13 +338,13 @@ def test_interrupt_cancels_abandoned_timeout():
     env.run()
     assert caught == [("die", 1.0)]
     assert env.now == 1.0  # seed drained the abandoned timeout at t=100
-    assert env.peek() == float("inf")
+    assert env.peek_us() is None
 
 
 def test_steps_counts_processed_events_only():
     env = Environment()
-    t = env.timeout(1.0)
-    env.timeout(2.0)
+    t = env.timeout_us(1_000_000)
+    env.timeout_us(2_000_000)
     t.cancel()
     env.run()
     assert env.steps == 1  # the cancelled entry does not count
@@ -359,8 +360,8 @@ def test_run_until_event_drains_earlier_same_time_events():
     peek() reports them."""
     env = Environment()
     order = []
-    t_a = env.timeout(1.0)  # scheduled before the stop event (smaller tie)
-    t_b = env.timeout(1.0)
+    t_a = env.timeout_us(1_000_000)  # scheduled before the stop event (smaller tie)
+    t_b = env.timeout_us(1_000_000)
 
     def logger(tag, t):
         yield t
@@ -373,31 +374,48 @@ def test_run_until_event_drains_earlier_same_time_events():
     stop = env.event()
     stop._ok = True
     stop._state = 1  # triggered
-    env.schedule_at(stop, 1.0, priority=0)
+    env.schedule_at_us(stop, 1_000_000, phase=PHASE_URGENT)
     env.run(stop)
     assert order == ["a", "b"]
     # the logger processes' completion events were scheduled *after* the
     # stop event and are still pending at t=1
-    assert env.peek() == pytest.approx(1.0)
+    assert env.peek_us() == 1_000_000
     env.run()
     assert env.now == pytest.approx(1.0)
 
 
+def test_timeout_at_us_fires_at_absolute_time():
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield env.timeout_us(1_000)
+        seen.append((yield env.timeout_at_us(2_500, value="at")))
+        seen.append(env.now_us)
+
+    env.process(proc())
+    env.run()
+    assert seen == ["at", 2_500]
+    with pytest.raises(ValueError):
+        env.timeout_at_us(2_499)  # in the past
+
+
 def test_run_until_already_processed_event_returns_value():
     env = Environment()
-    t = env.timeout(0, value="x")
+    t = env.timeout_us(0, value="x")
     env.run()
     assert t.processed
     assert env.run(until=t) == "x"
 
 
-def test_schedule_at_absolute_time():
+def test_schedule_at_us_absolute_time():
     env = Environment()
     ev = env.event()
     ev._ok = True
     ev._state = 1
-    env.schedule_at(ev, 4.5)
+    env.schedule_at_us(ev, 4_500_000)
     env.run()
+    assert env.now_us == 4_500_000
     assert env.now == pytest.approx(4.5)
     with pytest.raises(ValueError):
-        env.schedule_at(env.event(), 1.0)  # in the past
+        env.schedule_at_us(env.event(), 1_000_000)  # in the past

@@ -13,12 +13,12 @@ def test_resource_capacity_one_serializes():
         with res.request() as req:
             yield req
             log.append((tag, "in", env.now))
-            yield env.timeout(hold)
+            yield env.timeout_us(hold)
         log.append((tag, "out", env.now))
 
     res = Resource(env, capacity=1)
-    env.process(worker(res, "a", 2))
-    env.process(worker(res, "b", 1))
+    env.process(worker(res, "a", 2_000_000))
+    env.process(worker(res, "b", 1_000_000))
     env.run()
     assert log == [
         ("a", "in", 0.0),
@@ -35,7 +35,7 @@ def test_resource_capacity_two_overlaps():
     def worker(res):
         with res.request() as req:
             yield req
-            yield env.timeout(1)
+            yield env.timeout_us(1_000_000)
         done.append(env.now)
 
     res = Resource(env, capacity=2)
@@ -58,18 +58,18 @@ def test_priority_resource_orders_queue():
     def holder(res):
         with res.request() as req:
             yield req
-            yield env.timeout(5)
+            yield env.timeout_us(5_000_000)
 
     def worker(res, tag, prio, delay):
-        yield env.timeout(delay)
+        yield env.timeout_us(delay)
         with res.request(priority=prio) as req:
             yield req
             order.append(tag)
 
     res = PriorityResource(env, capacity=1)
     env.process(holder(res))
-    env.process(worker(res, "bg", 10, 1))
-    env.process(worker(res, "fg", 0, 2))  # arrives later, higher priority
+    env.process(worker(res, "bg", 10, 1_000_000))
+    env.process(worker(res, "fg", 0, 2_000_000))  # arrives later, higher priority
     env.run()
     assert order == ["fg", "bg"]
 
@@ -81,15 +81,15 @@ def test_request_cancel_releases_queue_slot():
     def holder(res):
         with res.request() as req:
             yield req
-            yield env.timeout(3)
+            yield env.timeout_us(3_000_000)
 
     def canceller(res):
-        yield env.timeout(1)
+        yield env.timeout_us(1_000_000)
         req = res.request()
         req.cancel()
 
     def worker(res):
-        yield env.timeout(2)
+        yield env.timeout_us(2_000_000)
         with res.request() as req:
             yield req
             got.append(env.now)
@@ -108,7 +108,7 @@ def test_store_fifo_order():
 
     def producer(store):
         for i in range(3):
-            yield env.timeout(1)
+            yield env.timeout_us(1_000_000)
             store.put(i)
 
     def consumer(store):
@@ -132,7 +132,7 @@ def test_store_get_blocks_until_put():
         got.append((item, env.now))
 
     def producer(store):
-        yield env.timeout(4)
+        yield env.timeout_us(4_000_000)
         store.put("x")
 
     store = Store(env)
@@ -152,7 +152,7 @@ def test_store_bounded_capacity_blocks_put():
             events.append(("put", i, env.now))
 
     def consumer(store):
-        yield env.timeout(2)
+        yield env.timeout_us(2_000_000)
         item = yield store.get()
         events.append(("got", item, env.now))
 

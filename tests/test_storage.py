@@ -65,7 +65,8 @@ def test_ssd_random_slower_than_sequential():
     rand = IORequest(IOKind.READ, 1 << 28, 4096, stream="r")
     ssd._stream_end["s"] = 4096  # prime sequential history
     assert ssd.estimate(rand) > 3 * ssd.estimate(seq)
-    assert ssd.estimate(rand) == pytest.approx(p.rand_read_lat + 4096 / p.seq_read_bw)
+    # estimates are integer µs
+    assert ssd.estimate(rand) == round((p.rand_read_lat + 4096 / p.seq_read_bw) * 1e6)
 
 
 def test_ssd_queueing_serializes_beyond_channels():
@@ -82,8 +83,8 @@ def test_ssd_queueing_serializes_beyond_channels():
     for r in reqs:
         env.process(proc(r))
     env.run()
-    # each service time lands on the engine's integer-microsecond grid
-    assert done[-1] == pytest.approx(4 * round(t_one * 1e6) / 1e6)
+    # each service time is a whole number of µs
+    assert done[-1] == pytest.approx(4 * t_one / 1e6)
 
 
 def test_ssd_priority_queue_favors_foreground():
@@ -92,7 +93,7 @@ def test_ssd_priority_queue_favors_foreground():
     order = []
 
     def submit(tag, prio, delay):
-        yield env.timeout(delay)
+        yield env.timeout_us(delay)
         yield env.process(
             ssd.submit(
                 IORequest(IOKind.READ, hash(tag) % (1 << 30), 4096,
@@ -102,8 +103,8 @@ def test_ssd_priority_queue_favors_foreground():
         order.append(tag)
 
     env.process(submit("hold", IOPriority.FOREGROUND, 0))
-    env.process(submit("bg", IOPriority.BACKGROUND, 1e-6))
-    env.process(submit("fg", IOPriority.FOREGROUND, 2e-6))
+    env.process(submit("bg", IOPriority.BACKGROUND, 1))
+    env.process(submit("fg", IOPriority.FOREGROUND, 2))
     env.run()
     assert order == ["hold", "fg", "bg"]
 
@@ -138,7 +139,7 @@ def test_hdd_seek_dominates_random():
     p = hdd.params
     rand = IORequest(IOKind.READ, 1 << 30, 4096, stream="r")
     est = hdd.estimate(rand)
-    assert est == pytest.approx(p.avg_seek + p.avg_rotation + 4096 / p.seq_bw)
+    assert est == round((p.avg_seek + p.avg_rotation + 4096 / p.seq_bw) * 1e6)
     # the random/sequential gap on HDD is much larger than on SSD
     hdd._stream_end["s"] = 4096
     seq = IORequest(IOKind.READ, 4096, 4096, stream="s")

@@ -62,7 +62,7 @@ def test_join_with_updates_in_flight_loses_nothing():
     trace = generate_trace(tencloud_spec(), 150, files, fsize, seed=5)
 
     def join_mid_replay():
-        yield ecfs.env.timeout(5e-4)
+        yield ecfs.env.timeout_us(500)
         _osd, plan = ecfs.join_osd()
         report = yield ecfs.env.process(
             Rebalancer(ecfs, parallel=2).run(plan), name="rebal"

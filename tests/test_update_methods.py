@@ -193,14 +193,14 @@ def test_pl_accumulates_then_flushes_debt():
     assert ecfs.verify() == 1
 
 
-# crash times at which an append is in flight on the victim (seed 21, 150
+# crash times (µs) at which an append is in flight on the victim (seed 21, 150
 # tencloud ops, 4 clients): its device I/O still returns after the node died
 _LOG_HOST_CRASHES = {
-    "fl": (5, 0.0011),
-    "pl": (5, 0.0006),
-    "plr": (5, 0.0007),
-    "parix": (5, 0.0010),
-    "cord": (5, 0.0006),
+    "fl": (5, 1_100),
+    "pl": (5, 600),
+    "plr": (5, 700),
+    "parix": (5, 1_000),
+    "cord": (5, 600),
 }
 _LOGGED_ON = {
     "fl": lambda m, osd: m._hosted(m._datalog).get(osd.name),
@@ -227,7 +227,7 @@ def test_flush_fanout_skips_a_dead_log_host_and_nothing_is_left_on_it(method):
     victim = ecfs.osds[victim_idx]
 
     def crash():
-        yield ecfs.env.timeout(crash_at)
+        yield ecfs.env.timeout_us(crash_at)
         ecfs.crash_osd(victim_idx)
 
     ecfs.env.process(crash())
