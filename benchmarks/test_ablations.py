@@ -77,9 +77,9 @@ def test_ablation_read_cache_serves_hot_reads():
 
     env.run(env.process(flow()))
     pools = [
-        p
-        for layers in ecfs.method.pools.values()
-        for p in layers["datalog"]
+        pool
+        for osd in ecfs.osds
+        for _p, pool in ecfs.method.built_pools(osd.name, "datalog")
     ]
     hits = sum(p.cache_hits for p in pools)
     misses = sum(p.cache_misses for p in pools)

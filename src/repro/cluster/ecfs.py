@@ -91,7 +91,6 @@ class ECFS:
         for osd in self.osds:
             osd.method = self.method
             self.method.attach(osd)
-        self.method.start_background()
 
         # always None: perfbench/driver.py (frozen by BENCHMARK.json) reads both
         self.schedules = None

@@ -91,7 +91,9 @@ __all__ = [
 #: 6: integer-microsecond event core (service/wire times round onto the
 #:    µs grid, shifting every latency and therefore digest VALUES;
 #:    cached cells from the float-time engine must not be replayed)
-CACHE_SCHEMA = 6
+#: 7: TSUE log pools built on first append (no recycler Initialize events
+#:    at t = 0: digests unchanged, but cached cells carry perf["events"])
+CACHE_SCHEMA = 7
 
 
 def config_key(cfg: ExperimentConfig) -> str:

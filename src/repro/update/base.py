@@ -64,9 +64,6 @@ class UpdateMethod:
     def attach(self, osd: OSD) -> None:
         """Create per-OSD state (log pools etc.).  Default: none."""
 
-    def start_background(self) -> None:
-        """Spawn background DES processes (recyclers).  Default: none."""
-
     def flush(self) -> Generator:
         """Drain all logs so every stripe verifies.  Default: nothing to do."""
         yield self.ecfs.env.timeout_us(0)
@@ -295,8 +292,7 @@ class UpdateMethod:
 
     def on_node_joined(self, osd: OSD) -> None:
         """A brand-new node joined the cluster (elastic growth): create its
-        per-OSD state.  Methods with background machinery also start it
-        (TSUE overrides to spawn the node's recyclers)."""
+        per-OSD state, as at cluster build."""
         self.attach(osd)
 
     def on_node_restarted(self, osd: OSD) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional
 
 import numpy as np
 
@@ -133,8 +133,12 @@ class TSUE(UpdateMethod):
         # a read served from the log index costs request handling only
         self._hit_us = s_to_us(cfg.costs.op_fixed)
 
-        # per-OSD, per-layer pools: pools[osd.name][layer][pool index]
-        self.pools: dict[str, dict[str, list[LogPool]]] = {}
+        # per-OSD, per-layer pools: pools[osd.name][layer][pool index], None
+        # until the first append builds it (read them via built_pools)
+        self.pools: dict[str, dict[str, list[Optional[LogPool]]]] = {}
+        # nodes whose pools on_node_failed failed: a pool first built on one
+        # is born failed, as an eagerly built pool would have been
+        self._dead_nodes: set[str] = set()
         # the log-debt ledger: per layer, the (osd.idx, pool index) of every
         # pool holding unrecycled content.  The pools move themselves in and
         # out (LogPool.holds_debt); drain and settlement read it instead of
@@ -182,50 +186,30 @@ class TSUE(UpdateMethod):
 
     # ------------------------------------------------------------ lifecycle
     def attach(self, osd: OSD) -> None:
-        layers: dict[str, list[LogPool]] = {}
-        for layer in _LAYERS:
-            if layer == "deltalog" and not self.opts.use_deltalog:
-                layers[layer] = []
-                continue
-            policy = (
-                MergePolicy.OVERWRITE if layer == "datalog" else MergePolicy.XOR
-            )
-            merge = (
-                self.opts.datalog_locality
-                if layer == "datalog"
-                else self.opts.backend_locality
-            )
-            layers[layer] = [
-                LogPool(
-                    self.env,
-                    name=f"{osd.name}:{layer}{p}",
-                    unit_size=self.unit_size,
-                    policy=policy,
-                    min_units=self.min_units,
-                    max_units=self.max_units,
-                    block_size=self.ecfs.config.block_size,
-                    merge=merge,
-                    live=self._live[layer],
-                    live_key=(osd.idx, p),
-                )
-                for p in range(self.n_pools)
-            ]
-        self.pools[osd.name] = layers
+        """Give ``osd`` one empty pool slot per layer and pool index (none
+        for the DeltaLog without O5).  A slot's pool and recycler are built
+        by the first append to it (:meth:`_pool`), so a node — at cluster
+        build or on an elastic join — costs nothing until it is written."""
+        no_deltalog = not self.opts.use_deltalog
+        self.pools[osd.name] = {
+            layer: [] if layer == "deltalog" and no_deltalog else [None] * self.n_pools
+            for layer in _LAYERS
+        }
+        self._dead_nodes.discard(osd.name)
 
-    def start_background(self) -> None:
-        for osd in self.ecfs.osds:
-            self._start_background_for(osd)
-
-    def _start_background_for(self, osd: OSD) -> None:
-        for layer in _LAYERS:
-            for p, pool in enumerate(self.pools[osd.name][layer]):
-                self._spawn_recycler(osd, layer, p, pool)
-
-    def on_node_joined(self, osd: OSD) -> None:
-        """Elastic join: build the node's log pools and start its recyclers
-        (the cluster-wide :meth:`start_background` already ran)."""
-        self.attach(osd)
-        self._start_background_for(osd)
+    def built_pools(
+        self, osd_name: str, *layers: str
+    ) -> Iterator[tuple[int, LogPool]]:
+        """``(pool index, pool)`` for every pool built so far on ``osd_name``
+        in ``layers`` (default: all three), layer by layer in pipeline order
+        and in pool-index order within a layer — never in build order: the
+        order is the one an eager scan visits, and stats sums, the victim
+        stash and recycler respawns follow it."""
+        slots = self.pools[osd_name]
+        for layer in layers or _LAYERS:
+            for p, pool in enumerate(slots[layer]):
+                if pool is not None:
+                    yield p, pool
 
     def _spawn_recycler(self, osd: OSD, layer: str, pidx: int, pool: LogPool) -> None:
         proc = self.env.process(
@@ -271,15 +255,16 @@ class TSUE(UpdateMethod):
     def handle_read(
         self, osd: OSD, block: BlockId, offset: int, size: int
     ) -> Generator:
-        pool = self._pool(osd, "datalog", block)
-        hit = pool.lookup(block, offset, size)
+        # a read never builds a pool: an unbuilt one is an empty log
+        pool = self._built_pool(osd.name, "datalog", block)
+        hit = None if pool is None else pool.lookup(block, offset, size)
         if hit is not None:
             # served from the in-memory log index: no device I/O
             yield self.env.timeout_us(self._hit_us)
             return hit
         yield from osd.io_block(IOKind.READ, block, offset, size)
         buf = osd.store.read(block, offset, size)
-        if pool.covers_any(block, offset, size):
+        if pool is not None and pool.covers_any(block, offset, size):
             # partial overlap: never return stale bytes (§3.3.3)
             pool.overlay(block, offset, size, buf)
         return buf
@@ -639,8 +624,7 @@ class TSUE(UpdateMethod):
         its ``recycle_progress`` set and the receivers' dedup tokens make
         the replay exactly-once.
         """
-        layers = self.pools[victim.name]
-        for pool in layers["datalog"]:
+        for _p, pool in self.built_pools(victim.name, "datalog"):
             for unit in pool.live_units():
                 # ALL extents are stashed, including ones a mid-flight
                 # recycle already applied: degraded reads overlay them, and
@@ -651,7 +635,7 @@ class TSUE(UpdateMethod):
                     exts = list(unit.index.extents(key))
                     self._stash_data.setdefault(block, []).extend(exts)
                     self._stash_bytes += sum(e.size for e in exts)
-        for pool in layers["deltalog"]:
+        for _p, pool in self.built_pools(victim.name, "deltalog"):
             for unit in pool.live_units():
                 for key, pbid, ext in self._plan_delta_forwards(unit):
                     if key in unit.recycle_progress:
@@ -664,10 +648,11 @@ class TSUE(UpdateMethod):
         self._pending_parity.pop(victim.name, None)
         self._seen_tokens.pop(victim.name, None)
         # victim pools are dead: error out blocked appenders and drop the
-        # queues, so the ledger holds no debt for this node
-        for pools in layers.values():
-            for pool in pools:
-                pool.fail()
+        # queues, so the ledger holds no debt for this node; a pool built
+        # later is born dead (_pool)
+        for _p, pool in self.built_pools(victim.name):
+            pool.fail()
+        self._dead_nodes.add(victim.name)
 
     def on_node_restarted(self, osd: OSD) -> None:
         """Resume background work on a bounced node: requeue unit recycles
@@ -675,9 +660,8 @@ class TSUE(UpdateMethod):
         idempotent), respawn recyclers that died with the node, and replay
         parity deltas other nodes buffered while this one was down."""
         for layer in _LAYERS:
-            for pidx, pool in enumerate(self.pools[osd.name][layer]):
-                proc = self._recycler_procs.get((osd.name, layer, pidx))
-                if proc is not None and proc.is_alive:
+            for pidx, pool in self.built_pools(osd.name, layer):
+                if self._recycler_procs[(osd.name, layer, pidx)].is_alive:
                     continue  # survived the outage; its unit is still its own
                 pool.requeue_interrupted()
                 self._spawn_recycler(osd, layer, pidx, pool)
@@ -786,10 +770,10 @@ class TSUE(UpdateMethod):
                 stream="datalog-rep-read",
                 tag="tsue-degraded",
             )
-        # victim's pools (pre-teardown) hold the authoritative log content
-        pools = self.pools.get(home.name)
-        if pools:
-            pool = pools["datalog"][self._pool_idx(block)]
+        # victim's pools (pre-teardown) hold the authoritative log content;
+        # an unbuilt pool logged nothing
+        pool = self._built_pool(home.name, "datalog", block)
+        if pool is not None:
             pool.overlay(block, offset, size, buf)
         # after on_node_failed, unrecycled extents live in the stash
         return overlay(buf, offset, self._stash_data.get(block, ()))
@@ -846,11 +830,8 @@ class TSUE(UpdateMethod):
         destination through ``osd_hosting`` at forward time.
         """
         out: list = []
-        layers = self.pools.get(osd.name)
-        if not layers:
-            return out
         for layer, prefix in (("datalog", "dl"), ("paritylog", "pl")):
-            for pool in layers[layer]:
+            for _p, pool in self.built_pools(osd.name, layer):
                 for unit in pool.live_units():
                     for work in self.planner.plan(unit):
                         if self._real_block(work.block) != block:
@@ -874,9 +855,8 @@ class TSUE(UpdateMethod):
         paths fire the settlement notification)."""
         yielded = False
         while not osd.failed and self.block_unsettled(osd, block):
-            for layer in _LAYERS:
-                for pool in self.pools[osd.name][layer]:
-                    pool.seal_active_if_dirty()
+            for _p, pool in self.built_pools(osd.name):
+                pool.seal_active_if_dirty()
             yielded = True
             yield self.ecfs.settlement_event()
         if not yielded:
@@ -936,18 +916,22 @@ class TSUE(UpdateMethod):
         )
 
     def memory_bytes(self, osd: OSD) -> int:
-        return sum(
-            pool.memory_bytes
-            for layer in _LAYERS
-            for pool in self.pools[osd.name][layer]
-        )
+        return self._reserved_bytes(osd.name, lambda pool: pool.memory_bytes)
 
     def peak_memory_bytes(self) -> int:
         return sum(
-            pool.peak_units * pool.unit_size
-            for layers in self.pools.values()
-            for pools in layers.values()
-            for pool in pools
+            self._reserved_bytes(name, lambda pool: pool.peak_units * pool.unit_size)
+            for name in self.pools
+        )
+
+    def _reserved_bytes(self, osd_name: str, of) -> int:
+        """``of(pool)`` summed over ``osd_name``'s pool slots.  The model
+        reserves a pool's first unit whether or not it is built yet, so an
+        unbuilt slot counts the one unit a fresh pool holds."""
+        return sum(
+            self.unit_size if pool is None else of(pool)
+            for slots in self.pools[osd_name].values()
+            for pool in slots
         )
 
     def residence_stats(self) -> dict[str, dict[str, float]]:
@@ -956,8 +940,8 @@ class TSUE(UpdateMethod):
         for layer in _LAYERS:
             buffers: list[float] = []
             recycles: list[float] = []
-            for layers in self.pools.values():
-                for pool in layers[layer]:
+            for name in self.pools:
+                for _p, pool in self.built_pools(name, layer):
                     for buf, rec in pool.residence:
                         buffers.append(buf)
                         recycles.append(rec)
@@ -971,11 +955,10 @@ class TSUE(UpdateMethod):
 
     def stall_stats(self) -> dict[str, float]:
         stalls = stall_time = 0.0
-        for layers in self.pools.values():
-            for pools in layers.values():
-                for pool in pools:
-                    stalls += pool.stalls
-                    stall_time += pool.stall_time
+        for name in self.pools:
+            for _p, pool in self.built_pools(name):
+                stalls += pool.stalls
+                stall_time += pool.stall_time
         return {"stalls": stalls, "stall_time": stall_time}
 
     # ------------------------------------------------------------ internals
@@ -992,18 +975,42 @@ class TSUE(UpdateMethod):
 
     def _live_pools_on(self, osd: OSD) -> list[LogPool]:
         """``osd``'s pools that hold debt, any layer."""
-        return [
-            pool
-            for pools in self.pools.get(osd.name, {}).values()
-            for pool in pools
-            if pool.holds_debt
-        ]
+        return [pool for _p, pool in self.built_pools(osd.name) if pool.holds_debt]
 
     def _pool_idx(self, block: BlockId) -> int:
         return self.ecfs.placement.pool_of(block) % self.n_pools
 
+    def _built_pool(self, osd_name: str, layer: str, block: BlockId) -> Optional[LogPool]:
+        """``block``'s ``layer`` pool on ``osd_name``, or None if no append
+        built it yet — the read paths' view, which never builds."""
+        return self.pools[osd_name][layer][self._pool_idx(block)]
+
     def _pool(self, osd: OSD, layer: str, block: BlockId) -> LogPool:
-        return self.pools[osd.name][layer][self._pool_idx(block)]
+        """``block``'s ``layer`` pool on ``osd`` for an append: built, and
+        its recycler spawned, on first use.  A pool first built on a node
+        whose pools :meth:`on_node_failed` failed is born failed, as the
+        eager pool it stands for would have been."""
+        slots = self.pools[osd.name][layer]
+        p = self._pool_idx(block)
+        pool = slots[p]
+        if pool is None:
+            datalog = layer == "datalog"
+            pool = slots[p] = LogPool(
+                self.env,
+                name=f"{osd.name}:{layer}{p}",
+                unit_size=self.unit_size,
+                policy=MergePolicy.OVERWRITE if datalog else MergePolicy.XOR,
+                min_units=self.min_units,
+                max_units=self.max_units,
+                block_size=self.ecfs.config.block_size,
+                merge=self.opts.datalog_locality if datalog else self.opts.backend_locality,
+                live=self._live[layer],
+                live_key=(osd.idx, p),
+            )
+            if osd.name in self._dead_nodes:
+                pool.fail()
+            self._spawn_recycler(osd, layer, p, pool)
+        return pool
 
     @staticmethod
     def _real_block(key) -> BlockId:

@@ -70,7 +70,7 @@ def assert_ledger_equals_scan(ecfs: ECFS) -> None:
     for layer, live in method._live.items():
         expect = set()
         for osd in ecfs.osds:
-            for p, pool in enumerate(method.pools[osd.name][layer]):
+            for p, pool in method.built_pools(osd.name, layer):
                 assert pool.backlog == scan_backlog(pool), pool.name
                 assert sum(u.used for u in pool.live_units()) == scan_debt_bytes(pool)
                 if scan_holds_debt(pool):

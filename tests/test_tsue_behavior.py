@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import BlockId, ClusterConfig, ECFS
+from repro.core.logpool import LogPool
 from repro.traces import TraceReplayer, generate_trace, tencloud_spec
 from repro.update.tsue import TSUEOptions
 
@@ -72,10 +73,9 @@ def test_memory_quota_bounds_pool_growth():
     opts = TSUEOptions(max_units=2, unit_size=1 << 16)
     ecfs = _cluster(options=opts)
     _replay(ecfs, n_ops=300)
-    for layers in ecfs.method.pools.values():
-        for pools in layers.values():
-            for pool in pools:
-                assert pool.n_units <= 2
+    for osd in ecfs.osds:
+        for _p, pool in ecfs.method.built_pools(osd.name):
+            assert pool.n_units <= 2
 
 
 def test_small_quota_causes_stalls_large_does_not():
@@ -149,6 +149,166 @@ def test_log_debt_reported_then_drained():
     assert ecfs.total_log_debt() > 0  # sitting in the active DataLog unit
     ecfs.drain()
     assert ecfs.total_log_debt() == 0
+
+
+def _built(ecfs) -> set[str]:
+    return {
+        pool.name
+        for osd in ecfs.osds
+        for _p, pool in ecfs.method.built_pools(osd.name)
+    }
+
+
+def _spy_appends(monkeypatch) -> set[str]:
+    """Names of the pools that took an append, whatever the caller."""
+    appended: set[str] = set()
+    append = LogPool.append
+
+    def spying(pool, *args, **kw):
+        appended.add(pool.name)
+        return append(pool, *args, **kw)
+
+    monkeypatch.setattr(LogPool, "append", spying)
+    return appended
+
+
+def _run(ecfs, gen):
+    return ecfs.env.run(ecfs.env.process(gen))
+
+
+def test_wide_cluster_builds_no_pool_before_first_update():
+    ecfs = _cluster(n_osds=1000, k=6, m=3)
+    assert _built(ecfs) == set()
+    assert ecfs.method._recycler_procs == {}
+    assert len(ecfs.method.pools) == 1000
+
+
+def test_replay_builds_exactly_the_pools_appended_to(monkeypatch):
+    appended = _spy_appends(monkeypatch)
+    ecfs = _cluster()
+    _replay(ecfs)
+    ecfs.drain()
+    assert appended and _built(ecfs) == appended
+    # every built pool got its recycler in the same step, and no other did
+    procs = ecfs.method._recycler_procs
+    assert {f"{o}:{layer}{p}" for o, layer, p in procs} == appended
+
+
+def test_reads_build_no_pool():
+    ecfs = _cluster()
+    files = ecfs.populate(n_files=1, stripes_per_file=2, fill="random")
+    (client,) = ecfs.add_clients(1)
+    block, _ = ecfs.mds.locate(files[0], 0, ecfs.rs.k)
+
+    def flow():
+        for off in range(0, 8 * 4096, 4096):
+            yield ecfs.env.process(client.read(files[0], off, 4096))
+        # a degraded read consults the dead home's DataLog: still no build
+        ecfs.crash_osd(ecfs.osd_hosting(block).idx)
+        data = yield ecfs.env.process(client.read(files[0], 0, 4096))
+        return data
+
+    data = _run(ecfs, flow())
+    assert np.array_equal(data, ecfs.oracle.expected(block)[:4096])
+    assert _built(ecfs) == set()
+
+
+def _parity_target(ecfs):
+    files = ecfs.populate(n_files=1, stripes_per_file=1, fill="random")
+    block, _ = ecfs.mds.locate(files[0], 0, ecfs.rs.k)
+    pbid = BlockId(block.file_id, block.stripe, ecfs.rs.k)
+    return pbid, ecfs.osd_hosting(pbid)
+
+
+def test_pool_first_built_on_crashed_node_is_dead_and_drops_delta():
+    ecfs = _cluster()
+    method = ecfs.method
+    pbid, posd = _parity_target(ecfs)
+    ecfs.crash_osd(posd.idx)
+    assert method._built_pool(posd.name, "paritylog", pbid) is None
+    delta = np.full(4096, 7, dtype=np.uint8)
+    _run(ecfs, method._paritylog_append(posd, pbid, 0, delta, ("t",)))
+    pool = method._built_pool(posd.name, "paritylog", pbid)
+    assert pool.dead and pool.appends == 0
+    assert not method._pending_parity.get(posd.name)
+    assert ("t",) not in method._seen_tokens[posd.name]
+    # attach hands out fresh slots: nothing built there is born dead
+    method.attach(posd)
+    assert method._built_pool(posd.name, "paritylog", pbid) is None
+    assert not method._pool(posd, "paritylog", pbid).dead
+
+
+def test_pool_first_built_on_bounced_node_buffers_delta_for_restart():
+    ecfs = _cluster()
+    method = ecfs.method
+    pbid, posd = _parity_target(ecfs)
+    posd.fail()  # transient: on_node_failed never ran
+    delta = np.full(4096, 7, dtype=np.uint8)
+    _run(ecfs, method._paritylog_append(posd, pbid, 0, delta, ("t",)))
+    pool = method._built_pool(posd.name, "paritylog", pbid)
+    assert not pool.dead and pool.appends == 0
+    assert [e[1] for e in method._pending_parity[posd.name]] == [pbid]
+    ecfs.restart_osd(posd.idx)
+    ecfs.env.run()
+    assert pool.appends == 1 and not method._pending_parity.get(posd.name)
+
+
+def test_joined_node_builds_nothing_until_first_append():
+    ecfs = _cluster()
+    method = ecfs.method
+    pbid, _posd = _parity_target(ecfs)
+    osd, _plan = ecfs.join_osd()
+    assert list(method.built_pools(osd.name)) == []
+    assert not any(name == osd.name for name, _l, _p in method._recycler_procs)
+    delta = np.full(4096, 7, dtype=np.uint8)
+    _run(ecfs, method._paritylog_append(osd, pbid, 0, delta))
+    ((p, pool),) = method.built_pools(osd.name)
+    assert p == method._pool_idx(pbid) and pool.appends == 1
+    assert (osd.name, "paritylog", p) in method._recycler_procs
+
+
+def test_pools_iterate_and_stash_in_index_order_not_build_order():
+    ecfs = _cluster()
+    method = ecfs.method
+    osd = ecfs.osds[0]
+    by_idx = {}
+    for stripe in range(64):
+        block = BlockId(0, stripe, 0)
+        by_idx.setdefault(method._pool_idx(block), block)
+    assert len(by_idx) == method.n_pools == 4
+
+    def append(p):
+        block = by_idx[p]
+        pool = method._pool(osd, "datalog", block)
+        yield from pool.append(block, 0, np.ones(4096, dtype=np.uint8))
+
+    for p in (3, 0, 2):
+        _run(ecfs, append(p))
+    assert [p for p, _pool in method.built_pools(osd.name)] == [0, 2, 3]
+    ecfs.crash_osd(osd.idx)
+    assert list(method._stash_data) == [by_idx[0], by_idx[2], by_idx[3]]
+
+
+@pytest.mark.parametrize("use_deltalog", [True, False])
+def test_memory_model_counts_unbuilt_pools_as_one_unit(use_deltalog):
+    """The eager model's figure: every (osd, layer, pool) reserves one unit
+    from the start, plus the units a built pool grew by."""
+    ecfs = _cluster(options=TSUEOptions(use_deltalog=use_deltalog, max_units=8))
+    method = ecfs.method
+    unit = method.unit_size
+    slots = len(ecfs.osds) * (3 if use_deltalog else 2) * method.n_pools
+    assert ecfs.method_memory() == method.peak_memory_bytes() == slots * unit
+    _replay(ecfs, n_ops=400)
+    built = [
+        pool for osd in ecfs.osds for _p, pool in method.built_pools(osd.name)
+    ]
+    assert any(pool.peak_units > 1 for pool in built)
+    assert ecfs.method_memory() == (
+        slots + sum(pool.n_units - 1 for pool in built)
+    ) * unit
+    assert method.peak_memory_bytes() == (
+        slots + sum(pool.peak_units - 1 for pool in built)
+    ) * unit
 
 
 def test_oracle_commit_order_matches_log_order():
