@@ -6,6 +6,10 @@ probability with deterministic retransmit) and group partitions
 (:meth:`NetworkFabric.partition` / :meth:`NetworkFabric.heal` — transfers
 across the cut block until the partition heals, which is how heartbeat
 timeouts "see" a partitioned node as dead).
+
+:meth:`NetworkFabric.transfer` is the one timing model of a message, fault
+path and fault-free path alike: every message in the tree, a fan-out leg
+included, is a ``yield from transfer(...)``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,15 @@ from typing import Generator, Iterable
 import numpy as np
 
 from repro.common.units import Gbps
-from repro.sim import Chain, CountdownLatch, Environment, Event, Resource, s_to_us
-from repro.sim.batch import drive_chain
-from repro.sim.core import _PROCESSED
+from repro.sim import (
+    CountdownLatch,
+    Environment,
+    Event,
+    Process,
+    Resource,
+    s_to_us,
+    spawn_fanout,
+)
 
 __all__ = ["NetParams", "LinkFault", "NIC", "NetworkFabric"]
 
@@ -230,47 +240,15 @@ class NetworkFabric:
         self.total_bytes += nbytes
         self.total_msgs += 1
 
-    def transfer_chain(self, src: str, dst: str, nbytes: int) -> Chain:
-        """:meth:`transfer` as a flat event chain (macro-op batching).
+    def transfer_chain(self, src: str, dst: str, nbytes: int) -> Process:
+        """:meth:`transfer` as a process.  Exists only for perfbench, which
+        binds and calls this name, until ROADMAP item 5.1 deletes it."""
+        return self.env.process(self.transfer(src, dst, nbytes))
 
-        Timing-equivalent to ``yield from transfer(...)`` at the call point:
-        the TX request is taken now, each segment's timeout carries a plain
-        callback instead of a generator resume, and the chain finishes
-        *inline* at the final RX-hold pop — zero extra queue hops.  Any
-        fault/partition state falls back to driving the legacy generator so
-        loss-RNG draw order and heal waits stay byte-identical.
-        """
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        env = self.env
-        chain = Chain(env)
-        if src == dst:
-            chain._state = _PROCESSED  # local move: already delivered
-            return chain
-        if self._groups or self._faults:
-            return drive_chain(env, self.transfer(src, dst, nbytes))
-        _TransferChain(self, chain, self._nic(src), self._nic(dst), nbytes)
-        return chain
-
-    def transfer_many(
-        self, legs: Iterable[tuple[str, str, int]]
-    ) -> CountdownLatch:
-        """Batched fan-out of independent transfers: one latch instead of a
-        process + ``AllOf`` membership per leg.  Each leg keeps its own TX
-        request (taken in list order, as consecutive leg processes would
-        have), so contention order under shared NICs is unchanged."""
-        env = self.env
-        chains = [self.transfer_chain(s, d, n) for (s, d, n) in legs]
-        latch = CountdownLatch(env, len(chains))
-        if not chains:
-            latch.succeed()
-            return latch
-        for ch in chains:
-            if ch._state >= _PROCESSED:
-                latch.leg_done()  # local move; relay fires if it was last
-            else:
-                latch.count_event(ch)
-        return latch
+    def transfer_many(self, legs: Iterable[tuple[str, str, int]]) -> CountdownLatch:
+        """A fan-out of :meth:`transfer` legs.  Exists only for perfbench,
+        which binds this name, until ROADMAP item 5.1 deletes it."""
+        return spawn_fanout(self.env, [self.transfer(s, d, n) for s, d, n in legs])
 
     def rpc(self, src: str, dst: str, request_bytes: int, reply_bytes: int) -> Generator:
         """Round trip: request then reply (used for read-old-data fetches)."""
@@ -283,73 +261,3 @@ class NetworkFabric:
         except KeyError:
             raise KeyError(f"unknown node {name!r}") from None
 
-
-class _TransferChain:
-    """One in-flight :meth:`NetworkFabric.transfer_chain`: a slotted state
-    machine reused as the callback of every segment event, so a transfer
-    allocates two objects (chain + this) instead of a closure per stage.
-    Stage timing is identical to the legacy generator: TX grant → TX hold
-    (overhead + wire) → release + propagation → RX grant → RX hold (wire)
-    → release, counters, inline finish."""
-
-    __slots__ = ("fabric", "chain", "src_nic", "dst_nic", "nbytes",
-                 "wire_us", "stage", "tx_req", "rx_req")
-
-    def __init__(
-        self,
-        fabric: "NetworkFabric",
-        chain: Chain,
-        src_nic: NIC,
-        dst_nic: NIC,
-        nbytes: int,
-    ) -> None:
-        self.fabric = fabric
-        self.chain = chain
-        self.src_nic = src_nic
-        self.dst_nic = dst_nic
-        self.nbytes = nbytes
-        self.wire_us = round(nbytes * fabric._us_per_byte)
-        self.stage = 0
-        self.rx_req = None
-        tx_req = self.tx_req = src_nic.tx.request()
-        if tx_req._state >= _PROCESSED:
-            self(tx_req)
-        else:
-            tx_req.callbacks.append(self)
-
-    def __call__(self, ev: Event) -> None:
-        stage = self.stage
-        fabric = self.fabric
-        env = fabric.env
-        if stage == 0:  # TX granted: hold for overhead + wire time
-            self.stage = 1
-            hold = env.timeout_us(fabric._overhead_us + self.wire_us)
-            hold.callbacks.append(self)
-        elif stage == 1:  # TX hold done: release, propagate
-            self.src_nic.tx.release(self.tx_req)
-            self.stage = 2
-            prop = env.timeout_us(fabric._latency_us)
-            prop.callbacks.append(self)
-        elif stage == 2:  # propagated: claim the RX port
-            self.stage = 3
-            rx_req = self.rx_req = self.dst_nic.rx.request()
-            if rx_req._state >= _PROCESSED:
-                self(rx_req)
-            else:
-                rx_req.callbacks.append(self)
-        elif stage == 3:  # RX granted: hold for wire time
-            self.stage = 4
-            hold = env.timeout_us(self.wire_us)
-            hold.callbacks.append(self)
-        else:  # RX hold done: release, account, finish inline
-            self.dst_nic.rx.release(self.rx_req)
-            nbytes = self.nbytes
-            src_nic = self.src_nic
-            dst_nic = self.dst_nic
-            src_nic.tx_bytes += nbytes
-            src_nic.tx_msgs += 1
-            dst_nic.rx_bytes += nbytes
-            dst_nic.rx_msgs += 1
-            fabric.total_bytes += nbytes
-            fabric.total_msgs += 1
-            self.chain.finish()

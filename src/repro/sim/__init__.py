@@ -7,8 +7,10 @@ cluster model needs:
 
 * :class:`Event` / :class:`Timeout` / :class:`Process` — core event types,
 * :class:`AllOf` / :class:`AnyOf` — condition events for fan-out/fan-in,
-* :class:`Resource` / :class:`PriorityResource` — queued mutual exclusion used
-  to model storage devices and NICs,
+* :class:`Resource` — queued mutual exclusion, ordered by
+  ``(priority, arrival)``, used to model storage devices and NICs,
+* :func:`spawn_fanout` — a fan-out of generator legs behind one
+  :class:`CountdownLatch`,
 * :class:`Store` — producer/consumer queue used for mailboxes and pipelines,
 * :class:`Interrupt` — cooperative cancellation (used by failure injection).
 
@@ -21,7 +23,7 @@ See :mod:`repro.sim.core` for the :data:`PHASE_URGENT` /
 :data:`PHASE_NORMAL` / :data:`PHASE_LATE` same-time lanes.
 """
 
-from repro.sim.batch import Chain, CountdownLatch, spawn_fanout
+from repro.sim.batch import CountdownLatch, spawn_fanout
 from repro.sim.core import (
     PHASE_LATE,
     PHASE_NORMAL,
@@ -37,12 +39,11 @@ from repro.sim.core import (
     Timeout,
     s_to_us,
 )
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Chain",
     "CountdownLatch",
     "Environment",
     "Event",
@@ -51,7 +52,6 @@ __all__ = [
     "PHASE_LATE",
     "PHASE_NORMAL",
     "PHASE_URGENT",
-    "PriorityResource",
     "Process",
     "Resource",
     "SimulationError",

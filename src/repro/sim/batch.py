@@ -18,11 +18,11 @@ scaffolding to a constant three events regardless of width:
 * the :class:`CountdownLatch` itself, fired by the relay where the ``AllOf``
   condition event would have fired.
 
-Legs run as :class:`_GenDriver` objects — the same send/throw resume loop as
-``Process._resume``, minus the event bookkeeping — or as :class:`Chain`
-events: flat callback sequences (a batched network transfer, a batched
-device I/O) that complete *inline* at their final event's pop, the way a
-``yield from`` sub-generator resumes its caller without an extra hop.
+Legs are generators, run as :class:`_GenDriver` objects — the same
+send/throw resume loop as ``Process._resume``, minus the event bookkeeping.
+A leg that moves bytes or does device I/O does so through the one timing
+model of each, ``yield from NetworkFabric.transfer(...)`` and
+``yield from StorageDevice.submit(...)``.
 
 Timing equivalence with the per-leg idiom (``tests/test_sim_batch.py``
 runs seeded leg programs through both):
@@ -54,62 +54,7 @@ from repro.sim.core import (
     SimulationError,
 )
 
-__all__ = ["Chain", "CountdownLatch", "drive_chain", "spawn_fanout"]
-
-
-class _LaneCtx:
-    """Minimal stand-in for the active process while batched code runs from
-    an event callback: everything that inspects ``env.active_process`` in
-    this tree reads only ``.lane`` (lane-floor priority, lane inheritance)."""
-
-    __slots__ = ("lane",)
-
-    def __init__(self, lane: Optional[Lane]) -> None:
-        self.lane = lane
-
-
-class Chain(Event):
-    """An event completed *inline* by a flat callback sequence.
-
-    Batched primitives (``NetworkFabric.transfer_chain``,
-    ``StorageDevice.submit_chain``) hand one of these to the caller, then
-    drive it through plain callbacks on their internal timeouts.  The final
-    segment calls :meth:`finish` (or :meth:`finish_fail`), which runs the
-    waiter's callbacks immediately — zero extra queue hops, exactly when a
-    ``yield from`` of the equivalent generator would have resumed the
-    caller.  A chain that completes before anyone waits on it is simply an
-    already-``_PROCESSED`` event: the engine's inline fast path picks it up.
-    """
-
-    __slots__ = ()
-
-    def finish(self, value: Any = None) -> None:
-        if self._state >= _PROCESSED:
-            raise SimulationError(f"{self!r} already finished")
-        self._ok = True
-        self._value = value
-        self._state = _PROCESSED
-        cbs = self.callbacks
-        if cbs:
-            self.callbacks = []
-            for cb in cbs:
-                cb(self)
-
-    def finish_fail(self, exc: BaseException) -> None:
-        if self._state >= _PROCESSED:
-            raise SimulationError(f"{self!r} already finished")
-        self._ok = False
-        self._value = exc
-        self._state = _PROCESSED
-        cbs = self.callbacks
-        if cbs:
-            self.callbacks = []
-            for cb in cbs:
-                cb(self)
-        # With no waiter registered yet the failure is delivered through the
-        # engine's already-processed fast path when the creator yields the
-        # chain; a chain abandoned *without* ever being waited on must be
-        # routed to a latch by its creator instead.
+__all__ = ["CountdownLatch", "spawn_fanout"]
 
 
 class CountdownLatch(Event):
@@ -157,46 +102,30 @@ class CountdownLatch(Event):
         if self._state == _PENDING:
             self.fail(relay._value)
 
-    def count_event(self, leg: Event) -> None:
-        """Count a pending event (e.g. an in-flight :class:`Chain`) as one
-        of this latch's legs."""
-        leg.callbacks.append(self._on_leg)
 
-    def _on_leg(self, ev: Event) -> None:
-        if ev._ok:
-            self.leg_done()
-        else:
-            ev._defused = True
-            self.leg_failed(ev._value)
-
-
-class _DriverBase:
-    """``Process._resume``'s send/throw loop minus the process scaffolding:
-    no Initialize event, no finish event — completion reported inline via
-    :meth:`_on_done` / :meth:`_on_fail`.  Masquerades as the active process
+class _GenDriver:
+    """Drives one fan-out leg: ``Process._resume``'s send/throw loop minus
+    the process scaffolding — no Initialize event, no finish event; the
+    leg's completion or failure goes straight into its
+    :class:`CountdownLatch` (the return value is discarded, as ``AllOf``
+    callers discard the condition dict).  Masquerades as the active process
     during resume so lane-floor priority and child-process lane inheritance
     keep working inside the generator."""
 
-    __slots__ = ("env", "_generator", "_sink", "lane", "name")
+    __slots__ = ("env", "_generator", "_latch", "lane", "name")
 
     def __init__(
         self,
         env: Environment,
         generator: Generator[Event, Any, Any],
-        sink: Event,
+        latch: CountdownLatch,
         lane: Optional[Lane],
     ) -> None:
         self.env = env
         self._generator = generator
-        self._sink = sink
+        self._latch = latch
         self.lane = lane
         self.name = getattr(generator, "__name__", "leg")
-
-    def _on_done(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def _on_fail(self, exc: BaseException) -> None:
-        raise NotImplementedError
 
     def _resume(self, event: Event) -> None:
         gen = self._generator
@@ -214,13 +143,13 @@ class _DriverBase:
                 else:
                     event._defused = True
                     next_ev = throw(event._value)
-            except StopIteration as stop:
+            except StopIteration:
                 self._generator = None
-                self._on_done(stop.value)
+                self._latch.leg_done()
                 break
             except BaseException as exc:
                 self._generator = None
-                self._on_fail(exc)
+                self._latch.leg_failed(exc)
                 break
 
             try:
@@ -249,70 +178,14 @@ class _DriverBase:
         env._active_proc = prev
 
 
-class _GenDriver(_DriverBase):
-    """Drives one fan-out leg, reporting into a :class:`CountdownLatch`
-    (the leg's return value is discarded, as ``AllOf`` callers discard the
-    condition dict)."""
+def spawn_fanout(env: Environment, legs: list) -> CountdownLatch:
+    """Run the generator ``legs`` concurrently; returns a latch that fires
+    when all are done — the batched replacement for
+    ``all_of([env.process(leg), ...])``.
 
-    __slots__ = ()
-
-    def _on_done(self, value: Any) -> None:
-        self._sink.leg_done()
-
-    def _on_fail(self, exc: BaseException) -> None:
-        self._sink.leg_failed(exc)
-
-
-#: shared kick-off value for a leg's first resume (ok, value None)
-def _make_bootstrap(env: Environment) -> Event:
-    ev = Event(env)
-    ev._state = _PROCESSED
-    return ev
-
-
-class _ChainDriver(_DriverBase):
-    """Runs a legacy generator to completion, reporting into a
-    :class:`Chain` — the fallback that lets chain entry points keep exact
-    legacy behavior on rare paths (link faults, partitions, stuck disks)
-    without duplicating that logic as callbacks."""
-
-    __slots__ = ()
-
-    def _on_done(self, value: Any) -> None:
-        self._sink.finish(value)
-
-    def _on_fail(self, exc: BaseException) -> None:
-        self._sink.finish_fail(exc)
-
-
-def drive_chain(env: Environment, generator) -> Chain:
-    """Run ``generator`` as a :class:`Chain`, starting its first segment
-    inline — timing-equivalent to ``yield from generator`` at this point in
-    the caller (first segment at the current tick, completion resuming the
-    waiter inline, return value as the chain's value)."""
-    chain = Chain(env)
-    active = env._active_proc
-    lane = active.lane if active is not None else None
-    driver = _ChainDriver(env, generator, chain, lane)
-    driver._resume(_make_bootstrap(env))
-    return chain
-
-
-def spawn_fanout(
-    env: Environment,
-    legs: list,
-    lane: Optional[Lane] = ...,
-) -> CountdownLatch:
-    """Run ``legs`` concurrently; returns a latch that fires when all are
-    done — the batched replacement for ``all_of([env.process(leg), ...])``.
-
-    Each leg is a generator, an :class:`Event`/:class:`Chain` already in
-    flight, or a zero-argument callable returning one of those (evaluated
-    by the starter event, in list order — exactly where the per-leg
-    ``Initialize`` events would have begun each leg).
-
-    ``lane`` defaults to the spawning process's lane cell, matching process
-    lane inheritance.
+    The starter event begins the legs in list order, exactly where the
+    per-leg ``Initialize`` events would have begun them.  Each leg inherits
+    the spawning process's lane cell, matching process lane inheritance.
     """
     latch = CountdownLatch(env, len(legs))
     if not legs:
@@ -320,41 +193,15 @@ def spawn_fanout(
         # hop later; mirror that
         latch.succeed()
         return latch
-    if lane is ...:
-        active = env._active_proc
-        lane = active.lane if active is not None else None
+    active = env._active_proc
+    lane = active.lane if active is not None else None
 
     def _start(_starter: Event) -> None:
-        bootstrap = _make_bootstrap(env)
-        lane_ctx = _LaneCtx(lane)
+        # the kick-off value every leg's first resume sends (ok, None)
+        bootstrap = Event(env)
+        bootstrap._state = _PROCESSED
         for leg in legs:
-            if callable(leg) and not hasattr(leg, "send"):
-                # evaluated under a lane stand-in so chain builders (which
-                # read env.active_process.lane for priority floors) see the
-                # spawning process's lane, as a leg process would have
-                prev = env._active_proc
-                env._active_proc = lane_ctx
-                try:
-                    leg = leg()
-                except BaseException as exc:
-                    # a first-segment raise fails the leg, as it would a
-                    # per-leg process
-                    latch.leg_failed(exc)
-                    continue
-                finally:
-                    env._active_proc = prev
-            if hasattr(leg, "send"):
-                _GenDriver(env, leg, latch, lane)._resume(bootstrap)
-            else:  # an Event/Chain already representing the leg's completion
-                state = leg._state
-                if state >= _PROCESSED:
-                    if leg._ok:
-                        latch.leg_done()
-                    else:
-                        leg._defused = True
-                        latch.leg_failed(leg._value)
-                else:
-                    latch.count_event(leg)
+            _GenDriver(env, leg, latch, lane)._resume(bootstrap)
 
     starter = Event(env)
     starter.callbacks.append(_start)

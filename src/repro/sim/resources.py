@@ -1,4 +1,4 @@
-"""Queued resources for the DES: Resource, PriorityResource, Store.
+"""Queued resources for the DES: Resource, Store.
 
 These model contended hardware: a storage device is a ``Resource`` with
 capacity equal to its internal parallelism; a mailbox between actors is a
@@ -9,8 +9,8 @@ Hot-path notes
 An *uncontended* grant (free capacity, empty queue) finishes the request
 event immediately at creation — the requester's ``yield`` then resumes
 inline via the engine's already-processed fast path, with no heap
-round-trip.  Contended grants still go through the heap (FIFO / priority
-order is what the queue exists for).  ``release`` no longer constructs a
+round-trip.  Contended grants still go through the heap (the
+``(priority, arrival)`` order is what the queue exists for).  ``release`` no longer constructs a
 confirmation event (the seed's ``Release``): nothing in the tree ever
 waited on one, and at ~25% of all scheduled events in a profiled TSUE run
 they were pure event-loop ballast.  Likewise ``Store.put``/``Store.get``
@@ -25,7 +25,7 @@ from typing import Any, Optional
 
 from repro.sim.core import _PENDING, _PROCESSED, Environment, Event
 
-__all__ = ["Request", "Resource", "PriorityResource", "Store"]
+__all__ = ["Request", "Resource", "Store"]
 
 
 class Request(Event):
@@ -75,7 +75,13 @@ class Request(Event):
 
 
 class Resource:
-    """FIFO resource with integer capacity."""
+    """Resource with integer capacity whose queue orders by ``priority``
+    (lower first), then arrival.
+
+    With every request at the default priority it is plain FIFO.  A storage
+    device uses the priority so foreground I/O takes *queue position* over
+    background I/O on the same device (no mid-service preemption; real
+    block devices don't abort in-flight commands either)."""
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
@@ -121,30 +127,6 @@ class Resource:
         if self.queue:
             self._grant_next()
 
-    def acquire_many(self, count: int) -> Optional[Request]:
-        """Grant ``count`` slots as ONE request when wholly uncontended.
-
-        The macro-op fast path: an n-leg fan-out against an idle device takes
-        one grant object instead of n Request allocations and n queue checks.
-        Returns ``None`` when the resource has any holder, any waiter, or not
-        enough free capacity — the caller falls back to per-leg requests so
-        queueing order under contention is byte-identical to the legacy path.
-        Release with ``release_many``.
-        """
-        if self.users or self.queue or count > self.capacity:
-            return None
-        req = Request(self)  # uncontended: granted inline, occupies slot 1
-        self.users.extend([req] * (count - 1))  # slots 2..n, same object
-        return req
-
-    def release_many(self, req: Request) -> None:
-        """Release every slot held by an ``acquire_many`` grant."""
-        users = self.users
-        if req in users:
-            self.users = users = [u for u in users if u is not req]
-        if self.queue:
-            self._grant_next()
-
     def _cancel(self, req: Request) -> None:
         for i, (_k, queued) in enumerate(self.queue):
             if queued is req:
@@ -159,18 +141,6 @@ class Resource:
                 continue
             self.users.append(req)
             req.succeed()
-
-
-class PriorityResource(Resource):
-    """Resource whose queue orders by ``priority`` (lower first), FIFO ties.
-
-    Used to let foreground I/O preempt *queue position* over background
-    recycle I/O on the same device (no mid-service preemption; real block
-    devices don't abort in-flight commands either).
-    """
-
-    def request(self, priority: int = 0) -> Request:
-        return Request(self, priority)
 
 
 class StoreGet(Event):

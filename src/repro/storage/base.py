@@ -1,13 +1,20 @@
-"""Common device machinery: I/O requests, sequentiality detection, counters."""
+"""Common device machinery: I/O requests, sequentiality detection, counters,
+and :meth:`StorageDevice.submit`, the one timing model of a device I/O."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Sequence
+from typing import Generator, Sequence
 
-from repro.sim import Chain, CountdownLatch, Environment, PriorityResource, s_to_us
-from repro.sim.core import _PROCESSED, Event
+from repro.sim import (
+    CountdownLatch,
+    Environment,
+    Process,
+    Resource,
+    s_to_us,
+    spawn_fanout,
+)
 
 __all__ = ["IOKind", "IOPriority", "IORequest", "DeviceCounters", "StorageDevice"]
 
@@ -87,77 +94,15 @@ class DeviceCounters:
         return self.reads + self.writes
 
 
-class _BatchLegDone:
-    """Completion callback for one leg of a :meth:`StorageDevice.submit_many`
-    fast-path batch: frees the leg's channel slot (one occurrence of the
-    shared multi-grant) and counts down the latch."""
-
-    __slots__ = ("resource", "grant", "latch")
-
-    def __init__(self, resource: PriorityResource, grant, latch: CountdownLatch) -> None:
-        self.resource = resource
-        self.grant = grant
-        self.latch = latch
-
-    def __call__(self, _ev: Event) -> None:
-        self.resource.release(self.grant)
-        self.latch.leg_done()
-
-
-class _SubmitChain:
-    """One in-flight :meth:`StorageDevice.submit_chain`: a slotted state
-    machine reused as the callback of every segment event (grant → stall →
-    service hold → release + inline finish), so a chained I/O allocates two
-    objects instead of a closure per stage."""
-
-    __slots__ = ("device", "chain", "req", "grant", "stage")
-
-    def __init__(self, device: "StorageDevice", chain: Chain, req: IORequest) -> None:
-        self.device = device
-        self.chain = chain
-        self.req = req
-        self.stage = 0
-        grant = self.grant = device.resource.request(priority=req.priority)
-        if grant._state >= _PROCESSED:
-            self(grant)
-        else:
-            grant.callbacks.append(self)
-
-    def __call__(self, ev: Event) -> None:
-        stage = self.stage
-        device = self.device
-        env = device.env
-        if stage == 0:  # granted: stall if the device is stuck
-            self.stage = 1
-            now_us = env.now_us
-            if now_us < device._stuck_until_us:
-                delay_us = device._stuck_until_us - now_us
-                device.fault_delay_time += delay_us / 1e6
-                stall = env.timeout_us(delay_us)
-                stall.callbacks.append(self)
-                return
-            self(ev)
-        elif stage == 1:  # start service
-            self.stage = 2
-            req = self.req
-            sequential = device._classify(req)
-            service_us = device._service_time_us(req, sequential)
-            if device.slow_factor != 1.0:
-                service_us = round(service_us * device.slow_factor)
-            device._account(req, sequential, service_us / 1e6)
-            hold = env.timeout_us(service_us)
-            hold.callbacks.append(self)
-        else:  # service done: free the channel, finish inline
-            device.resource.release(self.grant)
-            self.chain.finish()
-
-
 class StorageDevice:
     """Base class: queued service of IORequests on the DES.
 
     Subclasses implement :meth:`_service_time_us` from their hardware model.
     ``channels`` is the device's internal parallelism (NVMe SSDs serve several
-    commands concurrently; HDDs serve one).
+    commands concurrently; HDDs serve one).  :meth:`submit` is the device's
+    one timing model: every I/O, a fan-out leg included, is a
+    ``yield from submit(...)`` queued on :attr:`resource` by
+    ``(priority, arrival)``.
     """
 
     #: gap (bytes) below which a follow-on access still counts as sequential
@@ -167,7 +112,7 @@ class StorageDevice:
         self.env = env
         self.name = name
         self.channels = channels
-        self.resource = PriorityResource(env, capacity=channels)
+        self.resource = Resource(env, capacity=channels)
         self.counters = DeviceCounters()
         self._stream_end: dict[str, int] = {}
         # fault-injection state (repro.fault): service-time inflation and a
@@ -196,53 +141,15 @@ class StorageDevice:
             self._account(req, sequential, service_us / 1e6)
             yield env.timeout_us(service_us)
 
-    def submit_chain(self, req: IORequest) -> Chain:
-        """:meth:`submit` as a flat event chain (macro-op batching): same
-        grant → stall → classify → account → service sequence and the same
-        release-at-completion ordering, with plain callbacks instead of a
-        generator frame per resume."""
-        chain = Chain(self.env)
-        _SubmitChain(self, chain, req)
-        return chain
+    def submit_chain(self, req: IORequest) -> Process:
+        """:meth:`submit` as a process.  Exists only for perfbench, which
+        binds this name, until ROADMAP item 5.1 deletes it."""
+        return self.env.process(self.submit(req))
 
     def submit_many(self, reqs: Sequence[IORequest]) -> CountdownLatch:
-        """Batched fan-out of I/Os on this device: one latch + one grant
-        object instead of a process/request/``AllOf`` member per leg.
-
-        The uncontended fast path takes every channel slot with a single
-        ``acquire_many`` grant and computes the per-leg service times in one
-        vectorized pass; each leg still completes (and frees its slot) at
-        its own service time, so a competing request arriving mid-batch
-        sees exactly the channel availability the per-leg path would give
-        it.  Contended or stuck devices fall back to per-leg chains, whose
-        queueing order is byte-identical to legacy ``submit``."""
-        env = self.env
-        latch = CountdownLatch(env, len(reqs))
-        if not reqs:
-            latch.succeed()
-            return latch
-        resource = self.resource
-        multi = None
-        if env.now_us >= self._stuck_until_us:
-            multi = resource.acquire_many(len(reqs))
-        if multi is None:
-            for req in reqs:
-                chain = self.submit_chain(req)
-                if chain._state >= _PROCESSED:
-                    latch.leg_done()
-                else:
-                    latch.count_event(chain)
-            return latch
-        seqs = [self._classify(req) for req in reqs]
-        services = self._service_times_us(reqs, seqs)
-        slow = self.slow_factor
-        for req, sequential, service_us in zip(reqs, seqs, services):
-            if slow != 1.0:
-                service_us = round(service_us * slow)
-            self._account(req, sequential, service_us / 1e6)
-            hold = env.timeout_us(service_us)
-            hold.callbacks.append(_BatchLegDone(resource, multi, latch))
-        return latch
+        """A fan-out of :meth:`submit` legs.  Exists only for perfbench,
+        which binds this name, until ROADMAP item 5.1 deletes it."""
+        return spawn_fanout(self.env, [self.submit(req) for req in reqs])
 
     # --------------------------------------------------------- fault control
     def set_slowdown(self, factor: float) -> None:
@@ -282,14 +189,6 @@ class StorageDevice:
     def _service_time_us(self, req: IORequest, sequential: bool) -> int:
         """Integer-µs service time from the device's hardware model."""
         raise NotImplementedError
-
-    def _service_times_us(
-        self, reqs: Sequence[IORequest], seqs: Sequence[bool]
-    ) -> list[int]:
-        """Per-leg service times for a :meth:`submit_many` batch.  Hot
-        device models override with one numpy pass over the precomputed µs
-        rates; results must match :meth:`_service_time_us` leg-for-leg."""
-        return [self._service_time_us(r, s) for r, s in zip(reqs, seqs)]
 
     def _account(self, req: IORequest, sequential: bool, service: float) -> None:
         c = self.counters

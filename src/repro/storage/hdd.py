@@ -8,9 +8,6 @@ paper drops the DeltaLog layer there and leans harder on sequential logging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.sim import Environment
 from repro.storage.base import IOKind, IORequest, StorageDevice
@@ -55,15 +52,3 @@ class HDDevice(StorageDevice):
         if sequential:
             return round(self._seq_cmd_us + transfer)
         return round(self._rand_us + transfer)
-
-    def _service_times_us(
-        self, reqs: Sequence[IORequest], seqs: Sequence[bool]
-    ) -> list[int]:
-        n = len(reqs)
-        if n < 4:  # numpy setup outweighs the loop for tiny batches
-            return [self._service_time_us(r, s) for r, s in zip(reqs, seqs)]
-        sizes = np.fromiter((r.size for r in reqs), dtype=np.float64, count=n)
-        cmds = np.where(np.fromiter(seqs, dtype=bool, count=n),
-                        self._seq_cmd_us, self._rand_us)
-        # same op order and half-to-even rounding as _service_time_us
-        return np.rint(cmds + sizes * self._us_per_byte).astype(np.int64).tolist()

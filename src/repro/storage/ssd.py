@@ -10,9 +10,6 @@ device like the Chameleon nodes'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.sim import Environment
 from repro.storage.base import IOKind, IORequest, StorageDevice
@@ -70,26 +67,6 @@ class SSDevice(StorageDevice):
             return round(cmd + req.size * self._us_rd_per_byte)
         cmd = self._seq_cmd_us if sequential else self._rand_wr_us
         return round(cmd + req.size * self._us_wr_per_byte)
-
-    def _service_times_us(
-        self, reqs: Sequence[IORequest], seqs: Sequence[bool]
-    ) -> list[int]:
-        n = len(reqs)
-        if n < 4:  # numpy setup outweighs the loop for tiny batches
-            return [self._service_time_us(r, s) for r, s in zip(reqs, seqs)]
-        sizes = np.empty(n, dtype=np.float64)
-        rates = np.empty(n, dtype=np.float64)
-        cmds = np.empty(n, dtype=np.float64)
-        for i, (req, sequential) in enumerate(zip(reqs, seqs)):
-            sizes[i] = req.size
-            if req.kind is IOKind.READ:
-                rates[i] = self._us_rd_per_byte
-                cmds[i] = self._seq_cmd_us if sequential else self._rand_rd_us
-            else:
-                rates[i] = self._us_wr_per_byte
-                cmds[i] = self._seq_cmd_us if sequential else self._rand_wr_us
-        # same op order and half-to-even rounding as _service_time_us
-        return np.rint(cmds + sizes * rates).astype(np.int64).tolist()
 
     def _account(self, req: IORequest, sequential: bool, service: float) -> None:
         super()._account(req, sequential, service)

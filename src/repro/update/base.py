@@ -426,12 +426,6 @@ class UpdateMethod:
             src.name, dst.name, nbytes + self.ecfs.config.header_bytes
         )
 
-    def forward_c(self, src: OSD, dst: OSD, nbytes: int):
-        """:meth:`forward` as a flat event chain."""
-        return self.ecfs.net.transfer_chain(
-            src.name, dst.name, nbytes + self.ecfs.config.header_bytes
-        )
-
     # ---------------------------------------------------------- EC geometry
     def parity_targets(self, block: BlockId) -> list[tuple[int, OSD, BlockId]]:
         """[(parity row j, hosting OSD, parity BlockId)] for ``block``'s stripe."""

@@ -135,10 +135,8 @@ class PARIX(UpdateMethod):
         )
         if live is not None:
             # NACK comes back before the data node can ship the old bytes
-            # (callable legs: each becomes one wire chain, no driver)
             yield spawn_fanout(
-                self.env,
-                [(lambda p=posd: self.forward_c(p, osd, 0)) for posd in live_targets],
+                self.env, [self.forward(posd, osd, 0) for posd in live_targets]
             )
             yield spawn_fanout(
                 self.env, [self._ship(osd, posd, op.size) for posd in live_targets]

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Store."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_capacity_one_serializes():
@@ -51,7 +51,8 @@ def test_resource_invalid_capacity():
         Resource(env, capacity=0)
 
 
-def test_priority_resource_orders_queue():
+@pytest.mark.parametrize("capacity", [1, 4])  # 4: the SSD's channel count
+def test_resource_orders_queue_by_priority_then_arrival(capacity):
     env = Environment()
     order = []
 
@@ -66,12 +67,15 @@ def test_priority_resource_orders_queue():
             yield req
             order.append(tag)
 
-    res = PriorityResource(env, capacity=1)
-    env.process(holder(res))
+    res = Resource(env, capacity=capacity)
+    for _ in range(capacity):
+        env.process(holder(res))
     env.process(worker(res, "bg", 10, 1_000_000))
     env.process(worker(res, "fg", 0, 2_000_000))  # arrives later, higher priority
+    env.process(worker(res, "bg2", 10, 3_000_000))  # ties with bg: FIFO
+    env.process(worker(res, "fg2", 0, 4_000_000))
     env.run()
-    assert order == ["fg", "bg"]
+    assert order == ["fg", "fg2", "bg", "bg2"]
 
 
 def test_request_cancel_releases_queue_slot():
