@@ -15,7 +15,7 @@ def assert_golden():
         want = (_GOLDEN / name).read_text()
         assert text == want, (
             f"{name} diverged from the committed golden; if the change is "
-            f"intended, re-bless tests/golden/{name} and bump CACHE_SCHEMA"
+            f"intended, re-bless tests/golden/{name}"
         )
 
     return check

@@ -34,7 +34,6 @@ from repro.fault.events import FaultSchedule
 from repro.fault.injector import FaultInjector
 from repro.harness.runner import resolve_trace
 from repro.traces.replayer import TraceReplayer
-from repro.harness.prefix import cached_trace, populate_cached
 
 if TYPE_CHECKING:  # pragma: no cover
     pass
@@ -224,6 +223,10 @@ class ScenarioRunner:
 
     def _run(self, seed: int) -> ScenarioResult:
         import time as _time
+
+        # lazy: harness.prefix imports repro.fault.digest, whose package
+        # __init__ imports this module
+        from repro.harness.prefix import cached_trace, populate_cached
 
         wall0 = _time.perf_counter()
         spec = self.spec

@@ -9,12 +9,13 @@ Usage::
     python -m repro scenario --list      # fault-injection scenario catalog
     python -m repro scenario crash-mid-update --seed 7
 
-    # parallel sweeps over method x trace (or scenario x seed) grids, fanned
-    # across a process pool with a content-addressed result cache:
-    python -m repro sweep --methods tsue,pl --traces tencloud,alicloud \
-        --workers 4 --cache-dir .repro-cache
+    # method x trace (or scenario x seed) grids, fanned across a process pool:
+    python -m repro sweep --methods tsue,pl --traces tencloud,alicloud --workers 4
     python -m repro sweep --scenarios crash-mid-update,double-failure \
         --seeds 7,8 --workers 2
+
+Every command takes only its own flags (``python -m repro <command> -h``);
+a flag that belongs to another command is an error, not ignored.
 """
 
 from __future__ import annotations
@@ -74,14 +75,9 @@ def _run_sweep(args) -> int:
     )
     from repro.metrics.tables import format_markdown, format_table
 
-    if args.ops is None:
-        args.ops = 1200
-    executor = SweepExecutor(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        cell_timeout=args.cell_timeout,
-        strict=False,  # report failed cells instead of aborting the sweep
-    )
+    t0 = time.perf_counter()
+    # strict=False: report failed cells instead of aborting the sweep
+    executor = SweepExecutor(workers=args.workers, strict=False)
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if args.scenarios:
         names = [s for s in args.scenarios.split(",") if s]
@@ -122,6 +118,7 @@ def _run_sweep(args) -> int:
             ],
             executor=executor,
         )
+        results = [res for cols in grid.values() for res in cols.values()]
         rows = {
             row: {
                 col: (
@@ -142,11 +139,10 @@ def _run_sweep(args) -> int:
                     floatfmt="{:,.0f}",
                 )
             )
-    stats = executor.stats
+    failed = sum(isinstance(res, CellFailure) for res in results)
     print(
-        f"[sweep: {stats.cells} cells, {stats.cache_hits} cached, "
-        f"{stats.workers} workers, {stats.retried} retried, "
-        f"{stats.failed} failed, {stats.wall_seconds:.1f}s]"
+        f"[sweep: {len(results)} cells, {executor.workers} workers, "
+        f"{failed} failed, {time.perf_counter() - t0:.1f}s]"
     )
     return 0
 
@@ -276,11 +272,7 @@ def _run_profile(args) -> int:
     from repro.harness.runner import ExperimentConfig, run_experiment
 
     method = args.methods.split(",")[0]
-    cfg = ExperimentConfig(
-        method=method,
-        n_ops=args.ops if args.ops is not None else 1500,
-        n_osds=args.osds,
-    )
+    cfg = ExperimentConfig(method=method, n_ops=args.ops, n_osds=args.osds)
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_experiment(cfg)
@@ -392,6 +384,24 @@ def _run_topology(args) -> int:
     return 0
 
 
+def _run_list(args) -> int:
+    for name in sorted(EXPERIMENTS):
+        print(name)
+    return 0
+
+
+def _run_experiments(args) -> int:
+    if args.scale:
+        os.environ["REPRO_SCALE"] = args.scale
+    targets = sorted(EXPERIMENTS) if args.command == "all" else [args.command]
+    for name in targets:
+        t0 = time.time()
+        text, _data = EXPERIMENTS[name]()
+        print(text)
+        print(f"[{name}: {time.time() - t0:.1f}s]\n")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -399,180 +409,139 @@ def main(argv: list[str] | None = None) -> int:
         "simulated cluster, run a named fault-injection scenario, or fan a "
         "sweep grid across a process pool.",
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS)
-        + [
-            "all",
-            "background",
-            "list",
-            "profile",
-            "scenario",
-            "slo",
-            "sweep",
-            "topology",
-        ],
-        help="artifact to regenerate ('all' runs everything, 'list' "
-        "enumerates, 'scenario' runs the fault-injection harness, 'slo' "
-        "runs the QoS x fault front-end grid with per-tenant SLO metrics, "
-        "'background' runs the bg-* maintenance-plane grid with per-stream "
-        "bandwidth/drain read-outs and the governor on/off contrast, "
-        "'sweep' runs a parallel scenario/experiment grid, 'topology' "
-        "analyzes placement policies under elastic topology events, "
-        "'profile' cProfiles the tracked engine workload and prints the "
-        "top-N cumulative table)",
-    )
-    parser.add_argument(
-        "name",
-        nargs="?",
-        default=None,
-        help="scenario name (with 'scenario'; omit or use --list to browse)",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=["quick", "full"],
-        default=None,
-        help="experiment scale (default: REPRO_SCALE env or 'quick')",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="with 'scenario': list the catalog and exit",
-    )
-    parser.add_argument(
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
         "--seed",
         type=int,
         default=2025,
-        help="with 'scenario': simulation seed (same seed = same digest)",
+        help="simulation seed (same seed = same digest)",
     )
-    sweep = parser.add_argument_group("sweep options")
-    sweep.add_argument(
-        "--methods", default="tsue", help="comma-separated update methods"
+
+    def command(name: str, run, summary: str, seed: bool = False):
+        sub = commands.add_parser(
+            name, help=summary, parents=[seeded] if seed else [], allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        return sub
+
+    for name in sorted(EXPERIMENTS) + ["all"]:
+        sub = command(
+            name,
+            _run_experiments,
+            "regenerate every artifact" if name == "all" else f"regenerate {name}",
+        )
+        sub.add_argument(
+            "--scale",
+            choices=["quick", "full"],
+            help="experiment scale (default: REPRO_SCALE env or 'quick')",
+        )
+    command("list", _run_list, "list the artifacts")
+
+    sub = command(
+        "scenario", _run_scenario, "run one fault-injection scenario", seed=True
     )
-    sweep.add_argument(
-        "--traces", default="tencloud", help="comma-separated trace names"
+    sub.add_argument("name", nargs="?", help="scenario name (omit to browse)")
+    sub.add_argument("--list", action="store_true", help="list the catalog and exit")
+
+    sub = command(
+        "slo",
+        _run_slo,
+        "QoS x fault front-end grid with per-tenant SLO metrics",
+        seed=True,
     )
-    sweep.add_argument(
-        "--scenarios",
-        default="",
-        help="comma-separated fault scenarios (switches to a scenario x "
-        "seed grid)",
-    )
-    sweep.add_argument(
-        "--seeds", default="2025", help="comma-separated simulation seeds"
-    )
-    sweep.add_argument("--clients", type=int, default=16)
-    sweep.add_argument(
-        "--ops",
-        type=int,
-        default=None,
-        help="ops per cell (default 1200; 'profile' defaults to 1500)",
-    )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size (default: REPRO_WORKERS or 1 = serial)",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        help="content-addressed result cache directory (default: "
-        "REPRO_CACHE_DIR or disabled)",
-    )
-    sweep.add_argument(
-        "--table",
-        action="store_true",
-        help="render the sweep grid as a GitHub-markdown benchmark table",
-    )
-    sweep.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        help="per-cell wall-clock timeout in seconds (workers > 1): a cell "
-        "that hangs is killed, retried once, then reported as failed "
-        "(default: REPRO_CELL_TIMEOUT or disabled)",
-    )
-    slo = parser.add_argument_group("slo options")
-    slo.add_argument(
+    sub.add_argument("name", nargs="?", help="one slo-* scenario (default: all)")
+    sub.add_argument(
         "--window",
         type=float,
-        default=None,
-        help="with 'slo': time-series bucket width in simulated seconds "
-        "(default: each scenario's slo_window)",
+        help="time-series bucket width in simulated seconds (default: each "
+        "scenario's slo_window)",
     )
-    prof = parser.add_argument_group("profile options")
-    prof.add_argument(
-        "--top",
+
+    sub = command(
+        "background",
+        _run_background,
+        "bg-* maintenance-plane grid: per-stream bandwidth/drain read-outs and "
+        "the governor on/off contrast",
+        seed=True,
+    )
+    sub.add_argument("name", nargs="?", help="one bg-* scenario (default: all)")
+
+    sub = command(
+        "sweep",
+        _run_sweep,
+        "method x trace x seed (or scenario x seed) grid over a process pool",
+    )
+    sub.add_argument("--methods", default="tsue", help="comma-separated update methods")
+    sub.add_argument("--traces", default="tencloud", help="comma-separated trace names")
+    sub.add_argument(
+        "--scenarios",
+        default="",
+        help="comma-separated fault scenarios (switches to a scenario x seed grid)",
+    )
+    sub.add_argument("--seeds", default="2025", help="comma-separated simulation seeds")
+    sub.add_argument("--clients", type=int, default=16)
+    sub.add_argument("--ops", type=int, default=1200, help="ops per cell")
+    sub.add_argument(
+        "--workers",
         type=int,
-        default=25,
-        help="with 'profile': rows of the pstats table to print",
+        help="process-pool size (default: REPRO_WORKERS or 1 = serial)",
     )
-    prof.add_argument(
+    sub.add_argument(
+        "--table",
+        action="store_true",
+        help="render the grid as a GitHub-markdown benchmark table",
+    )
+
+    sub = command(
+        "profile",
+        _run_profile,
+        "cProfile one experiment and print the top-N cumulative table",
+    )
+    sub.add_argument(
+        "--methods", default="tsue", help="update method (the first of a comma list)"
+    )
+    sub.add_argument("--ops", type=int, default=1500)
+    sub.add_argument("--osds", type=int, default=16, help="cluster size")
+    sub.add_argument("--top", type=int, default=25, help="rows of the pstats table")
+    sub.add_argument(
         "--sort",
         default="cumulative",
-        help="with 'profile': pstats sort key (cumulative, tottime, calls...)",
+        help="pstats sort key (cumulative, tottime, calls...)",
     )
-    topo = parser.add_argument_group("topology options")
-    topo.add_argument(
+
+    sub = command(
+        "topology",
+        _run_topology,
+        "placement policies under elastic topology events",
+        seed=True,
+    )
+    sub.add_argument(
         "--policies", default="rotation,crush", help="comma-separated policies"
     )
-    topo.add_argument(
+    sub.add_argument(
         "--events",
         default="join,decommission,weight",
         help="comma-separated topology events for the movement matrix",
     )
-    topo.add_argument(
-        "--osds", type=int, default=16, help="cluster size (also with 'profile')"
-    )
-    topo.add_argument("--k", type=int, default=4)
-    topo.add_argument("--m", type=int, default=2)
-    topo.add_argument("--osds-per-host", type=int, default=1)
-    topo.add_argument("--hosts-per-rack", type=int, default=4)
-    topo.add_argument("--files", type=int, default=8)
-    topo.add_argument("--stripes", type=int, default=40)
-    topo.add_argument(
+    sub.add_argument("--osds", type=int, default=16, help="cluster size")
+    sub.add_argument("--k", type=int, default=4)
+    sub.add_argument("--m", type=int, default=2)
+    sub.add_argument("--osds-per-host", type=int, default=1)
+    sub.add_argument("--hosts-per-rack", type=int, default=4)
+    sub.add_argument("--files", type=int, default=8)
+    sub.add_argument("--stripes", type=int, default=40)
+    sub.add_argument(
         "--live",
         action="store_true",
         help="run the catalog scenario topo-<event>-<policy> on the DES "
         "instead of the static planner matrix",
     )
-    topo.add_argument(
-        "--policy", default="crush", help="with --live: placement policy"
-    )
-    topo.add_argument(
-        "--event", default="join", help="with --live: topology event"
-    )
+    sub.add_argument("--policy", default="crush", help="with --live: placement policy")
+    sub.add_argument("--event", default="join", help="with --live: topology event")
+
     args = parser.parse_args(argv)
-
-    if args.experiment == "scenario":
-        return _run_scenario(args)
-    if args.experiment == "slo":
-        return _run_slo(args)
-    if args.experiment == "background":
-        return _run_background(args)
-    if args.experiment == "sweep":
-        return _run_sweep(args)
-    if args.experiment == "topology":
-        return _run_topology(args)
-    if args.experiment == "profile":
-        return _run_profile(args)
-
-    if args.experiment == "list":
-        for name in sorted(EXPERIMENTS):
-            print(name)
-        return 0
-
-    if args.scale:
-        os.environ["REPRO_SCALE"] = args.scale
-
-    targets = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in targets:
-        t0 = time.time()
-        text, _data = EXPERIMENTS[name]()
-        print(text)
-        print(f"[{name}: {time.time() - t0:.1f}s]\n")
-    return 0
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

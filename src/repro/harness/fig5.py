@@ -55,8 +55,8 @@ def run(
         client_counts = (64,) if scale == "quick" else (4, 16, 64)
     n_ops = 1200 if scale == "quick" else 6000
 
-    # independent cells: fanned through the sweep executor (serial and
-    # uncached unless REPRO_WORKERS / REPRO_CACHE_DIR say otherwise)
+    # independent cells: fanned through the sweep executor (serial unless
+    # REPRO_WORKERS says otherwise)
     grid = run_grid(
         [
             (

@@ -9,24 +9,21 @@ Every experiment/scenario cell starts with the same two pure prefixes:
   of the cluster geometry + seed.
 
 Cells that share geometry and seed (the scenario x seed grids, a
-method-dimension sweep over one trace, a determinism double-run) used to
+method-dimension sweep over one trace, a determinism double-run) would
 re-derive both prefixes per cell; this module memoizes them under
-content-addressed keys (the PR-2 deferred item noted in
-:mod:`repro.harness.sweep`).  The memo is per-process — pool workers each
-warm their own — and **faithful by construction**: a populate hit restores
-the exact block bytes, oracle state, MDS layout, *and* the post-populate
-RNG state, so a cached cell is byte-identical to a cold one (the scenario
-determinism tests double-run through this cache and assert equal digests).
+content-addressed keys.  The memo is per-process — each worker of a
+:mod:`repro.harness.sweep` pool warms its own — and **faithful by
+construction**: a populate hit restores the exact block bytes, oracle
+state, MDS layout, *and* the post-populate RNG state, so a cached cell is
+byte-identical to a cold one (the scenario determinism tests double-run
+through this cache and assert equal digests).
 A hit copies no block: the stores and the oracle share the memo's read-only
 populate views, as a cold populate shares its matrix.
-
-Set ``REPRO_PREFIX_CACHE=0`` to disable both memos (debugging aid).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import fields
 from typing import TYPE_CHECKING, Sequence
 
@@ -53,10 +50,6 @@ _populate_memo: dict[str, dict] = {}
 _populate_bytes = 0
 
 
-def _enabled() -> bool:
-    return os.environ.get("REPRO_PREFIX_CACHE", "1") != "0"
-
-
 def clear_prefix_caches() -> None:
     global _populate_bytes
     _trace_memo.clear()
@@ -76,8 +69,6 @@ def cached_trace(
     frozen, so cells share one materialized list safely)."""
     from repro.traces.synthetic import generate_trace
 
-    if not _enabled():
-        return generate_trace(spec, n_ops, file_ids, file_bytes, seed=seed)
     key = _canonical(
         {
             "spec": repr(spec),
@@ -116,7 +107,7 @@ def populate_cached(
     free); anything else — and oversized populations — falls through to a
     plain populate.
     """
-    if fill != "random" or not _enabled():
+    if fill != "random":
         return ecfs.populate(n_files, stripes_per_file, fill=fill)
     total = (
         n_files

@@ -16,6 +16,26 @@ def test_unknown_experiment_rejected():
         main(["bogus"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--seed", "7"],
+        ["list", "--osds", "3"],
+        ["scenario", "crash-mid-update", "--window", "9"],
+        ["sweep", "--top", "3"],
+        ["sweep", "--cache-dir", "/nonexistent"],
+        ["topology", "--scale", "quick"],
+    ],
+)
+def test_foreign_flag_is_rejected(argv, capsys):
+    """Each command takes only its own flags: one that belongs to another
+    command, or to none, exits 2 instead of being silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_fig1_via_cli(capsys):
     assert main(["fig1"]) == 0
     out = capsys.readouterr().out

@@ -5,15 +5,12 @@ committed goldens pin that — any change to simulated timing, placement,
 RNG consumption, or table formatting shows up here as a readable diff
 instead of silently shifting a published number.  They run in the fast CI
 tier, so a result-changing commit cannot land without either fixing the
-regression or deliberately re-blessing the files (and bumping
-``CACHE_SCHEMA`` in :mod:`repro.harness.sweep`, which the blessing commit
+regression or deliberately re-blessing the files (which the blessing commit
 must justify).  The quick-scale fig5 / fig6a / fig6b / fig7 / fig8b /
 table2 goldens beside them are compared inside the ``benchmarks/`` runs
 that already generate those figures (``quick_golden``), not a second time
-here.  CI runs both tiers without a sweep cell cache (``REPRO_CACHE_DIR``
-unset): the cache is addressed by the cell's config, not the code, so a
-restored one would compare these goldens against cells an older commit
-computed.
+here.  Every cell is computed by the tree under test: the sweep executor
+keeps no result cache.
 
 Goldens were last blessed for the integer-microsecond event core: service
 and wire times now round onto the µs grid, which moved every latency by

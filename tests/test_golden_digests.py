@@ -111,7 +111,7 @@ def _assert_matches(got: dict, row: str) -> None:
     assert got == _golden()[row], (
         f"{row} diverged from the committed golden; if the change is "
         f"intended, re-bless tests/golden/digests.json (see this module's "
-        f"docstring) and bump CACHE_SCHEMA"
+        f"docstring)"
     )
 
 
