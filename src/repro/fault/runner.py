@@ -2,7 +2,12 @@
 
 A :class:`ScenarioSpec` composes a cluster geometry, an update method, a
 synthetic workload, a :class:`~repro.fault.events.FaultSchedule`, and a
-list of invariant checks.  :class:`ScenarioRunner` executes it:
+list of invariant checks.  The spec holds only what some scenario varies:
+the trace, client count and heartbeat timing are this module's constants,
+and the device, failure-domain shape and front-end hedging / concurrency
+are :class:`ClusterConfig`'s and :class:`FrontEnd`'s own defaults.  The
+schedule is plain data that the injector only iterates, so one spec can
+serve any number of runs.  :class:`ScenarioRunner` executes it:
 
 1. build + populate the cluster (``fill="random"`` so verification is
    byte-strong), start heartbeats if asked, arm the fault injector;
@@ -21,7 +26,7 @@ digest (asserted by the test suite and checkable via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.background.config import BackgroundConfig
 from repro.cluster.config import ClusterConfig
@@ -35,12 +40,16 @@ from repro.fault.injector import FaultInjector
 from repro.harness.runner import resolve_trace
 from repro.traces.replayer import TraceReplayer
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
 __all__ = ["ScenarioSpec", "ScenarioResult", "ScenarioRunner"]
 
 Check = Callable[[ECFS, FaultInjector], None]
+
+#: the closed-loop workload every non-front-end scenario replays
+TRACE = "tencloud"
+N_CLIENTS = 4
+#: heartbeat period and silence-to-failure timeout (``heartbeat=True``)
+HB_INTERVAL = 0.5
+HB_TIMEOUT = 1.6
 
 
 @dataclass
@@ -55,40 +64,34 @@ class ScenarioSpec:
     m: int = 2
     block_size: int = 64 * KiB
     log_unit_size: int = 128 * KiB
-    device: str = "ssd"  # "ssd" | "hdd"
     n_files: int = 2
     stripes_per_file: int = 2
-    #: placement policy + failure-domain topology (repro.placement)
+    #: placement policy (repro.placement)
     placement: str = "rotation"
-    osds_per_host: int = 1
-    hosts_per_rack: int = 4
-    trace: str = "tencloud"
     n_ops: int = 150
-    n_clients: int = 4
     heartbeat: bool = False
-    hb_interval: float = 0.5
-    hb_timeout: float = 1.6
     method_options: dict[str, Any] = field(default_factory=dict)
-    #: front-end mode: replace the closed-loop replay with the QoS-aware
-    #: pipeline (repro.frontend) driving per-tenant open-loop arrivals; the
-    #: result then carries per-tenant/per-class SLO metrics and a windowed
-    #: availability/latency time series
-    frontend: bool = False
-    tenants: tuple = ()  # TenantSpecs (repro.traces.replayer) when frontend
-    hedge_delay: float | None = 0.02
-    max_inflight: int = 16
+    #: TenantSpecs (repro.traces.replayer); any tenant selects front-end
+    #: mode, see :attr:`frontend`
+    tenants: tuple = ()
     slo_window: float = 0.05  # series bucket width (simulated seconds)
     #: unified background-work scheduler (repro.background); None keeps the
     #: subsystem disabled (the pre-PR-5 per-stream pacing)
     background: Optional[BackgroundConfig] = None
     #: admission override for frontend runs (e.g. the AIMD adaptive mode)
     admission: Optional[Any] = None
-    #: builds the fault schedule (specs are reusable: a fresh schedule per run)
-    build_faults: Callable[["ScenarioSpec"], FaultSchedule] = field(
-        default=lambda spec: FaultSchedule()
-    )
+    #: the injector only iterates the schedule, so one serves every run
+    faults: FaultSchedule = field(default_factory=FaultSchedule)
     #: invariant checks run after the run settles, before stripe-verify
     checks: list[Check] = field(default_factory=list)
+
+    @property
+    def frontend(self) -> bool:
+        """Front-end mode: the QoS-aware pipeline (repro.frontend) drives
+        per-tenant open-loop arrivals instead of the closed-loop replay; the
+        result then carries per-tenant/per-class SLO metrics and a windowed
+        availability/latency time series."""
+        return bool(self.tenants)
 
     def cluster_config(self, seed: int) -> ClusterConfig:
         return ClusterConfig(
@@ -97,10 +100,7 @@ class ScenarioSpec:
             m=self.m,
             block_size=self.block_size,
             log_unit_size=self.log_unit_size,
-            device=self.device,
             placement_policy=self.placement,
-            osds_per_host=self.osds_per_host,
-            hosts_per_rack=self.hosts_per_rack,
             background=self.background or BackgroundConfig(),
             seed=seed,
         )
@@ -240,11 +240,9 @@ class ScenarioRunner:
         )
         heartbeat: Optional[HeartbeatService] = None
         if spec.heartbeat:
-            heartbeat = HeartbeatService(
-                ecfs, interval=spec.hb_interval, timeout=spec.hb_timeout
-            )
+            heartbeat = HeartbeatService(ecfs, interval=HB_INTERVAL, timeout=HB_TIMEOUT)
             heartbeat.start()
-        injector = FaultInjector(ecfs, spec.build_faults(spec))
+        injector = FaultInjector(ecfs, spec.faults)
         injector.start()
 
         file_bytes = ecfs.mds.lookup(files[0]).size
@@ -256,12 +254,7 @@ class ScenarioRunner:
             from repro.frontend.dispatcher import FrontEnd
             from repro.traces.replayer import OpenLoopReplayer
 
-            frontend = FrontEnd(
-                ecfs,
-                admission=spec.admission,
-                hedge_delay=spec.hedge_delay,
-                max_inflight=spec.max_inflight,
-            )
+            frontend = FrontEnd(ecfs, admission=spec.admission)
             ecfs.frontend = frontend  # visible to the spec's invariant checks
             open_result = OpenLoopReplayer(
                 ecfs, frontend, list(spec.tenants), files
@@ -272,11 +265,9 @@ class ScenarioRunner:
             failures = open_result.failed + open_result.deadline_missed
         else:
             trace = cached_trace(
-                resolve_trace(spec.trace), spec.n_ops, files, file_bytes, seed=seed
+                resolve_trace(TRACE), spec.n_ops, files, file_bytes, seed=seed
             )
-            replay = TraceReplayer(ecfs, trace).run(
-                spec.n_clients, tolerate_failures=True
-            )
+            replay = TraceReplayer(ecfs, trace).run(N_CLIENTS, tolerate_failures=True)
             ops_issued = replay.ops_issued
             updates = replay.updates
             reads = replay.reads
@@ -295,7 +286,7 @@ class ScenarioRunner:
         if heartbeat is not None:
             # grace period: restarted/healed nodes need a beat + a monitor
             # tick to be readmitted
-            ecfs.env.run(until=ecfs.env.now + spec.hb_timeout + 2 * spec.hb_interval)
+            ecfs.env.run(until=ecfs.env.now + HB_TIMEOUT + 2 * HB_INTERVAL)
             heartbeat.stop()
         ecfs.drain()
 

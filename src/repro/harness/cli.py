@@ -50,7 +50,7 @@ def _run_scenario(args) -> int:
 
     if args.list or args.name is None:
         for name in sorted(SCENARIOS):
-            print(f"{name:24s} {SCENARIOS[name]().description}")
+            print(f"{name:24s} {SCENARIOS[name].description}")
         return 0
     try:
         spec = get_scenario(args.name)

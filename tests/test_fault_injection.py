@@ -204,12 +204,10 @@ def test_bounce_resyncs_parity_for_all_methods(method):
     from repro.fault.events import BounceOSD, FaultSchedule, after_ops
     from repro.fault.runner import ScenarioRunner, ScenarioSpec
 
-    def faults(spec):
-        return FaultSchedule().when(after_ops(30), BounceOSD(osd=0, downtime=0.3))
-
     spec = ScenarioSpec(
         name=f"bounce-{method}", description="parity-host bounce",
-        method=method, n_ops=120, build_faults=faults,
+        method=method, n_ops=120,
+        faults=FaultSchedule().when(after_ops(30), BounceOSD(osd=0, downtime=0.3)),
     )
     result = ScenarioRunner(spec).run(seed=31)
     assert result.stripes_verified == 4

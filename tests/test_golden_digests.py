@@ -8,9 +8,10 @@ the heap-event count of
 * TSUE under the fig. 7 ``Baseline`` / ``O1`` / ``O3`` option sets —
   Baseline keeps unmerged records, so one log unit holds overlapping
   same-block extents that must apply in append order,
-* four fault scenarios, among them ``bg-recycle-vs-recovery``: a crash
-  rebuild forcing settlement while the arbitered recycle loop runs, i.e.
-  two recycles of one pool in flight at once.
+* every scenario of the catalog at seed 7, among them
+  ``bg-recycle-vs-recovery``: a crash rebuild forcing settlement while the
+  arbitered recycle loop runs, i.e. two recycles of one pool in flight at
+  once.  A new catalog row cannot land without its golden.
 
 The rows were generated with the table-driven write schedules and the
 bulk drain plane still in the tree and agreed with both switched off;
@@ -34,7 +35,7 @@ import pytest
 
 from repro.fault.digest import cluster_digest
 from repro.fault.runner import ScenarioRunner
-from repro.fault.scenarios import get_scenario
+from repro.fault.scenarios import SCENARIOS as CATALOG, get_scenario
 from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.update.tsue import TSUEOptions
 
@@ -42,14 +43,7 @@ _GOLDEN = pathlib.Path(__file__).parent / "golden" / "digests.json"
 
 METHODS = ["fo", "fl", "pl", "plr", "parix", "tsue", "cord"]
 BREAKDOWN_STEPS = ["Baseline", "O1", "O3"]
-#: one per family (elastic topology, background maintenance, QoS front
-#: end) plus the concurrent-recycle crash
-SCENARIOS = [
-    "topo-join-crush",
-    "bg-scrub-under-load",
-    "slo-qos-crash",
-    "bg-recycle-vs-recovery",
-]
+SCENARIOS = sorted(CATALOG)
 #: rows recomputed in fresh interpreters under other hash seeds
 _HASHSEED_ROWS = ["method/tsue", "scenario/slo-qos-crash"]
 
@@ -80,6 +74,7 @@ def _experiment_row(method: str, method_options: dict | None = None) -> dict:
 
 def _scenario_row(name: str) -> dict:
     result = ScenarioRunner(get_scenario(name)).run(seed=7)
+    assert result.stripes_verified > 0 and result.ops > 0, name
     return {"digest": result.digest, "events": int(result.events)}
 
 
