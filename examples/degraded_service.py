@@ -1,10 +1,12 @@
 #!/usr/bin/env python
 """Operating through a failure: heartbeats, degraded reads, auto-recovery.
 
-A cluster serves updates while one node dies mid-run.  The heartbeat
-service detects the silence, recovery starts automatically, and client
-reads targeting the dead node are served degraded (on-the-fly decode from
-k survivors) until the blocks are re-homed.
+A cluster serves updates while one node stops mid-run (``ECFS.stop_osd``:
+it goes silent and the update method is not told).  The heartbeat service
+declares it dead, recovery starts automatically — crashing the stopped node
+first, so its unrecycled logs are stashed and replayed — and client reads
+targeting the dead node are served degraded (on-the-fly decode from k
+survivors) until the blocks are re-homed.
 
 Run:  python examples/degraded_service.py
 """
@@ -53,8 +55,8 @@ def main() -> None:
     def workload():
         yield env.process(client.update(target.file_id, file_off, 4 * KiB))
         print(f"[t={fmt_time(env.now)}] update to {target} acked")
-        ecfs.osds[victim].fail()
-        print(f"[t={fmt_time(env.now)}] osd{victim} just died "
+        ecfs.stop_osd(victim)
+        print(f"[t={fmt_time(env.now)}] osd{victim} just stopped "
               f"(holds {target})")
         # this read arrives before recovery re-homes the block: degraded
         yield env.timeout_us(50_000)

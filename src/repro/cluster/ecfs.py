@@ -78,6 +78,9 @@ class ECFS:
         self._hdd_params = hdd_params
 
         self.osds: list[OSD] = []
+        #: OSDs whose death the method was told of; ``crash_osd`` /
+        #: ``stop_osd`` / ``restart_osd`` are the only writers of OSD.failed
+        self.crashed: set[int] = set()
         for i in range(self.config.n_osds):
             device = self._make_device(i, ssd_params, hdd_params)
             osd = OSD(self.env, i, device, self.config.block_size)
@@ -272,27 +275,35 @@ class ECFS:
 
     # -------------------------------------------------------------- faults
     def crash_osd(self, idx: int) -> OSD:
-        """Abrupt node loss: fail the node and tell the update method
-        immediately (no quiesce — in-flight work is cut off).  The MDS
-        learns of the death through heartbeat silence (or when a
-        :class:`~repro.cluster.recovery.RecoveryManager` rebuild starts,
-        which must follow for the cluster to verify again)."""
+        """Abrupt node loss: the node goes down (if it was not stopped
+        already) and the update method is told, once — no quiesce, in-flight
+        work is cut off.  The MDS learns of it through heartbeat silence or
+        a :class:`~repro.cluster.recovery.RecoveryManager` rebuild."""
         osd = self.osds[idx]
-        if not osd.failed:
-            osd.fail()
+        if idx not in self.crashed:
+            osd.failed = True
+            self.crashed.add(idx)
             self.method.on_node_failed(osd)
             # a death changes what can settle (its logs dropped/stashed):
             # re-check parked settlement waiters
             self.notify_settlement()
         return osd
 
+    def stop_osd(self, idx: int) -> OSD:
+        """A bounce: the node goes down and silent with its contents and
+        logs intact, and the method is not told.  :meth:`restart_osd` brings
+        it back; :meth:`crash_osd` (a rebuild calls it) tears it down."""
+        osd = self.osds[idx]
+        osd.failed = True
+        return osd
+
     def restart_osd(self, idx: int) -> OSD:
-        """Bring a transiently-down node back (contents intact, no rebuild):
-        clears the failure flags and lets the update method resume/replay
-        its background work for the node."""
+        """The node comes back (contents intact, no rebuild) and leaves
+        :attr:`crashed`; the update method resumes its background work."""
         osd = self.osds[idx]
         if osd.failed:
-            osd.restart()
+            osd.failed = False
+            self.crashed.discard(idx)
             self.mds.declare_recovered(idx)
             self.mds.heartbeat(idx, self.env.now)
             self.method.on_node_restarted(osd)
@@ -414,12 +425,8 @@ class ECFS:
         returns False) while any block still actually lives there."""
         if any(self.placement.home_of(b) == idx for b in self.known_blocks):
             return False
-        osd = self.osds[idx]
-        if not osd.failed:
-            osd.fail()
-            self.method.on_node_failed(osd)
-            self.mds.declare_failed(idx)
-            self.notify_settlement()
+        self.crash_osd(idx)
+        self.mds.declare_failed(idx)
         return True
 
     def placement_loads(self) -> dict[int, int]:

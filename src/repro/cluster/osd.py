@@ -188,26 +188,13 @@ class OSD:
         yield from self.device.submit(req)
 
     # ------------------------------------------------------------- failure
-    def fail(self) -> None:
-        """Take the node down; blocks remain lost until recovery rebuilds."""
-        self.failed = True
-
-    def restart(self) -> None:
-        """Bring a transiently-down node back with its contents intact.
-
-        Used by the fault injector's bounce/rolling-restart path (no rebuild
-        happened); use :meth:`repro.cluster.ecfs.ECFS.restart_osd` so the
-        MDS and the update method hear about it too.
-        """
-        self.failed = False
-
     def check_alive(self) -> None:
-        """Raise :class:`UnavailableError` if the node is down.  Every I/O
-        checks on entry; a log append checks again between its device I/O and
-        its commit to the in-memory log — the I/O of a node that died
-        meanwhile still returns, but ``on_node_failed`` already dropped that
-        node's log, and an entry committed now would sit on a dead node that
-        no flush ever visits."""
+        """Raise :class:`UnavailableError` if the node is down (``ECFS``
+        stopped or crashed it).  Every I/O checks on entry; a log append
+        checks again between its device I/O and its commit to the in-memory
+        log — the I/O of a node that died meanwhile still returns, but
+        ``on_node_failed`` already dropped that node's log, and an entry
+        committed now would sit on a dead node that no flush ever visits."""
         if self.failed:
             raise UnavailableError(f"{self.name} has failed")
 

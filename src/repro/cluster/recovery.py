@@ -81,19 +81,16 @@ class RecoveryManager:
     def fail_and_recover(self, osd_idx: int) -> Generator:
         """Process: kill ``osd_idx``, settle logs, rebuild; returns report.
 
-        If the victim is already down (an abrupt crash injected by
-        :mod:`repro.fault`, which calls :meth:`ECFS.crash_osd` first), the
-        quiesce/teardown phase is skipped — the crash did not wait for
-        in-flight recycles, and the method's stash already captured the
-        victim's unrecycled logs.
+        A live victim is quiesced first.  :meth:`ECFS.crash_osd` then tells
+        the method, so its stash holds the victim's unrecycled logs — a
+        no-op for a victim already crashed, the teardown for a stopped one.
         """
         ecfs = self.ecfs
         env = ecfs.env
         victim = ecfs.osds[osd_idx]
         if not victim.failed:
             yield env.process(ecfs.method.quiesce_node(victim), name="rec-quiesce")
-            victim.fail()
-            ecfs.method.on_node_failed(victim)
+        ecfs.crash_osd(osd_idx)
         ecfs.mds.declare_failed(osd_idx)
         lost = self.lost_blocks(osd_idx)
 

@@ -138,7 +138,7 @@ class FaultInjector:
         elif isinstance(event, BounceOSD):
             # a transient outage: no MDS declaration, no log teardown — the
             # node simply stops serving, then comes back with its data
-            self.ecfs.osds[event.osd].fail()
+            self.ecfs.stop_osd(event.osd)
             self._note(f"bounce osd{event.osd} down")
             yield env.timeout_us(s_to_us(event.downtime))
             self.ecfs.restart_osd(event.osd)

@@ -381,6 +381,18 @@ _CATALOG = (
         .when(after_ops(200 // 2), BounceOSD(osd=1, downtime=0.01))
         .when(after_ops(3 * 200 // 4), BounceOSD(osd=2, downtime=0.01)),
     ),
+    # A bounce outlives the heartbeat timeout and is crashed and rebuilt
+    # while down: its logs must be stashed and replayed like any crash's.
+    ScenarioSpec(
+        name="bounce-outlives-heartbeat",
+        description="bounce outlasting the heartbeat timeout, crashed and rebuilt while down",
+        heartbeat=True,
+        n_ops=180,
+        faults=FaultSchedule()
+        .when(after_ops(180 // 4), BounceOSD(osd=0, downtime=5.0))
+        .when(after_ops(180 // 2), CrashOSD(osd=0, detect_delay=0.0)),
+        checks=[_expect_crashes_rebuilt],
+    ),
     # Heartbeats stop crossing the cut, the MDS declares the islanders dead,
     # the partition heals, and the monitor readmits them: nothing is rebuilt.
     ScenarioSpec(

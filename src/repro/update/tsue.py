@@ -136,9 +136,6 @@ class TSUE(UpdateMethod):
         # per-OSD, per-layer pools: pools[osd.name][layer][pool index], None
         # until the first append builds it (read them via built_pools)
         self.pools: dict[str, dict[str, list[Optional[LogPool]]]] = {}
-        # nodes whose pools on_node_failed failed: a pool first built on one
-        # is born failed, as an eagerly built pool would have been
-        self._dead_nodes: set[str] = set()
         # the log-debt ledger: per layer, the (osd.idx, pool index) of every
         # pool holding unrecycled content.  The pools move themselves in and
         # out (LogPool.holds_debt); drain and settlement read it instead of
@@ -195,7 +192,6 @@ class TSUE(UpdateMethod):
             layer: [] if layer == "deltalog" and no_deltalog else [None] * self.n_pools
             for layer in _LAYERS
         }
-        self._dead_nodes.discard(osd.name)
 
     def built_pools(
         self, osd_name: str, *layers: str
@@ -652,7 +648,6 @@ class TSUE(UpdateMethod):
         # later is born dead (_pool)
         for _p, pool in self.built_pools(victim.name):
             pool.fail()
-        self._dead_nodes.add(victim.name)
 
     def on_node_restarted(self, osd: OSD) -> None:
         """Resume background work on a bounced node: requeue unit recycles
@@ -987,9 +982,9 @@ class TSUE(UpdateMethod):
 
     def _pool(self, osd: OSD, layer: str, block: BlockId) -> LogPool:
         """``block``'s ``layer`` pool on ``osd`` for an append: built, and
-        its recycler spawned, on first use.  A pool first built on a node
-        whose pools :meth:`on_node_failed` failed is born failed, as the
-        eager pool it stands for would have been."""
+        its recycler spawned, on first use.  A pool first built on a crashed
+        node (``ECFS.crashed``: :meth:`on_node_failed` failed its pools) is
+        born failed, as the eager pool it stands for would have been."""
         slots = self.pools[osd.name][layer]
         p = self._pool_idx(block)
         pool = slots[p]
@@ -1007,7 +1002,7 @@ class TSUE(UpdateMethod):
                 live=self._live[layer],
                 live_key=(osd.idx, p),
             )
-            if osd.name in self._dead_nodes:
+            if osd.idx in self.ecfs.crashed:
                 pool.fail()
             self._spawn_recycler(osd, layer, p, pool)
         return pool

@@ -1,5 +1,8 @@
 """Tests for placement, MDS, OSD primitives, and the ECFS facade."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster import (
     BlockId, BlockKind, CPUCosts, ClusterConfig, ECFS, Placement, block_kind,
 )
+import repro
 from repro.common.errors import ConfigError, IntegrityError
 from repro.storage.base import IOKind
 
@@ -134,9 +138,61 @@ def test_osd_log_append_is_sequential():
 def test_osd_failure_blocks_io():
     ecfs = ECFS(_small_config(), method="fo")
     osd = ecfs.osds[0]
-    osd.fail()
+    ecfs.stop_osd(osd.idx)
     with pytest.raises(IntegrityError):
         list(osd.io_log_append("log", 4096))
+
+
+#: the ``.failed`` writes allowed outside ECFS: each class's own
+#: initialiser (``OSD.failed`` starts False, ``MDS.failed`` is its set of
+#: declared-failed indices)
+_FAILED_INITIALISERS = {("osd.py", "OSD"), ("mds.py", "MDS")}
+
+
+def _writes_failed(node: ast.AST) -> bool:
+    """True if ``node`` assigns an attribute named ``failed`` (plain,
+    annotated, augmented, unpacked or through ``setattr``)."""
+    if isinstance(node, ast.Assign):
+        targets = [t for target in node.targets for t in ast.walk(target)]
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+        return any(isinstance(a, ast.Constant) and a.value == "failed" for a in node.args)
+    else:
+        return False
+    return any(isinstance(t, ast.Attribute) and t.attr == "failed" for t in targets)
+
+
+def _failed_writes(path: pathlib.Path) -> list[str]:
+    """``file:line`` of every write of a ``failed`` attribute in ``path``
+    outside the allowed initialisers."""
+    tree = ast.parse(path.read_text(), str(path))
+    allowed: set[int] = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and (path.name, cls.name) in _FAILED_INITIALISERS:
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    allowed |= {id(n) for n in ast.walk(fn)}
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in allowed and _writes_failed(node)
+    ]
+
+
+def test_only_ecfs_writes_osd_failed():
+    """Node liveness has one owner: ``ECFS.crash_osd`` / ``stop_osd`` /
+    ``restart_osd`` are the only writers of ``OSD.failed`` in the package
+    and the examples, so no path can take a node down behind the update
+    method's back."""
+    src = pathlib.Path(repro.__file__).parent
+    examples = pathlib.Path(__file__).resolve().parent.parent / "examples"
+    ecfs = src / "cluster" / "ecfs.py"
+    paths = sorted(src.rglob("*.py")) + sorted(examples.glob("*.py"))
+    assert ecfs in paths and any(p.parent == examples for p in paths)
+    writes = [w for path in paths if path != ecfs for w in _failed_writes(path)]
+    assert not writes, writes
+    assert _failed_writes(ecfs)  # the guard sees the owner's own writes
 
 
 def test_block_addr_stable():

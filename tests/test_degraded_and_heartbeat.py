@@ -11,6 +11,7 @@ from repro.cluster import (
     RecoveryManager,
 )
 from repro.common.errors import DecodeError
+from repro.update import METHODS
 
 
 def _cluster(method="tsue", **kw):
@@ -33,7 +34,7 @@ def test_degraded_read_returns_correct_bytes():
         # drain so the update reaches the data block before the node dies
         yield env.process(ecfs.method.flush())
         block, _ = ecfs.mds.locate(files[0], 4096, ecfs.rs.k)
-        ecfs.osd_hosting(block).fail()
+        ecfs.stop_osd(ecfs.osd_hosting(block).idx)
         data = yield env.process(client.read(files[0], 4096, 4096))
         return data
 
@@ -56,7 +57,7 @@ def test_degraded_read_costs_more_than_normal():
     normal_lat = ecfs.metrics.reads.latencies[-1]
 
     block, _ = ecfs.mds.locate(files[0], 0, ecfs.rs.k)
-    ecfs.osd_hosting(block).fail()
+    ecfs.stop_osd(ecfs.osd_hosting(block).idx)
 
     def degraded():
         yield env.process(client.read(files[0], 0, 4096))
@@ -76,7 +77,7 @@ def test_degraded_read_too_many_failures():
         bid = BlockId(files[0], 0, i)
         osd = ecfs.osd_hosting(bid)
         if not osd.failed:
-            osd.fail()
+            ecfs.stop_osd(osd.idx)
             killed += 1
         if killed == 3:
             break
@@ -93,7 +94,7 @@ def test_heartbeat_detects_failure_within_timeout():
     env = ecfs.env
     env.run(until=3.0)
     assert service.detected == []  # everyone healthy
-    ecfs.osds[4].fail()
+    ecfs.stop_osd(4)
     env.run(until=10.0)
     assert [idx for idx, _t in service.detected] == [4]
     _, t_detect = service.detected[0]
@@ -108,7 +109,7 @@ def test_heartbeat_triggers_user_callback():
         ecfs, interval=0.5, timeout=1.5, on_failure=fired.append
     )
     service.start()
-    ecfs.osds[2].fail()
+    ecfs.stop_osd(2)
     ecfs.env.run(until=5.0)
     assert fired == [2]
 
@@ -119,11 +120,16 @@ def test_heartbeat_validation():
         HeartbeatService(ecfs, interval=1.0, timeout=0.5)
 
 
-def test_heartbeat_then_automatic_recovery():
-    """End to end: heartbeat detects, callback launches recovery, reads
-    continue via degraded path meanwhile, verify passes afterwards."""
-    ecfs = _cluster(method="fo")
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_heartbeat_then_automatic_recovery(method):
+    """End to end: an update is acked to a data block on osd0, then osd0 is
+    stopped (the method not told).  The heartbeat detects the silence, its
+    callback launches recovery — which crashes the stopped node, so the
+    method stashes what osd0 still logged — reads continue via the degraded
+    path meanwhile, and verify passes afterwards."""
+    ecfs = _cluster(method=method)
     files = ecfs.populate(n_files=1, stripes_per_file=2, fill="random")
+    (client,) = ecfs.add_clients(1)
     env = ecfs.env
     manager = RecoveryManager(ecfs)
     reports = []
@@ -137,10 +143,17 @@ def test_heartbeat_then_automatic_recovery():
 
     service = HeartbeatService(ecfs, interval=0.5, timeout=1.5, on_failure=recover)
     service.start()
-    ecfs.osds[0].fail()
+    target = next(
+        b for b in sorted(ecfs.known_blocks)
+        if ecfs.osd_hosting(b).idx == 0 and b.idx < ecfs.rs.k
+    )
+    offset = (target.stripe * ecfs.rs.k + target.idx) * ecfs.config.block_size
+    env.run(env.process(client.update(target.file_id, offset, 4096)))
+    ecfs.stop_osd(0)
     env.run(until=15.0)
     assert len(reports) == 1
     assert reports[0].blocks_rebuilt >= 1
+    ecfs.drain()
     assert ecfs.verify() == 2
 
 
@@ -179,7 +192,7 @@ def test_degraded_read_overlays_unrecycled_datalog():
     def flow():
         yield env.process(client.update(files[0], 4096, 4096))
         block, _ = ecfs.mds.locate(files[0], 4096, ecfs.rs.k)
-        ecfs.osd_hosting(block).fail()  # update only in the victim's log
+        ecfs.stop_osd(ecfs.osd_hosting(block).idx)  # update only in its log
         data = yield env.process(client.read(files[0], 4096, 4096))
         return data
 
@@ -200,9 +213,7 @@ def test_degraded_overlay_survives_stash_transition():
     def flow():
         yield env.process(client.update(files[0], 0, 4096))
         block, _ = ecfs.mds.locate(files[0], 0, ecfs.rs.k)
-        victim = ecfs.osd_hosting(block)
-        victim.fail()
-        ecfs.method.on_node_failed(victim)  # pools -> stash
+        ecfs.crash_osd(ecfs.osd_hosting(block).idx)  # pools -> stash
         data = yield env.process(client.read(files[0], 0, 4096))
         return data
 

@@ -143,7 +143,7 @@ def test_bounce_restart_replays_buffered_parity_deltas():
     victim = ecfs.osd_hosting(BlockId(files[0], 0, ecfs.rs.k))
 
     def flow():
-        victim.fail()
+        ecfs.stop_osd(victim.idx)
         yield env.process(client.update(files[0], 0, 8192))
         yield env.timeout_us(10_000)
         ecfs.restart_osd(victim.idx)
@@ -166,7 +166,7 @@ def test_restart_requeues_interrupted_recycle():
         for i in range(24):
             yield env.process(client.update(files[0], i * 4096, 4096))
         victim = ecfs.osd_hosting(BlockId(files[0], 0, 0))
-        victim.fail()
+        ecfs.stop_osd(victim.idx)
         yield env.timeout_us(5_000)
         ecfs.restart_osd(victim.idx)
         yield env.timeout_us(5_000)
@@ -183,16 +183,17 @@ def test_heartbeat_readmits_restarted_node():
     service = HeartbeatService(ecfs, interval=0.5, timeout=2.0)
     service.start()
     env = ecfs.env
-    ecfs.osds[3].fail()
+    ecfs.stop_osd(3)
     env.run(until=5.0)
     assert [idx for idx, _ in service.detected] == [3]
     assert 3 in ecfs.mds.failed
-    # the node comes back quietly (the MDS is not told directly): the
-    # monitor must readmit it once heartbeats resume
-    ecfs.osds[3].restart()
-    ecfs.method.on_node_restarted(ecfs.osds[3])
+    # the restart readmits the node at the MDS at once; its heartbeats
+    # resume, so the monitor neither readmits nor declares it again
+    ecfs.restart_osd(3)
+    assert 3 not in ecfs.mds.failed
     env.run(until=10.0)
-    assert [idx for idx, _ in service.recovered] == [3]
+    assert [idx for idx, _ in service.detected] == [3]
+    assert service.recovered == []
     assert 3 not in ecfs.mds.failed
 
 

@@ -188,7 +188,7 @@ def test_retry_heals_transient_outage():
     fe.register_tenant("t", "bronze", deadline=2.0)
     victim_bid = next(b for b in sorted(ecfs.known_blocks) if b.idx == 0)
     victim = ecfs.osd_hosting(victim_bid)
-    victim.fail()  # transient: contents intact, no MDS declaration (a bounce)
+    ecfs.stop_osd(victim.idx)  # a bounce: contents intact, no MDS declaration
 
     def heal():
         yield ecfs.env.timeout_us(4_000)

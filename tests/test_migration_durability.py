@@ -64,7 +64,7 @@ def _run_cell(method, fault, phase, seed=21, n_ops=140, background=None, **rebal
             )
             outcome["recovery"] = report
         else:  # bounce: transient outage, contents intact, no rebuild
-            ecfs.osds[_VICTIM].fail()
+            ecfs.stop_osd(_VICTIM)
             yield env.timeout_us(50_000)
             ecfs.restart_osd(_VICTIM)
 

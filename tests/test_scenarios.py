@@ -1,12 +1,15 @@
 """The scenario catalog: every named scenario runs, verifies, and is
 seed-deterministic; the CLI exposes the catalog."""
 
+import dataclasses
+
 import pytest
 
 from repro.fault.events import CrashOSD, after_ops
 from repro.fault.runner import ScenarioRunner
 from repro.fault.scenarios import SCENARIOS, get_scenario
 from repro.harness.cli import main
+from repro.update import METHODS
 
 
 def test_catalog_has_at_least_six_scenarios():
@@ -68,6 +71,20 @@ def test_crash_scenario_reports_recovery():
     assert len(result.recovery_reports) == 1
     assert result.recovery_reports[0].blocks_rebuilt > 0
     assert result.detected  # heartbeat saw the failure
+
+
+@pytest.mark.parametrize("seed", [7, 2025])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_bounce_outliving_heartbeat_verifies_for_every_method(method, seed):
+    """osd0 is stopped, then crashed and rebuilt while still down, then the
+    bounce brings it back.  The crash tells the method although the node
+    was already down, so the acked updates osd0 still logged are replayed
+    onto the rebuilt blocks (TSUE lost 4,081 bytes of f1.s0 at seed 7 when
+    a down node's crash was a no-op)."""
+    spec = dataclasses.replace(get_scenario("bounce-outlives-heartbeat"), method=method)
+    result = ScenarioRunner(spec).run(seed=seed)
+    assert [r.failed_osd for r in result.recovery_reports] == [0]
+    assert result.stripes_verified == 4
 
 
 def test_scrub_scenario_repairs_everything():

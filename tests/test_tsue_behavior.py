@@ -232,17 +232,13 @@ def test_pool_first_built_on_crashed_node_is_dead_and_drops_delta():
     assert pool.dead and pool.appends == 0
     assert not method._pending_parity.get(posd.name)
     assert ("t",) not in method._seen_tokens[posd.name]
-    # attach hands out fresh slots: nothing built there is born dead
-    method.attach(posd)
-    assert method._built_pool(posd.name, "paritylog", pbid) is None
-    assert not method._pool(posd, "paritylog", pbid).dead
 
 
 def test_pool_first_built_on_bounced_node_buffers_delta_for_restart():
     ecfs = _cluster()
     method = ecfs.method
     pbid, posd = _parity_target(ecfs)
-    posd.fail()  # transient: on_node_failed never ran
+    ecfs.stop_osd(posd.idx)  # a bounce: on_node_failed never runs
     delta = np.full(4096, 7, dtype=np.uint8)
     _run(ecfs, method._paritylog_append(posd, pbid, 0, delta, ("t",)))
     pool = method._built_pool(posd.name, "paritylog", pbid)
