@@ -27,10 +27,10 @@ model of each, ``yield from NetworkFabric.transfer(...)`` and
 Timing equivalence with the per-leg idiom (``tests/test_sim_batch.py``
 runs seeded leg programs through both):
 
-* the starter drains from ``bucket0`` immediately after the spawning
-  process suspends — the exact slot the first ``Initialize`` occupied — and
-  runs the legs' first segments consecutively, as consecutive ``Initialize``
-  pops did;
+* the starter joins the current tick's URGENT lane and drains immediately
+  after the spawning process suspends — the exact slot the first
+  ``Initialize`` occupied — and runs the legs' first segments
+  consecutively, as consecutive ``Initialize`` pops did;
 * every mid-leg event carries the driver's resume callback in the same
   queue position the leg process's would have had;
 * the latch fires two same-tick hops after the final leg's last action
@@ -47,6 +47,7 @@ from typing import Any, Generator, Optional
 from repro.sim.core import (
     _PENDING,
     _PROCESSED,
+    PHASE_NORMAL,
     PHASE_URGENT,
     Environment,
     Event,
@@ -81,7 +82,8 @@ class CountdownLatch(Event):
             relay = Event(self.env)
             relay.callbacks.append(self._relay_ok)
             relay._state = 1  # _TRIGGERED
-            self.env._schedule(relay)
+            env = self.env
+            env._push(env._now, PHASE_NORMAL, relay)
 
     def leg_failed(self, exc: BaseException) -> None:
         self._remaining -= 1
@@ -92,7 +94,8 @@ class CountdownLatch(Event):
         relay.callbacks.append(self._relay_fail)
         relay._state = 1  # _TRIGGERED
         relay._value = exc
-        self.env._schedule(relay)
+        env = self.env
+        env._push(env._now, PHASE_NORMAL, relay)
 
     def _relay_ok(self, _relay: Event) -> None:
         if self._state == _PENDING:
@@ -206,5 +209,5 @@ def spawn_fanout(env: Environment, legs: list) -> CountdownLatch:
     starter = Event(env)
     starter.callbacks.append(_start)
     starter._state = 1  # _TRIGGERED
-    env._schedule(starter, priority=PHASE_URGENT)
+    env._push(env._now, PHASE_URGENT, starter)
     return latch

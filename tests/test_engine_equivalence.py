@@ -45,12 +45,12 @@ class _RefEvent:
 
 
 class _RefTimeout(_RefEvent):
-    def __init__(self, env, delay, value=None):
+    def __init__(self, env, delay, value=None, phase=1):
         super().__init__(env)
         self.ok = True
         self.value = value
         self.state = 1
-        env.schedule(self, delay=delay)
+        env.schedule(self, delay=delay, priority=phase)
 
 
 class _RefProcess(_RefEvent):
@@ -125,8 +125,8 @@ class _RefEnvironment:
             self.heap, (self.now + delay, priority, next(self.counter), event)
         )
 
-    def timeout(self, delay, value=None):
-        return _RefTimeout(self, delay, value)
+    def timeout(self, delay, value=None, phase=1):
+        return _RefTimeout(self, delay, value, phase)
 
     def event(self):
         return _RefEvent(self)
@@ -235,6 +235,81 @@ def test_randomized_program_matches_reference_engine(seed):
     # microsecond grid, where both must agree.
     assert env.now_us == round(ref_env.now * 1e6)
     assert env.now == pytest.approx(ref_env.now, abs=1e-9)
+
+
+# ------------------------------------------------ phased same-tick programs
+# Dense same-tick programs over all three phases: sleeps of 0-3 µs in a
+# random phase, child spawns, and a spawn followed at once by a zero-delay
+# timeout of any phase (the child's URGENT initialisation and the timeout
+# then share a tick and, for an URGENT timeout, a phase).  The reference
+# runs on integer µs, since float keys would split the ticks apart.
+
+_PHASES = (PHASE_URGENT, PHASE_NORMAL, PHASE_LATE)
+
+
+def _make_phased_program(seed: int):
+    rng = random.Random(seed)
+    program = []
+    for _ in range(rng.randint(3, 8)):
+        steps = []
+        for _ in range(rng.randint(1, 8)):
+            op = rng.choice(("sleep", "sleep", "spawn", "spawn+zero"))
+            # (delay, phase) of the sleep, or of the spawned child's one sleep
+            steps.append((op, rng.randint(0, 3), rng.choice(_PHASES)))
+        program.append(steps)
+    return program
+
+
+def _drive_phased(env, timeout, now_us, program):
+    """Run ``program`` on ``env``; ``timeout(delay_us, phase)`` builds its
+    waits and ``now_us()`` reads the clock."""
+    trace = []
+    children = itertools.count()
+
+    def child(cid, delay, phase):
+        trace.append((now_us(), cid, "init"))
+        yield timeout(delay, phase)
+        trace.append((now_us(), cid, "done"))
+
+    def proc(pid, steps):
+        for op, delay, phase in steps:
+            if op == "sleep":
+                yield timeout(delay, phase)
+            else:
+                env.process(child(f"c{next(children)}", delay, phase))
+                if op == "spawn+zero":
+                    yield timeout(0, phase)
+            trace.append((now_us(), pid, op))
+
+    for pid, steps in enumerate(program):
+        env.process(proc(pid, steps))
+    env.run()
+    return trace
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_randomized_phased_program_matches_reference_engine(seed):
+    program = _make_phased_program(seed)
+
+    ref_env = _RefEnvironment()
+    ref_env.now = 0  # integer µs
+    ref_trace = _drive_phased(
+        ref_env,
+        lambda d, phase: ref_env.timeout(d, phase=phase),
+        lambda: ref_env.now,
+        program,
+    )
+
+    env = Environment()
+    opt_trace = _drive_phased(
+        env,
+        lambda d, phase: env.timeout_us(d, phase=phase),
+        lambda: env.now_us,
+        program,
+    )
+
+    assert opt_trace == ref_trace
+    assert env.now_us == ref_env.now
 
 
 # ------------------------------------------- integer-µs key-order properties

@@ -1,8 +1,14 @@
 """Unit tests for the discrete-event engine."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro.sim
 from repro.sim import (
+    PHASE_LATE,
+    PHASE_NORMAL,
     PHASE_URGENT,
     AllOf,
     AnyOf,
@@ -419,3 +425,161 @@ def test_schedule_at_us_absolute_time():
     assert env.now == pytest.approx(4.5)
     with pytest.raises(ValueError):
         env.schedule_at_us(env.event(), 1_000_000)  # in the past
+
+
+# ------------------------------------------------- same-tick order contract
+# Every entry due at the current tick fires in (phase, seq) order, however
+# it was enqueued: spawned, timed out, scheduled at an absolute time, or
+# left over from a run() that returned mid-tick.
+
+
+def _triggered(env):
+    ev = env.event()
+    ev._ok = True
+    ev._state = 1  # triggered, not yet scheduled
+    return ev
+
+
+def test_spawn_then_zero_delay_urgent_fire_in_schedule_order():
+    """A process spawned before a zero-delay URGENT entry, in the same
+    callback, initialises first: both are URGENT at the same tick, so
+    ``seq`` decides, whichever call enqueued the URGENT entry."""
+
+    def fire_order(urgent_entry):
+        env = Environment()
+        order = []
+
+        def child():
+            order.append("init")
+            yield env.timeout_us(0)
+
+        def parent():
+            yield env.timeout_us(5)
+            env.process(child())
+            ev = urgent_entry(env)
+            ev.callbacks.append(lambda _ev: order.append("urgent-timeout"))
+
+        env.process(parent())
+        env.run()
+        return order
+
+    def via_schedule_at(env):
+        ev = _triggered(env)
+        env.schedule_at_us(ev, env.now_us, phase=PHASE_URGENT)
+        return ev
+
+    assert fire_order(lambda env: env.timeout_us(0, phase=PHASE_URGENT)) == [
+        "init",
+        "urgent-timeout",
+    ]
+    assert fire_order(via_schedule_at) == ["init", "urgent-timeout"]
+
+
+def _tagged(env, order, tag, delay_us=0, phase=PHASE_NORMAL):
+    ev = env.timeout_us(delay_us, phase=phase)
+    ev.callbacks.append(lambda _ev: order.append((env.now_us, tag)))
+    return ev
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_mid_tick_leftovers_resume_in_schedule_order():
+    """After run() returns mid-tick — an event-mode stop, or an unhandled
+    failure — the rest of that tick is still due now, and the next run()
+    fires it in (phase, seq) order before any later tick."""
+    # event-mode stop: the stop drains what was scheduled before it
+    env = Environment()
+    order = []
+    stop = _triggered(env)
+    stop.callbacks.append(lambda _ev: order.append((env.now_us, "stop")))
+
+    def setup():
+        yield env.timeout_us(5)
+        _tagged(env, order, "u1", phase=PHASE_URGENT)
+        _tagged(env, order, "n1")
+        env.schedule_at_us(stop, env.now_us)
+        _tagged(env, order, "l1", phase=PHASE_LATE)
+        _tagged(env, order, "n2")
+        _tagged(env, order, "u2", phase=PHASE_URGENT)
+        _tagged(env, order, "later", delay_us=1, phase=PHASE_URGENT)
+
+    env.process(setup())
+    env.run(stop)
+    assert order == [(5, "u1"), (5, "u2"), (5, "n1"), (5, "stop")]
+    assert env.peek_us() == env.now_us == 5
+    _tagged(env, order, "u3", phase=PHASE_URGENT)  # enqueued between runs
+    env.run()
+    assert [tag for _t, tag in order[4:]] == ["u3", "n2", "l1", "later"]
+    assert order[-1] == (6, "later")
+
+    # unhandled failure: the failing event's tick is resumed the same way
+    env = Environment()
+    order = []
+
+    def failing():
+        yield env.timeout_us(5)
+        _tagged(env, order, "u1", phase=PHASE_URGENT)
+        _tagged(env, order, "n1")
+        env.event().fail(_Boom())
+        _tagged(env, order, "l1", phase=PHASE_LATE)
+        _tagged(env, order, "n2")
+        _tagged(env, order, "later", delay_us=1)
+
+    env.process(failing())
+    with pytest.raises(_Boom):
+        env.run()
+    assert order == [(5, "u1"), (5, "n1")]
+    assert env.peek_us() == env.now_us == 5
+    env.run()
+    assert order[2:] == [(5, "n2"), (5, "l1"), (6, "later")]
+
+
+# Entries that only order something other than the event queue.
+_OTHER_HEAPS = {("resources.py", "Request.__init__")}  # a Resource's wait queue
+_ENQUEUE_OWNERS = {("core.py", "Environment._push"), ("core.py", "Environment.__init__")}
+
+
+def _enqueue_sites(path):
+    """``(file, qualname, line)`` of every ``heappush`` call and every
+    assignment to a ``_counter`` / ``_seq`` attribute in ``path``."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            where = (path.name, ".".join(scope))
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+                if name == "heappush":
+                    sites.append(where + (child.lineno,))
+            targets = (
+                child.targets if isinstance(child, ast.Assign)
+                else [child.target] if isinstance(child, (ast.AugAssign, ast.AnnAssign))
+                else []
+            )
+            if any(
+                isinstance(t, ast.Attribute) and t.attr in ("_counter", "_seq")
+                for t in targets
+            ):
+                sites.append(where + (child.lineno,))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), [])
+    return sites
+
+
+def test_push_is_the_only_enqueue():
+    """One enqueue path: ``Environment._push`` is the only code under
+    ``repro/sim`` that pushes onto the event heap or stamps ``seq``, so
+    every way of scheduling an event obeys the same (phase, seq) rule."""
+    sim = pathlib.Path(repro.sim.__file__).parent
+    sites = [s for p in sorted(sim.glob("*.py")) for s in _enqueue_sites(p)]
+    stray = [s for s in sites if s[:2] not in _ENQUEUE_OWNERS | _OTHER_HEAPS]
+    assert not stray, stray
+    # the guard sees the owner's own push and stamp
+    assert {s[:2] for s in sites} >= {("core.py", "Environment._push")}
