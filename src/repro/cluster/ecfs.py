@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.net.fabric import NetParams, NetworkFabric
 from repro.placement import MigrationPlan, PlacementMap, Topology, make_policy
 from repro.sim import PHASE_LATE, Environment, Event
+from repro.storage.blockstore import BlockStore
 from repro.storage.hdd import HDDevice, HDDParams
 from repro.storage.ssd import SSDevice, SSDParams
 
@@ -120,6 +121,9 @@ class ECFS:
         # updates and background delta application wait until the thaw, so
         # no delta can race the rebuilt block's placement switch
         self._frozen_stripes = RefCounter(on_zero=self.notify_stripe)
+        #: (file_id, stripe) -> the k+m block generations at the stripe's
+        #: last clean parity check (see :meth:`stale_parity_rows`)
+        self._parity_clean: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # ------------------------------------------------------- stripe activity
     def freeze_stripe(self, file_id: int, stripe: int) -> None:
@@ -259,6 +263,52 @@ class ECFS:
         if (file_id, stripe) in self._inflight_stripe:
             return False
         return (file_id, stripe) not in self.method.unsettled_stripes()
+
+    # --------------------------------------------------------- parity check
+    def stale_parity_rows(
+        self,
+        file_id: int,
+        stripe: int,
+        gens: tuple[int, ...] | None,
+        data: Sequence[np.ndarray],
+        parity: Callable[[int], np.ndarray],
+    ) -> dict[int, int]:
+        """The stripe's parity rows that differ from a fresh RS encode of
+        ``data`` (its k data blocks), as row -> differing byte count.
+
+        ``gens`` are the generations of the k+m blocks whose bytes ``data``
+        and ``parity(row)`` hold.  When they equal the generations recorded
+        at the stripe's last clean check, those are the bytes that checked
+        clean (equal stamps mean equal bytes), so nothing is encoded and
+        ``parity`` is never called.  A check that finds every row clean
+        records ``gens``; ``gens=None`` neither consults nor records.
+        """
+        key = (file_id, stripe)
+        if gens is not None and self._parity_clean.get(key) == gens:
+            return {}
+        expected = self.rs.encode(data)
+        stale = {}
+        for j, want in enumerate(expected):
+            got = parity(j)
+            if not np.array_equal(got, want):
+                stale[j] = int(np.count_nonzero(got != want))
+        if not stale and gens is not None:
+            self._parity_clean[key] = gens
+        return stale
+
+    def record_clean_stripes(
+        self, placed: Iterable[tuple[BlockId, BlockStore]]
+    ) -> None:
+        """Record whole stripes just written as codewords (a populate) as
+        parity-clean: ``placed`` pairs every block of those stripes with
+        the store that holds it, whose generation is recorded."""
+        width = self.rs.k + self.rs.m
+        gens: dict[tuple[int, int], list[int]] = {}
+        for bid, store in placed:
+            key = (bid.file_id, bid.stripe)
+            gens.setdefault(key, [0] * width)[bid.idx] = store.generation(bid)
+        for key, stripe_gens in gens.items():
+            self._parity_clean[key] = tuple(stripe_gens)
 
     # --------------------------------------------------------------- build
     def _make_device(self, i: int, ssd_params, hdd_params):
@@ -484,13 +534,16 @@ class ECFS:
                 # store's or the oracle's write lands in the block's XOR
                 # delta, never in the matrix.
                 coded.flags.writeable = False
+                placed = []
                 for s in range(spf):
                     lo = s * bs
                     hi = lo + bs
                     for i in range(k + m):
                         bid = BlockId(meta.file_id, s, i)
                         content = coded[i, lo:hi]
-                        self.osd_hosting(bid).store.create_shared(bid, content)
+                        store = self.osd_hosting(bid).store
+                        store.create_shared(bid, content)
+                        placed.append((bid, store))
                         self.known_blocks.add(bid)
                         if i < k:
                             self.oracle.adopt(bid, content)
@@ -509,6 +562,13 @@ class ECFS:
                     osd.store.create_zero_many(osd_bids)
                 self.known_blocks.update(bids)
                 self.oracle.touch_many(b for b in bids if b.idx < k)
+                placed = [
+                    (bid, osd.store)
+                    for osd, osd_bids in by_osd.items()
+                    for bid in osd_bids
+                ]
+            # either fill writes each stripe as a codeword
+            self.record_clean_stripes(placed)
             self.mds.mark_written(meta.file_id, 0, meta.size)
         return file_ids
 

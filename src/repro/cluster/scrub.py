@@ -4,7 +4,10 @@ Production EC systems continuously re-read stripes and verify that parity
 matches data, catching silent corruption (bit rot, lost writes) before a
 second failure makes it unrecoverable.  The scrubber walks every known
 stripe at a bounded rate, reads all k+m blocks (charged to the devices at
-background priority), re-encodes, and reports mismatches.
+background priority), re-encodes, and reports mismatches.  The re-encode is
+skipped, and the simulated time still charged, when the generations of the
+bytes read equal the stripe's last clean check
+(:meth:`~repro.cluster.ecfs.ECFS.stale_parity_rows`).
 
 With ``repair=True`` the scrubber also *fixes* what it finds: blocks whose
 read hits a latent sector error (the drive's per-sector checksum fails —
@@ -156,6 +159,7 @@ class Scrubber:
         bs = ecfs.config.block_size
         width = ecfs.rs.k + ecfs.rs.m
         blocks: list[np.ndarray] = []
+        gens: list[int] = []  # each block's generation when its bytes were read
         bad: list[int] = []  # stripe indices whose read hit a sector error
         for i in range(width):
             bid = BlockId(file_id, stripe, i)
@@ -167,6 +171,7 @@ class Scrubber:
                 bad.append(i)
                 report.latent_errors.append(bid)
             blocks.append(osd.store.read(bid))
+            gens.append(osd.store.generation(bid))
         if bad and self.repair:
             if len(bad) > ecfs.rs.m:
                 report.unrecoverable.append((file_id, stripe))
@@ -175,10 +180,16 @@ class Scrubber:
                 for i in bad:
                     report.repaired.append(BlockId(file_id, stripe, i))
         yield env.timeout_us(ecfs.config.costs.gf_mul(bs * ecfs.rs.k, terms=ecfs.rs.m))
-        expected = ecfs.rs.encode(blocks[: ecfs.rs.k])
-        for j in range(ecfs.rs.m):
-            if not np.array_equal(expected[j], blocks[ecfs.rs.k + j]):
-                report.mismatches.append((file_id, stripe, j))
+        k = ecfs.rs.k
+        # a stripe with sector errors never reads or writes the clean record
+        stale = ecfs.stale_parity_rows(
+            file_id,
+            stripe,
+            None if bad else tuple(gens),
+            blocks[:k],
+            lambda j: blocks[k + j],
+        )
+        report.mismatches.extend((file_id, stripe, j) for j in stale)
         report.stripes_checked += 1
 
     def _repair(

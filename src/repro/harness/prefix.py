@@ -151,11 +151,15 @@ def populate_cached(
     for fid in snap["file_ids"]:
         meta = ecfs.mds.create_file(snap["sizes"][fid])
         assert meta.file_id == fid, "MDS file-id allocation diverged"
+    placed = []
     for bid, content in snap["blocks"]:
-        ecfs.osd_hosting(bid).store.create_shared(bid, content)
+        store = ecfs.osd_hosting(bid).store
+        store.create_shared(bid, content)
+        placed.append((bid, store))
         ecfs.known_blocks.add(bid)
         if bid.idx < k:
             ecfs.oracle.adopt(bid, content)
+    ecfs.record_clean_stripes(placed)
     for fid in snap["file_ids"]:
         ecfs.mds.mark_written(fid, 0, snap["sizes"][fid])
     ecfs._rng.bit_generator.state = snap["rng_state"]

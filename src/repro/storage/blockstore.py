@@ -19,10 +19,24 @@ three ways, and a mutation never copies a whole block:
   ``data ^ base[range]`` into the delta, ``xor_in`` and ``corrupt`` XOR into
   it, so only the pages a mutation touches become resident and the base is
   never written.
+
+Every block carries a **generation**: an integer stamp that names one state
+of its bytes.  Stamps come from one module-level counter, so no two states
+of any block in any store share one.  Every mutator takes a fresh stamp —
+``write``, ``xor_in`` and ``corrupt`` (all through ``_writable``), ``put``,
+``create`` with data and ``create_shared`` — and ``delete`` drops it.  An
+absent block and a block still on the zero template read as generation 0;
+both read as zeros.  Equal generations therefore mean equal bytes, which is
+what lets :meth:`~repro.cluster.ecfs.ECFS.stale_parity_rows` skip the
+re-encode of a stripe none of whose blocks changed since its last clean
+check.  Readers (``read``, ``view``, ``read_view``) never change a stamp,
+and nothing outside this module touches the block, delta or generation
+dicts (``tests/test_cluster.py`` guards that).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Hashable, Iterable, Iterator
 
 import numpy as np
@@ -31,6 +45,10 @@ from repro.common.errors import IntegrityError
 from repro.common.zeromem import zero_block, zero_template
 
 __all__ = ["BlockStore"]
+
+#: the one source of generation stamps, shared by every store (0 is never
+#: drawn: it names zero content)
+_next_stamp = itertools.count(1).__next__
 
 
 class BlockStore:
@@ -44,6 +62,9 @@ class BlockStore:
         self._blocks: dict[Hashable, np.ndarray] = {}
         #: block id -> XOR delta over its shared base (see module docstring)
         self._deltas: dict[Hashable, np.ndarray] = {}
+        #: block id -> generation stamp; absent while the block reads zeros
+        #: off the zero template (see module docstring)
+        self._gens: dict[Hashable, int] = {}
         #: blocks carrying a latent sector error (drive-detectable on read)
         self.corrupted: set[Hashable] = set()
         # zero-filled blocks share one read-only array — the same object in
@@ -59,6 +80,11 @@ class BlockStore:
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._blocks)
+
+    def generation(self, block_id: Hashable) -> int:
+        """The stamp of ``block_id``'s current bytes; 0 for zero content
+        that was never written (an absent or zero-template block)."""
+        return self._gens.get(block_id, 0)
 
     def create(
         self, block_id: Hashable, data: np.ndarray | None = None, own: bool = False
@@ -84,6 +110,7 @@ class BlockStore:
         ``own`` as for :meth:`create`."""
         data = self._whole_block(block_id, data)
         self._deltas.pop(block_id, None)
+        self._gens[block_id] = _next_stamp()
         if own and data.flags.owndata and data.flags.writeable:
             self._blocks[block_id] = data
         else:
@@ -105,6 +132,7 @@ class BlockStore:
             data = data.view()
             data.flags.writeable = False
         self._blocks[block_id] = data
+        self._gens[block_id] = _next_stamp()
 
     def create_zero(self, block_id: Hashable) -> None:
         """Materialize a zero-filled block sharing the zero template (no
@@ -126,7 +154,8 @@ class BlockStore:
         materializes a missing block.  Both new arrays are carves from a
         lazily-zero mmap arena: a page becomes resident when a byte is
         written to it, so a 4 KiB write into a 256 KiB block costs 4 KiB of
-        memory, not the block."""
+        memory, not the block.  The mutation takes a fresh generation."""
+        self._gens[block_id] = _next_stamp()
         block = self._blocks.get(block_id)
         if block is None or block is self._zero:
             block = self._blocks[block_id] = zero_block(self.block_size)
@@ -201,6 +230,7 @@ class BlockStore:
     def delete(self, block_id: Hashable) -> None:
         self._blocks.pop(block_id, None)
         self._deltas.pop(block_id, None)
+        self._gens.pop(block_id, None)
         self.corrupted.discard(block_id)
 
     def nbytes(self) -> int:

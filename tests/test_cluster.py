@@ -195,6 +195,44 @@ def test_only_ecfs_writes_osd_failed():
     assert _failed_writes(ecfs)  # the guard sees the owner's own writes
 
 
+#: BlockStore internals: the block, delta and generation dicts, and the one
+#: path a mutation takes (it stamps the generation)
+_STORE_INTERNALS = {"_blocks", "_deltas", "_gens", "_writable"}
+
+
+def _store_internal_uses(path: pathlib.Path) -> list[str]:
+    """``file:line`` of every attribute access (or ``getattr``/``setattr``
+    by name) of a :data:`_STORE_INTERNALS` name in ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _STORE_INTERNALS:
+            uses.append(f"{path.name}:{node.lineno}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "getattr", "setattr", "delattr"
+        ):
+            if any(
+                isinstance(a, ast.Constant) and a.value in _STORE_INTERNALS
+                for a in node.args
+            ):
+                uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
+def test_only_blockstore_touches_its_bytes_and_generations():
+    """The parity-clean record trusts a block's generation to change with
+    its bytes, so nothing in the package but ``storage/blockstore.py``
+    reaches the block, delta or generation dicts or calls ``_writable``: a
+    mutation that bypassed the stamp cannot land unseen."""
+    src = pathlib.Path(repro.__file__).parent
+    blockstore = src / "storage" / "blockstore.py"
+    paths = sorted(src.rglob("*.py"))
+    assert blockstore in paths
+    uses = [u for path in paths if path != blockstore for u in _store_internal_uses(path)]
+    assert not uses, uses
+    assert _store_internal_uses(blockstore)  # the guard sees the owner's own
+
+
 def test_block_addr_stable():
     ecfs = ECFS(_small_config(), method="fo")
     osd = ecfs.osds[0]

@@ -285,6 +285,74 @@ def test_blockstore_put_lands_a_whole_block_over_anything():
     assert (bs.read("b") == 7).all()
 
 
+# ------------------------------------------------------------ generations
+_ONES = np.ones(64, dtype=np.uint8)
+#: mutator -> (set-up giving block "b" a state, the mutation)
+_MUTATORS = {
+    "write": (lambda s: s.create_zero("b"), lambda s: s.write("b", 0, _ONES[:4])),
+    "write-over-shared": (
+        lambda s: s.create_shared("b", _ONES),
+        lambda s: s.write("b", 0, _ONES[:4]),
+    ),
+    "xor_in": (lambda s: s.create("b", _ONES), lambda s: s.xor_in("b", 4, _ONES[:4])),
+    "corrupt": (lambda s: s.create_shared("b", _ONES), lambda s: s.corrupt("b", 8, 4)),
+    "put": (lambda s: s.create("b", _ONES), lambda s: s.put("b", _ONES)),
+    "create": (lambda s: None, lambda s: s.create("b", _ONES)),
+    "create_shared": (lambda s: None, lambda s: s.create_shared("b", _ONES)),
+    "delete": (lambda s: s.create("b", _ONES), lambda s: s.delete("b")),
+}
+
+
+@pytest.mark.parametrize("mutator", sorted(_MUTATORS))
+def test_blockstore_every_mutator_changes_the_generation(mutator):
+    """The parity-clean record trusts equal generations to mean equal
+    bytes, so every mutation — the same bytes rewritten included — gives
+    the block a stamp it never had; ``delete`` drops it back to 0."""
+    setup, mutate = _MUTATORS[mutator]
+    store = BlockStore(64)
+    setup(store)
+    before = store.generation("b")
+    mutate(store)
+    after = store.generation("b")
+    assert after != before
+    assert (after == 0) == (mutator == "delete")
+
+
+def test_blockstore_readers_leave_the_generation_alone():
+    store = BlockStore(64)
+    store.create("owned", _ONES)
+    store.create_shared("shared", _ONES)
+    store.write("shared", 0, _ONES[:4])  # a base with a delta
+    for bid in ("owned", "shared"):
+        gen = store.generation(bid)
+        store.read(bid)
+        store.read(bid, 8, 4)
+        store.view(bid)
+        store.read_view(bid, 4, 8)
+        assert store.generation(bid) == gen != 0
+
+
+def test_blockstore_zero_content_never_written_is_generation_0():
+    store = BlockStore(64)
+    assert store.generation("absent") == 0
+    store.create("zero")
+    store.create_zero_many(["z1", "z2"])
+    assert [store.generation(b) for b in ("zero", "z1", "z2")] == [0, 0, 0]
+    store.read("absent")  # reads materialize nothing
+    assert store.generation("absent") == 0 and "absent" not in store
+
+
+def test_two_stores_never_share_a_nonzero_generation():
+    a, b = BlockStore(64), BlockStore(64)
+    stamps = []
+    for bid in range(8):
+        for store in (a, b):
+            store.create(bid, _ONES)  # the same id and bytes in both
+            store.xor_in(bid, 0, _ONES[:1])
+            stamps.append(store.generation(bid))
+    assert 0 not in stamps and len(set(stamps)) == len(stamps)
+
+
 def test_blockstore_create_twice_rejected():
     bs = BlockStore(16)
     bs.create("b")
@@ -319,7 +387,8 @@ def test_blockstore_over_a_readonly_base_matches_a_byte_model(data):
     reads on a store whose blocks start as views of one read-only matrix
     (plus a zero-template block and an absent one), against plain numpy
     arrays.  After every step the contents, the membership and
-    ``corrupted`` agree, and the matrix is still its pristine self."""
+    ``corrupted`` agree, the matrix is still its pristine self, and a
+    generation seen again names the same bytes (0 names zeros)."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     matrix = rng.integers(0, 256, (_ZERO, _MODEL_BS), dtype=np.uint8)
     matrix.flags.writeable = False
@@ -332,6 +401,7 @@ def test_blockstore_over_a_readonly_base_matches_a_byte_model(data):
     store.create_zero(_ZERO)
     model[_ZERO] = zeros.copy()
     corrupted: set[int] = set()
+    content_of = {0: zeros.tobytes()}  # generation -> the bytes it named
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         op = data.draw(st.sampled_from(_OPS), label="op")
         b = data.draw(st.integers(_SHARED, _ABSENT), label="block")
@@ -377,6 +447,8 @@ def test_blockstore_over_a_readonly_base_matches_a_byte_model(data):
             assert np.array_equal(got, want[off : off + size])
         for block in range(_SHARED, _ABSENT + 1):
             assert np.array_equal(store.view(block), model.get(block, zeros))
+            content = model.get(block, zeros).tobytes()
+            assert content_of.setdefault(store.generation(block), content) == content
         assert set(store) == set(model)  # a read materializes nothing
         assert store.corrupted == corrupted
         assert np.array_equal(matrix, pristine)

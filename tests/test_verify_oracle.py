@@ -50,6 +50,23 @@ def test_oracle_detects_stale_parity():
         ecfs.verify()
 
 
+def test_verify_after_a_clean_verify_still_sees_a_stale_parity_put():
+    """A clean verify records the stripe; a parity block put back with
+    stale bytes takes a new generation, so the next verify re-encodes —
+    and the same bytes put again re-encode clean."""
+    ecfs = _cluster()
+    files = ecfs.populate(n_files=1, stripes_per_file=2, fill="random")
+    pbid = BlockId(files[0], 1, 5)  # parity 1 of stripe 1
+    store = ecfs.osd_hosting(pbid).store
+    good = store.read(pbid)
+    assert ecfs.verify() == 2
+    store.put(pbid, good ^ 1)
+    with pytest.raises(IntegrityError, match="parity block 1 stale"):
+        ecfs.verify()
+    store.put(pbid, good)
+    assert ecfs.verify() == 2
+
+
 def test_oracle_stripe_enumeration():
     gt = GroundTruth(64)
     gt.apply(BlockId(1, 0, 0), 0, np.ones(4, dtype=np.uint8))
