@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.cluster.ids import BlockId
 from repro.common.errors import IntegrityError
+from repro.common.randbytes import uniform_bytes
 from repro.frontend import ops as _ops
 from repro.sim.batch import spawn_fanout
 from repro.storage.base import IOKind, IOPriority
@@ -68,7 +69,7 @@ class Client:
         its own op id and payload draw from this client's RNG stream)."""
         ecfs = self.ecfs
         block, in_off, size = _ops.locate_clamped(ecfs, file_id, offset, size)
-        payload = self._payload_rng.integers(0, 256, size, dtype=np.uint8)
+        payload = uniform_bytes(self._payload_rng, size)
         return UpdateOp(
             op_id=self._next_op(),
             block=block,
@@ -98,7 +99,7 @@ class Client:
         bs = ecfs.config.block_size
         k, m = ecfs.rs.k, ecfs.rs.m
         if data is None:
-            data = self._payload_rng.integers(0, 256, k * bs, dtype=np.uint8)
+            data = uniform_bytes(self._payload_rng, k * bs)
         data = np.asarray(data, dtype=np.uint8)
         if data.shape[0] != k * bs:
             raise IntegrityError(f"stripe write needs {k * bs} bytes")

@@ -13,6 +13,7 @@ from repro.cluster.mds import MDS
 from repro.cluster.osd import OSD
 from repro.cluster.verify import GroundTruth
 from repro.common.errors import ConfigError
+from repro.common.randbytes import uniform_bytes
 from repro.common.refcount import RefCounter
 from repro.ec.rs import RSCode
 from repro.metrics.collector import MetricsCollector
@@ -522,10 +523,11 @@ class ECFS:
             meta = self.mds.create_file(spf * k * bs)
             file_ids.append(meta.file_id)
             if fill == "random":
-                # One batched draw per file — bit-identical to the former
-                # per-block draws (same generator stream, same order) — then
-                # one vectorized encode over all stripes laid side by side.
-                draw = self._rng.integers(0, 256, (spf, k, bs), dtype=np.uint8)
+                # One draw per file — the bytes ``integers(0, 256, (spf, k,
+                # bs), dtype=np.uint8)`` would give, read from the
+                # generator's raw words — then one vectorized encode over
+                # all stripes laid side by side.
+                draw = uniform_bytes(self._rng, spf * k * bs).reshape(spf, k, bs)
                 coded = np.empty((k + m, spf * bs), dtype=np.uint8)
                 # coded[i, s*bs:(s+1)*bs] is block i of stripe s
                 coded[:k].reshape(k, spf, bs)[:] = draw.transpose(1, 0, 2)

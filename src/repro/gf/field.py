@@ -7,9 +7,10 @@ table ``_MUL`` (64 KiB) is precomputed at import; everything else reads it.
 Two functions move block-sized data, one per job:
 
 * :func:`gf_mul_scalar` — one coefficient times one array, a single
-  ``np.take`` through the coefficient's ``_MUL`` row.  This is the update
-  path (``ec.incremental``, the parity deltas of ``update/*``): small deltas,
-  one coefficient at a time.
+  ``bytearray.translate`` through the coefficient's ``_MUL`` row (kept as
+  ``bytes`` in ``_MUL_ROWS``).  This is the update path (``ec.incremental``,
+  the parity deltas of ``update/*``): small deltas, one coefficient at a
+  time.
 * :func:`gf_matmul` — a coefficient matrix times a set of equal-length rows,
   the only path a whole block is encoded or rebuilt through (every
   ``RSCode`` method, hence populate, stripe verify, scrub, recovery and
@@ -66,6 +67,8 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _EXP, _LOG, _MUL = _build_tables()
+#: ``_MUL[c]`` as a 256-byte translation table, one per coefficient
+_MUL_ROWS = tuple(row.tobytes() for row in _MUL)
 
 
 def gf_exp_table() -> np.ndarray:
@@ -97,7 +100,10 @@ def gf_mul(a, b) -> np.ndarray:
 def gf_mul_scalar(coef: int, data) -> np.ndarray:
     """Multiply a data array by one field scalar — the update hot path.
 
-    ``np.take`` over the precomputed row beats fancy indexing ~2x.  Whole
+    Returns a fresh, writable uint8 array of ``data``'s shape (any layout;
+    ``data`` is never modified).  The product is ``bytearray.translate``
+    through the coefficient's row: one C pass over the bytes with no
+    uint8-to-index conversion, ~2x ``np.take`` over the same row.  Whole
     blocks times a coefficient *matrix* go through :func:`gf_matmul`; its
     pair tables only win from ~64 KiB up, and parity deltas are smaller.
     """
@@ -109,7 +115,10 @@ def gf_mul_scalar(coef: int, data) -> np.ndarray:
         return np.zeros_like(data)
     if coef == 1:
         return data.copy()
-    return np.take(_MUL[coef], data)
+    # through a memoryview: bytearray() of a 0-d array would read it as a
+    # length and return that many zero bytes
+    product = bytearray(memoryview(data)).translate(_MUL_ROWS[coef])
+    return np.frombuffer(product, dtype=np.uint8).reshape(data.shape)
 
 
 #: output rows fused into one table word, and the word that holds 2 bytes for

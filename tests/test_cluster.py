@@ -233,6 +233,48 @@ def test_only_blockstore_touches_its_bytes_and_generations():
     assert _store_internal_uses(blockstore)  # the guard sees the owner's own
 
 
+def _byte_draws(tree: ast.AST) -> list[int]:
+    """Line of every ``.integers(0, 256, ...)`` call in ``tree`` (``low``
+    and ``high`` positional or by keyword, or ``integers(256, ...)``)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or getattr(node.func, "attr", None) != "integers":
+            continue
+        bounds = dict(zip(("low", "high"), node.args))
+        bounds.update((kw.arg, kw.value) for kw in node.keywords)
+        values = {
+            name: getattr(bounds.get(name), "value", None) for name in ("low", "high")
+        }
+        if "high" not in bounds:  # integers(high) draws from [0, high)
+            values = {"low": 0, "high": values["low"]}
+        if (values["low"], values["high"]) == (0, 256):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_byte_draw_goes_through_uniform_bytes():
+    """Random payloads and random-fill blocks have one path,
+    ``common.randbytes.uniform_bytes``, whose bytes and generator state
+    ``tests/test_randbytes.py`` pins to ``Generator.integers(0, 256, ...)``.
+    A draw that calls ``integers`` itself is numpy's per-byte fill again."""
+    src = pathlib.Path(repro.__file__).parent
+    paths = sorted(src.rglob("*.py"))
+    assert src / "common" / "randbytes.py" in paths
+    draws = [
+        f"{path.relative_to(src)}:{line}"
+        for path in paths
+        for line in _byte_draws(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not draws, draws
+    for call in (
+        "rng.integers(0, 256, n, dtype=np.uint8)",
+        "rng.integers(256, size=n, dtype=np.uint8)",
+        "rng.integers(low=0, high=256, size=(2, 3))",
+    ):
+        assert _byte_draws(ast.parse(call)), call  # the guard sees each spelling
+    assert not _byte_draws(ast.parse("rng.integers(0, 10)"))
+
+
 def test_block_addr_stable():
     ecfs = ECFS(_small_config(), method="fo")
     osd = ecfs.osds[0]

@@ -20,7 +20,7 @@ from repro.gf import (
     gf_pow,
     identity,
 )
-from repro.gf.field import _CHUNK
+from repro.gf.field import _CHUNK, _MUL
 
 scalars = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -92,12 +92,19 @@ def test_pow_negative_raises():
 
 
 def test_mul_scalar_matches_elementwise():
+    """Every coefficient, over every memory layout of ``_LAYOUTS``, an empty
+    row and a strided 2-D array: the table product, fresh and writable."""
     rng = np.random.default_rng(0)
-    data = rng.integers(0, 256, 4096, dtype=np.uint8)
-    for coef in (0, 1, 2, 0x1D, 255):
-        assert np.array_equal(
-            gf_mul_scalar(coef, data), gf_mul(np.uint8(coef), data)
-        )
+    inputs = [_laid_out(rng, 4097, layout)[0] for layout in _LAYOUTS]
+    inputs.append(np.zeros(0, dtype=np.uint8))
+    inputs.append(rng.integers(0, 256, (6, 40), dtype=np.uint8)[:, ::2])
+    for data in inputs:
+        for coef in range(256):
+            out = gf_mul_scalar(coef, data)
+            assert out.shape == data.shape
+            assert np.array_equal(out, _MUL[coef][data])
+            assert out.flags.writeable
+            assert not np.shares_memory(out, data)
 
 
 def test_mul_scalar_out_of_range():
