@@ -4,9 +4,10 @@ Data structures and policies of the two-stage update method:
 
 * :mod:`repro.core.intervals` — extent maps with the two merge policies the
   three log layers need (latest-wins overwrite for DataLog, XOR composition
-  for DeltaLog/ParityLog), plus adjacency coalescing,
+  for DeltaLog/ParityLog), plus adjacency coalescing; an insert merges and
+  coalesces in one splice,
 * :mod:`repro.core.index` — the two-level index (block hash map -> offset-
-  sorted extents) with the per-block bitmap fast path (§3.3.1),
+  sorted extents) with the per-block page bitmap, always on (§3.3.1),
 * :mod:`repro.core.logunit` — fixed-size log units with the EMPTY /
   RECYCLABLE / RECYCLING / RECYCLED lifecycle and residence-time tracking,
 * :mod:`repro.core.logpool` — the FIFO log-pool with a dynamic unit quota,

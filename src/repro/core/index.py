@@ -5,7 +5,10 @@ Level 2: the ExtentMap's offset-sorted extent list.
 
 A page-granular bitmap per block answers "could this range be in the log?"
 in O(pages) without touching the extent list — the paper adds it to avoid
-unnecessary linked-list walks under read load.
+unnecessary linked-list walks under read load.  The bitmap is always on: a
+block gets one the moment its first record lands, and both queries read it
+through one window, :meth:`TwoLevelIndex._pages` (every page marked for a
+full hit, any page marked for an overlap).
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ _BITMAP_PAGE = 4096
 class TwoLevelIndex:
     """Block-keyed extent index with bitmap-accelerated membership tests."""
 
-    def __init__(
-        self, policy: MergePolicy = MergePolicy.OVERWRITE, block_size: int = 0
-    ) -> None:
+    def __init__(self, policy: MergePolicy, block_size: int) -> None:
         self.policy = policy
-        self.block_size = block_size  # 0 = unknown/variable
+        self._npages = -(-block_size // _BITMAP_PAGE)
         self._maps: dict[Hashable, ExtentMap] = {}
         self._bitmaps: dict[Hashable, np.ndarray] = {}
 
@@ -39,23 +40,25 @@ class TwoLevelIndex:
         emap = self._maps.get(block)
         if emap is None:
             emap = self._maps[block] = ExtentMap(self.policy)
+            self._bitmaps[block] = np.zeros(self._npages, dtype=bool)
         emap.insert(offset, data, own=own)
-        self._mark_bitmap(block, offset, len(data))
+        self._pages(block, offset, len(data))[:] = True
 
     def lookup(self, block: Hashable, offset: int, size: int) -> Optional[np.ndarray]:
         """Read-cache query: bytes if the full range is covered, else None."""
-        if not self._bitmap_may_contain(block, offset, size):
+        pages = self._pages(block, offset, size)
+        if pages is None or not pages.all():
             return None
-        emap = self._maps.get(block)
-        if emap is None:
-            return None
-        return emap.lookup(offset, size)
+        return self._maps[block].lookup(offset, size)
 
     def covers_any(self, block: Hashable, offset: int, size: int) -> bool:
-        if not self._bitmap_touches(block, offset, size):
-            return False
-        emap = self._maps.get(block)
-        return emap is not None and emap.covers_any(offset, size)
+        """True if any byte of the range is logged."""
+        pages = self._pages(block, offset, size)
+        return (
+            pages is not None
+            and bool(pages.any())
+            and self._maps[block].covers_any(offset, size)
+        )
 
     def blocks(self) -> Iterator[Hashable]:
         return iter(self._maps)
@@ -87,33 +90,12 @@ class TwoLevelIndex:
         return sum(m.live_bytes for m in self._maps.values())
 
     # ------------------------------------------------------------ internals
-    def _mark_bitmap(self, block: Hashable, offset: int, size: int) -> None:
-        if not self.block_size:
-            return
+    def _pages(
+        self, block: Hashable, offset: int, size: int
+    ) -> Optional[np.ndarray]:
+        """The bitmap window of the pages [offset, offset + size) touches,
+        or None when nothing of ``block`` was logged."""
         bm = self._bitmaps.get(block)
         if bm is None:
-            npages = -(-self.block_size // _BITMAP_PAGE)
-            bm = self._bitmaps[block] = np.zeros(npages, dtype=bool)
-        bm[offset // _BITMAP_PAGE : -(-(offset + size) // _BITMAP_PAGE)] = True
-
-    def _bitmap_may_contain(self, block: Hashable, offset: int, size: int) -> bool:
-        """Full-coverage pre-check for lookup: every touched page marked."""
-        if not self.block_size:
-            return True  # no bitmap: fall through to the extent map
-        bm = self._bitmaps.get(block)
-        if bm is None:
-            return False
-        lo = offset // _BITMAP_PAGE
-        hi = -(-(offset + size) // _BITMAP_PAGE)
-        return bool(bm[lo:hi].all())
-
-    def _bitmap_touches(self, block: Hashable, offset: int, size: int) -> bool:
-        """Any-overlap pre-check for covers_any: at least one page marked."""
-        if not self.block_size:
-            return True
-        bm = self._bitmaps.get(block)
-        if bm is None:
-            return False
-        lo = offset // _BITMAP_PAGE
-        hi = -(-(offset + size) // _BITMAP_PAGE)
-        return bool(bm[lo:hi].any())
+            return None
+        return bm[offset // _BITMAP_PAGE : -(-(offset + size) // _BITMAP_PAGE)]

@@ -12,8 +12,11 @@ as §3.3.2 prescribes:
   larger extent, turning many small random I/Os into one larger I/O at
   recycle time.
 
-The map records how many raw records were absorbed so recycle-reduction
-statistics (requests merged away, bytes coalesced) fall out for free.
+Both happen in one splice: two bisects find every extent the record
+overlaps or touches, one fresh buffer over their union takes the old bytes
+and then the record (written on top, or XORed in), and that one extent
+replaces them.  The map records how many raw records were absorbed so the
+recycle-reduction ratio (records in / extents out) falls out for free.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ class ExtentMap:
         self._starts: list[int] = []
         self._extents: list[Extent] = []
         self.records_absorbed = 0
-        self.bytes_absorbed = 0
 
     # ------------------------------------------------------------------ API
     def insert(self, offset: int, data: np.ndarray, own: bool = False) -> None:
@@ -83,8 +85,8 @@ class ExtentMap:
         ``own=True`` transfers ownership of ``data`` to the map instead of
         taking a defensive copy — for hot-path callers handing over a fresh
         array nothing else will mutate (GF products, computed deltas).
-        Extents never mutate their payload in place (merge and coalesce
-        build new buffers), so an adopted array is only ever read.
+        Extents never mutate their payload in place (a merge always builds
+        a fresh buffer), so an adopted array is only ever read.
         """
         data = np.asarray(data, dtype=np.uint8)
         if data.ndim != 1 or data.shape[0] == 0:
@@ -92,18 +94,30 @@ class ExtentMap:
         if offset < 0:
             raise ValueError("offset must be >= 0")
         self.records_absorbed += 1
-        self.bytes_absorbed += data.shape[0]
 
-        new = Extent(offset, data if own else data.copy())
-        lo, hi = self._overlap_range(new.start, new.end)
+        # every extent that overlaps [offset, end) or touches it end-to-start
+        end = offset + data.shape[0]
+        lo = bisect_right(self._starts, offset) - 1
+        if lo < 0 or self._extents[lo].end < offset:
+            lo += 1
+        hi = bisect_right(self._starts, end)
         if lo == hi:
-            self._insert_at(lo, new)
+            self._starts.insert(lo, offset)
+            self._extents.insert(lo, Extent(offset, data if own else data.copy()))
+            return
+        # one fresh buffer over the union: the old extents, then the record
+        olds = self._extents[lo:hi]
+        start = min(offset, olds[0].start)
+        buf = np.zeros(max(end, olds[-1].end) - start, dtype=np.uint8)
+        for old in olds:
+            buf[old.start - start : old.end - start] = old.data
+        window = buf[offset - start : end - start]
+        if self.policy is MergePolicy.XOR:
+            window ^= data
         else:
-            merged = self._merge(self._extents[lo:hi], new)
-            del self._starts[lo:hi]
-            del self._extents[lo:hi]
-            self._insert_at(lo, merged)
-        self._coalesce_around(self._index_of(new.start if lo == hi else merged.start))
+            window[:] = data
+        self._starts[lo:hi] = [start]
+        self._extents[lo:hi] = [Extent(start, buf)]
 
     def lookup(self, offset: int, size: int) -> Optional[np.ndarray]:
         """Return bytes iff [offset, offset+size) is fully covered by ONE
@@ -170,7 +184,6 @@ class ExtentMap:
         self._starts.clear()
         self._extents.clear()
         self.records_absorbed = 0
-        self.bytes_absorbed = 0
 
     # ------------------------------------------------------------ internals
     def _overlap_range(self, start: int, end: int) -> tuple[int, int]:
@@ -180,47 +193,3 @@ class ExtentMap:
             lo += 1
         hi = bisect_left(self._starts, end)
         return lo, hi
-
-    def _merge(self, olds: list[Extent], new: Extent) -> Extent:
-        """Combine overlapping extents + new record into one extent."""
-        start = min(new.start, olds[0].start)
-        end = max(new.end, olds[-1].end)
-        if self.policy is MergePolicy.OVERWRITE:
-            buf = np.zeros(end - start, dtype=np.uint8)
-            for old in olds:  # old data first, new data wins on top
-                buf[old.start - start : old.end - start] = old.data
-            buf[new.start - start : new.end - start] = new.data
-        else:  # XOR composition
-            buf = np.zeros(end - start, dtype=np.uint8)
-            for old in olds:
-                buf[old.start - start : old.end - start] ^= old.data
-            buf[new.start - start : new.end - start] ^= new.data
-        return Extent(start, buf)
-
-    def _insert_at(self, i: int, ext: Extent) -> None:
-        self._starts.insert(i, ext.start)
-        self._extents.insert(i, ext)
-
-    def _index_of(self, start: int) -> int:
-        i = bisect_left(self._starts, start)
-        assert self._starts[i] == start
-        return i
-
-    def _coalesce_around(self, i: int) -> None:
-        """Merge extent i with byte-adjacent neighbours (spatial locality)."""
-        # merge with left neighbour
-        while i > 0 and self._extents[i - 1].end == self._extents[i].start:
-            left, right = self._extents[i - 1], self._extents[i]
-            joined = Extent(left.start, np.concatenate([left.data, right.data]))
-            self._starts[i - 1 : i + 1] = [joined.start]
-            self._extents[i - 1 : i + 1] = [joined]
-            i -= 1
-        # merge with right neighbour
-        while (
-            i + 1 < len(self._extents)
-            and self._extents[i].end == self._extents[i + 1].start
-        ):
-            left, right = self._extents[i], self._extents[i + 1]
-            joined = Extent(left.start, np.concatenate([left.data, right.data]))
-            self._starts[i : i + 2] = [joined.start]
-            self._extents[i : i + 2] = [joined]

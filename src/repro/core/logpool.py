@@ -47,7 +47,8 @@ class LogPool:
         policy: MergePolicy,
         min_units: int = 2,
         max_units: int = 4,
-        block_size: int = 0,
+        *,
+        block_size: int,
         merge: bool = True,
         live: Optional[set] = None,
         live_key: Hashable = None,
@@ -145,15 +146,13 @@ class LogPool:
         self.cache_misses += 1
         return None
 
-    def covers_any(self, block: Hashable, offset: int, size: int) -> bool:
-        return any(u.index.covers_any(block, offset, size) for u in self.units)
-
     def overlay(
         self, block: Hashable, offset: int, size: int, buf: np.ndarray
     ) -> np.ndarray:
         """Apply any logged (newer) bytes of ``block`` onto ``buf`` — the
-        partial-hit read path ensuring no stale data is returned (§3.3.3).
-        Units are applied oldest to newest so later records win."""
+        miss path of a read, ensuring no stale data is returned (§3.3.3).
+        Units are applied oldest to newest so later records win; a range no
+        unit holds comes back unchanged."""
         window = buf[:size]
         for unit in self.units:
             emap = unit.index.extent_map(block)

@@ -45,7 +45,7 @@ class LogUnit:
         unit_id: int,
         capacity: int,
         policy: MergePolicy,
-        block_size: int = 0,
+        block_size: int,
         merge: bool = True,
     ) -> None:
         if capacity <= 0:

@@ -10,7 +10,7 @@ records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterator
 
 from repro.background.work import RecycleOp
@@ -48,8 +48,6 @@ class RecyclePlanner:
 
     n_lanes: int = 4
     #: cumulative stats across all planned units
-    planned_units: int = 0
-    planned_blocks: int = 0
     planned_extents: int = 0
     raw_records: int = 0
 
@@ -81,8 +79,6 @@ class RecyclePlanner:
         # and must recycle in append order.
         items.sort(key=lambda w: w.lane)
         if record:
-            self.planned_units += 1
-            self.planned_blocks += len(items)
             self.planned_extents += sum(len(w.extents) for w in items)
             self.raw_records += sum(w.raw_records for w in items)
         return items

@@ -260,8 +260,8 @@ class TSUE(UpdateMethod):
             return hit
         yield from osd.io_block(IOKind.READ, block, offset, size)
         buf = osd.store.read(block, offset, size)
-        if pool is not None and pool.covers_any(block, offset, size):
-            # partial overlap: never return stale bytes (§3.3.3)
+        if pool is not None:
+            # never return stale bytes (§3.3.3): newer logged bytes win
             pool.overlay(block, offset, size, buf)
         return buf
 

@@ -6,13 +6,15 @@ import pytest
 from repro.core.index import TwoLevelIndex
 from repro.core.intervals import MergePolicy
 
+BLOCK = 64 * 1024
+
 
 def _bytes(seed, n):
     return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8)
 
 
 def test_blocks_are_independent():
-    idx = TwoLevelIndex(MergePolicy.OVERWRITE)
+    idx = TwoLevelIndex(MergePolicy.OVERWRITE, BLOCK)
     idx.insert("a", 0, _bytes(0, 8))
     idx.insert("b", 0, _bytes(1, 8))
     assert len(idx) == 2
@@ -20,7 +22,7 @@ def test_blocks_are_independent():
 
 
 def test_lookup_full_hit_and_miss():
-    idx = TwoLevelIndex(MergePolicy.OVERWRITE)
+    idx = TwoLevelIndex(MergePolicy.OVERWRITE, BLOCK)
     data = _bytes(0, 16)
     idx.insert("blk", 64, data)
     assert np.array_equal(idx.lookup("blk", 64, 16), data)
@@ -30,7 +32,7 @@ def test_lookup_full_hit_and_miss():
 
 
 def test_bitmap_fast_path_rejects_unwritten_pages():
-    idx = TwoLevelIndex(MergePolicy.OVERWRITE, block_size=64 * 1024)
+    idx = TwoLevelIndex(MergePolicy.OVERWRITE, BLOCK)
     idx.insert("blk", 0, _bytes(0, 4096))
     # second page never written: bitmap must answer without extent walk
     assert idx.lookup("blk", 8192, 100) is None
@@ -39,14 +41,14 @@ def test_bitmap_fast_path_rejects_unwritten_pages():
 
 
 def test_bitmap_spanning_pages():
-    idx = TwoLevelIndex(MergePolicy.OVERWRITE, block_size=64 * 1024)
+    idx = TwoLevelIndex(MergePolicy.OVERWRITE, BLOCK)
     data = _bytes(0, 8192)
     idx.insert("blk", 2048, data)  # spans pages 0..2
     assert np.array_equal(idx.lookup("blk", 2048, 8192), data)
 
 
 def test_totals_and_clear():
-    idx = TwoLevelIndex(MergePolicy.OVERWRITE)
+    idx = TwoLevelIndex(MergePolicy.OVERWRITE, BLOCK)
     for i in range(5):
         idx.insert("blk", i * 100, _bytes(i, 10))
     assert idx.total_extents == 5
@@ -58,7 +60,7 @@ def test_totals_and_clear():
 
 
 def test_extents_iteration():
-    idx = TwoLevelIndex(MergePolicy.XOR)
+    idx = TwoLevelIndex(MergePolicy.XOR, BLOCK)
     idx.insert("blk", 0, _bytes(0, 4))
     idx.insert("blk", 4, _bytes(1, 4))  # coalesces
     exts = list(idx.extents("blk"))
@@ -68,7 +70,7 @@ def test_extents_iteration():
 
 
 def test_merging_within_block():
-    idx = TwoLevelIndex(MergePolicy.OVERWRITE)
+    idx = TwoLevelIndex(MergePolicy.OVERWRITE, BLOCK)
     new = _bytes(1, 8)
     idx.insert("blk", 0, _bytes(0, 8))
     idx.insert("blk", 0, new)

@@ -203,3 +203,31 @@ def test_records_absorbed_counts_inserts(ops):
     effective = sum(1 for o, s, _f in ops if min(s, SPACE - o) > 0)
     assert emap.records_absorbed == effective
     assert emap.reduction_ratio >= 1.0 or len(emap) == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(policies, ops_strategy)
+def test_adopted_arrays_are_never_written(policy, ops):
+    """``own=True`` hands the map the caller's array.  The map may keep it
+    as an extent but never writes into it: after every insert each adopted
+    array still equals its snapshot, and a record that touches no extent is
+    stored as the very array passed."""
+    emap = ExtentMap(policy)
+    model = ByteModel(policy)
+    adopted = []
+    for offset, size, fill in ops:
+        size = min(size, SPACE - offset)
+        data = ((np.arange(size) + fill) % 256).astype(np.uint8)
+        alone = all(
+            e.end < offset or offset + size < e.start for e in emap.extents()
+        )
+        emap.insert(offset, data, own=True)
+        model.insert(offset, data)
+        adopted.append((data, data.copy()))
+        if alone:
+            (stored,) = [e for e in emap.extents() if e.start == offset]
+            assert np.shares_memory(stored.data, data)
+        for arr, snapshot in adopted:
+            assert np.array_equal(arr, snapshot)
+    for ext in emap.extents():
+        assert np.array_equal(ext.data, model.bytes[ext.start : ext.end])

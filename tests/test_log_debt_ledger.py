@@ -88,7 +88,8 @@ class PoolLedgerMachine(RuleBasedStateMachine):
         self.live: set = set()
         self.pool = LogPool(
             self.env, "p", self.UNIT, MergePolicy.OVERWRITE,
-            min_units=1, max_units=3, live=self.live, live_key="p",
+            min_units=1, max_units=3, block_size=1 << 20, live=self.live,
+            live_key="p",
         )
         self.recycling: list = []  # units a recycler holds
         self.offset = 0

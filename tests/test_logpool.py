@@ -13,7 +13,8 @@ from repro.sim import Environment
 def _pool(env, unit_size=1000, min_units=1, max_units=2, merge=True):
     return LogPool(
         env, "p0", unit_size, MergePolicy.OVERWRITE,
-        min_units=min_units, max_units=max_units, merge=merge,
+        min_units=min_units, max_units=max_units, block_size=1 << 16,
+        merge=merge,
     )
 
 

@@ -9,7 +9,7 @@ from repro.core.logunit import LogUnit, LogUnitState, RawKey
 
 
 def _unit(capacity=1024, merge=True):
-    return LogUnit(0, capacity, MergePolicy.OVERWRITE, merge=merge)
+    return LogUnit(0, capacity, MergePolicy.OVERWRITE, 1 << 16, merge=merge)
 
 
 def _bytes(n, fill=7):

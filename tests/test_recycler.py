@@ -8,7 +8,7 @@ from repro.core.recycler import RecyclePlanner
 
 
 def _unit(merge=True):
-    return LogUnit(0, 1 << 20, MergePolicy.OVERWRITE, merge=merge)
+    return LogUnit(0, 1 << 20, MergePolicy.OVERWRITE, 1 << 16, merge=merge)
 
 
 def test_plan_groups_by_block():
