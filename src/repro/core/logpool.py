@@ -9,6 +9,11 @@ below its quota.  When neither is possible the append **waits**: this
 backpressure is the mechanism behind Fig. 6a (a 2-unit quota starves updates
 because appends stall until recycling frees a unit).
 
+**Reads** (§3.3.3): the newest unit holding any byte of a range decides a
+read-cache :meth:`lookup` — its one-extent hit, or a miss.  A miss reads the
+device and :meth:`overlay` lays every unit's extents on those bytes, oldest
+to newest, so no stale byte comes back.
+
 The pool can also *shrink*: :meth:`trim` drops RECYCLED units above
 ``min_units`` when the workload is idle, releasing memory (§3.2.2).
 
@@ -137,14 +142,20 @@ class LogPool:
         self.append_bytes += nbytes
 
     def lookup(self, block: Hashable, offset: int, size: int) -> Optional[np.ndarray]:
-        """Read-cache query over all units, newest first (§3.3.3)."""
+        """Read-cache query (§3.3.3): the newest unit holding any byte of the
+        range decides.  Its one-extent hit is the answer; if it holds only
+        part of the range, an older unit's copy is stale there, so the read
+        misses and takes the :meth:`overlay` path."""
+        hit = None
         for unit in reversed(self.units):
-            hit = unit.index.lookup(block, offset, size)
-            if hit is not None:
-                self.cache_hits += 1
-                return hit
-        self.cache_misses += 1
-        return None
+            if unit.index.covers_any(block, offset, size):
+                hit = unit.index.lookup(block, offset, size)
+                break
+        if hit is None:
+            self.cache_misses += 1
+        else:
+            self.cache_hits += 1
+        return hit
 
     def overlay(
         self, block: Hashable, offset: int, size: int, buf: np.ndarray

@@ -154,7 +154,7 @@ def _two_fault(method: str, schedule: FaultSchedule, outcome: str, id: str):
             FaultSchedule()
             .at(2.309e-3, CrashOSD(4))
             .at(4.967e-3, BounceOSD(8, 2.67e-3)),
-            "stripe f2.s1: parity block 0 stale (4079 bytes differ)",
+            "stripe f2.s1: parity block 0 stale (4083 bytes differ)",
             "tsue-crash4-bounce8",
         ),
         _two_fault(

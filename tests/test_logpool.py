@@ -104,6 +104,26 @@ def test_read_cache_hits_newest_first():
     assert pool.cache_hits == 1
 
 
+def test_newest_unit_holding_any_byte_decides_the_read():
+    """An older unit holds the whole range and a newer one only part of it:
+    the older unit's copy is stale where the newer one overlaps, so the
+    lookup must miss and the overlay must return the newer bytes."""
+    env = Environment()
+    pool = _pool(env, unit_size=100, max_units=4)
+    _run_append(env, pool, "blk", 0, _bytes(90, fill=1))
+    _run_append(env, pool, "blk", 40, _bytes(20, fill=2))  # new unit
+    assert pool.n_units == 2
+    assert pool.lookup("blk", 0, 90) is None
+    want = np.full(90, 1, dtype=np.uint8)
+    want[40:60] = 2
+    buf = pool.overlay("blk", 0, 90, np.zeros(90, dtype=np.uint8))
+    assert np.array_equal(buf, want)
+    # the newer unit covers this range alone; the older one only elsewhere
+    assert np.array_equal(pool.lookup("blk", 45, 10), np.full(10, 2, np.uint8))
+    assert np.array_equal(pool.lookup("blk", 0, 30), np.full(30, 1, np.uint8))
+    assert (pool.cache_hits, pool.cache_misses) == (2, 1)
+
+
 def test_read_cache_includes_recycled_units():
     env = Environment()
     pool = _pool(env, unit_size=100, max_units=2)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import BlockId, ClusterConfig, ECFS
 from repro.core.logpool import LogPool
+from repro.harness import runner
 from repro.traces import TraceReplayer, generate_trace, tencloud_spec
 from repro.update.tsue import TSUEOptions
 
@@ -320,3 +321,47 @@ def test_oracle_commit_order_matches_log_order():
     env.run(env.all_of(procs))
     ecfs.drain()
     assert ecfs.verify() == 1
+
+
+# ------------------------------------------------------ read cache vs oracle
+@pytest.mark.parametrize("step", ["default", "O3"])
+def test_every_read_cache_hit_matches_the_oracle(monkeypatch, step):
+    """The golden ``method/tsue`` and ``tsue-breakdown/O3`` shapes (no
+    faults): every DataLog read-cache hit returns the committed bytes at
+    that instant.  A miss is not checked at return — a read that overlaps
+    an in-flight update may return either version."""
+    clusters: list[ECFS] = []
+
+    def recording_ecfs(*args, **kw):
+        clusters.append(ECFS(*args, **kw))
+        return clusters[-1]
+
+    hits, stale = [], []
+    lookup = LogPool.lookup
+
+    def checked(pool, block, offset, size):
+        hit = lookup(pool, block, offset, size)
+        if hit is not None:
+            hits.append(block)
+            want = clusters[0].oracle.expected(block)[offset : offset + size]
+            if not np.array_equal(hit, want):
+                stale.append((block, offset, size))
+        return hit
+
+    monkeypatch.setattr(runner, "ECFS", recording_ecfs)
+    monkeypatch.setattr(LogPool, "lookup", checked)
+    options = {} if step == "default" else {
+        "options": TSUEOptions.breakdown()[step]
+    }
+    # the shape of tests/test_golden_digests.py::_experiment_row
+    runner.run_experiment(
+        runner.ExperimentConfig(
+            method="tsue", trace="tencloud", k=4, m=2, n_osds=10,
+            n_clients=4, n_ops=150, block_size=1 << 16,
+            log_unit_size=1 << 17, n_files=2, stripes_per_file=2, seed=4242,
+            verify=True, method_options=options,
+        )
+    )
+    assert len(hits) > 20
+    assert stale == []
+
