@@ -365,3 +365,47 @@ def test_every_read_cache_hit_matches_the_oracle(monkeypatch, step):
     assert len(hits) > 20
     assert stale == []
 
+
+class StaleRead(Exception):
+    """A read returned bytes other than the update the client just made."""
+
+
+#: what the fig. 7 Baseline returns today: its DataLog keys every record by
+#: ``RawKey(block, seq)`` and the read paths ask by block, so the read sees
+#: the block store's pre-update bytes (ROADMAP item 14)
+BASELINE_STALE = "read of [4096, 8192) returned the pre-update bytes"
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        pytest.param(
+            "Baseline",
+            marks=pytest.mark.xfail(
+                strict=True, raises=StaleRead, reason=BASELINE_STALE
+            ),
+        ),
+        "O1",
+        "O5",
+    ],
+)
+def test_read_returns_the_clients_own_update(step):
+    """One client updates 4 KiB at offset 4096 and reads it back: the read
+    must return the update, wherever in the log it sits."""
+    ecfs = _cluster(options=TSUEOptions.breakdown()[step])
+    files = ecfs.populate(n_files=1, stripes_per_file=1, fill="random")
+    (client,) = ecfs.add_clients(1)
+    block, _ = ecfs.mds.locate(files[0], 0, ecfs.rs.k)
+    before = ecfs.oracle.expected(block)[4096:8192].copy()
+
+    def flow():
+        yield ecfs.env.process(client.update(files[0], 4096, 4096))
+        return (yield ecfs.env.process(client.read(files[0], 4096, 4096)))
+
+    got = ecfs.env.run(ecfs.env.process(flow()))
+    want = ecfs.oracle.expected(block)[4096:8192]
+    assert not np.array_equal(want, before)
+    if not np.array_equal(got, want):
+        # any other wrong answer is not the recorded failure
+        assert np.array_equal(got, before)
+        raise StaleRead(BASELINE_STALE)
