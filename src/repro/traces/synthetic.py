@@ -71,21 +71,15 @@ def generate_trace(
         )
         for fid in file_ids
     }
-    ops = rng.random(n_ops) < spec.update_ratio
-    size_draws = rng.choice(sizes, size=n_ops, p=probs)
-    file_draws = rng.choice(np.asarray(file_ids), size=n_ops)
-
-    out: list[TraceRecord] = []
-    for i in range(n_ops):
-        fid = int(file_draws[i])
-        size = int(size_draws[i])
-        offset = localities[fid].next_offset(size)
-        out.append(
-            TraceRecord(
-                op="update" if ops[i] else "read",
-                file_id=fid,
-                offset=offset,
-                size=size,
-            )
+    ops = (rng.random(n_ops) < spec.update_ratio).tolist()
+    size_draws = rng.choice(sizes, size=n_ops, p=probs).tolist()
+    file_draws = rng.choice(np.asarray(file_ids), size=n_ops).tolist()
+    return [
+        TraceRecord(
+            op="update" if is_update else "read",
+            file_id=fid,
+            offset=localities[fid].next_offset(size),
+            size=size,
         )
-    return out
+        for is_update, size, fid in zip(ops, size_draws, file_draws)
+    ]

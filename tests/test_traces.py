@@ -1,10 +1,15 @@
 """Tests for trace generation: records, locality, statistical fidelity."""
 
+import ast
+import pathlib
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.traces import (
     LocalityModel,
     MSR_VOLUMES,
@@ -124,6 +129,11 @@ def test_locality_validation():
         LocalityModel(file_bytes=_MB, working_set=0)
     with pytest.raises(ValueError):
         LocalityModel(file_bytes=_MB, p_run=1.0)
+    # ``choice`` rejected a NaN distribution on every draw; a CDF search
+    # over one would return an out-of-range rank, so construction rejects it
+    for zipf_a in (float("nan"), float("-inf"), -400.0):
+        with pytest.raises(ValueError):
+            LocalityModel(file_bytes=_MB, zipf_a=zipf_a)
 
 
 @settings(max_examples=20, deadline=None)
@@ -133,6 +143,159 @@ def test_locality_offsets_always_valid(seed):
     for size in (4096, 65536, 4 * _MB):
         off = loc.next_offset(size)
         assert 0 <= off <= 4 * _MB - size
+
+
+# ------------------------------------------------- reference equivalence
+_PAGE = 4096
+
+
+@dataclass
+class _ReferenceLocality:
+    """``LocalityModel`` as it drew before its CDF was built once: one
+    ``Generator.choice(n, p=probs)`` per hot-set access."""
+
+    file_bytes: int
+    zipf_a: float = 1.1
+    working_set: float = 0.2
+    p_run: float = 0.3
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        self._rng = np.random.default_rng(self.seed)
+        self.n_pages = self.file_bytes // _PAGE
+        hot_pages = max(1, int(self.n_pages * self.working_set))
+        ranks = np.arange(1, hot_pages + 1, dtype=np.float64)
+        weights = ranks ** (-self.zipf_a)
+        self._probs = weights / weights.sum()
+        self._page_of_rank = self._rng.permutation(self.n_pages)[:hot_pages]
+        self._last_end = 0
+
+    def next_offset(self, size: int) -> int:
+        limit = self.file_bytes - size
+        if limit <= 0:
+            return 0
+        if self._last_end and self._rng.random() < self.p_run:
+            offset = min(self._last_end, limit)
+        else:
+            rank = self._rng.choice(len(self._probs), p=self._probs)
+            offset = int(self._page_of_rank[rank]) * _PAGE
+            offset = min(offset, limit)
+        self._last_end = offset + size
+        return offset
+
+
+def _reference_trace(spec, n_ops, file_ids, file_bytes, seed):
+    """``generate_trace``'s loop as it was: numpy scalars indexed per op."""
+    rng = np.random.default_rng(seed)
+    sizes = np.array([s for s, _p in spec.size_buckets])
+    probs = np.array([p for _s, p in spec.size_buckets])
+    localities = {
+        fid: _ReferenceLocality(
+            file_bytes=file_bytes,
+            zipf_a=spec.zipf_a,
+            working_set=spec.working_set,
+            p_run=spec.p_run,
+            seed=int(rng.integers(0, 2**31)) ^ fid,
+        )
+        for fid in file_ids
+    }
+    ops = rng.random(n_ops) < spec.update_ratio
+    size_draws = rng.choice(sizes, size=n_ops, p=probs)
+    file_draws = rng.choice(np.asarray(file_ids), size=n_ops)
+    out = []
+    for i in range(n_ops):
+        fid = int(file_draws[i])
+        size = int(size_draws[i])
+        offset = localities[fid].next_offset(size)
+        out.append(
+            TraceRecord(
+                op="update" if ops[i] else "read",
+                file_id=fid,
+                offset=offset,
+                size=size,
+            )
+        )
+    return out
+
+
+@st.composite
+def _model_and_sizes(draw):
+    file_bytes = draw(st.integers(min_value=_PAGE, max_value=64 * _MB))
+    pages = st.integers(min_value=1, max_value=256).map(lambda n: n * _PAGE)
+    whole = st.integers(min_value=file_bytes, max_value=2 * file_bytes)
+    sizes = draw(st.lists(st.one_of(pages, whole), min_size=1, max_size=60))
+    params = dict(
+        file_bytes=file_bytes,
+        zipf_a=draw(st.floats(min_value=-1.0, max_value=4.0)),
+        working_set=draw(st.floats(min_value=1e-6, max_value=1.0)),
+        p_run=draw(st.floats(min_value=0.0, max_value=0.99)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+    return params, sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_model_and_sizes())
+def test_locality_draws_match_generator_choice(case):
+    """The CDF built once draws what ``Generator.choice(n, p=probs)`` drew:
+    the same offset on every call, and the same generator state after the
+    last one (an access at or above the file size draws nothing)."""
+    params, sizes = case
+    model, ref = LocalityModel(**params), _ReferenceLocality(**params)
+    for size in sizes:
+        assert model.next_offset(size) == ref.next_offset(size), size
+    assert model._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [2025, 7])
+@pytest.mark.parametrize(
+    "spec", [tencloud_spec(), alicloud_spec(), msr_spec("hm0")], ids=lambda s: s.name
+)
+def test_generate_trace_matches_reference(spec, seed):
+    args = (spec, 3000, [1, 2, 3], 16 * _MB, seed)
+    assert generate_trace(*args) == _reference_trace(*args)
+
+
+def _scalar_weighted_choices(tree: ast.AST) -> list[int]:
+    """Line of every ``.choice(...)`` call in ``tree`` that passes ``p`` and
+    no ``size`` (positional or by keyword; a literal ``None`` is no size):
+    a scalar weighted draw, which re-validates and re-sums ``p`` each call."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or getattr(node.func, "attr", None) != "choice":
+            continue
+        given = dict(zip(("a", "size", "replace", "p"), node.args))
+        given.update((kw.arg, kw.value) for kw in node.keywords)
+        size = given.get("size")
+        if "p" in given and (size is None or getattr(size, "value", 0) is None):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_scalar_weighted_choice_in_src():
+    """A per-draw weighted ``choice`` is the trace generator's old cost;
+    ``LocalityModel`` builds its CDF once and searches it instead."""
+    src = pathlib.Path(repro.__file__).parent
+    draws = [
+        f"{path.relative_to(src)}:{line}"
+        for path in sorted(src.rglob("*.py"))
+        for line in _scalar_weighted_choices(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not draws, draws
+    for call in (
+        "rng.choice(n, p=probs)",
+        "rng.choice(a=n, p=probs)",
+        "rng.choice(n, size=None, p=probs)",
+        "rng.choice(n, None, True, probs)",
+    ):
+        assert _scalar_weighted_choices(ast.parse(call)), call  # sees each spelling
+    for call in (
+        "rng.choice(sizes, size=n, p=probs)",
+        "rng.choice(sizes, n, p=probs)",
+        "rng.choice(file_ids, size=n)",
+        "rng.choice(n)",
+    ):
+        assert not _scalar_weighted_choices(ast.parse(call)), call
 
 
 def test_statistics_empty_trace():
