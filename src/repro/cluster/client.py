@@ -20,7 +20,7 @@ from repro.cluster.ids import BlockId
 from repro.common.errors import IntegrityError
 from repro.common.randbytes import uniform_bytes
 from repro.frontend import ops as _ops
-from repro.sim.batch import spawn_fanout
+from repro.sim import spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -24,6 +24,7 @@ import numpy as np
 from repro.background.work import RepairOp
 from repro.cluster.ecfs import ECFS
 from repro.cluster.ids import BlockId
+from repro.sim import spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 
 __all__ = ["RecoveryReport", "RecoveryManager"]
@@ -98,25 +99,22 @@ class RecoveryManager:
         t0 = env.now
         prepare = getattr(ecfs.method, "recovery_prepare", None)
         if prepare is not None:
-            jobs = [
-                env.process(prepare(osd), name=f"rec-prep-{osd.name}")
-                for osd in ecfs.osds
-                if not osd.failed
-            ]
-            if jobs:
-                yield env.all_of(jobs)
+            legs = [prepare(osd) for osd in ecfs.osds if not osd.failed]
+            if legs:
+                yield spawn_fanout(env, legs)
         # replay the victim's replicated logs (TSUE) before decoding
         yield env.process(ecfs.method.pre_rebuild(), name="rec-prelude")
         t1 = env.now
 
         # --- phase 2: reconstruct lost blocks, bounded parallelism -------
         queue = list(lost)
-        workers = [
-            env.process(self._rebuild_worker(queue, osd_idx), name=f"rec-w{i}")
-            for i in range(self.parallel_stripes)
-        ]
-        if workers:
-            yield env.all_of(workers)
+        yield spawn_fanout(
+            env,
+            [
+                self._rebuild_worker(queue, osd_idx)
+                for _ in range(self.parallel_stripes)
+            ],
+        )
         yield env.process(ecfs.method.finalize_recovery(), name="rec-final")
         t2 = env.now
 
@@ -163,11 +161,9 @@ class RecoveryManager:
                 tag="rebuild",
             )
         )
-        reads = [
-            env.process(self._fetch(src_bid, target), name=f"rec-r{src_bid}")
-            for src_bid in sources
-        ]
-        yield env.all_of(reads)
+        yield spawn_fanout(
+            env, [self._fetch(src_bid, target) for src_bid in sources]
+        )
         # Wait for stripe quiescence: while an update is in flight, or a
         # delta sits applied-in-data but pending-on-parity (log debt of an
         # ongoing workload, an overlapping recovery's settlement), the

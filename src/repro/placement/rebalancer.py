@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.background.work import MoveOp
 from repro.placement.planner import MigrationPlan
-from repro.sim import s_to_us
+from repro.sim import s_to_us, spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids a package cycle)
@@ -120,12 +120,7 @@ class Rebalancer:
         before = ecfs.tail_imbalance()
         self._bw_free_at = t0
         queue = list(reversed(plan.moves))  # pop() drains in sorted order
-        workers = [
-            env.process(self._worker(queue), name=f"rebal-w{i}")
-            for i in range(self.parallel)
-        ]
-        if workers:
-            yield env.all_of(workers)
+        yield spawn_fanout(env, [self._worker(queue) for _ in range(self.parallel)])
         report = RebalanceReport(
             epoch=plan.epoch,
             planned=len(plan.moves),

@@ -23,13 +23,13 @@ See :mod:`repro.sim.core` for the :data:`PHASE_URGENT` /
 :data:`PHASE_NORMAL` / :data:`PHASE_LATE` same-time lanes.
 """
 
-from repro.sim.batch import CountdownLatch, spawn_fanout
 from repro.sim.core import (
     PHASE_LATE,
     PHASE_NORMAL,
     PHASE_URGENT,
     AllOf,
     AnyOf,
+    CountdownLatch,
     Environment,
     Event,
     Interrupt,
@@ -38,6 +38,7 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
     s_to_us,
+    spawn_fanout,
 )
 from repro.sim.resources import Resource, Store
 

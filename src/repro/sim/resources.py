@@ -97,10 +97,6 @@ class Resource:
         """Number of current holders."""
         return len(self.users)
 
-    @property
-    def queue_len(self) -> int:
-        return len(self.queue)
-
     def queued_below(self, priority: int) -> int:
         """Waiting (not yet granted) requests stronger than ``priority``.
 

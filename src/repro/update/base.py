@@ -29,6 +29,7 @@ from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
 from repro.common.errors import IntegrityError
 from repro.common.refcount import RefCounter
+from repro.sim import spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -259,22 +260,18 @@ class UpdateMethod:
         return per_osd
 
     def _flush_per_osd(self, per_osd: dict, job: Callable, *args) -> Generator:
-        """Run ``job(osd, per_osd[osd.name], *args)`` as one process per live
-        OSD with work, and wait for all of them.  A dead OSD gets none: what
-        it logged was dropped or stashed by ``on_node_failed``, and nothing
-        lands there afterwards (:meth:`OSD.check_alive`)."""
-        jobs = [
-            self.env.process(
-                job(osd, per_osd[osd.name], *args),
-                name=f"{self.name}-flush-{osd.name}",
-            )
-            for osd in self.ecfs.osds
-            if not osd.failed and per_osd.get(osd.name)
-        ]
-        if jobs:
-            yield self.env.all_of(jobs)
-        else:
-            yield self.env.timeout_us(0)
+        """Run ``job(osd, per_osd[osd.name], *args)`` as one fan-out leg per
+        live OSD with work, and wait for all of them.  A dead OSD gets none:
+        what it logged was dropped or stashed by ``on_node_failed``, and
+        nothing lands there afterwards (:meth:`OSD.check_alive`)."""
+        yield spawn_fanout(
+            self.env,
+            [
+                job(osd, per_osd[osd.name], *args)
+                for osd in self.ecfs.osds
+                if not osd.failed and per_osd.get(osd.name)
+            ],
+        )
 
     # ----------------------------------------------------- recovery hooks
     def quiesce_node(self, victim: OSD) -> Generator:

@@ -25,8 +25,7 @@ from repro.cluster.osd import OSD, scattered_addr
 from repro.common.errors import UnavailableError
 from repro.core.intervals import ExtentMap, MergePolicy, overlay
 from repro.ec.incremental import parity_delta
-from repro.sim import Resource
-from repro.sim.batch import spawn_fanout
+from repro.sim import Resource, spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 from repro.update.base import UpdateMethod
 

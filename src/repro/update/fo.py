@@ -14,7 +14,7 @@ from repro.cluster.client import UpdateOp
 from repro.cluster.osd import OSD
 from repro.common.errors import IntegrityError
 from repro.ec.incremental import parity_delta
-from repro.sim.batch import spawn_fanout
+from repro.sim import spawn_fanout
 from repro.update.base import UpdateMethod
 
 __all__ = ["FullOverwrite"]

@@ -30,7 +30,7 @@ from repro.cluster.osd import OSD, scattered_addr
 from repro.common.errors import IntegrityError
 from repro.core.intervals import ExtentMap, MergePolicy
 from repro.ec.incremental import parity_delta
-from repro.sim.batch import spawn_fanout
+from repro.sim import spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 from repro.update.base import UpdateMethod
 

@@ -24,7 +24,7 @@ from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
 from repro.common.errors import IntegrityError
 from repro.ec.incremental import parity_delta
-from repro.sim.batch import spawn_fanout
+from repro.sim import spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 from repro.update.base import UpdateMethod
 

@@ -33,7 +33,6 @@ from typing import Generator, Iterator, Optional
 import numpy as np
 
 from repro.cluster.client import UpdateOp
-from repro.cluster.config import CPUCosts
 from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
 from repro.core.intervals import ExtentMap, MergePolicy, overlay
@@ -64,15 +63,6 @@ class TSUEOptions:
     unit_size: Optional[int] = None  # default: ClusterConfig.log_unit_size
     min_units: Optional[int] = None  # default: 2
     max_units: Optional[int] = None
-    # §7 future-work extension: compress deltas before forwarding them over
-    # the network (the log residence window leaves ample time to compress)
-    compress_deltas: bool = False
-    compression_ratio: float = 0.6  # compressed size / original size
-    compress_cost_per_byte: float = 0.5e-9
-
-    def compress_us(self, costs: CPUCosts, nbytes: int) -> int:
-        """µs to compress an ``nbytes`` delta."""
-        return round((costs.op_fixed + nbytes * self.compress_cost_per_byte) * 1e6)
 
     @staticmethod
     def breakdown() -> dict[str, "TSUEOptions"]:
@@ -361,18 +351,12 @@ class TSUE(UpdateMethod):
         """
         size = int(delta.shape[0])
         rs = self.ecfs.rs
-        wire_size = size
-        if self.opts.compress_deltas:
-            # compression happens off the critical path (the delta sits in
-            # the DeltaLog buffer for seconds — §7), but the CPU is charged
-            yield self.env.timeout_us(self.opts.compress_us(self.costs, size))
-            wire_size = max(1, int(size * self.opts.compression_ratio))
         if self.opts.use_deltalog and rs.m >= 1:
             p1 = self.ecfs.osd_hosting(BlockId(block.file_id, block.stripe, rs.k))
             if not p1.failed:
                 try:
                     yield from self._deltalog_forward(
-                        osd, p1, block, offset, delta, wire_size, token
+                        osd, p1, block, offset, delta, token
                     )
                     return
                 except IntegrityError:
@@ -384,7 +368,7 @@ class TSUE(UpdateMethod):
             pdelta = gf_mul_scalar(self.parity_coef(j, block.idx), delta)
             ptoken = token + ("p", j) if token is not None else None
             if not posd.failed:
-                yield from self.forward(osd, posd, wire_size)
+                yield from self.forward(osd, posd, size)
             yield from self._paritylog_append(posd, pbid, offset, pdelta, ptoken)
 
     def _deltalog_forward(
@@ -394,7 +378,6 @@ class TSUE(UpdateMethod):
         block: BlockId,
         offset: int,
         delta: np.ndarray,
-        wire_size: int,
         token: tuple | None,
     ) -> Generator:
         """Land a data delta in the DeltaLog at ``p1`` (+ replica at p2)."""
@@ -404,7 +387,7 @@ class TSUE(UpdateMethod):
         if not self._claim(p1, token):
             return
         try:
-            yield from self.forward(osd, p1, wire_size)
+            yield from self.forward(osd, p1, size)
             # device append first, then the in-memory index: a crash in
             # between leaves nothing behind, so the caller's fallback
             # cannot double-apply
@@ -425,7 +408,7 @@ class TSUE(UpdateMethod):
                 BlockId(block.file_id, block.stripe, rs.k + 1)
             )
             if not p2.failed:
-                yield from self.forward(osd, p2, wire_size)
+                yield from self.forward(osd, p2, size)
                 try:
                     yield from p2.io_log_append(
                         "deltalog-rep", size, IOPriority.BACKGROUND,

@@ -35,7 +35,7 @@ from repro.cluster.ecfs import ECFS
 from repro.common.units import KiB, MiB
 from repro.fault.runner import ScenarioRunner
 from repro.fault.scenarios import SCENARIOS, get_scenario
-from repro.sim import Environment, Lane
+from repro.sim import Environment, Lane, spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 
 
@@ -217,8 +217,9 @@ def test_lane_floor_semantics():
 
 
 def test_lane_inherits_through_process_tree_and_demotes_io():
-    """Children spawned under a laned process share the cell; flipping it
-    mid-flight demotes I/O issued afterwards anywhere in the tree."""
+    """Children spawned under a laned process share the cell, child
+    processes and fan-out legs alike; flipping it mid-flight demotes I/O
+    issued afterwards anywhere in the tree."""
     ecfs = _bg_cluster(bg=BackgroundConfig(enabled=False))
     env = ecfs.env
     osd = ecfs.osds[0]
@@ -233,19 +234,24 @@ def test_lane_inherits_through_process_tree_and_demotes_io():
 
     osd.device.submit = spy_submit
     lane = Lane()
+    lanes = []
 
     def child():
+        lanes.append(env.active_process.lane)
         yield from osd.io_block(IOKind.READ, bid, 0, 4096)
 
     def parent():
         yield env.process(child())  # inherits the lane cell
+        yield spawn_fanout(env, [child()])  # so does a fan-out leg
         lane.priority = IOPriority.DEMOTED
         yield env.process(child())
+        yield spawn_fanout(env, [child()])
 
     proc = env.process(parent())
     proc.lane = lane
     env.run(proc)
-    assert seen == [IOPriority.FOREGROUND, IOPriority.DEMOTED]
+    assert seen == [IOPriority.FOREGROUND] * 2 + [IOPriority.DEMOTED] * 2
+    assert len(lanes) == 4 and all(cell is lane for cell in lanes)
 
 
 def test_deadline_demotes_straggler_update_leg():

@@ -301,16 +301,11 @@ def test_config_validation():
 def test_cpu_charges_are_the_seconds_formulas_rounded_once(nbytes, terms, times):
     """Every CPU charge is its float-seconds formula put on the µs grid in
     one rounding, so a caller yields exactly the tick it always did."""
-    from repro.update.tsue import TSUEOptions
-
     costs = CPUCosts()
     assert costs.xor(nbytes) == round((1e-6 + nbytes * 0.1e-9) * 1e6)
     assert costs.gf_mul(nbytes, terms) == round((1e-6 + nbytes * 0.4e-9 * terms) * 1e6)
     assert costs.gf_mul(nbytes, terms, times) == round(
         (1e-6 + nbytes * 0.4e-9 * terms) * times * 1e6
-    )
-    assert TSUEOptions().compress_us(costs, nbytes) == round(
-        (1e-6 + nbytes * 0.5e-9) * 1e6
     )
 
 

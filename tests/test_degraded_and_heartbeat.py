@@ -157,29 +157,6 @@ def test_heartbeat_then_automatic_recovery(method):
     assert ecfs.verify() == 2
 
 
-# ------------------------------------------------------------ compression
-def test_tsue_delta_compression_reduces_traffic():
-    from repro.update.tsue import TSUEOptions
-
-    def net_bytes(compress):
-        opts = TSUEOptions(compress_deltas=compress, compression_ratio=0.5)
-        ecfs = _cluster(method="tsue", seed=62)
-        ecfs.method.opts = opts  # same cluster build, different options
-        files = ecfs.populate(n_files=1, stripes_per_file=2, fill="random")
-        (client,) = ecfs.add_clients(1)
-
-        def flow():
-            for i in range(30):
-                yield ecfs.env.process(client.update(files[0], i * 8192, 4096))
-
-        ecfs.env.run(ecfs.env.process(flow()))
-        ecfs.drain()
-        ecfs.verify()
-        return ecfs.net.total_bytes
-
-    assert net_bytes(True) < net_bytes(False)
-
-
 def test_degraded_read_overlays_unrecycled_datalog():
     """The paper's §4.2 story: a node dies with an acked update still in
     its DataLog; degraded reads consult the replica log and return the NEW

@@ -541,35 +541,41 @@ _OTHER_HEAPS = {("resources.py", "Request.__init__")}  # a Resource's wait queue
 _ENQUEUE_OWNERS = {("core.py", "Environment._push"), ("core.py", "Environment.__init__")}
 
 
-def _enqueue_sites(path):
-    """``(file, qualname, line)`` of every ``heappush`` call and every
-    assignment to a ``_counter`` / ``_seq`` attribute in ``path``."""
-    sites = []
+def _scoped_nodes(path):
+    """``(file, qualname)`` and node for every AST node of ``path``, the
+    qualname naming the innermost enclosing class or function."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, scope + [child.name])
+                yield from visit(child, scope + [child.name])
                 continue
-            where = (path.name, ".".join(scope))
-            if isinstance(child, ast.Call):
-                fn = child.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
-                if name == "heappush":
-                    sites.append(where + (child.lineno,))
-            targets = (
-                child.targets if isinstance(child, ast.Assign)
-                else [child.target] if isinstance(child, (ast.AugAssign, ast.AnnAssign))
-                else []
-            )
-            if any(
-                isinstance(t, ast.Attribute) and t.attr in ("_counter", "_seq")
-                for t in targets
-            ):
-                sites.append(where + (child.lineno,))
-            visit(child, scope)
+            yield (path.name, ".".join(scope)), child
+            yield from visit(child, scope)
 
-    visit(ast.parse(path.read_text(), str(path)), [])
+    return visit(ast.parse(path.read_text(), str(path)), [])
+
+
+def _enqueue_sites(path):
+    """``(file, qualname, line)`` of every ``heappush`` call and every
+    assignment to a ``_counter`` / ``_seq`` attribute in ``path``."""
+    sites = []
+    for where, node in _scoped_nodes(path):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+            if name == "heappush":
+                sites.append(where + (node.lineno,))
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+            else []
+        )
+        if any(
+            isinstance(t, ast.Attribute) and t.attr in ("_counter", "_seq")
+            for t in targets
+        ):
+            sites.append(where + (node.lineno,))
     return sites
 
 
@@ -583,3 +589,95 @@ def test_push_is_the_only_enqueue():
     assert not stray, stray
     # the guard sees the owner's own push and stamp
     assert {s[:2] for s in sites} >= {("core.py", "Environment._push")}
+
+
+def test_process_resume_is_the_only_generator_driver():
+    """One resume loop: ``Process._resume`` is the only code under
+    ``repro/sim`` that reads a generator's ``send`` or ``throw``, so a
+    fan-out leg runs through the same send/throw loop as any process."""
+    sim = pathlib.Path(repro.sim.__file__).parent
+    sites = [
+        where + (node.lineno,)
+        for p in sorted(sim.glob("*.py"))
+        for where, node in _scoped_nodes(p)
+        if isinstance(node, ast.Attribute) and node.attr in ("send", "throw")
+    ]
+    assert {s[:2] for s in sites} == {("core.py", "Process._resume")}, sites
+
+
+def _is_call_to(node, attr):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+    )
+
+
+def _process_list(node):
+    elts = (
+        [node.elt] if isinstance(node, ast.ListComp)
+        else node.elts if isinstance(node, ast.List)
+        else []
+    )
+    return bool(elts) and all(_is_call_to(e, "process") for e in elts)
+
+
+def _discarded_process_all_ofs(name, source):
+    """``name:line`` of every statement ``yield <env>.all_of(xs)`` that drops
+    the value, ``xs`` a list of ``.process(...)`` calls built in place or
+    bound to a local name of the same function."""
+    sites = set()
+    for fn in ast.walk(ast.parse(source, name)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        lists = {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and _process_list(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if not (
+                isinstance(node, ast.Expr)
+                and isinstance(node.value, ast.Yield)
+                and _is_call_to(node.value.value, "all_of")
+            ):
+                continue
+            arg = node.value.value.args[0]
+            if _process_list(arg) or (isinstance(arg, ast.Name) and arg.id in lists):
+                sites.add(f"{name}:{node.lineno}")
+    return sorted(sites)
+
+
+_DISCARDING_IDIOMS = """
+def flush(env, legs):
+    jobs = [env.process(leg) for leg in legs]
+    if jobs:
+        yield env.all_of(jobs)
+    yield env.all_of([env.process(leg) for leg in legs])
+    values = yield env.all_of(jobs)
+    yield env.all_of(env.live_processes)
+"""
+
+
+def test_spawn_fanout_is_the_only_fan_out_whose_values_nobody_reads():
+    """One fan-out: no code under ``src/repro`` yields ``all_of`` over
+    processes it just spawned only to drop the values; such a fan-out is
+    ``spawn_fanout``.  ``AllOf`` stays where the values are read or the
+    processes are held elsewhere (degraded reads, ``FrontEnd.quiesce``,
+    ``FaultInjector.done``, ``TraceReplayer``)."""
+    root = pathlib.Path(repro.__file__).parent
+    sites = [
+        site
+        for p in sorted(root.rglob("*.py"))
+        for site in _discarded_process_all_ofs(
+            str(p.relative_to(root)), p.read_text()
+        )
+    ]
+    assert not sites, sites
+    # the guard sees both spellings of the idiom, and only those
+    assert _discarded_process_all_ofs("idioms", _DISCARDING_IDIOMS) == [
+        "idioms:5",
+        "idioms:6",
+    ]

@@ -234,16 +234,21 @@ def test_flush_fanout_skips_a_dead_log_host_and_nothing_is_left_on_it(method):
     result = TraceReplayer(ecfs, trace).run(4, tolerate_failures=True)
     assert result.failures > 0 and result.updates > 0
 
-    started = []
-    process = ecfs.env.process
+    handed = []  # the OSDs ``_flush_per_osd`` hands to its job
+    flush_per_osd = ecfs.method._flush_per_osd
 
-    def recording_process(generator, name=None):
-        started.append(name)
-        return process(generator, name=name)
+    def recording_flush(per_osd, job, *args):
+        def recording_job(osd, *rest):
+            handed.append(osd.name)
+            return job(osd, *rest)
 
-    ecfs.env.process = recording_process
+        # the plan names the dead host as if it still held work: the
+        # liveness filter, not an empty plan entry, must keep it out
+        plan = {**per_osd, victim.name: ["stale"]}
+        return flush_per_osd(plan, recording_job, *args)
+
+    ecfs.method._flush_per_osd = recording_flush
     ecfs.drain()
-    flushes = [n for n in started if n and n.startswith(f"{method}-flush-")]
-    assert flushes and f"{method}-flush-{victim.name}" not in flushes
+    assert handed and victim.name not in handed
     assert not _LOGGED_ON[method](ecfs.method, victim)
     assert ecfs.method.log_debt_bytes(victim) == 0
