@@ -525,24 +525,20 @@ class ECFS:
             if fill == "random":
                 # One draw per file — the bytes ``integers(0, 256, (spf, k,
                 # bs), dtype=np.uint8)`` would give, read from the
-                # generator's raw words — then one vectorized encode over
-                # all stripes laid side by side.
+                # generator's raw words.  Data block i of stripe s is the
+                # view draw[s, i] and each stripe's parity is encoded from
+                # draw[s], so no byte is copied.  Every block is read-only;
+                # a store's or the oracle's write lands in the block's XOR
+                # delta, never in the draw or the parity.
                 draw = uniform_bytes(self._rng, spf * k * bs).reshape(spf, k, bs)
-                coded = np.empty((k + m, spf * bs), dtype=np.uint8)
-                # coded[i, s*bs:(s+1)*bs] is block i of stripe s
-                coded[:k].reshape(k, spf, bs)[:] = draw.transpose(1, 0, 2)
-                coded[k:] = self.rs.encode_matrix(coded[:k])
-                # Blocks are read-only views into this one matrix; a
-                # store's or the oracle's write lands in the block's XOR
-                # delta, never in the matrix.
-                coded.flags.writeable = False
+                draw.flags.writeable = False
                 placed = []
                 for s in range(spf):
-                    lo = s * bs
-                    hi = lo + bs
+                    parity = self.rs.encode_matrix(draw[s])
+                    parity.flags.writeable = False
                     for i in range(k + m):
                         bid = BlockId(meta.file_id, s, i)
-                        content = coded[i, lo:hi]
+                        content = draw[s, i] if i < k else parity[i - k]
                         store = self.osd_hosting(bid).store
                         store.create_shared(bid, content)
                         placed.append((bid, store))

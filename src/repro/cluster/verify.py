@@ -17,8 +17,9 @@ run every method through this oracle.
 The mirror is a :class:`~repro.storage.blockstore.BlockStore`, so the oracle
 shares, promotes and reads block bytes by the same rules as an OSD's store:
 zero-fill blocks stand on the zero template, populate blocks are read-only
-views of the populate matrix, and an update into one of those costs the
-pages it writes (an XOR delta), not a copy of the block.
+views of a file's populate draw or a stripe's parity, and an update into
+one of those costs the pages it writes (an XOR delta), not a copy of the
+block.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class GroundTruth:
 
     def adopt(self, block: BlockId, data: np.ndarray) -> None:
         """Register initial content zero-copy: a read-only view sharing the
-        caller's buffer (a populate matrix), never written through."""
+        caller's buffer (a file's populate draw), never written through."""
         self.store.create_shared(block, data)
 
     def put(self, block: BlockId, data: np.ndarray) -> None:

@@ -50,8 +50,9 @@ class RSCode:
 
         ``n`` can span many stripes laid side by side: GF arithmetic is
         column-independent, so encoding the concatenation equals
-        concatenating per-stripe encodes (the bulk-populate path encodes a
-        whole file in one call).
+        concatenating per-stripe encodes.  Random-fill populate encodes one
+        stripe per call, straight from its ``(k, block_size)`` slice of the
+        file's draw; perfbench's ``ec.probe_encode_mbps`` calls this too.
         """
         data = np.asarray(data, dtype=np.uint8)
         if data.ndim != 2 or data.shape[0] != self.k:

@@ -18,7 +18,7 @@ state, MDS layout, *and* the post-populate RNG state, so a cached cell is
 byte-identical to a cold one (the scenario determinism tests double-run
 through this cache and assert equal digests).
 A hit copies no block: the stores and the oracle share the memo's read-only
-populate views, as a cold populate shares its matrix.
+populate views, as a cold populate shares its draws and parity.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def populate_cached(
             "sizes": {
                 fid: ecfs.mds.lookup(fid).size for fid in file_ids
             },
-            # read-only views of the populate matrices: no store writes a
-            # shared base (mutations land in per-block XOR deltas), so the
-            # cold cell's run leaves them pristine for every later hit
+            # read-only views of the populate draws and parity: no store
+            # writes a shared base (mutations land in per-block XOR deltas),
+            # so the cold cell's run leaves them pristine for every later hit
             "blocks": [
                 (bid, ecfs.osd_hosting(bid).store.view(bid))
                 for bid in sorted(ecfs.known_blocks)

@@ -13,12 +13,12 @@ three ways, and a mutation never copies a whole block:
   :func:`~repro.common.zeromem.zero_block`, which *is* its content;
 * **an owned writable array** (``put`` / ``create``, a promoted zero block),
   mutated in place;
-* **a shared read-only base** (``create_shared``: a view into a populate
-  matrix) plus, from its first mutation on, an **XOR delta** carved by
-  ``zero_block``.  The content is ``base ^ delta``: a write stores
-  ``data ^ base[range]`` into the delta, ``xor_in`` and ``corrupt`` XOR into
-  it, so only the pages a mutation touches become resident and the base is
-  never written.
+* **a shared read-only base** (``create_shared``: a view into a file's
+  populate draw or a stripe's populate parity) plus, from its first
+  mutation on, an **XOR delta** carved by ``zero_block``.  The content is
+  ``base ^ delta``: a write stores ``data ^ base[range]`` into the delta,
+  ``xor_in`` and ``corrupt`` XOR into it, so only the pages a mutation
+  touches become resident and the base is never written.
 
 Every block carries a **generation**: an integer stamp that names one state
 of its bytes.  Stamps come from one module-level counter, so no two states
@@ -120,10 +120,10 @@ class BlockStore:
         """Materialize a block as a read-only view sharing ``data``'s buffer.
 
         The zero-copy sibling of ``create(own=True)`` for bulk paths that
-        carve many blocks out of one backing matrix (vectorized populate,
-        a cached populate): the view becomes the block's base, and its
-        mutations land in an XOR delta, never in ``data``.  The caller must
-        not mutate the backing buffer afterwards.
+        carve many blocks out of one backing buffer (random-fill populate's
+        draw and parity, a cached populate): the view becomes the block's
+        base, and its mutations land in an XOR delta, never in ``data``.
+        The caller must not mutate the backing buffer afterwards.
         """
         if block_id in self._blocks:
             raise IntegrityError(f"block {block_id!r} already exists")

@@ -438,18 +438,21 @@ class TSUE(UpdateMethod):
             self._seen_tokens[host.name].discard(token)
 
     # -- stage 2: DeltaLog ----------------------------------------------------
-    def _plan_delta_forwards(self, unit: LogUnit) -> list[tuple[tuple, BlockId, object]]:
-        """Deterministic (dedup key, parity block, extent) list the recycle
-        of ``unit`` forwards — recomputable after a crash so an interrupted
-        recycle and the recovery stash agree on identities."""
-        items = self.planner.plan(unit)
+    def _plan_delta_forwards(self, unit: LogUnit) -> Iterator[tuple[tuple, BlockId, object]]:
+        """Deterministic (dedup key, parity block, extent) stream the
+        recycle of ``unit`` forwards — recomputable after a crash so an
+        interrupted recycle and the recovery stash agree on identities.
+
+        A generator: the unit is planned on the first ``next``, and one
+        (stripe, parity row) group's products are computed when the caller
+        reaches that group, so a recycle holds at most one group's parity
+        deltas outside the ParityLogs they are appended to."""
         # group per stripe for Eq. (5) cross-block merging
         per_stripe: dict[tuple[int, int], list] = defaultdict(list)
-        for work in items:
+        for work in self.planner.plan(unit):
             block = self._real_block(work.block)
             per_stripe[(block.file_id, block.stripe)].append((block, work))
         rs = self.ecfs.rs
-        out: list[tuple[tuple, BlockId, object]] = []
         occurrences: dict[tuple, int] = defaultdict(int)
         for (file_id, stripe), works in per_stripe.items():
             for j in range(rs.m):
@@ -473,8 +476,7 @@ class TSUE(UpdateMethod):
                     base = (pbid, ext.start, ext.size)
                     n = occurrences[base]
                     occurrences[base] += 1
-                    out.append((("dx",) + base + (n,), pbid, ext))
-        return out
+                    yield ("dx",) + base + (n,), pbid, ext
 
     def _recycle_deltalog_unit(self, osd: OSD, pool: LogPool, unit: LogUnit) -> Generator:
         # Charge the Eq. (5) GF work as the seed model did: one multiply per

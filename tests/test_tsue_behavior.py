@@ -1,12 +1,20 @@
 """Behavioral tests for TSUE's paper-specific mechanisms."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import BlockId, ClusterConfig, ECFS
+from repro.core.intervals import ExtentMap, MergePolicy
 from repro.core.logpool import LogPool
+from repro.core.logunit import LogUnit
+from repro.gf.field import gf_mul_scalar
 from repro.harness import runner
 from repro.traces import TraceReplayer, generate_trace, tencloud_spec
+from repro.update import tsue
 from repro.update.tsue import TSUEOptions
 
 
@@ -409,3 +417,136 @@ def test_read_returns_the_clients_own_update(step):
         # any other wrong answer is not the recorded failure
         assert np.array_equal(got, before)
         raise StaleRead(BASELINE_STALE)
+
+
+# ------------------------------------------------------ streaming recycle plan
+def _eager_plan_delta_forwards(self, unit):
+    """The list builder ``TSUE._plan_delta_forwards`` replaced, verbatim: it
+    computed every (stripe, parity row) group's products before returning
+    the first."""
+    items = self.planner.plan(unit)
+    # group per stripe for Eq. (5) cross-block merging
+    per_stripe: dict[tuple[int, int], list] = defaultdict(list)
+    for work in items:
+        block = self._real_block(work.block)
+        per_stripe[(block.file_id, block.stripe)].append((block, work))
+    rs = self.ecfs.rs
+    out: list[tuple[tuple, BlockId, object]] = []
+    occurrences: dict[tuple, int] = defaultdict(int)
+    for (file_id, stripe), works in per_stripe.items():
+        for j in range(rs.m):
+            pbid = BlockId(file_id, stripe, rs.k + j)
+            if self.opts.backend_locality:
+                merged = ExtentMap(MergePolicy.XOR)
+                for block, work in works:
+                    coef = self.parity_coef(j, block.idx)
+                    for ext in work.extents:
+                        merged.insert(ext.start, gf_mul_scalar(coef, ext.data), own=True)
+                exts = list(merged.extents())
+            else:
+                exts = []
+                for block, work in works:
+                    coef = self.parity_coef(j, block.idx)
+                    for ext in work.extents:
+                        exts.append(
+                            type(ext)(ext.start, gf_mul_scalar(coef, ext.data))
+                        )
+            for ext in exts:
+                base = (pbid, ext.start, ext.size)
+                n = occurrences[base]
+                occurrences[base] += 1
+                out.append((("dx",) + base + (n,), pbid, ext))
+    return out
+
+
+def _deltalog_unit(ecfs, records) -> LogUnit:
+    """A DeltaLog unit as a pool of ``ecfs``'s TSUE would build it, holding
+    ``records``: (file, stripe, data index, offset, bytes) tuples."""
+    unit = LogUnit(
+        0,
+        1 << 30,
+        MergePolicy.XOR,
+        ecfs.config.block_size,
+        merge=ecfs.method.opts.backend_locality,
+    )
+    for file_id, stripe, idx, offset, data in records:
+        unit.append(BlockId(file_id, stripe, idx), offset, data, now=0.0)
+    return unit
+
+
+def _forwarded(plan) -> list:
+    return [(key, pbid, ext.start, bytes(ext.data)) for key, pbid, ext in plan]
+
+
+_DELTA_RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # file
+        st.integers(0, 2),  # stripe
+        st.integers(0, 3),  # data index (k = 4)
+        st.integers(0, 4096),  # offset: records overlap and abut often
+        st.binary(min_size=1, max_size=1024).map(
+            lambda b: np.frombuffer(b, dtype=np.uint8)
+        ),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@pytest.mark.parametrize("backend_locality", [True, False])
+@given(records=_DELTA_RECORDS)
+@settings(max_examples=60, deadline=None)
+def test_streaming_plan_matches_the_eager_list(backend_locality, records):
+    """On random DeltaLog units the generator yields the eager builder's
+    (dedup key, parity block, start, bytes) sequence, merged (O2) or not."""
+    ecfs = _cluster(options=TSUEOptions(backend_locality=backend_locality))
+    unit = _deltalog_unit(ecfs, records)
+    method = ecfs.method
+    assert _forwarded(method._plan_delta_forwards(unit)) == _forwarded(
+        _eager_plan_delta_forwards(method, unit)
+    )
+
+
+@pytest.mark.parametrize("backend_locality", [True, False])
+def test_recycle_multiplies_one_parity_row_before_its_first_forward(
+    monkeypatch, backend_locality
+):
+    """A DeltaLog unit over three stripes, two extents per data block: by
+    the recycle's first ParityLog append it has multiplied one (stripe,
+    parity row) group's source extents, 2k.  The eager list builder had
+    multiplied all 3 x m groups, 6 x 2k, by then."""
+    ecfs = _cluster(options=TSUEOptions(backend_locality=backend_locality))
+    method, k, m = ecfs.method, ecfs.rs.k, ecfs.rs.m
+    (fid,) = ecfs.populate(n_files=1, stripes_per_file=3, fill="zeros")
+    unit = _deltalog_unit(
+        ecfs,
+        [
+            (fid, s, i, offset, np.full(512, 1 + s * k + i, dtype=np.uint8))
+            for s in range(3)
+            for i in range(k)
+            for offset in (0, 8192)
+        ],
+    )
+    group = 2 * k
+    products: list[int] = []
+    at_append: list[int] = []
+    append = method._paritylog_append
+
+    def counting_mul(coef, data):
+        products.append(coef)
+        return gf_mul_scalar(coef, data)
+
+    def spying_append(*args, **kw):
+        at_append.append(len(products))
+        return append(*args, **kw)
+
+    monkeypatch.setattr(tsue, "gf_mul_scalar", counting_mul)
+    monkeypatch.setattr(method, "_paritylog_append", spying_append)
+    block = BlockId(fid, 0, 0)
+    osd = ecfs.osd_hosting(BlockId(fid, 0, k))  # the stripe's DeltaLog host
+    pool = method._pool(osd, "deltalog", block)
+    _run(ecfs, method._recycle_deltalog_unit(osd, pool, unit))
+    assert at_append[0] <= group, at_append
+    # merged (O2): the k blocks' extents at one offset are one parity extent
+    assert len(at_append) == 3 * m * (2 if backend_locality else group)
+    assert len(products) == 3 * m * group
