@@ -5,9 +5,8 @@ and exchange bytes through a :class:`~repro.net.NetworkFabric`.  Update
 semantics are pluggable per :mod:`repro.update` method.
 """
 
-from repro.cluster.ids import BlockId, BlockKind, block_kind
+from repro.cluster.ids import BlockId
 from repro.cluster.config import CPUCosts, ClusterConfig
-from repro.cluster.layout import Placement  # rotation policy (compat alias)
 from repro.cluster.mds import MDS
 from repro.cluster.osd import OSD
 from repro.cluster.client import Client, UpdateOp
@@ -19,11 +18,8 @@ from repro.cluster.heartbeat import HeartbeatService
 
 __all__ = [
     "BlockId",
-    "BlockKind",
-    "block_kind",
     "CPUCosts",
     "ClusterConfig",
-    "Placement",
     "MDS",
     "OSD",
     "Client",

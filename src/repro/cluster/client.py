@@ -1,4 +1,4 @@
-"""Client: POSIX-ish front end — encoding writes, routed updates, reads.
+"""Client: POSIX-ish front end — routed updates and reads.
 
 This is the seed-compatible *thin shim* over the front-end request path:
 op construction (ids, payload RNG streams) lives here, while the actual
@@ -12,16 +12,13 @@ through ``Client`` are byte-identical to the pre-refactor tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 
 from repro.cluster.ids import BlockId
-from repro.common.errors import IntegrityError
 from repro.common.randbytes import uniform_bytes
 from repro.frontend import ops as _ops
-from repro.sim import spawn_fanout
-from repro.storage.base import IOKind, IOPriority
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.ecfs import ECFS
@@ -46,7 +43,7 @@ class UpdateOp:
 
 
 class Client:
-    """A client node: encodes normal writes, forwards updates (§4.3)."""
+    """A client node: forwards updates and reads (§4.3)."""
 
     def __init__(self, ecfs: "ECFS", idx: int) -> None:
         self.ecfs = ecfs
@@ -89,47 +86,6 @@ class Client:
         return (
             yield from _ops.execute_read(self.ecfs, self.name, file_id, offset, size)
         )
-
-    # --------------------------------------------------------- normal write
-    def write_stripe(
-        self, file_id: int, stripe: int, data: Optional[np.ndarray] = None
-    ) -> Generator:
-        """Process: full-stripe write — client-side encode, fan out k+m blocks."""
-        ecfs = self.ecfs
-        bs = ecfs.config.block_size
-        k, m = ecfs.rs.k, ecfs.rs.m
-        if data is None:
-            data = uniform_bytes(self._payload_rng, k * bs)
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape[0] != k * bs:
-            raise IntegrityError(f"stripe write needs {k * bs} bytes")
-        blocks = [data[i * bs : (i + 1) * bs] for i in range(k)]
-        # client-side encode: charge GF work for m parity blocks over k inputs
-        yield self.env.timeout_us(ecfs.config.costs.gf_mul(k * bs, terms=m))
-        parities = ecfs.rs.encode(blocks)
-
-        yield spawn_fanout(
-            self.env,
-            [
-                self._send_block(BlockId(file_id, stripe, i), content)
-                for i, content in enumerate(blocks + parities)
-            ],
-        )
-        ecfs.mds.mark_written(file_id, stripe * k * bs, k * bs)
-
-    def _send_block(self, bid: BlockId, content: np.ndarray) -> Generator:
-        ecfs = self.ecfs
-        osd = ecfs.osd_hosting(bid)
-        yield from ecfs.net.transfer(
-            self.name, osd.name, content.shape[0] + ecfs.config.header_bytes
-        )
-        yield from osd.io_block(
-            IOKind.WRITE, bid, 0, content.shape[0], IOPriority.FOREGROUND
-        )
-        osd.store.put(bid, content)
-        if bid.idx < ecfs.rs.k:
-            ecfs.oracle.put(bid, content)  # a normal write, not an update
-        yield from ecfs.net.transfer(osd.name, self.name, ecfs.config.ack_bytes)
 
     def _next_op(self) -> int:
         self._op_counter += 1

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -391,11 +391,14 @@ class ECFS:
         self.notify_settlement()
         return plan
 
-    def _wire_new_osd(
-        self, weight: float, host: int | None, rack: int | None
-    ) -> OSD:
-        """Create, register, and topology-place one new OSD — everything a
-        join does *except* the epoch advance (so batched joins share one)."""
+    def join_osd(
+        self,
+        weight: float = 1.0,
+        host: int | None = None,
+        rack: int | None = None,
+    ) -> tuple[OSD, MigrationPlan]:
+        """Elastically grow the cluster by one OSD (new failure domain by
+        default) and advance the placement epoch."""
         idx = len(self.osds)
         device = self._make_device(idx, self._ssd_params, self._hdd_params)
         osd = OSD(self.env, idx, device, self.config.block_size)
@@ -405,58 +408,10 @@ class ECFS:
         self.method.on_node_joined(osd)
         self.mds.heartbeat(idx, self.env.now)
         self.topology.add_osd(idx, weight=weight, host=host, rack=rack)
-        return osd
-
-    def join_osd(
-        self,
-        weight: float = 1.0,
-        host: int | None = None,
-        rack: int | None = None,
-    ) -> tuple[OSD, MigrationPlan]:
-        """Elastically grow the cluster by one OSD (new failure domain by
-        default) and advance the placement epoch."""
-        osd = self._wire_new_osd(weight, host, rack)
         plan = self.advance_epoch()
         for callback in list(self.on_osd_joined):
             callback(osd)
         return osd, plan
-
-    def apply_topology_batch(
-        self, ops: list[tuple[str, dict]]
-    ) -> tuple[list[OSD], MigrationPlan]:
-        """Fold several membership changes into ONE epoch advance.
-
-        ``ops`` is a list of ``(kind, kwargs)`` pairs — ``("join",
-        {"weight", "host", "rack"})``, ``("decommission", {"osd"})``,
-        ``("weight", {"osd", "weight"})`` — applied to the topology in
-        order, then resolved by a single :meth:`advance_epoch`.  A
-        whole-rack join therefore costs one epoch and one
-        :class:`MigrationPlan` instead of one per device, and the planner
-        diffs against the *final* topology — no block ever migrates to an
-        intermediate home that the next event of the batch would move again.
-        Returns (newly joined OSDs, the batch's plan).
-        """
-        joined: list[OSD] = []
-        for kind, kwargs in ops:
-            if kind == "join":
-                joined.append(
-                    self._wire_new_osd(
-                        kwargs.get("weight", 1.0),
-                        kwargs.get("host"),
-                        kwargs.get("rack"),
-                    )
-                )
-            elif kind == "decommission":
-                self.topology.remove_osd(kwargs["osd"])
-            elif kind == "weight":
-                self.topology.set_weight(kwargs["osd"], kwargs["weight"])
-            else:
-                raise ConfigError(f"unknown topology batch op {kind!r}")
-        plan = self.advance_epoch()
-        for osd in joined:
-            for callback in list(self.on_osd_joined):
-                callback(osd)
-        return joined, plan
 
     def decommission_osd(self, idx: int) -> MigrationPlan:
         """Gracefully remove ``idx`` from placement: the node keeps serving
@@ -567,7 +522,6 @@ class ECFS:
                 ]
             # either fill writes each stripe as a codeword
             self.record_clean_stripes(placed)
-            self.mds.mark_written(meta.file_id, 0, meta.size)
         return file_ids
 
     # ----------------------------------------------------------- execution

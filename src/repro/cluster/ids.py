@@ -8,15 +8,9 @@ A file is a sequence of stripes; stripe ``s`` holds ``k`` data blocks
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
-__all__ = ["BlockId", "BlockKind", "block_kind"]
-
-
-class BlockKind(enum.Enum):
-    DATA = "data"
-    PARITY = "parity"
+__all__ = ["BlockId"]
 
 
 class BlockId(NamedTuple):
@@ -27,7 +21,3 @@ class BlockId(NamedTuple):
     def __str__(self) -> str:
         return f"f{self.file_id}.s{self.stripe}.b{self.idx}"
 
-
-def block_kind(block: BlockId, k: int) -> BlockKind:
-    """DATA for idx < k, PARITY otherwise."""
-    return BlockKind.DATA if block.idx < k else BlockKind.PARITY

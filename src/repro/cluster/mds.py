@@ -1,18 +1,18 @@
-"""Metadata server: namespace, block locations, write/update classification.
+"""Metadata server: namespace, block locations and OSD liveness.
 
-Per §4.3 the MDS keeps a page-level bitmap per file; an incoming write whose
-pages are all already-written is classified as an *update* (routed to the
-data OSD's update path), otherwise as a *normal write* (client-side encode +
-full-stripe placement).  The MDS also watches OSD heartbeats and triggers
-recovery when one goes silent.
+Every trace is replayed onto files that :meth:`ECFS.populate` has already
+written in full, so each write is an *update* of written space.  The MDS
+therefore keeps no per-file page bitmap and no write/update
+classification: the paper's §4.3 normal-write path (client-side encode,
+full-stripe placement) is not modelled.  The MDS maps a file offset to its
+data block and watches OSD heartbeats, triggering recovery when one goes
+silent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from repro.cluster.ids import BlockId
 from repro.common.errors import IntegrityError
@@ -20,17 +20,11 @@ from repro.placement.epoch import PlacementMap
 
 __all__ = ["FileMeta", "MDS"]
 
-_PAGE = 4096
-
 
 @dataclass
 class FileMeta:
     file_id: int
     size: int
-    written: np.ndarray  # page bitmap
-
-    def pages(self, offset: int, size: int) -> slice:
-        return slice(offset // _PAGE, -(-(offset + size) // _PAGE))
 
 
 class MDS:
@@ -52,8 +46,7 @@ class MDS:
             raise IntegrityError("file size must be positive")
         fid = self._next_file_id
         self._next_file_id += 1
-        npages = -(-size // _PAGE)
-        meta = FileMeta(fid, size, np.zeros(npages, dtype=bool))
+        meta = FileMeta(fid, size)
         self.files[fid] = meta
         return meta
 
@@ -62,20 +55,6 @@ class MDS:
             return self.files[file_id]
         except KeyError:
             raise IntegrityError(f"no such file {file_id}") from None
-
-    def classify(self, file_id: int, offset: int, size: int) -> str:
-        """"update" if every touched page was written before, else "write"."""
-        meta = self.lookup(file_id)
-        if offset + size > meta.size:
-            raise IntegrityError(
-                f"write [{offset}, {offset + size}) beyond file size {meta.size}"
-            )
-        pages = meta.pages(offset, size)
-        return "update" if bool(meta.written[pages].all()) else "write"
-
-    def mark_written(self, file_id: int, offset: int, size: int) -> None:
-        meta = self.lookup(file_id)
-        meta.written[meta.pages(offset, size)] = True
 
     # ------------------------------------------------------------ location
     def locate(self, file_id: int, offset: int, k: int) -> tuple[BlockId, int]:

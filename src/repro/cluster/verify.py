@@ -57,11 +57,6 @@ class GroundTruth:
         caller's buffer (a file's populate draw), never written through."""
         self.store.create_shared(block, data)
 
-    def put(self, block: BlockId, data: np.ndarray) -> None:
-        """Land a whole block — a client stripe write — as
-        :meth:`BlockStore.put` does; initial content, not an update."""
-        self.store.put(block, data)
-
     def apply(self, block: BlockId, offset: int, data: np.ndarray) -> None:
         """Commit one update."""
         self.store.write(block, offset, data)

@@ -14,8 +14,8 @@ read-cache :meth:`lookup` — its one-extent hit, or a miss.  A miss reads the
 device and :meth:`overlay` lays every unit's extents on those bytes, oldest
 to newest, so no stale byte comes back.
 
-The pool can also *shrink*: :meth:`trim` drops RECYCLED units above
-``min_units`` when the workload is idle, releasing memory (§3.2.2).
+The pool never shrinks: a unit once allocated stays and is reused, so
+``min_units`` only bounds the quota from below.
 
 **Log debt** is content not yet recycled: a non-empty active unit plus the
 sealed units counted by :attr:`backlog`.  The pool moves that count at the
@@ -226,21 +226,6 @@ class LogPool:
                 # application.
                 unit.state = LogUnitState.RECYCLABLE
                 self.recyclable.put_front(unit)
-
-    def trim(self) -> int:
-        """Drop RECYCLED units above ``min_units``; returns units freed."""
-        freed = 0
-        while len(self.units) > self.min_units:
-            victim = None
-            for u in self.units:
-                if u.state is LogUnitState.RECYCLED:
-                    victim = u
-                    break
-            if victim is None:
-                break
-            self.units.remove(victim)
-            freed += 1
-        return freed
 
     # ------------------------------------------------------------- metrics
     @property

@@ -2,23 +2,15 @@
 
 Implements Equation (1) of the paper (parity generation via a GF(256)
 coding matrix), erasure recovery via matrix inversion, and the incremental
-update identities:
-
-* Eq. (2): ``P' = P + a_ij * (D' - D)`` — single parity delta,
-* Eq. (3)/(4): repeated updates at one address collapse to the latest,
-* Eq. (5): deltas from several data blocks at the same stripe offset merge
-  into one parity delta per parity block.
+update identity Eq. (2), ``P' = P + a_ij * (D' - D)`` — a single parity
+delta.  Repeated updates at one address collapse to the latest (Eqs. 3/4)
+in the log index, and deltas of several data blocks at one stripe offset
+merge into one parity delta per parity block (Eq. 5) in TSUE's recycle.
 """
 
 from repro.ec.matrices import cauchy_matrix, coding_matrix, vandermonde_matrix
 from repro.ec.rs import RSCode
-from repro.ec.incremental import (
-    apply_parity_delta,
-    data_delta,
-    merge_deltas_same_address,
-    parity_delta,
-    stripe_parity_delta,
-)
+from repro.ec.incremental import data_delta, parity_delta
 
 __all__ = [
     "RSCode",
@@ -27,7 +19,4 @@ __all__ = [
     "vandermonde_matrix",
     "data_delta",
     "parity_delta",
-    "apply_parity_delta",
-    "merge_deltas_same_address",
-    "stripe_parity_delta",
 ]

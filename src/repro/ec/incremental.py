@@ -1,24 +1,18 @@
-"""Incremental (delta-based) parity update math — Equations (2)-(5).
+"""Incremental (delta-based) parity update math — Equation (2).
 
-All functions operate on 1-D uint8 numpy arrays representing the *updated
-byte range*, not whole blocks; callers align ranges before merging.
+Both functions operate on 1-D uint8 numpy arrays representing the *updated
+byte range*, not whole blocks.  The merges of Eqs. (3)-(5) happen where the
+deltas are logged: in the log index (:mod:`repro.core.intervals`) and in
+TSUE's DeltaLog recycle plan (:mod:`repro.update.tsue`).
 """
 
 from __future__ import annotations
-
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.gf.field import gf_mul_scalar
 
-__all__ = [
-    "data_delta",
-    "parity_delta",
-    "apply_parity_delta",
-    "merge_deltas_same_address",
-    "stripe_parity_delta",
-]
+__all__ = ["data_delta", "parity_delta"]
 
 
 def data_delta(new_data: np.ndarray, old_data: np.ndarray) -> np.ndarray:
@@ -35,57 +29,3 @@ def data_delta(new_data: np.ndarray, old_data: np.ndarray) -> np.ndarray:
 def parity_delta(coef: int, delta: np.ndarray) -> np.ndarray:
     """Eq. (2): parity delta ``a_ij * (D' - D)`` for one parity block."""
     return gf_mul_scalar(coef, delta)
-
-
-def apply_parity_delta(parity: np.ndarray, pdelta: np.ndarray) -> np.ndarray:
-    """Eq. (2) outer sum: ``P' = P + parity_delta`` (XOR), returns new array."""
-    parity = np.asarray(parity, dtype=np.uint8)
-    pdelta = np.asarray(pdelta, dtype=np.uint8)
-    if parity.shape != pdelta.shape:
-        raise ValueError("parity/delta shape mismatch")
-    return parity ^ pdelta
-
-
-def merge_deltas_same_address(deltas: Sequence[np.ndarray]) -> np.ndarray:
-    """Eq. (3): XOR-fold successive deltas for the same address.
-
-    The fold of ``D1^D0, D2^D1, ..., Dn^Dn-1`` telescopes to ``Dn ^ D0`` —
-    i.e. only the newest data matters (Eq. 4).
-    """
-    if not deltas:
-        raise ValueError("need at least one delta")
-    acc = np.asarray(deltas[0], dtype=np.uint8).copy()
-    for d in deltas[1:]:
-        d = np.asarray(d, dtype=np.uint8)
-        if d.shape != acc.shape:
-            raise ValueError("all merged deltas must cover the same range")
-        acc ^= d
-    return acc
-
-
-def stripe_parity_delta(
-    coding_row: np.ndarray, block_deltas: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """Eq. (5): merge same-offset deltas from several data blocks of one
-    stripe into a single parity delta for the parity block whose coding-matrix
-    row is ``coding_row``.
-
-    ``block_deltas`` maps data-block index j -> delta bytes at the shared
-    offset; the result is ``sum_j a_ij * delta_j``.
-    """
-    coding_row = np.asarray(coding_row, dtype=np.uint8)
-    items = sorted(block_deltas.items())
-    if not items:
-        raise ValueError("need at least one block delta")
-    size = np.asarray(items[0][1]).shape[0]
-    acc = np.zeros(size, dtype=np.uint8)
-    for j, delta in items:
-        if not 0 <= j < coding_row.shape[0]:
-            raise ValueError(f"data block index {j} outside coding row")
-        delta = np.asarray(delta, dtype=np.uint8)
-        if delta.shape[0] != size:
-            raise ValueError("all merged deltas must cover the same range")
-        coef = int(coding_row[j])
-        if coef:
-            acc ^= gf_mul_scalar(coef, delta)
-    return acc

@@ -21,7 +21,7 @@ from repro.frontend.request import (
     Request,
     RequestResult,
 )
-from repro.frontend.retry import ExponentialBackoff, NoRetry, RetryBudget, RetryPolicy
+from repro.frontend.retry import ExponentialBackoff, RetryBudget, RetryPolicy
 from repro.frontend.slo import SLO_TARGETS, SLOTracker
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "Request",
     "RequestResult",
     "ExponentialBackoff",
-    "NoRetry",
     "RetryBudget",
     "RetryPolicy",
     "SLO_TARGETS",

@@ -64,10 +64,6 @@ class TokenBucket:
         self._refill(now)
         self.rate = rate
 
-    def level(self, now: float) -> float:
-        self._refill(now)
-        return self._tokens
-
 
 @dataclass(frozen=True)
 class AdmissionConfig:

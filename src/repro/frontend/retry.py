@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import is_retryable
 
-__all__ = ["RetryPolicy", "NoRetry", "ExponentialBackoff", "RetryBudget", "is_retryable"]
+__all__ = ["RetryPolicy", "ExponentialBackoff", "RetryBudget", "is_retryable"]
 
 
 class RetryBudget:
@@ -56,13 +56,6 @@ class RetryPolicy:
 
     def delay(self, attempt: int) -> float | None:
         raise NotImplementedError
-
-
-class NoRetry(RetryPolicy):
-    """Fail fast: every error is terminal."""
-
-    def delay(self, attempt: int) -> float | None:
-        return None
 
 
 @dataclass(frozen=True)

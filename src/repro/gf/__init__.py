@@ -8,11 +8,8 @@ Reed-Solomon coder in :mod:`repro.ec`.
 from repro.gf.field import (
     GF_ORDER,
     PRIMITIVE_POLY,
-    gf_add,
     gf_div,
-    gf_exp_table,
     gf_inv,
-    gf_log_table,
     gf_matmul,
     gf_mul,
     gf_mul_scalar,
@@ -22,18 +19,14 @@ from repro.gf.matrix import (
     gf_mat_inv,
     gf_mat_mul,
     gf_mat_rank,
-    gf_mat_vec,
     identity,
 )
 
 __all__ = [
     "GF_ORDER",
     "PRIMITIVE_POLY",
-    "gf_add",
     "gf_div",
-    "gf_exp_table",
     "gf_inv",
-    "gf_log_table",
     "gf_matmul",
     "gf_mul",
     "gf_mul_scalar",
@@ -41,6 +34,5 @@ __all__ = [
     "gf_mat_inv",
     "gf_mat_mul",
     "gf_mat_rank",
-    "gf_mat_vec",
     "identity",
 ]

@@ -33,9 +33,6 @@ import numpy as np
 __all__ = [
     "GF_ORDER",
     "PRIMITIVE_POLY",
-    "gf_exp_table",
-    "gf_log_table",
-    "gf_add",
     "gf_mul",
     "gf_mul_scalar",
     "gf_matmul",
@@ -69,25 +66,6 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _EXP, _LOG, _MUL = _build_tables()
 #: ``_MUL[c]`` as a 256-byte translation table, one per coefficient
 _MUL_ROWS = tuple(row.tobytes() for row in _MUL)
-
-
-def gf_exp_table() -> np.ndarray:
-    """Read-only exp table (length 512, doubled to skip the mod-255)."""
-    view = _EXP.view()
-    view.flags.writeable = False
-    return view
-
-
-def gf_log_table() -> np.ndarray:
-    """Read-only log table (length 256; ``log[0]`` is undefined and set to 0)."""
-    view = _LOG.view()
-    view.flags.writeable = False
-    return view
-
-
-def gf_add(a, b) -> np.ndarray:
-    """Addition == subtraction == XOR in GF(2^8)."""
-    return np.bitwise_xor(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
 
 
 def gf_mul(a, b) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from repro.common.errors import DecodeError
 from repro.gf.field import gf_div, gf_mul
 
-__all__ = ["identity", "gf_mat_mul", "gf_mat_vec", "gf_mat_inv", "gf_mat_rank"]
+__all__ = ["identity", "gf_mat_mul", "gf_mat_inv", "gf_mat_rank"]
 
 
 def identity(n: int) -> np.ndarray:
@@ -43,18 +43,6 @@ def gf_mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc ^= gf_mul(np.uint8(row[j]), b[j])
         out[i] = acc
     return out
-
-
-def gf_mat_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector (or matrix-by-block-matrix) product over GF(256).
-
-    ``x`` may be 1-D (vector) or 2-D with rows as data blocks; rows of the
-    result are XOR-sums of coefficient-scaled rows of ``x``.
-    """
-    x = np.asarray(x, dtype=np.uint8)
-    if x.ndim == 1:
-        return gf_mat_mul(a, x[:, None])[:, 0]
-    return gf_mat_mul(a, x)
 
 
 def gf_mat_inv(a: np.ndarray) -> np.ndarray:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.harness.runner import ExperimentConfig, current_scale, run_experiment
+from repro.harness.runner import ExperimentConfig, current_scale
 from repro.harness.sweep import run_grid
 from repro.metrics.tables import format_table
 
-__all__ = ["METHODS", "RS_CODES", "run", "run_cell", "cell_config"]
+__all__ = ["METHODS", "RS_CODES", "run", "cell_config"]
 
 METHODS = ("fo", "pl", "plr", "parix", "cord", "tsue")
 RS_CODES = ((6, 2), (12, 2), (6, 3), (12, 3), (6, 4), (12, 4))
@@ -32,13 +32,6 @@ def cell_config(
         n_ops=n_ops,
         seed=seed,
     )
-
-
-def run_cell(
-    method: str, trace: str, k: int, m: int, n_clients: int, n_ops: int, seed: int = 2025
-) -> float:
-    """One bar of one subplot: aggregate update IOPS."""
-    return run_experiment(cell_config(method, trace, k, m, n_clients, n_ops, seed)).iops
 
 
 def run(

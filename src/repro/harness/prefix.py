@@ -160,7 +160,5 @@ def populate_cached(
         if bid.idx < k:
             ecfs.oracle.adopt(bid, content)
     ecfs.record_clean_stripes(placed)
-    for fid in snap["file_ids"]:
-        ecfs.mds.mark_written(fid, 0, snap["sizes"][fid])
     ecfs._rng.bit_generator.state = snap["rng_state"]
     return list(snap["file_ids"])

@@ -168,10 +168,3 @@ class MetricsCollector:
             return 0.0
         mean = sum(loads) / len(loads)
         return max(loads) / mean if mean > 0 else 0.0
-
-    def throughput_bytes(self, kind: str = "updates") -> float:
-        series = getattr(self, kind)
-        if series.count < 2:
-            return 0.0
-        span = series.times[-1] - series.times[0]
-        return series.bytes / span if span > 0 else 0.0

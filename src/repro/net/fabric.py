@@ -175,10 +175,6 @@ class NetworkFabric:
     def reachable(self, src: str, dst: str) -> bool:
         return self._groups.get(src, 0) == self._groups.get(dst, 0)
 
-    @property
-    def partitioned(self) -> bool:
-        return bool(self._groups)
-
     def transfer(self, src: str, dst: str, nbytes: int) -> Generator:
         """Move ``nbytes`` from ``src`` to ``dst``; yields until delivered."""
         if nbytes < 0:

@@ -2,13 +2,13 @@
 
 * :mod:`repro.placement.base` — the :class:`PlacementPolicy` interface;
 * :mod:`repro.placement.rotation` — the seed's hash-rotation layout
-  (byte-compatible with the original ``cluster.layout.Placement``);
+  (byte-compatible with the seed tree's layout);
 * :mod:`repro.placement.crush` — CRUSH-style straw2 weighted selection
   over a :class:`Topology` of racks/hosts/OSDs;
 * :mod:`repro.placement.epoch` — the epoch-aware :class:`PlacementMap`
   the cluster consults (ideal homes + actual-home remaps);
 * :mod:`repro.placement.planner` — :class:`MigrationPlanner` diffs two
-  epochs into per-block move ops and asserts minimal movement;
+  epochs into per-block move ops;
 * :mod:`repro.placement.rebalancer` — background migration at a
   bandwidth cap while updates keep flowing.
 """

@@ -77,9 +77,6 @@ class PlacementPolicy(ABC):
             self._osd_cache[block] = idx
         return idx
 
-    def parity_osds(self, file_id: int, stripe: int) -> list[int]:
-        return self.stripe_osds(file_id, stripe)[self.k :]
-
     def pool_of(self, block: BlockId) -> int:
         """Log pool index for a block — hash of (inode, stripe, block) §3.2.1.
 

@@ -67,9 +67,6 @@ class PlacementMap:
     def stripe_osds(self, file_id: int, stripe: int) -> list[int]:
         return self.policy.stripe_osds(file_id, stripe)
 
-    def parity_osds(self, file_id: int, stripe: int) -> list[int]:
-        return self.policy.parity_osds(file_id, stripe)
-
     def replica_osd(self, block: BlockId) -> int:
         return self.policy.replica_osd(block)
 

@@ -6,11 +6,6 @@ remaps included) to where the incoming policy says they *should be*.  The
 planner is pure bookkeeping — no simulated time, no I/O — so it doubles as
 the analysis tool behind ``python -m repro topology``: plan a hypothetical
 event and read off the movement fraction without running a cluster.
-
-``assert_minimal`` encodes the CRUSH promise: a topology event should move
-about the changed capacity fraction of the data, nothing more.  Policies
-without that property (rotation) fail the assertion loudly rather than
-silently reshuffling the world.
 """
 
 from __future__ import annotations
@@ -54,16 +49,6 @@ class MigrationPlan:
 
     def sources(self) -> set[int]:
         return {op.src for op in self.moves}
-
-    def assert_minimal(self, max_fraction: float) -> None:
-        """Raise unless the plan moves at most ``max_fraction`` of blocks —
-        e.g. ``1.5 / n`` for a single-device join on an n-device cluster."""
-        if self.fraction_moved > max_fraction:
-            raise AssertionError(
-                f"migration moves {self.fraction_moved:.1%} of blocks "
-                f"({len(self.moves)}/{self.total_blocks}), above the "
-                f"{max_fraction:.1%} minimal-movement bound"
-            )
 
 
 class MigrationPlanner:

@@ -8,7 +8,7 @@ stripe's blocks — or, when n_osds == k+m, to the neighbour node, matching the
 paper's REP-DataLog-S(X±1) layout in Fig. 4.
 
 With the default contiguous ``active`` list this is **byte-compatible** with
-the original ``repro.cluster.layout.Placement``: same mixing hash, same
+the seed tree's layout: same mixing hash, same
 rotation arithmetic, same replica fallback — asserted by the placement
 property tests, so seed figures stay identical.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.core import _PENDING, _PROCESSED, Environment, Event
 
@@ -203,14 +203,6 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking pop; None when empty."""
-        if not self.items:
-            return None
-        item = self.items.popleft()
-        self._admit_putters()
-        return item
 
     def _wake_getters(self) -> None:
         while self._getters and self.items:

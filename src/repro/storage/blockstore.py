@@ -24,7 +24,7 @@ Every block carries a **generation**: an integer stamp that names one state
 of its bytes.  Stamps come from one module-level counter, so no two states
 of any block in any store share one.  Every mutator takes a fresh stamp —
 ``write``, ``xor_in`` and ``corrupt`` (all through ``_writable``), ``put``,
-``create`` with data and ``create_shared`` — and ``delete`` drops it.  An
+``create`` with data and ``create_shared``.  An
 absent block and a block still on the zero template read as generation 0;
 both read as zeros.  Equal generations therefore mean equal bytes, which is
 what lets :meth:`~repro.cluster.ecfs.ECFS.stale_parity_rows` skip the
@@ -134,13 +134,10 @@ class BlockStore:
         self._blocks[block_id] = data
         self._gens[block_id] = _next_stamp()
 
-    def create_zero(self, block_id: Hashable) -> None:
-        """Materialize a zero-filled block sharing the zero template (no
-        allocation); promoted to a lazily-resident block on first mutation."""
-        self.create(block_id)
-
     def create_zero_many(self, block_ids: Iterable[Hashable]) -> None:
-        """Bulk :meth:`create_zero`: one existence sweep, one dict update."""
+        """Materialize zero-filled blocks sharing the zero template (no
+        allocation), each promoted to a lazily-resident block on first
+        mutation: one existence sweep, one dict update."""
         ids = list(block_ids)
         for bid in ids:
             if bid in self._blocks:
@@ -225,12 +222,6 @@ class BlockStore:
 
     def mark_clean(self, block_id: Hashable) -> None:
         """Clear the latent-error flag after a repair rewrote the block."""
-        self.corrupted.discard(block_id)
-
-    def delete(self, block_id: Hashable) -> None:
-        self._blocks.pop(block_id, None)
-        self._deltas.pop(block_id, None)
-        self._gens.pop(block_id, None)
         self.corrupted.discard(block_id)
 
     def nbytes(self) -> int:

@@ -90,15 +90,6 @@ class FlashWearModel:
     def total_erases(self) -> float:
         return self.capacity_erases + self.gc_erases
 
-    def lifespan_factor_vs(self, other: "FlashWearModel") -> float:
-        """How many times longer this device lasts than ``other`` under the
-        respective recorded workloads (ratio of erase rates)."""
-        mine = self.total_erases
-        theirs = other.total_erases
-        if mine == 0:
-            return float("inf")
-        return theirs / mine
-
     # ------------------------------------------------------------ internals
     def _pages_touched(self, size: int) -> int:
         return -(-size // self.page_size)  # ceil division

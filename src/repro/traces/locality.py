@@ -88,11 +88,3 @@ class LocalityModel:
             offset = min(offset, limit)
         self._last_end = offset + size
         return offset
-
-    def coverage_fraction(self, samples: int = 10_000, size: int = _PAGE) -> float:
-        """Fraction of distinct pages touched by ``samples`` draws —
-        a cheap locality self-check used by the trace tests."""
-        seen: set[int] = set()
-        for _ in range(samples):
-            seen.add(self.next_offset(size) // _PAGE)
-        return len(seen) / self.n_pages

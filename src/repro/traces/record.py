@@ -11,8 +11,9 @@ __all__ = ["TraceRecord"]
 class TraceRecord:
     """One I/O in a workload trace.
 
-    ``op`` is "update" (write to already-written space), "write" (first
-    write) or "read".  ``offset``/``size`` are file-relative bytes.
+    ``op`` is "update" (a write; every trace is replayed onto files
+    populate already wrote in full, so every write updates written space)
+    or "read".  ``offset``/``size`` are file-relative bytes.
     """
 
     op: str
@@ -21,7 +22,7 @@ class TraceRecord:
     size: int
 
     def __post_init__(self) -> None:
-        if self.op not in ("update", "write", "read"):
+        if self.op not in ("update", "read"):
             raise ValueError(f"unknown op {self.op!r}")
         if self.size <= 0 or self.offset < 0:
             raise ValueError("bad trace record geometry")

@@ -242,7 +242,7 @@ class OpenLoopReplayer:
                 yield env.timeout_at_us(s_to_us(float(when)))
             completions.append(
                 self.frontend.submit(
-                    "update" if record.op == "update" else "read",
+                    record.op,
                     spec.name,
                     record.file_id,
                     record.offset,

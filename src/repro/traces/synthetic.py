@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,9 +21,8 @@ class SyntheticTraceSpec:
 
     ``size_buckets`` is a sequence of (size bytes, probability); sizes are
     4K-aligned request sizes.  ``update_ratio`` is the fraction of *writes*
-    among all ops that hit already-written space (the rest of the writes'
-    share is reads — the paper's traces are replayed onto pre-written files,
-    so "write" records do not occur during replay).
+    among all ops, the rest being reads.  The paper's traces are replayed
+    onto pre-written files, so every write is an "update" record.
     """
 
     name: str

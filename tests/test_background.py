@@ -1,7 +1,7 @@
 """Unified background-work scheduler: arbiter, lanes, governor, and the
 bg-* scenario battery.
 
-Covers the ISSUE's acceptance criteria directly:
+Covers:
 
 * weighted-fair arbitration + strict foreground subordination (with the
   aging bound that guarantees starvation freedom),
@@ -12,8 +12,7 @@ Covers the ISSUE's acceptance criteria directly:
 * determinism: in-process double-run, SweepExecutor pool vs serial, and
   PYTHONHASHSEED-varied subprocesses,
 * a starvation-freedom property: every admitted background stream makes
-  progress under sustained foreground load,
-* the recycle-watermark config move (PL) with its deprecation shim.
+  progress under sustained foreground load.
 """
 
 import os

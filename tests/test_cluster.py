@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
-    BlockId, BlockKind, CPUCosts, ClusterConfig, ECFS, Placement, block_kind,
+    BlockId, CPUCosts, ClusterConfig, ECFS,
 )
 import repro
 from repro.common.errors import ConfigError, IntegrityError
 from repro.common.randbytes import uniform_bytes
+from repro.placement import RotationPolicy
 from repro.storage.base import IOKind
 
 
@@ -26,7 +27,7 @@ def _small_config(**kw):
 
 # ------------------------------------------------------------- placement
 def test_stripe_blocks_on_distinct_osds():
-    p = Placement(n_osds=16, k=6, m=4)
+    p = RotationPolicy(n_osds=16, k=6, m=4)
     for fid in range(5):
         for s in range(5):
             osds = p.stripe_osds(fid, s)
@@ -34,41 +35,43 @@ def test_stripe_blocks_on_distinct_osds():
 
 
 def test_placement_deterministic():
-    p = Placement(16, 6, 4)
+    p = RotationPolicy(16, 6, 4)
     b = BlockId(3, 7, 2)
     assert p.osd_of(b) == p.osd_of(BlockId(3, 7, 2))
 
 
 def test_replica_osd_not_in_stripe():
-    p = Placement(16, 6, 4)
+    p = RotationPolicy(16, 6, 4)
     b = BlockId(1, 0, 0)
     rep = p.replica_osd(b)
     assert rep not in set(p.stripe_osds(1, 0))
 
 
 def test_replica_osd_full_width_falls_back_to_neighbour():
-    p = Placement(10, 6, 4)  # stripe covers every node
+    p = RotationPolicy(10, 6, 4)  # stripe covers every node
     b = BlockId(1, 0, 2)
     assert p.replica_osd(b) == (p.osd_of(b) + 1) % 10
 
 
 def test_parity_osds_match_block_indices():
-    p = Placement(16, 6, 4)
-    assert p.parity_osds(2, 3) == [p.osd_of(BlockId(2, 3, 6 + j)) for j in range(4)]
+    p = RotationPolicy(16, 6, 4)
+    assert p.stripe_osds(2, 3)[6:] == [p.osd_of(BlockId(2, 3, 6 + j)) for j in range(4)]
+
+
+def test_block_idx_beyond_the_last_parity_block_rejected():
+    p = RotationPolicy(16, 6, 4)
+    assert p.osd_of(BlockId(1, 0, 9)) == p.stripe_osds(1, 0)[9]
+    with pytest.raises(ValueError, match="outside stripe width"):
+        p.osd_of(BlockId(1, 0, 10))
 
 
 def test_placement_needs_enough_nodes():
     with pytest.raises(ValueError):
-        Placement(5, 4, 2)
-
-
-def test_block_kind():
-    assert block_kind(BlockId(1, 0, 3), k=4) is BlockKind.DATA
-    assert block_kind(BlockId(1, 0, 4), k=4) is BlockKind.PARITY
+        RotationPolicy(5, 4, 2)
 
 
 def test_pool_of_stable_and_bounded():
-    p = Placement(16, 6, 4, log_pools=4)
+    p = RotationPolicy(16, 6, 4, log_pools=4)
     for i in range(50):
         b = BlockId(1, i, i % 10)
         assert 0 <= p.pool_of(b) < 4
@@ -76,15 +79,6 @@ def test_pool_of_stable_and_bounded():
 
 
 # ------------------------------------------------------------------ MDS
-def test_mds_classify_write_then_update():
-    ecfs = ECFS(_small_config(), method="fo")
-    meta = ecfs.mds.create_file(1 << 18)
-    assert ecfs.mds.classify(meta.file_id, 0, 4096) == "write"
-    ecfs.mds.mark_written(meta.file_id, 0, 8192)
-    assert ecfs.mds.classify(meta.file_id, 0, 4096) == "update"
-    assert ecfs.mds.classify(meta.file_id, 4096, 8192) == "write"  # partial
-
-
 def test_mds_locate():
     cfg = _small_config()
     ecfs = ECFS(cfg, method="fo")
@@ -313,10 +307,35 @@ def test_cpu_charges_are_the_seconds_formulas_rounded_once(nbytes, terms, times)
 
 def test_populate_random_creates_consistent_stripes():
     ecfs = ECFS(_small_config(), method="fo")
-    files = ecfs.populate(n_files=1, stripes_per_file=2, fill="random")
+    ecfs.populate(n_files=1, stripes_per_file=2, fill="random")
     assert ecfs.verify() == 2
     assert len(ecfs.known_blocks) == 2 * (4 + 2)
-    assert ecfs.mds.classify(files[0], 0, 4096) == "update"
+
+
+@pytest.mark.parametrize("fill", ["random", "zeros"])
+def test_populate_places_every_block_on_its_osd(fill):
+    """Populate stands in for the full-stripe write: each of a stripe's k+m
+    blocks lands on the OSD placement names for it, and nowhere else."""
+    ecfs = ECFS(_small_config(), method="fo")
+    ecfs.populate(n_files=2, stripes_per_file=2, fill=fill)
+    for block in ecfs.known_blocks:
+        holders = [osd.idx for osd in ecfs.osds if block in osd.store]
+        assert holders == [ecfs.placement.home_of(block)]
+    assert sum(len(osd.store) for osd in ecfs.osds) == len(ecfs.known_blocks)
+
+
+def test_populated_file_is_written_at_every_offset():
+    """Traces replay onto pre-written files: every byte offset of a
+    populated file locates a block that already holds data."""
+    cfg = _small_config()
+    ecfs = ECFS(cfg, method="fo")
+    (fid,) = ecfs.populate(n_files=1, stripes_per_file=3, fill="random")
+    size = ecfs.mds.lookup(fid).size
+    assert size == 3 * cfg.k * cfg.block_size
+    for offset in range(0, size, cfg.block_size // 2):
+        block, _ = ecfs.mds.locate(fid, offset, cfg.k)
+        assert block in ecfs.known_blocks
+        assert block in ecfs.osd_hosting(block).store
 
 
 def test_populate_zeros_fast_path():
@@ -413,20 +432,6 @@ def test_populate_allocates_no_transient_copy():
 def test_unknown_method_rejected():
     with pytest.raises(KeyError):
         ECFS(_small_config(), method="nope")
-
-
-def test_normal_write_path_via_client():
-    """Full-stripe write: client encodes, blocks land on the right OSDs."""
-    cfg = _small_config()
-    ecfs = ECFS(cfg, method="fo")
-    meta = ecfs.mds.create_file(cfg.k * cfg.block_size)
-    (client,) = ecfs.add_clients(1)
-    ecfs.known_blocks.update(
-        BlockId(meta.file_id, 0, i) for i in range(cfg.k + cfg.m)
-    )
-    ecfs.env.run(ecfs.env.process(client.write_stripe(meta.file_id, 0)))
-    assert ecfs.verify() == 1
-    assert ecfs.env.now > 0  # encoding + transfers + writes took time
 
 
 def test_read_returns_committed_data():

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigError, DecodeError
 from repro.ec import (
     RSCode,
-    apply_parity_delta,
     cauchy_matrix,
     coding_matrix,
     data_delta,
-    merge_deltas_same_address,
     parity_delta,
-    stripe_parity_delta,
     vandermonde_matrix,
 )
 from repro.gf.field import _pair_tables
@@ -224,7 +221,7 @@ def test_parity_delta_matches_reencode():
     delta = data_delta(new_block, data[2])
     for j in range(rs.m):
         pd = parity_delta(int(rs.coding[j, 2]), delta)
-        updated = apply_parity_delta(parity[j], pd)
+        updated = parity[j] ^ pd  # Eq. (2)'s outer sum
         reencoded = rs.encode([new_block if i == 2 else data[i] for i in range(5)])
         assert np.array_equal(updated, reencoded[j])
 
@@ -236,21 +233,21 @@ def test_data_delta_shape_mismatch():
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
 def test_merged_deltas_telescope(n_updates, seed):
-    """Eq. (3)/(4): folding n successive deltas equals newest ^ original."""
+    """Eq. (3)/(4): folding n successive deltas of one address equals
+    newest ^ original, and so does the parity delta of the fold."""
     rng = np.random.default_rng(seed)
     versions = [rng.integers(0, 256, 64, dtype=np.uint8) for _ in range(n_updates + 1)]
-    deltas = [versions[i + 1] ^ versions[i] for i in range(n_updates)]
-    merged = merge_deltas_same_address(deltas)
-    assert np.array_equal(merged, versions[-1] ^ versions[0])
-
-
-def test_merge_empty_rejected():
-    with pytest.raises(ValueError):
-        merge_deltas_same_address([])
+    deltas = [data_delta(versions[i + 1], versions[i]) for i in range(n_updates)]
+    merged = np.bitwise_xor.reduce(deltas)
+    assert np.array_equal(merged, data_delta(versions[-1], versions[0]))
+    coeff = int(rng.integers(1, 256))
+    folded = np.bitwise_xor.reduce([parity_delta(coeff, d) for d in deltas])
+    assert np.array_equal(parity_delta(coeff, merged), folded)
 
 
 def test_stripe_parity_delta_matches_full_reencode():
-    """Eq. (5): cross-block merged delta equals re-encoding the stripe."""
+    """Eq. (5): the parity deltas of several data blocks at one offset,
+    XOR-merged into one per parity block, equal re-encoding the stripe."""
     rs = RSCode(6, 3)
     data, parity = _stripe(rs, seed=7)
     rng = np.random.default_rng(8)
@@ -261,13 +258,7 @@ def test_stripe_parity_delta_matches_full_reencode():
     updated_data = [new.get(i, data[i]) for i in range(6)]
     reencoded = rs.encode(updated_data)
     for j in range(rs.m):
-        pd = stripe_parity_delta(rs.coding[j], block_deltas)
-        assert np.array_equal(apply_parity_delta(parity[j], pd), reencoded[j])
-
-
-def test_stripe_parity_delta_validations():
-    rs = RSCode(3, 1)
-    with pytest.raises(ValueError):
-        stripe_parity_delta(rs.coding[0], {})
-    with pytest.raises(ValueError):
-        stripe_parity_delta(rs.coding[0], {5: np.zeros(4, dtype=np.uint8)})
+        pd = np.zeros(1024, dtype=np.uint8)
+        for i, delta in block_deltas.items():
+            pd ^= parity_delta(int(rs.coding[j, i]), delta)
+        assert np.array_equal(parity[j] ^ pd, reencoded[j])

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from repro.common.errors import DecodeError
 from repro.gf import (
-    gf_add,
     gf_div,
     gf_inv,
     gf_mat_inv,
     gf_mat_mul,
     gf_mat_rank,
-    gf_mat_vec,
     gf_matmul,
     gf_mul,
     gf_mul_scalar,
@@ -27,12 +25,6 @@ nonzero = st.integers(min_value=1, max_value=255)
 
 
 # ------------------------------------------------------------------ field
-def test_add_is_xor():
-    a = np.arange(256, dtype=np.uint8)
-    b = np.arange(256, dtype=np.uint8)[::-1].copy()
-    assert np.array_equal(gf_add(a, b), a ^ b)
-
-
 def test_mul_identity_and_zero():
     a = np.arange(256, dtype=np.uint8)
     assert np.array_equal(gf_mul(a, np.uint8(1)), a)
@@ -181,6 +173,20 @@ def test_matmul_accepts_a_2d_block_matrix():
     assert np.array_equal(gf_matmul(matrix, list(data)), gf_mat_mul(matrix, data))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_matmul_is_linear_over_xor(seed):
+    """Field addition is XOR and the block kernel is linear over it, the
+    property Eq. (2)'s parity delta rests on."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, 256, (3, 4), dtype=np.uint8)
+    a = rng.integers(0, 256, (4, 257), dtype=np.uint8)
+    b = rng.integers(0, 256, (4, 257), dtype=np.uint8)
+    assert np.array_equal(
+        gf_matmul(matrix, a ^ b), gf_matmul(matrix, a) ^ gf_matmul(matrix, b)
+    )
+
+
 def test_matmul_rejects_mismatched_shapes():
     matrix = np.ones((2, 3), dtype=np.uint8)
     row = np.zeros(8, dtype=np.uint8)
@@ -236,13 +242,6 @@ def test_rank_of_rectangular():
     m2 = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.uint8)
     # row 2 = 2 * row 1 over GF(256)? 2*3 = 6 in GF(256), 2*2=4, 2*1=2 -> yes
     assert gf_mat_rank(m2) == 1
-
-
-def test_mat_vec_matches_mat_mul():
-    rng = np.random.default_rng(2)
-    m = rng.integers(0, 256, (3, 4), dtype=np.uint8)
-    x = rng.integers(0, 256, 4, dtype=np.uint8)
-    assert np.array_equal(gf_mat_vec(m, x), gf_mat_mul(m, x[:, None])[:, 0])
 
 
 def test_mat_mul_shape_mismatch():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, ECFS, Placement
+from repro.cluster import ClusterConfig, ECFS
 from repro.ec import RSCode
 from repro.gf.field import gf_mul_scalar
+from repro.placement import RotationPolicy
 from repro.traces import TraceReplayer, generate_trace, tencloud_spec
 
 
@@ -47,7 +48,7 @@ def test_decode_from_parity_only():
 # -------------------------------------------------------- placement balance
 def test_placement_spreads_load_evenly():
     """Over many stripes, block counts per OSD stay within 2x of uniform."""
-    p = Placement(n_osds=16, k=6, m=4)
+    p = RotationPolicy(n_osds=16, k=6, m=4)
     counts = [0] * 16
     for fid in range(1, 30):
         for s in range(20):
@@ -60,11 +61,11 @@ def test_placement_spreads_load_evenly():
 
 def test_parity_role_rotates_across_stripes():
     """Parity blocks must not pin to fixed nodes (hot-parity imbalance)."""
-    p = Placement(n_osds=16, k=6, m=4)
+    p = RotationPolicy(n_osds=16, k=6, m=4)
     parity_nodes = set()
     for fid in range(1, 10):
         for s in range(10):
-            parity_nodes.update(p.parity_osds(fid, s))
+            parity_nodes.update(p.stripe_osds(fid, s)[6:])  # k = 6
     assert len(parity_nodes) == 16  # every node serves parity somewhere
 
 

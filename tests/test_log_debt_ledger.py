@@ -117,7 +117,7 @@ class PoolLedgerMachine(RuleBasedStateMachine):
     @precondition(lambda self: len(self.pool.recyclable))
     @rule()
     def recycle_start(self) -> None:
-        unit = self.pool.recyclable.try_get()
+        unit = self.pool.recyclable.get().value  # a unit is queued: no wait
         unit.start_recycle(self.env.now)
         self.recycling.append(unit)
 
@@ -138,10 +138,6 @@ class PoolLedgerMachine(RuleBasedStateMachine):
     def restart_requeue(self) -> None:
         self.recycling.clear()  # the recyclers died with the node
         self.pool.requeue_interrupted()
-
-    @rule()
-    def trim(self) -> None:
-        self.pool.trim()
 
     @invariant()
     def ledger_equals_scan(self) -> None:

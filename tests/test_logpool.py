@@ -170,24 +170,6 @@ def test_memory_and_backlog_accounting():
     assert pool.peak_units == 3
 
 
-def test_trim_drops_recycled_above_min():
-    env = Environment()
-    pool = _pool(env, unit_size=100, min_units=1, max_units=4)
-
-    def flow():
-        for i, tag in enumerate("abc"):
-            yield from pool.append(tag, 0, _bytes(90))
-        for _ in range(2):
-            unit = yield pool.recyclable.get()
-            unit.start_recycle(env.now)
-            pool.unit_recycled(unit)
-        freed = pool.trim()
-        assert freed == 2
-        assert pool.n_units == 1
-
-    env.run(env.process(flow()))
-
-
 def test_residence_recorded_on_recycle():
     env = Environment()
     pool = _pool(env, unit_size=100)

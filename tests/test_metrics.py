@@ -72,14 +72,20 @@ def test_iops_series_empty():
     assert centers.size == 0 and iops.size == 0
 
 
-def test_throughput_bytes():
+def test_rebalance_stats_bytes_and_bandwidth():
     env = _FakeEnv()
     mc = MetricsCollector(env)
-    env.now = 0.0
-    mc.record_update(0.001, 1000)
-    env.now = 2.0
-    mc.record_update(0.001, 1000)
-    assert mc.throughput_bytes("updates") == pytest.approx(1000.0)
+    assert mc.rebalance_stats()["bandwidth"] == 0.0
+    env.now = 1.0
+    mc.record_rebalance(1000)
+    env.now = 3.0
+    mc.record_rebalance(3000)
+    assert mc.rebalance_stats() == {
+        "moved_blocks": 2.0,
+        "moved_bytes": 4000.0,
+        "time_to_balanced": 2.0,
+        "bandwidth": pytest.approx(2000.0),
+    }
 
 
 # --------------------------------------------------------------- workload

@@ -167,13 +167,22 @@ def test_store_bounded_capacity_blocks_put():
     assert ("put", 2, 2.0) in events  # third put waited for the get
 
 
-def test_store_try_get():
+def test_store_get_of_a_queued_item_does_not_wait():
     env = Environment()
+    got = []
+
+    def consumer(store):
+        yield env.timeout_us(1_000_000)
+        for _ in range(2):
+            item = yield store.get()
+            got.append((item, env.now))
+
     store = Store(env)
-    assert store.try_get() is None
     store.put(7)
+    store.put(8)
+    env.process(consumer(store))
     env.run()
-    assert store.try_get() == 7
+    assert got == [(7, 1.0), (8, 1.0)]
 
 
 def test_store_invalid_capacity():

@@ -189,56 +189,49 @@ def test_topo_scenarios_are_seed_deterministic():
     assert a.fault_log == b.fault_log
 
 
-def test_apply_topology_batch_rack_join_is_one_epoch():
-    """A whole-rack join folds into ONE epoch advance and ONE plan — no
-    block migrates to an intermediate home a later join would re-move."""
+def test_rack_join_one_device_at_a_time_settles_and_verifies():
+    """Four devices of one new rack join one by one: each join is its own
+    epoch and plan, and the cluster ends balanced and consistent."""
     ecfs = _cluster()
     ecfs.populate(n_files=3, stripes_per_file=4, fill="random")
-    joined, plan = ecfs.apply_topology_batch(
-        [("join", {"weight": 1.0, "rack": 99}) for _ in range(4)]
-    )
-    assert len(joined) == 4
+    for n in range(1, 5):
+        _, plan = ecfs.join_osd(rack=99)
+        assert ecfs.placement.epoch == n
+        report = _run_rebalance(ecfs, plan)
+        assert report.moved_blocks == len(plan.moves)
     assert len(ecfs.osds) == 20
-    assert ecfs.placement.epoch == 1  # one advance for four joins
-    report = _run_rebalance(ecfs, plan)
-    assert report.moved_blocks == len(plan.moves)
     assert ecfs.placement.balanced()
-    # the batch moves no more than the equivalent share of four sequential
-    # joins would (and usually less: no intermediate-home churn)
-    total = len(ecfs.known_blocks) * ecfs.config.block_size
-    assert report.moved_bytes <= 1.5 * 4 / 20 * total
+    assert any(ecfs.placement.home_of(b) >= 16 for b in ecfs.known_blocks)
     ecfs.drain()
     assert ecfs.verify() == 12
 
 
-def test_apply_topology_batch_mixed_events():
-    """Join + reweight + decommission resolve in one epoch; the drained
-    node's blocks land directly on final homes."""
+def test_join_reweight_and_decommission_in_sequence():
+    """Join, reweight and decommission, each rebalanced in turn: the
+    drained node holds nothing, retires, and every stripe verifies."""
     ecfs = _cluster()
     ecfs.populate(n_files=3, stripes_per_file=4, fill="random")
-    joined, plan = ecfs.apply_topology_batch(
-        [
-            ("join", {"weight": 1.0}),
-            ("weight", {"osd": 0, "weight": 0.5}),
-            ("decommission", {"osd": 5}),
-        ]
-    )
-    assert len(joined) == 1 and ecfs.placement.epoch == 1
+    _, plan = ecfs.join_osd()
     _run_rebalance(ecfs, plan)
+    _run_rebalance(ecfs, ecfs.set_osd_weight(0, 0.5))
+    _run_rebalance(ecfs, ecfs.decommission_osd(5))
+    assert ecfs.placement.epoch == 3
     assert ecfs.placement.balanced()
-    assert not any(
-        ecfs.placement.home_of(b) == 5 for b in ecfs.known_blocks
-    )
+    assert not any(ecfs.placement.home_of(b) == 5 for b in ecfs.known_blocks)
     assert ecfs.retire_osd(5)
     ecfs.drain()
     assert ecfs.verify() == 12
 
 
-def test_apply_topology_batch_rejects_unknown_op():
+def test_rejected_topology_event_advances_no_epoch():
     import pytest
 
-    from repro.common.errors import ConfigError
-
     ecfs = _cluster()
-    with pytest.raises(ConfigError):
-        ecfs.apply_topology_batch([("explode", {})])
+    with pytest.raises(ValueError, match="not in topology"):
+        ecfs.set_osd_weight(99, 1.0)
+    with pytest.raises(ValueError, match="weight must be positive"):
+        ecfs.set_osd_weight(0, 0.0)
+    with pytest.raises(ValueError, match="not in topology"):
+        ecfs.decommission_osd(99)
+    assert ecfs.placement.epoch == 0
+    assert len(ecfs.topology) == 16

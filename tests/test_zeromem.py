@@ -90,7 +90,7 @@ def test_every_store_and_the_oracle_share_one_readonly_template():
     assert GroundTruth(BS).store._zero is template  # the oracle mirrors in a store
 
     store = stores[0]
-    store.create_zero("b")
+    store.create_zero_many(["b"])
     for view in (store.view("b"), store.read_view("b", 4096, 512)):
         assert np.shares_memory(view, template)
         with pytest.raises(ValueError):
@@ -113,7 +113,7 @@ def test_promotion_leaves_the_template_and_other_stores_zero(mutate):
     first, second = BlockStore(64), BlockStore(64)
     oracle = GroundTruth(64)
     for store in (first, second):
-        store.create_zero("b")
+        store.create_zero_many(["b"])
     oracle.touch_many(["b"])
     mutate(first)
     changed = first.view("b")
@@ -126,7 +126,7 @@ def test_promotion_leaves_the_template_and_other_stores_zero(mutate):
 
 def test_oracle_promotion_leaves_the_stores_zero():
     store, oracle = BlockStore(64), GroundTruth(64)
-    store.create_zero("b")
+    store.create_zero_many(["b"])
     oracle.apply("b", 8, np.full(4, 9, dtype=np.uint8))
     expected = oracle.expected("b")
     assert expected[8:12].all() and not expected[:8].any() and not expected[12:].any()
@@ -164,7 +164,7 @@ def test_write_into_a_populate_view_lands_in_a_delta_not_a_copy(owner):
 
 def test_out_of_range_corrupt_promotes_nothing():
     store = BlockStore(64)
-    store.create_zero("b")
+    store.create_zero_many(["b"])
     with pytest.raises(IntegrityError):
         store.corrupt("b", 60, 10)
     assert np.shares_memory(store.view("b"), zero_template(64))
@@ -200,7 +200,7 @@ from repro.storage.blockstore import BlockStore
 chunk = np.full(4096, 7, dtype=np.uint8)
 stores = [BlockStore(256 * 1024) for _ in range(512)]
 for store in stores:
-    store.create_zero("b")
+    store.create_zero_many(["b"])
 gc.collect()
 out = {"start": rss_mb()}
 for store in stores:
