@@ -50,7 +50,7 @@ class LogPool:
         name: str,
         unit_size: int,
         policy: MergePolicy,
-        min_units: int = 2,
+        min_units: int = 1,
         max_units: int = 4,
         *,
         block_size: int,

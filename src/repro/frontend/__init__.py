@@ -7,7 +7,7 @@ Layered refactor of the seed's monolithic client (see ISSUE 4):
 * :mod:`repro.frontend.request` — :class:`Request`/:class:`RequestResult`
   and the QoS class lattice;
 * :mod:`repro.frontend.admission` — token buckets + graduated shedding;
-* :mod:`repro.frontend.retry` — backoff policies and the retry budget;
+* :mod:`repro.frontend.retry` — exponential backoff and the retry budget;
 * :mod:`repro.frontend.dispatcher` — the :class:`FrontEnd` pipeline;
 * :mod:`repro.frontend.slo` — per-tenant/per-class SLO metrics.
 """
@@ -21,7 +21,7 @@ from repro.frontend.request import (
     Request,
     RequestResult,
 )
-from repro.frontend.retry import ExponentialBackoff, RetryBudget, RetryPolicy
+from repro.frontend.retry import ExponentialBackoff, RetryBudget
 from repro.frontend.slo import SLO_TARGETS, SLOTracker
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "RequestResult",
     "ExponentialBackoff",
     "RetryBudget",
-    "RetryPolicy",
     "SLO_TARGETS",
     "SLOTracker",
 ]

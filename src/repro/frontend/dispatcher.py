@@ -9,9 +9,9 @@ The :class:`FrontEnd` is the request pipeline the ISSUE's tentpole names:
 3. the **scheduler** drains queues in strict QoS-class priority (gold
    before silver before bronze), round-robin among tenants within a class,
    under a ``max_inflight`` concurrency cap;
-4. each dispatch runs through :mod:`repro.frontend.ops` with a pluggable
-   :class:`~repro.frontend.retry.RetryPolicy` (exponential backoff gated
-   by a cluster-wide retry budget) racing the request deadline, and — for
+4. each dispatch runs through :mod:`repro.frontend.ops` with
+   :class:`~repro.frontend.retry.ExponentialBackoff` retries (gated by a
+   cluster-wide retry budget) racing the request deadline, and — for
    reads — a **hedge** leg that reconstructs the range from k other blocks
    of the EC stripe when the primary leg is slow;
 5. the terminal outcome lands in the :class:`~repro.frontend.slo.
@@ -27,10 +27,10 @@ and two things happen to whatever is still running on its behalf:
 
 * **read legs are cancelled** through the sim engine's cancellable
   machinery (:meth:`~repro.sim.core.Process.cancel_chain`): queued device
-  claims are withdrawn and pending service/net timeouts dropped, so an
-  abandoned hedge no longer burns cluster bandwidth to completion.  Work
-  already handed to another actor (a fetch mid-RPC) runs out, like a real
-  request already on the wire;
+  claims are withdrawn and pending service/net timeouts dropped.  A message
+  already sent keeps its reserved NIC port time (bytes committed to the
+  wire stay committed) and work handed to another actor (a fetch mid-RPC)
+  runs out, like a real request already on the wire;
 * **update legs keep executing** — a mutation cannot be un-sent — but the
   whole leg tree is *demoted* out of the FOREGROUND device lane (the
   shared :class:`~repro.sim.core.Lane` cell flips to
@@ -65,7 +65,7 @@ from repro.frontend.request import (
     STATUS_OK,
     STATUS_SHED,
 )
-from repro.frontend.retry import ExponentialBackoff, RetryBudget, RetryPolicy
+from repro.frontend.retry import ExponentialBackoff, RetryBudget
 from repro.frontend.slo import SLOTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,7 +81,7 @@ class FrontEnd:
     def __init__(
         self,
         ecfs: "ECFS",
-        retry: Optional[RetryPolicy] = None,
+        retry: Optional[ExponentialBackoff] = None,
         admission: Optional[AdmissionConfig] = None,
         budget: Optional[RetryBudget] = None,
         hedge_delay: Optional[float] = 0.02,

@@ -1,9 +1,9 @@
 """Retry policy: exponential backoff under a cluster-wide retry budget.
 
-A :class:`RetryPolicy` decides *whether and when* a failed attempt is
-re-dispatched.  The stock policy is capped exponential backoff (no jitter —
-the DES is deterministic and the backoff base already de-synchronizes
-clients that failed at different instants) gated by a **retry budget**:
+:class:`ExponentialBackoff` decides *whether and when* a failed attempt is
+re-dispatched: capped exponential backoff (no jitter — the DES is
+deterministic and the backoff base already de-synchronizes clients that
+failed at different instants) gated by a **retry budget**:
 retries may consume at most ``budget_ratio`` of completed-request volume,
 the standard defense against retry storms amplifying an outage.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import is_retryable
 
-__all__ = ["RetryPolicy", "ExponentialBackoff", "RetryBudget", "is_retryable"]
+__all__ = ["ExponentialBackoff", "RetryBudget", "is_retryable"]
 
 
 class RetryBudget:
@@ -51,16 +51,12 @@ class RetryBudget:
         return False
 
 
-class RetryPolicy:
-    """Decides the delay before attempt ``attempt + 1`` (None = give up)."""
-
-    def delay(self, attempt: int) -> float | None:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ExponentialBackoff(RetryPolicy):
-    """``base * factor**(attempt-1)`` capped at ``cap``, ``max_retries`` deep."""
+class ExponentialBackoff:
+    """``base * factor**(attempt-1)`` capped at ``cap``, ``max_retries`` deep.
+
+    :meth:`delay` is the wait before attempt ``attempt + 1`` (None = give up).
+    """
 
     base: float = 0.002
     factor: float = 2.0

@@ -25,7 +25,6 @@ from repro.sim import (
     Environment,
     Event,
     Process,
-    Resource,
     s_to_us,
     spawn_fanout,
 )
@@ -70,14 +69,15 @@ class LinkFault:
 
 
 class NIC:
-    """Full-duplex endpoint: independent TX and RX serializers."""
+    """Full-duplex endpoint: independent TX and RX serializers, each a clock
+    (``tx_free`` / ``rx_free``: the µs tick the port next falls idle)."""
 
-    def __init__(self, env: Environment, name: str, params: NetParams) -> None:
-        self.env = env
+    __slots__ = ("name", "tx_free", "rx_free", "tx_bytes", "rx_bytes", "tx_msgs", "rx_msgs")
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.params = params
-        self.tx = Resource(env, capacity=1)
-        self.rx = Resource(env, capacity=1)
+        self.tx_free = 0
+        self.rx_free = 0
         self.tx_bytes = 0
         self.rx_bytes = 0
         self.tx_msgs = 0
@@ -88,11 +88,12 @@ class NetworkFabric:
     """Registry of NICs plus the transfer primitive.
 
     ``transfer(src, dst, nbytes)`` is a process generator modelling a one-way
-    message: serialize out of ``src``'s TX at link rate, cross the switch
-    (latency), land in ``dst``'s RX at link rate (store-and-forward; the two
-    serializations overlap in reality, so only the slower endpoint charges
-    full transfer time — here symmetric rates, so we charge TX fully and RX
-    nominally to model full-duplex pipelining without double-counting time).
+    message, store-and-forward: the per-message overhead plus the full wire
+    time on ``src``'s TX port, the switch latency, then the full wire time
+    again on ``dst``'s RX port.  Each port serves its messages one at a time
+    in the order they reach it (TX: send order; RX: arrival order, send
+    order within one µs).  A message whose sender is cancelled keeps the
+    port time it reserved: bytes committed to the wire stay committed.
     """
 
     #: backoff before a lost message is retransmitted (µs)
@@ -124,7 +125,7 @@ class NetworkFabric:
     def add_node(self, name: str) -> NIC:
         if name in self.nics:
             raise ValueError(f"node {name!r} already registered")
-        nic = NIC(self.env, name, self.params)
+        nic = NIC(name)
         self.nics[name] = nic
         return nic
 
@@ -217,17 +218,18 @@ class NetworkFabric:
             extra_us = 0
             wire_us = round(nbytes * self._us_per_byte)
 
+        # A FIFO port whose service time is known on arrival needs no queue:
+        # a message starts at max(now, free).  TX is reserved on send (one
+        # timeout through propagation), RX on arrival.
         env = self.env
-        with src_nic.tx.request() as tx:
-            yield tx
-            yield env.timeout_us(self._overhead_us + wire_us)
-        # Propagation through the fabric.
-        yield env.timeout_us(self._latency_us + extra_us)
-        # Receiver-side occupancy: the RX port is busy for the wire time too
-        # (it cannot accept two full-rate flows at once).
-        with dst_nic.rx.request() as rx:
-            yield rx
-            yield env.timeout_us(wire_us)
+        now = env.now_us
+        start = src_nic.tx_free if src_nic.tx_free > now else now
+        src_nic.tx_free = sent = start + self._overhead_us + wire_us
+        yield env.timeout_us(sent + self._latency_us + extra_us - now)
+        now = env.now_us
+        start = dst_nic.rx_free if dst_nic.rx_free > now else now
+        dst_nic.rx_free = done = start + wire_us
+        yield env.timeout_us(done - now)
 
         src_nic.tx_bytes += nbytes
         src_nic.tx_msgs += 1

@@ -296,8 +296,9 @@ class Process(Event):
         and each intermediate process failure is consumed by its waiter.
 
         Used to cancel abandoned front-end read legs: queued resource claims
-        are withdrawn (context managers release them), pending service/net
-        timeouts are cancelled, and no frame is left holding a device.  A
+        are withdrawn (context managers release them) and pending timeouts
+        cancelled, so no frame holds a device; a message already sent keeps
+        its reserved NIC port time (bytes committed to the wire stay).  A
         frame waiting on a *condition* (AllOf/AnyOf) is interrupted itself;
         the condition's member processes are not cancelled (partial
         cancellation — simulated work already dispatched to other actors

@@ -4,6 +4,10 @@ These model contended hardware: a storage device is a ``Resource`` with
 capacity equal to its internal parallelism; a mailbox between actors is a
 ``Store``.  Requests are events, so processes simply ``yield res.request()``.
 
+A queue is kept only where a claim's start is unknown on arrival: on a
+device foreground I/O takes queue *position* over background I/O, and the
+FL / OSD block locks have unknown hold times.  A NIC port is a clock.
+
 Hot-path notes
 --------------
 An *uncontended* grant (free capacity, empty queue) finishes the request

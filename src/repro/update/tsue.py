@@ -61,7 +61,6 @@ class TSUEOptions:
     use_deltalog: bool = True  # O5: DeltaLog layer (else direct to parity)
     datalog_replicas: int = 1  # extra copies (1 -> 2 total; HDD uses 2)
     unit_size: Optional[int] = None  # default: ClusterConfig.log_unit_size
-    min_units: Optional[int] = None  # default: 2
     max_units: Optional[int] = None
 
     @staticmethod
@@ -104,7 +103,6 @@ class TSUE(UpdateMethod):
         cfg = ecfs.config
         self.unit_size = self.opts.unit_size or cfg.log_unit_size
         if self.opts.use_logpool:
-            self.min_units = self.opts.min_units or 2
             self.max_units = self.opts.max_units or cfg.log_max_units
         else:
             # Without the FIFO pool (fig. 7 Baseline/O1/O2) there is a single
@@ -112,7 +110,7 @@ class TSUE(UpdateMethod):
             # it cannot be grown large without unbounded stall windows — it
             # stays small, like CoRD's fixed buffer.  O3's contribution in
             # the paper is exactly lifting this constraint.
-            self.min_units = self.max_units = 1
+            self.max_units = 1
             self.unit_size = min(self.unit_size, 128 * 1024)
         self.n_pools = max(1, self.opts.pools_per_device or cfg.log_pools)
         # hoisted per-pool stream names: the persist/forward/recycle inner
@@ -980,7 +978,6 @@ class TSUE(UpdateMethod):
                 name=f"{osd.name}:{layer}{p}",
                 unit_size=self.unit_size,
                 policy=MergePolicy.OVERWRITE if datalog else MergePolicy.XOR,
-                min_units=self.min_units,
                 max_units=self.max_units,
                 block_size=self.ecfs.config.block_size,
                 merge=self.opts.datalog_locality if datalog else self.opts.backend_locality,

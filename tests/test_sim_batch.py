@@ -7,20 +7,17 @@ are the reference: the same seeded leg programs run through both and must
 finish at the same tick, run every leg side effect in the same order at
 the same ticks, and deliver the same failure to the waiter.  Besides plain
 timeouts and a bare ``Resource``, legs move bytes through the real network
-timing model (``NetworkFabric.transfer`` between shared NICs, contending
-for TX / RX ports) and do I/O through the real device timing model
+timing model (``NetworkFabric.transfer`` between shared NICs, whose TX / RX
+port clocks serialize them) and do I/O through the real device timing model
 (``StorageDevice.submit`` on a shared 4-channel SSD, foreground and
 background, whose sequentiality classification also depends on the order
 the legs reach it).
 """
 
-import ast
-import pathlib
 import random
 
 import pytest
 
-import repro
 from repro.net.fabric import NetworkFabric
 from repro.sim import Environment, Resource, spawn_fanout
 from repro.storage.base import IOKind, IOPriority, IORequest
@@ -181,22 +178,3 @@ def test_seeded_programs_cover_every_step_kind():
     }
     assert 0 < failed < 40
 
-
-#: names kept only because perfbench binds them; each is a one-statement
-#: delegation to ``transfer`` / ``submit``
-_BENCH_ONLY = {"transfer_chain", "transfer_many", "submit_chain", "submit_many"}
-
-
-def test_bench_only_timing_names_have_no_caller_in_src():
-    """``transfer`` and ``submit`` are the one timing model of the network
-    and of a device: no code under ``src/repro`` calls a twin of them."""
-    calls = []
-    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _BENCH_ONLY
-            ):
-                calls.append(f"{path.name}:{node.lineno} .{node.func.attr}")
-    assert not calls, calls

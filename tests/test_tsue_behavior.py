@@ -89,7 +89,7 @@ def test_memory_quota_bounds_pool_growth():
 
 def test_small_quota_causes_stalls_large_does_not():
     """Fig. 6a's mechanism: 1-unit pools stall appends behind recycling."""
-    small = _cluster(seed=33, options=TSUEOptions(max_units=1, min_units=1))
+    small = _cluster(seed=33, options=TSUEOptions(max_units=1))
     _replay(small, n_ops=400)
     big = _cluster(seed=33, options=TSUEOptions(max_units=8))
     _replay(big, n_ops=400)
