@@ -42,7 +42,6 @@ class ClusterConfig:
     k: int = 6
     m: int = 4
     block_size: int = 1 * MiB
-    matrix_kind: str = "cauchy"
     device: str = "ssd"  # "ssd" | "hdd"
     # placement: policy + failure-domain topology (repro.placement)
     placement_policy: str = "rotation"  # "rotation" | "crush"

@@ -58,7 +58,7 @@ class ECFS:
         self.config.validate()
         self.env = env or Environment()
         self.net = NetworkFabric(self.env, net_params)
-        self.rs = RSCode(self.config.k, self.config.m, self.config.matrix_kind)
+        self.rs = RSCode(self.config.k, self.config.m)
         self.topology = Topology.flat(
             self.config.n_osds,
             osds_per_host=self.config.osds_per_host,

@@ -8,7 +8,7 @@ in the log index, and deltas of several data blocks at one stripe offset
 merge into one parity delta per parity block (Eq. 5) in TSUE's recycle.
 """
 
-from repro.ec.matrices import cauchy_matrix, coding_matrix, vandermonde_matrix
+from repro.ec.matrices import cauchy_matrix, coding_matrix
 from repro.ec.rs import RSCode
 from repro.ec.incremental import data_delta, parity_delta
 
@@ -16,7 +16,6 @@ __all__ = [
     "RSCode",
     "cauchy_matrix",
     "coding_matrix",
-    "vandermonde_matrix",
     "data_delta",
     "parity_delta",
 ]

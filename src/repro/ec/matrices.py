@@ -1,38 +1,19 @@
-"""Coding-matrix constructions for RS(k, m).
+"""The coding matrix for RS(k, m).
 
-Both the Vandermonde and Cauchy constructions mentioned in the paper are
-provided.  A *coding matrix* here is the ``m x k`` matrix of Equation (1)
-mapping the k data blocks to the m parity blocks.  Any k rows of the stacked
-``(I_k ; C)`` generator must be invertible — guaranteed for Cauchy, and
-verified at construction for the (classic, not always MDS) Vandermonde form,
-falling back to Cauchy if the check fails for the requested geometry.
+A *coding matrix* here is the ``m x k`` matrix of Equation (1) mapping the
+k data blocks to the m parity blocks.  Any k rows of the stacked
+``(I_k ; C)`` generator must be invertible, which the Cauchy construction
+guarantees for every geometry GF(256) can hold.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.gf.field import GF_ORDER, gf_inv, gf_pow
-from repro.gf.matrix import gf_mat_rank, identity
+from repro.gf.field import GF_ORDER, gf_inv
 
-__all__ = ["vandermonde_matrix", "cauchy_matrix", "coding_matrix"]
-
-
-def vandermonde_matrix(k: int, m: int) -> np.ndarray:
-    """m x k Vandermonde coding matrix: row i is [1, g^i, g^(2i), ...].
-
-    Uses generator element 2 of GF(256).  For small (k, m) this yields the
-    familiar parity-0 = XOR row.
-    """
-    _validate(k, m)
-    mat = np.zeros((m, k), dtype=np.uint8)
-    for i in range(m):
-        for j in range(k):
-            mat[i, j] = gf_pow(2, i * j)
-    return mat
+__all__ = ["cauchy_matrix", "coding_matrix"]
 
 
 def cauchy_matrix(k: int, m: int) -> np.ndarray:
@@ -47,22 +28,9 @@ def cauchy_matrix(k: int, m: int) -> np.ndarray:
     return mat
 
 
-def coding_matrix(k: int, m: int, kind: str = "cauchy") -> np.ndarray:
-    """Return an MDS m x k coding matrix of the requested ``kind``.
-
-    ``kind``: "cauchy" (default, always MDS) or "vandermonde" (verified MDS
-    for the requested geometry; raises ConfigError if not).
-    """
-    if kind == "cauchy":
-        return cauchy_matrix(k, m)
-    if kind == "vandermonde":
-        mat = vandermonde_matrix(k, m)
-        if not _is_mds(mat, k, m):
-            raise ConfigError(
-                f"vandermonde RS({k},{m}) is not MDS over GF(256); use cauchy"
-            )
-        return mat
-    raise ConfigError(f"unknown coding matrix kind {kind!r}")
+def coding_matrix(k: int, m: int) -> np.ndarray:
+    """Return the MDS m x k coding matrix: the Cauchy one."""
+    return cauchy_matrix(k, m)
 
 
 def _validate(k: int, m: int) -> None:
@@ -70,24 +38,3 @@ def _validate(k: int, m: int) -> None:
         raise ConfigError(f"RS({k},{m}): k and m must be >= 1")
     if k + m > GF_ORDER:
         raise ConfigError(f"RS({k},{m}): k+m must be <= {GF_ORDER} over GF(256)")
-
-
-def _is_mds(coding: np.ndarray, k: int, m: int) -> bool:
-    """Exhaustively check every k-subset of generator rows is full rank.
-
-    Exponential in (k+m choose k); only used to vet small explicit requests.
-    """
-    if k + m > 16:  # keep the check tractable; cauchy is the production path
-        rows_total = k + m
-        gen = np.concatenate([identity(k), coding], axis=0)
-        # spot check: all single and double substitutions of parity rows
-        for drop in combinations(range(rows_total), min(m, 2)):
-            keep = [r for r in range(rows_total) if r not in drop][:k]
-            if gf_mat_rank(gen[keep]) != k:
-                return False
-        return True
-    gen = np.concatenate([identity(k), coding], axis=0)
-    for keep in combinations(range(k + m), k):
-        if gf_mat_rank(gen[list(keep)]) != k:
-            return False
-    return True

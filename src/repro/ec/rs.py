@@ -27,17 +27,14 @@ class RSCode:
         number of data blocks per stripe.
     m:
         number of parity blocks per stripe (tolerates any m erasures).
-    matrix_kind:
-        "cauchy" (default) or "vandermonde".
     """
 
-    def __init__(self, k: int, m: int, matrix_kind: str = "cauchy") -> None:
+    def __init__(self, k: int, m: int) -> None:
         if k < 1 or m < 1:
             raise ConfigError(f"RS({k},{m}) requires k, m >= 1")
         self.k = k
         self.m = m
-        self.matrix_kind = matrix_kind
-        self.coding = coding_matrix(k, m, matrix_kind)  # m x k
+        self.coding = coding_matrix(k, m)  # m x k
         self.generator = np.concatenate([identity(k), self.coding], axis=0)
 
     # ------------------------------------------------------------------ API
@@ -124,4 +121,4 @@ class RSCode:
         return arrs
 
     def __repr__(self) -> str:
-        return f"RSCode(k={self.k}, m={self.m}, kind={self.matrix_kind!r})"
+        return f"RSCode(k={self.k}, m={self.m})"

@@ -39,6 +39,7 @@ from repro.fault.events import FaultSchedule
 from repro.fault.injector import FaultInjector
 from repro.harness.runner import resolve_trace
 from repro.traces.replayer import TraceReplayer
+from repro.traces.synthetic import generate_trace
 
 __all__ = ["ScenarioSpec", "ScenarioResult", "ScenarioRunner"]
 
@@ -224,10 +225,6 @@ class ScenarioRunner:
     def _run(self, seed: int) -> ScenarioResult:
         import time as _time
 
-        # lazy: harness.prefix imports repro.fault.digest, whose package
-        # __init__ imports this module
-        from repro.harness.prefix import cached_trace, populate_cached
-
         wall0 = _time.perf_counter()
         spec = self.spec
         ecfs = ECFS(
@@ -235,9 +232,7 @@ class ScenarioRunner:
             method=spec.method,
             method_options=dict(spec.method_options),
         )
-        files = populate_cached(
-            ecfs, spec.n_files, spec.stripes_per_file, fill="random"
-        )
+        files = ecfs.populate(spec.n_files, spec.stripes_per_file, fill="random")
         heartbeat: Optional[HeartbeatService] = None
         if spec.heartbeat:
             heartbeat = HeartbeatService(ecfs, interval=HB_INTERVAL, timeout=HB_TIMEOUT)
@@ -264,7 +259,7 @@ class ScenarioRunner:
             reads = ecfs.metrics.reads.count
             failures = open_result.failed + open_result.deadline_missed
         else:
-            trace = cached_trace(
+            trace = generate_trace(
                 resolve_trace(TRACE), spec.n_ops, files, file_bytes, seed=seed
             )
             replay = TraceReplayer(ecfs, trace).run(N_CLIENTS, tolerate_failures=True)

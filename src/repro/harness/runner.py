@@ -16,7 +16,7 @@ from repro.net.fabric import NetParams
 from repro.traces.alicloud import alicloud_spec
 from repro.traces.msr import msr_spec
 from repro.traces.replayer import TraceReplayer
-from repro.traces.synthetic import SyntheticTraceSpec
+from repro.traces.synthetic import SyntheticTraceSpec, generate_trace
 from repro.traces.tencloud import tencloud_spec
 
 __all__ = [
@@ -138,16 +138,13 @@ def run_experiment(cfg: ExperimentConfig, keep_cluster: bool = False) -> Experim
 def _run_experiment(cfg: ExperimentConfig, keep_cluster: bool) -> ExperimentResult:
     wall0 = time.perf_counter()
     sys0, faults0 = host_usage()
-    from repro.harness.prefix import cached_trace, populate_cached
-
     ecfs = ECFS(
         cfg.cluster_config(),
         method=cfg.method,
         net_params=NetParams(latency=cfg.net_latency),
         method_options=cfg.method_options,
     )
-    files = populate_cached(
-        ecfs,
+    files = ecfs.populate(
         cfg.n_files,
         cfg.stripes_per_file,
         fill="random" if cfg.verify else "zeros",
@@ -155,7 +152,7 @@ def _run_experiment(cfg: ExperimentConfig, keep_cluster: bool) -> ExperimentResu
     file_bytes = ecfs.mds.lookup(files[0]).size
     spec = resolve_trace(cfg.trace)
     targets = files[: cfg.hot_files] if cfg.hot_files else files
-    trace = cached_trace(spec, cfg.n_ops, targets, file_bytes, seed=cfg.seed)
+    trace = generate_trace(spec, cfg.n_ops, targets, file_bytes, seed=cfg.seed)
     replay = TraceReplayer(ecfs, trace).run(cfg.n_clients, duration=cfg.duration)
     # per-phase split: everything up to here (build+populate+replay) vs the
     # drain/verify tail — the phase the bulk plane targets

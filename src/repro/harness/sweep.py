@@ -6,7 +6,7 @@ name + seed).  :class:`SweepExecutor` runs a list of them:
 
 * **in process** when ``workers`` is 1 (the default, or ``REPRO_WORKERS``),
   when there is a single cell, or on a single-CPU host (a pool there only
-  adds start-up + pickle cost and loses the warm prefix memos) —
+  adds start-up + pickle cost) —
   byte-identical to calling :func:`run_experiment` in a loop;
 * **across a** :class:`~concurrent.futures.ProcessPoolExecutor` of up to
   ``workers`` spawned processes otherwise.  Each cell is one deterministic
@@ -19,10 +19,8 @@ that dies breaks the pool, and every cell that had not finished becomes a
 default) raises after the whole sweep when any cell failed.  Cells are not
 retried (they are deterministic), not cached, and not timed out: a hung
 cell hangs a serial run just as well, and a scenario's own liveness is
-owned by :meth:`FaultInjector.workload_finished`.
-
-Cells that agree on geometry + seed share their populate/trace prefixes
-through the per-process memos of :mod:`repro.harness.prefix`.
+owned by :meth:`FaultInjector.workload_finished`.  Every cell builds its
+own populate and trace.
 """
 
 from __future__ import annotations

@@ -72,16 +72,11 @@ class NIC:
     """Full-duplex endpoint: independent TX and RX serializers, each a clock
     (``tx_free`` / ``rx_free``: the µs tick the port next falls idle)."""
 
-    __slots__ = ("name", "tx_free", "rx_free", "tx_bytes", "rx_bytes", "tx_msgs", "rx_msgs")
+    __slots__ = ("tx_free", "rx_free")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.tx_free = 0
         self.rx_free = 0
-        self.tx_bytes = 0
-        self.rx_bytes = 0
-        self.tx_msgs = 0
-        self.rx_msgs = 0
 
 
 class NetworkFabric:
@@ -125,7 +120,7 @@ class NetworkFabric:
     def add_node(self, name: str) -> NIC:
         if name in self.nics:
             raise ValueError(f"node {name!r} already registered")
-        nic = NIC(name)
+        nic = NIC()
         self.nics[name] = nic
         return nic
 
@@ -230,11 +225,6 @@ class NetworkFabric:
         start = dst_nic.rx_free if dst_nic.rx_free > now else now
         dst_nic.rx_free = done = start + wire_us
         yield env.timeout_us(done - now)
-
-        src_nic.tx_bytes += nbytes
-        src_nic.tx_msgs += 1
-        dst_nic.rx_bytes += nbytes
-        dst_nic.rx_msgs += 1
         self.total_bytes += nbytes
         self.total_msgs += 1
 

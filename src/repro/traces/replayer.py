@@ -25,6 +25,7 @@ from repro.cluster.ecfs import ECFS
 from repro.common.errors import DecodeError, IntegrityError
 from repro.sim import s_to_us
 from repro.traces.record import TraceRecord
+from repro.traces.synthetic import generate_trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.frontend.dispatcher import FrontEnd
@@ -187,7 +188,6 @@ class OpenLoopReplayer:
     def run(self, seed: int = 2025) -> OpenLoopResult:
         """Generate every tenant's arrivals, wait for all completions (and
         abandoned straggler legs), and return the totals."""
-        from repro.harness.prefix import cached_trace
         from repro.harness.runner import resolve_trace
 
         ecfs = self.ecfs
@@ -197,7 +197,7 @@ class OpenLoopReplayer:
         completions: list = []
         arrival_procs = []
         for idx, spec in enumerate(sorted(self.tenants, key=lambda s: s.name)):
-            records = cached_trace(
+            records = generate_trace(
                 resolve_trace(spec.trace),
                 spec.n_ops,
                 self.files,

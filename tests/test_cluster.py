@@ -385,15 +385,19 @@ def test_populate_in_place_matches_the_transposed_matrix(k, m, bs, spf):
 
 def test_populate_blocks_are_readonly_views_of_one_draw():
     """A stripe's k data blocks lie back to back in its file's draw, the
-    oracle shares them, and no populate block can be written through."""
+    oracle shares them, and no populate block can be written through: a
+    store ``write`` and an oracle ``apply`` leave the draw and the parity
+    unchanged."""
     cfg = _small_config()
     ecfs = ECFS(cfg, method="fo")
     k, m, bs = cfg.k, cfg.m, cfg.block_size
     (fid,) = ecfs.populate(n_files=1, stripes_per_file=3, fill="random")
     owners = set()
+    shared = {}
     for s in range(3):
         bids = [BlockId(fid, s, i) for i in range(k + m)]
         views = [ecfs.osd_hosting(bid).store.view(bid) for bid in bids]
+        shared.update(zip(bids, views))
         for bid, view in zip(bids, views):
             assert not view.flags.writeable
             with pytest.raises(ValueError):
@@ -410,6 +414,16 @@ def test_populate_blocks_are_readonly_views_of_one_draw():
         assert not any(np.shares_memory(p, draw) for p in parity)
         owners.add(id(draw))
     assert len(owners) == 1  # one draw per file
+
+    pristine = {bid: np.array(view) for bid, view in shared.items()}
+    stamp = np.full(16, 0xEE, dtype=np.uint8)
+    for bid in shared:
+        ecfs.osd_hosting(bid).store.write(bid, 0, stamp)
+        if bid.idx < k:
+            ecfs.oracle.apply(bid, 0, stamp)
+    for bid, view in shared.items():
+        assert np.array_equal(view, pristine[bid])
+        assert np.array_equal(ecfs.osd_hosting(bid).store.read(bid, 0, 16), stamp)
 
 
 def test_populate_allocates_no_transient_copy():

@@ -14,7 +14,6 @@ from repro.ec import (
     coding_matrix,
     data_delta,
     parity_delta,
-    vandermonde_matrix,
 )
 from repro.gf.field import _pair_tables
 from repro.gf.matrix import gf_mat_rank
@@ -31,16 +30,6 @@ def test_cauchy_full_rank_rows():
     m = cauchy_matrix(6, 3)
     assert m.shape == (3, 6)
     assert gf_mat_rank(m) == 3
-
-
-def test_vandermonde_first_row_is_ones():
-    m = vandermonde_matrix(5, 3)
-    assert (m[0] == 1).all()
-
-
-def test_coding_matrix_rejects_bad_kind():
-    with pytest.raises(ConfigError):
-        coding_matrix(4, 2, "bogus")
 
 
 def test_coding_matrix_rejects_overflow():

@@ -101,14 +101,6 @@ def test_device_counters_conserve(method):
             assert c.busy_time > 0
 
 
-def test_nic_tx_rx_balance():
-    """Every transmitted byte is received by exactly one NIC."""
-    ecfs = _run("tsue")
-    tx = sum(nic.tx_bytes for nic in ecfs.net.nics.values())
-    rx = sum(nic.rx_bytes for nic in ecfs.net.nics.values())
-    assert tx == rx == ecfs.net.total_bytes
-
-
 def test_tsue_network_below_pl_for_same_workload():
     """Table 1's network ordering on an identical workload."""
     pl = _run("pl")

@@ -37,13 +37,10 @@ def test_transfer_time_includes_wire_and_latency():
     assert env.now == pytest.approx(expected)
 
 
-def test_accounting_per_nic_and_total():
+def test_accounting_total():
     env = Environment()
     fabric = _fabric(env)
     env.run(env.process(fabric.transfer("a", "b", 5000)))
-    assert fabric.nics["a"].tx_bytes == 5000
-    assert fabric.nics["b"].rx_bytes == 5000
-    assert fabric.nics["b"].tx_bytes == 0
     assert fabric.total_bytes == 5000
     assert fabric.total_msgs == 1
 
@@ -144,8 +141,8 @@ class _PortQueueFabric(NetworkFabric):
             raise ValueError("nbytes must be >= 0")
         if src == dst:
             return
-        src_nic = self._nic(src)
-        dst_nic = self._nic(dst)
+        self._nic(src)  # an unknown node raises KeyError
+        self._nic(dst)
 
         if self._groups:
             while not self.reachable(src, dst):
@@ -184,11 +181,6 @@ class _PortQueueFabric(NetworkFabric):
         with self._ports[dst][1].request() as rx:
             yield rx
             yield env.timeout_us(wire_us)
-
-        src_nic.tx_bytes += nbytes
-        src_nic.tx_msgs += 1
-        dst_nic.rx_bytes += nbytes
-        dst_nic.rx_msgs += 1
         self.total_bytes += nbytes
         self.total_msgs += 1
 
@@ -251,11 +243,7 @@ def test_port_clock_delivers_like_the_port_queues(schedule):
     got_fabric, got = _deliveries(NetworkFabric, nodes, messages, fault)
     assert got == want
     assert got_fabric.dropped_msgs == ref.dropped_msgs
-    for node in nodes:
-        a, b = got_fabric.nics[node], ref.nics[node]
-        assert (a.tx_bytes, a.rx_bytes, a.tx_msgs, a.rx_msgs) == (
-            b.tx_bytes, b.rx_bytes, b.tx_msgs, b.rx_msgs
-        )
+    assert (got_fabric.total_bytes, got_fabric.total_msgs) == (ref.total_bytes, ref.total_msgs)
 
 
 def test_same_us_rx_arrivals_are_received_in_send_order():
@@ -312,5 +300,5 @@ def test_cancelled_sender_keeps_its_reserved_wire_time():
     assert outcome["first"] == 200
     # the next message leaves a's TX at 300 (not 200), then b's RX to 400
     assert outcome["next"] == 400
-    assert fabric.nics["c"].rx_msgs == 0
-    assert fabric.nics["a"].tx_msgs == 2
+    # the cancelled leg is never delivered: only "first" and "next" count
+    assert (fabric.total_msgs, fabric.total_bytes) == (2, 200)

@@ -125,8 +125,8 @@ def _run(programs: list, fan) -> tuple:
 
     env.process(waiter())
     env.run()
-    nics = [(n.tx_msgs, n.rx_msgs, n.tx_bytes, n.rx_bytes) for n in net.nics.values()]
-    return outcome, log, env.now_us, nics, ssd.counters.snapshot()
+    delivered = (net.total_msgs, net.total_bytes)
+    return outcome, log, env.now_us, delivered, ssd.counters.snapshot()
 
 
 @pytest.mark.parametrize("seed", range(40))
