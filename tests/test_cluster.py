@@ -426,6 +426,33 @@ def test_populate_blocks_are_readonly_views_of_one_draw():
         assert np.array_equal(ecfs.osd_hosting(bid).store.read(bid, 0, 16), stamp)
 
 
+def test_populate_ignores_an_earlier_cells_writes():
+    """Each cell draws its own populate: a second ECFS with the same config
+    gets the same files and byte-identical blocks, shares no memory with
+    the first cell's draw, and starts clean after the first cell's store
+    ``write`` and oracle ``apply``."""
+    cfg = _small_config()
+    first = ECFS(cfg, method="fo")
+    files = first.populate(n_files=2, stripes_per_file=2, fill="random")
+    views = {bid: first.osd_hosting(bid).store.view(bid) for bid in first.known_blocks}
+    pristine = {bid: np.array(view) for bid, view in views.items()}
+    stamp = np.full(16, 0xEE, dtype=np.uint8)
+    for bid in views:
+        first.osd_hosting(bid).store.write(bid, 0, stamp)
+        if bid.idx < cfg.k:
+            first.oracle.apply(bid, 0, stamp)
+
+    second = ECFS(cfg, method="fo")
+    assert second.populate(n_files=2, stripes_per_file=2, fill="random") == files
+    assert second.known_blocks == first.known_blocks
+    for bid, content in pristine.items():
+        view = second.osd_hosting(bid).store.view(bid)
+        assert np.array_equal(view, content), bid
+        assert not np.shares_memory(view, views[bid])
+    assert second.oracle.applied_updates == 0
+    assert second.verify() == len(files) * 2
+
+
 def test_populate_allocates_no_transient_copy():
     """Traced peak minus end of a 6 x 8 x 256 KiB random-fill populate: what
     is live at the end is the draw (12 MiB) and the parity (8 MiB).  The

@@ -37,10 +37,18 @@ def test_transfer_time_includes_wire_and_latency():
     assert env.now == pytest.approx(expected)
 
 
-def test_accounting_total():
+def test_accounting_per_nic_and_total():
+    """A message reserves its sender's TX port and its receiver's RX port,
+    no other port, and counts once in the totals."""
     env = Environment()
     fabric = _fabric(env)
     env.run(env.process(fabric.transfer("a", "b", 5000)))
+    p = fabric.params
+    wire_us = round(5000 * 1e6 / p.bandwidth)
+    a, b, c = (fabric.nics[n] for n in "abc")
+    assert a.tx_free == s_to_us(p.per_message_overhead) + wire_us
+    assert b.rx_free == a.tx_free + s_to_us(p.latency) + wire_us == env.now_us
+    assert (a.rx_free, b.tx_free, c.tx_free, c.rx_free) == (0, 0, 0, 0)
     assert fabric.total_bytes == 5000
     assert fabric.total_msgs == 1
 
