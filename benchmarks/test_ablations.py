@@ -46,8 +46,8 @@ def test_ablation_unit_size_halves_residence():
             trace="tencloud",
             n_clients=32,
             n_ops=2500,
+            log_unit_size=unit,
             log_pools=1,
-            method_options={"options": TSUEOptions(unit_size=unit)},
         )
         res = run_experiment(cfg, keep_cluster=True)
         stats = res.ecfs.method.residence_stats()

@@ -29,7 +29,7 @@ def run(method: str) -> None:
     debt = ecfs.total_log_debt()
     print(f"[{method}] log debt at failure: {fmt_bytes(debt)}")
 
-    manager = RecoveryManager(ecfs, parallel_stripes=4)
+    manager = RecoveryManager(ecfs)
     report = ecfs.env.run(
         ecfs.env.process(manager.fail_and_recover(0), name="recovery")
     )

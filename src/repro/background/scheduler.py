@@ -9,22 +9,24 @@ one subsystem:
 * every driver submits a typed :class:`~repro.background.work.WorkItem`
   (RecycleOp / ScrubOp / RepairOp / MoveOp) and waits for the **grant**;
 * grants are issued per OSD by a weighted-fair arbiter: each stream has a
-  share (:class:`~repro.background.config.BackgroundConfig` weights), and a
+  share (:data:`~repro.background.work.STREAM_WEIGHTS`), and a
   contended OSD budget is divided in weighted start-time-fair-queueing
   order, so recovery repair outruns a scrub but nothing starves;
 * grants are **strictly subordinated to foreground I/O** two ways: the
   device queues already order by :class:`~repro.storage.base.IOPriority`
   lane (maintenance I/O runs at ``BACKGROUND``), and the arbiter
   additionally holds a grant back while the target device has *queued*
-  foreground requests — with a bounded aging escape so sustained foreground
-  load cannot starve an admitted stream forever;
+  foreground requests — with a bounded aging escape (:data:`MAX_YIELD_POLLS`
+  re-checks :data:`YIELD_POLL` apart) so sustained foreground load cannot
+  starve an admitted stream forever;
 * an **SLO-pressure governor** watches the windowed foreground p99 (the
   front end's :class:`~repro.frontend.slo.SLOTracker` when one is attached,
   the cluster read/update metrics otherwise) and throttles the background
-  token rate multiplicatively on a breach, restoring it additively when
-  headroom returns.  Deadline-expired foreground work is symmetrically
-  demoted out of the FOREGROUND lane by the front end (see
-  :class:`~repro.sim.core.Lane`), so the two planes yield to each other.
+  token rate multiplicatively (:data:`BACKOFF`) on a breach, restoring it
+  additively (:data:`RECOVER`) when headroom returns.  Deadline-expired
+  foreground work is symmetrically demoted out of the FOREGROUND lane by
+  the front end (see :class:`~repro.sim.core.Lane`), so the two planes
+  yield to each other.
 
 With ``enabled=False`` (the default) :meth:`BackgroundScheduler.request`
 returns without creating a single DES event — default harness paths are
@@ -37,7 +39,7 @@ import heapq
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.background.config import BackgroundConfig
-from repro.background.work import STREAMS, WorkItem
+from repro.background.work import STREAM_WEIGHTS, STREAMS, WorkItem
 from repro.common.control import aimd_step
 from repro.sim import Event, PHASE_LATE, s_to_us
 from repro.storage.base import IOPriority
@@ -46,6 +48,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.ecfs import ECFS
 
 __all__ = ["StreamStats", "BackgroundScheduler"]
+
+#: subordination to foreground backlog: a grant whose device has queued
+#: foreground I/O waits ``YIELD_POLL`` seconds and re-checks, at most
+#: ``MAX_YIELD_POLLS`` times per grant (the aging bound that makes the
+#: starvation-freedom property hold under sustained foreground load)
+YIELD_POLL = 5e-4
+MAX_YIELD_POLLS = 8
+#: the governor's AIMD steps on the token scale: cut by ``BACKOFF`` on a
+#: breach, restore by ``RECOVER`` per quiet sample
+BACKOFF = 0.5
+RECOVER = 0.2
 
 
 class StreamStats:
@@ -108,9 +121,9 @@ class _OsdLane:
 class BackgroundScheduler:
     """Grants paced, weighted-fair background bandwidth per OSD."""
 
-    def __init__(self, ecfs: "ECFS", config: BackgroundConfig | None = None) -> None:
+    def __init__(self, ecfs: "ECFS") -> None:
         self.ecfs = ecfs
-        self.config = config if config is not None else ecfs.config.background
+        self.config: BackgroundConfig = ecfs.config.background
         self.config.validate()
         self.enabled = self.config.enabled
         #: governor token scale in (floor, 1]: multiplies the grant rate
@@ -151,7 +164,7 @@ class BackgroundScheduler:
         # weighted start-time fair queueing: the finish tag advances the
         # stream's own virtual timeline, normalized by its weight
         start = max(lane.vtime, lane.stream_vft.get(item.stream, 0.0))
-        vft = start + item.nbytes / self.config.weight(item.stream)
+        vft = start + item.nbytes / STREAM_WEIGHTS[item.stream]
         lane.stream_vft[item.stream] = vft
         self._seq += 1
         grant = Event(env)
@@ -172,9 +185,10 @@ class BackgroundScheduler:
         fix: recovery-critical settlement (TSUE's ``recovery_prepare`` /
         ``finalize_recovery`` drains) must not queue behind a governed
         recycle backlog — mirroring how PL's FOREGROUND drains skip the
-        arbiter entirely.  The AIMD floor (``validate_aimd`` enforces
-        ``0 < floor``) guarantees paced grants always make *some* progress,
-        but "some" is not "ahead of the repair clock"; expedited grants are.
+        arbiter entirely.  The AIMD floor (``BackgroundConfig.validate``
+        enforces ``0 < floor``) guarantees paced grants always make *some*
+        progress, but "some" is not "ahead of the repair clock"; expedited
+        grants are.
 
         Released grants are accounted as granted (so ``backlog_bytes``
         drains and ``fully_drained`` stays truthful) and additionally in
@@ -239,7 +253,7 @@ class BackgroundScheduler:
         cfg = self.config
         # native-µs pacing constants; grant wakeups ride the LATE lane so a
         # token replenish at tick T sorts after all normal work at T
-        yield_poll_us = s_to_us(cfg.yield_poll)
+        yield_poll_us = s_to_us(YIELD_POLL)
         us_per_byte = 1e6 / cfg.bandwidth
         while True:
             if not lane.heap:
@@ -249,7 +263,7 @@ class BackgroundScheduler:
             vft, _seq, grant, item = heapq.heappop(lane.heap)
             lane.vtime = max(lane.vtime, vft)
             polls = 0
-            while polls < cfg.max_yield_polls and self._foreground_backlog(osd_name):
+            while polls < MAX_YIELD_POLLS and self._foreground_backlog(osd_name):
                 polls += 1
                 yield env.timeout_us(yield_poll_us, phase=PHASE_LATE)
             duration_us = round(item.nbytes * us_per_byte / self.scale)
@@ -312,8 +326,8 @@ class BackgroundScheduler:
             self.scale = aimd_step(
                 self.scale,
                 breached,
-                backoff=cfg.backoff,
-                recover=cfg.recover,
+                backoff=BACKOFF,
+                recover=RECOVER,
                 floor=cfg.floor,
             )
             self.min_scale = min(self.min_scale, self.scale)

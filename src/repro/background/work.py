@@ -13,10 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-__all__ = ["STREAMS", "WorkItem", "RecycleOp", "ScrubOp", "RepairOp", "MoveOp"]
+__all__ = [
+    "STREAMS",
+    "STREAM_WEIGHTS",
+    "WorkItem",
+    "RecycleOp",
+    "ScrubOp",
+    "RepairOp",
+    "MoveOp",
+]
 
 #: the maintenance streams, in the deterministic order metrics report them
 STREAMS = ("recycle", "scrub", "repair", "rebalance")
+
+#: weighted-fair shares of the streams: repair is the most urgent (exposure
+#: window), recycle feeds foreground progress (log quotas), scrub and
+#: rebalance are patience work
+STREAM_WEIGHTS = {"recycle": 2.0, "scrub": 1.0, "repair": 4.0, "rebalance": 1.0}
 
 
 @dataclass(frozen=True)

@@ -43,22 +43,12 @@ class ClusterConfig:
     m: int = 4
     block_size: int = 1 * MiB
     device: str = "ssd"  # "ssd" | "hdd"
-    # placement: policy + failure-domain topology (repro.placement)
+    # placement policy (repro.placement) over a one-OSD-per-host topology
     placement_policy: str = "rotation"  # "rotation" | "crush"
-    osds_per_host: int = 1
-    hosts_per_rack: int = 4
-    failure_domain: str = "host"  # "host" | "rack"
     # TSUE log sizing (per pool); §5.3.2: unit 16 MiB, 2..20 units, 4 pools
     log_unit_size: int = 4 * MiB
     log_max_units: int = 4
     log_pools: int = 4
-    # deferred-recycle watermarks (PL-style node-wide logs): recycling is
-    # triggered when a node's log passes the high watermark and drains it
-    # back below the low one.  Formerly a module constant in repro.update.pl
-    # (the config-drift fix); the defaults are large enough that bounded
-    # experiment runs never trigger, matching the historical behavior.
-    recycle_high_watermark: int = 1 << 30
-    recycle_low_watermark: int = 1 << 29
     # unified background-work scheduler (repro.background): disabled by
     # default — the four maintenance streams then pace themselves exactly
     # as they historically did
@@ -84,16 +74,6 @@ class ClusterConfig:
         if self.placement_policy not in ("rotation", "crush"):
             raise ConfigError(
                 f"unknown placement policy {self.placement_policy!r}"
-            )
-        if self.failure_domain not in ("host", "rack"):
-            raise ConfigError(f"unknown failure domain {self.failure_domain!r}")
-        if self.osds_per_host < 1 or self.hosts_per_rack < 1:
-            raise ConfigError("invalid topology sizing")
-        if not 0 < self.recycle_low_watermark <= self.recycle_high_watermark:
-            raise ConfigError(
-                "recycle watermarks must satisfy 0 < low <= high "
-                f"(got low={self.recycle_low_watermark}, "
-                f"high={self.recycle_high_watermark})"
             )
         try:
             self.background.validate()

@@ -59,12 +59,7 @@ class ECFS:
         self.env = env or Environment()
         self.net = NetworkFabric(self.env, net_params)
         self.rs = RSCode(self.config.k, self.config.m)
-        self.topology = Topology.flat(
-            self.config.n_osds,
-            osds_per_host=self.config.osds_per_host,
-            hosts_per_rack=self.config.hosts_per_rack,
-            failure_domain=self.config.failure_domain,
-        )
+        self.topology = Topology.flat(self.config.n_osds)
         self.placement = PlacementMap(self._build_policy())
         self.mds = MDS(self.placement, self.config.block_size)
         self.oracle = GroundTruth(self.config.block_size)
@@ -370,7 +365,6 @@ class ECFS:
             self.topology,
             self.config.k,
             self.config.m,
-            self.config.log_pools,
         )
 
     def osd_hosting(self, block: BlockId) -> OSD:

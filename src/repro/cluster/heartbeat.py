@@ -6,9 +6,9 @@ process at the MDS.  A failed OSD stops heartbeating (its sender idles while
 the node's failure flag is up); after ``timeout`` silent seconds the MDS
 declares it failed and fires the recovery callback.  The sender survives a
 transient bounce: once the node restarts it resumes beating, and the monitor
-readmits it (``declare_recovered`` + the ``on_recovery`` callback) — the
-same path a healed network partition takes, since heartbeats crossing a
-partition block until it heals.
+readmits it (``declare_recovered``, logged in ``recovered``) — the same path
+a healed network partition takes, since heartbeats crossing a partition
+block until it heals.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class HeartbeatService:
         interval: float = 1.0,
         timeout: float = 3.5,
         on_failure: Optional[Callable[[int], None]] = None,
-        on_recovery: Optional[Callable[[int], None]] = None,
     ) -> None:
         if interval <= 0 or timeout <= interval:
             raise ValueError("need 0 < interval < timeout")
@@ -44,7 +43,6 @@ class HeartbeatService:
         self.detected: list[tuple[int, float]] = []  # (osd idx, detect time)
         self.recovered: list[tuple[int, float]] = []  # (osd idx, readmit time)
         self._user_callback = on_failure
-        self._user_on_recovery = on_recovery
         self._procs: list = []
         ecfs.mds.heartbeat_timeout = timeout
         ecfs.mds.on_failure = self._on_failure
@@ -110,8 +108,6 @@ class HeartbeatService:
                     if not osd.failed and fresh <= self.timeout:
                         mds.declare_recovered(idx)
                         self.recovered.append((idx, env.now))
-                        if self._user_on_recovery is not None:
-                            self._user_on_recovery(idx)
         except Interrupt:
             return
 

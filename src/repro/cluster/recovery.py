@@ -29,6 +29,9 @@ from repro.storage.base import IOKind, IOPriority
 
 __all__ = ["RecoveryReport", "RecoveryManager"]
 
+#: stripes a fail-and-recover rebuilds concurrently
+PARALLEL_STRIPES = 4
+
 
 @dataclass
 class RecoveryReport:
@@ -57,9 +60,8 @@ class RecoveryManager:
     historical behavior (ungoverned FOREGROUND fetches) is byte-identical.
     """
 
-    def __init__(self, ecfs: ECFS, parallel_stripes: int = 4) -> None:
+    def __init__(self, ecfs: ECFS) -> None:
         self.ecfs = ecfs
-        self.parallel_stripes = max(1, parallel_stripes)
 
     @property
     def _io_priority(self) -> int:
@@ -106,13 +108,13 @@ class RecoveryManager:
         yield env.process(ecfs.method.pre_rebuild(), name="rec-prelude")
         t1 = env.now
 
-        # --- phase 2: reconstruct lost blocks, bounded parallelism -------
+        # --- phase 2: reconstruct lost blocks, PARALLEL_STRIPES at a time -
         queue = list(lost)
         yield spawn_fanout(
             env,
             [
                 self._rebuild_worker(queue, osd_idx)
-                for _ in range(self.parallel_stripes)
+                for _ in range(PARALLEL_STRIPES)
             ],
         )
         yield env.process(ecfs.method.finalize_recovery(), name="rec-final")

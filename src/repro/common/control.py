@@ -20,27 +20,17 @@ def aimd_step(
     backoff: float,
     recover: float,
     floor: float,
-    ceiling: float = 1.0,
 ) -> float:
-    """Additive-increase / multiplicative-decrease on a throttle scale."""
+    """Additive-increase / multiplicative-decrease on a throttle scale in
+    ``[floor, 1]``."""
     if breached:
         return max(floor, scale * backoff)
-    return min(ceiling, scale + recover)
+    return min(1.0, scale + recover)
 
 
-def validate_aimd(
-    *,
-    backoff: float,
-    recover: float,
-    floor: float,
-    target: float,
-    window: float,
-    interval: float,
-) -> None:
-    """Common sanity bounds for an AIMD pressure loop's knobs."""
-    if not 0 < backoff < 1:
-        raise ValueError("AIMD backoff must be in (0, 1)")
-    if recover <= 0 or not 0 < floor <= 1:
-        raise ValueError("invalid AIMD recover/floor")
-    if target <= 0 or window <= 0 or interval <= 0:
-        raise ValueError("AIMD target/window/interval must be positive")
+def validate_aimd(*, target: float, window: float) -> None:
+    """Sanity bounds for the inputs both pressure loops take: the p99
+    breach target and its trailing window (the step sizes are constants of
+    each loop's module)."""
+    if target <= 0 or window <= 0:
+        raise ValueError("AIMD target/window must be positive")

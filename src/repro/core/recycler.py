@@ -10,7 +10,7 @@ records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterator
 
 from repro.background.work import RecycleOp
@@ -48,8 +48,8 @@ class RecyclePlanner:
 
     n_lanes: int = 4
     #: cumulative stats across all planned units
-    planned_extents: int = 0
-    raw_records: int = 0
+    planned_extents: int = field(default=0, init=False)
+    raw_records: int = field(default=0, init=False)
 
     def plan(self, unit: LogUnit, record: bool = True) -> list[BlockWork]:
         """Work items for one sealed unit, ordered by lane then block.

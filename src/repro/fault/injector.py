@@ -11,7 +11,7 @@ the same schedule on the same seed produce identical event timings.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.cluster.recovery import RecoveryManager, RecoveryReport
 from repro.cluster.scrub import ScrubReport, Scrubber
@@ -43,15 +43,10 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Applies a :class:`FaultSchedule` to a cluster, one process per entry."""
 
-    def __init__(
-        self,
-        ecfs: "ECFS",
-        schedule: FaultSchedule,
-        recovery: Optional[RecoveryManager] = None,
-    ) -> None:
+    def __init__(self, ecfs: "ECFS", schedule: FaultSchedule) -> None:
         self.ecfs = ecfs
         self.schedule = schedule
-        self.recovery = recovery or RecoveryManager(ecfs)
+        self.recovery = RecoveryManager(ecfs)
         self.log: list[tuple[float, str]] = []
         self.recovery_reports: list[RecoveryReport] = []
         self.scrub_reports: list[ScrubReport] = []

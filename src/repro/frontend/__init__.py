@@ -21,7 +21,7 @@ from repro.frontend.request import (
     Request,
     RequestResult,
 )
-from repro.frontend.retry import ExponentialBackoff, RetryBudget
+from repro.frontend.retry import RetryBudget, backoff_delay
 from repro.frontend.slo import SLO_TARGETS, SLOTracker
 
 __all__ = [
@@ -34,8 +34,8 @@ __all__ = [
     "QOS_RANK",
     "Request",
     "RequestResult",
-    "ExponentialBackoff",
     "RetryBudget",
+    "backoff_delay",
     "SLO_TARGETS",
     "SLOTracker",
 ]

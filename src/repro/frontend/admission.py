@@ -5,17 +5,20 @@ Two gates stand between a submitted request and the dispatch queues:
 * a **token bucket** per tenant (``rate`` tokens/sec, ``burst`` capacity)
   caps each tenant's sustained arrival rate, so one tenant's flood cannot
   starve the others;
-* a **queue-depth gate** sheds load when the pipeline backs up — with a
-  *graduated* profile: bronze is shed when queues reach 1/3 of the bound,
-  silver at 2/3, gold only at the full bound.  Under a fault-induced
+* a **queue-depth gate** sheds load when the pipeline backs up
+  (:data:`MAX_QUEUED` queued requests) — with a *graduated* profile:
+  bronze is shed when queues reach 1/3 of the bound, silver at 2/3, gold
+  only at the full bound.  Under a fault-induced
   backlog the scavenger classes drop first, which is what preserves the
   gold availability SLO.
 
 With ``adaptive=True`` the bucket rates additionally follow an **AIMD
 loop** driven by the same windowed foreground-p99 pressure signal as the
 background scheduler's governor: a p99 breach cuts every tenant's rate
-multiplicatively, headroom restores it additively — back-pressure at the
-door instead of in the queues.  Off by default.
+multiplicatively, headroom restores it additively (at most once per
+:data:`AIMD_INTERVAL`, steps :data:`AIMD_BACKOFF` / :data:`AIMD_RECOVER`,
+never below :data:`AIMD_FLOOR`) — back-pressure at the door instead of in
+the queues.  Off by default.
 
 Everything is arithmetic over the simulated clock — no RNG, no wall time —
 so admission decisions are bit-deterministic across runs and processes.
@@ -29,6 +32,12 @@ from repro.common.control import aimd_step, validate_aimd
 from repro.frontend.request import QOS_CLASSES, QOS_RANK
 
 __all__ = ["TokenBucket", "AdmissionConfig", "AdmissionController"]
+
+MAX_QUEUED = 96  # total queued requests before even gold sheds
+AIMD_INTERVAL = 0.025  # min seconds between adjustments
+AIMD_BACKOFF = 0.5  # multiplicative decrease on breach
+AIMD_RECOVER = 0.1  # additive rate-scale recovery per interval
+AIMD_FLOOR = 0.05  # lowest rate scale (admission never closes)
 
 
 class TokenBucket:
@@ -71,35 +80,23 @@ class AdmissionConfig:
 
     rate: float = 2000.0  # tokens/sec per tenant
     burst: float = 64.0  # bucket capacity
-    max_queued: int = 96  # total queued requests before even gold sheds
     # AIMD adaptive target rate, driven by the windowed foreground p99
     # (the governor's pressure signal); off by default
     adaptive: bool = False
     aimd_p99_target: float = 0.02  # breach threshold (seconds)
     aimd_window: float = 0.05  # trailing p99 window (seconds)
-    aimd_interval: float = 0.025  # min seconds between adjustments
-    aimd_backoff: float = 0.5  # multiplicative decrease on breach
-    aimd_recover: float = 0.1  # additive rate-scale recovery per interval
-    aimd_floor: float = 0.05  # lowest rate scale (admission never closes)
 
     def validate(self) -> None:
-        if self.rate <= 0 or self.burst <= 0 or self.max_queued < 1:
-            raise ValueError("invalid admission rate/burst/max_queued")
+        if self.rate <= 0 or self.burst <= 0:
+            raise ValueError("invalid admission rate/burst")
         if self.adaptive:
-            validate_aimd(
-                backoff=self.aimd_backoff,
-                recover=self.aimd_recover,
-                floor=self.aimd_floor,
-                target=self.aimd_p99_target,
-                window=self.aimd_window,
-                interval=self.aimd_interval,
-            )
+            validate_aimd(target=self.aimd_p99_target, window=self.aimd_window)
 
     def depth_bound(self, qos: str) -> int:
         """Graduated shedding threshold for a class (gold = full bound)."""
         rank = QOS_RANK[qos]
         n = len(QOS_CLASSES)
-        return max(1, self.max_queued * (n - rank) // n)
+        return max(1, MAX_QUEUED * (n - rank) // n)
 
 
 class AdmissionController:
@@ -129,15 +126,15 @@ class AdmissionController:
         """True when the next :meth:`adapt` call would act — callers gate
         the (tail-scan + percentile) pressure computation on this so the
         hot completion path pays nothing inside the rate interval."""
-        return self.config.adaptive and now - self._last_adapt >= self.config.aimd_interval
+        return self.config.adaptive and now - self._last_adapt >= AIMD_INTERVAL
 
     def adapt(self, now: float, p99: float) -> None:
         """One AIMD observation: scale every tenant's bucket rate by the
-        pressure verdict (at most once per ``aimd_interval``)."""
+        pressure verdict (at most once per :data:`AIMD_INTERVAL`)."""
         cfg = self.config
         if not cfg.adaptive:
             return
-        if now - self._last_adapt < cfg.aimd_interval:
+        if now - self._last_adapt < AIMD_INTERVAL:
             return
         self._last_adapt = now
         breached = p99 > cfg.aimd_p99_target
@@ -146,9 +143,9 @@ class AdmissionController:
         self.rate_scale = aimd_step(
             self.rate_scale,
             breached,
-            backoff=cfg.aimd_backoff,
-            recover=cfg.aimd_recover,
-            floor=cfg.aimd_floor,
+            backoff=AIMD_BACKOFF,
+            recover=AIMD_RECOVER,
+            floor=AIMD_FLOOR,
         )
         self.min_rate_scale = min(self.min_rate_scale, self.rate_scale)
         for bucket in self._buckets.values():

@@ -10,10 +10,11 @@ The :class:`FrontEnd` is the request pipeline the ISSUE's tentpole names:
    before silver before bronze), round-robin among tenants within a class,
    under a ``max_inflight`` concurrency cap;
 4. each dispatch runs through :mod:`repro.frontend.ops` with
-   :class:`~repro.frontend.retry.ExponentialBackoff` retries (gated by a
-   cluster-wide retry budget) racing the request deadline, and — for
-   reads — a **hedge** leg that reconstructs the range from k other blocks
-   of the EC stripe when the primary leg is slow;
+   :func:`~repro.frontend.retry.backoff_delay` retries (gated by a
+   cluster-wide :class:`~repro.frontend.retry.RetryBudget`) racing the
+   request deadline, and — for reads — a **hedge** leg that reconstructs
+   the range from k other blocks of the EC stripe when the primary leg is
+   slow;
 5. the terminal outcome lands in the :class:`~repro.frontend.slo.
    SLOTracker` and resolves the completion event.
 
@@ -65,7 +66,7 @@ from repro.frontend.request import (
     STATUS_OK,
     STATUS_SHED,
 )
-from repro.frontend.retry import ExponentialBackoff, RetryBudget
+from repro.frontend.retry import RetryBudget, backoff_delay
 from repro.frontend.slo import SLOTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,25 +82,21 @@ class FrontEnd:
     def __init__(
         self,
         ecfs: "ECFS",
-        retry: Optional[ExponentialBackoff] = None,
         admission: Optional[AdmissionConfig] = None,
-        budget: Optional[RetryBudget] = None,
         hedge_delay: Optional[float] = 0.02,
         max_inflight: int = 16,
-        slo_targets: Optional[dict[str, float]] = None,
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if hedge_delay is not None and hedge_delay <= 0:
             raise ValueError("hedge_delay must be positive (or None to disable)")
         self.ecfs = ecfs
-        self.retry = retry if retry is not None else ExponentialBackoff()
         self.admission = AdmissionController(admission)
-        self.budget = budget if budget is not None else RetryBudget()
+        self.budget = RetryBudget()
         self.hedge_delay = hedge_delay
         self._hedge_us = None if hedge_delay is None else s_to_us(hedge_delay)
         self.max_inflight = max_inflight
-        self.slo = SLOTracker(ecfs.env, slo_targets)
+        self.slo = SLOTracker(ecfs.env)
 
         self._queues: dict[str, deque] = {}  # tenant -> deque[(Request, Event)]
         self._tenant_qos: dict[str, str] = {}
@@ -339,7 +336,7 @@ class FrontEnd:
                 )
             else:  # every leg of the attempt failed
                 exc = payload
-                delay = self.retry.delay(attempts) if is_retryable(exc) else None
+                delay = backoff_delay(attempts) if is_retryable(exc) else None
                 if (
                     delay is not None
                     and env.now + delay < deadline_at

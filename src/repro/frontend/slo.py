@@ -50,9 +50,8 @@ class SLORecord:
 class SLOTracker:
     """Accumulates request outcomes; derives SLO statistics on demand."""
 
-    def __init__(self, env, targets: dict[str, float] | None = None) -> None:
+    def __init__(self, env) -> None:
         self.env = env
-        self.targets = dict(SLO_TARGETS if targets is None else targets)
         self.records: list[SLORecord] = []
         # parallel served-latency series (completion-time order), so the
         # windowed pressure read-out shares the collector's tail scan
@@ -155,7 +154,7 @@ class SLOTracker:
         groups = self._groups()
         ordered = sorted(groups, key=lambda key: (QOS_RANK[key[1]], key[0]))
         return {
-            f"{tenant}/{qos}": self._stats(groups[(tenant, qos)], self.targets[qos])
+            f"{tenant}/{qos}": self._stats(groups[(tenant, qos)], SLO_TARGETS[qos])
             for tenant, qos in ordered
         }
 

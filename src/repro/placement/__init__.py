@@ -42,9 +42,7 @@ __all__ = [
 POLICIES = ("rotation", "crush")
 
 
-def make_policy(
-    name: str, topology: Topology, k: int, m: int, log_pools: int = 4
-) -> PlacementPolicy:
+def make_policy(name: str, topology: Topology, k: int, m: int) -> PlacementPolicy:
     """Build a fresh policy instance from the topology's current state.
 
     Called once at cluster build and again on every epoch advance — the
@@ -52,9 +50,7 @@ def make_policy(
     """
     if name == "rotation":
         active = [d.osd for d in topology.devices()]
-        return RotationPolicy(
-            len(active), k, m, log_pools=log_pools, active=active
-        )
+        return RotationPolicy(len(active), k, m, active=active)
     if name == "crush":
-        return CrushPolicy(topology, k, m, log_pools=log_pools)
+        return CrushPolicy(topology, k, m)
     raise ValueError(f"unknown placement policy {name!r}; known: {POLICIES}")

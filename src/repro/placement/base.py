@@ -38,19 +38,17 @@ def mix(*values: int) -> int:
 
 
 class PlacementPolicy(ABC):
-    """Pure function (config) -> node index for every block/replica/pool."""
+    """Pure function (config) -> node index for every block and replica."""
 
     name = "base"
 
-    def __init__(self, k: int, m: int, log_pools: int = 4) -> None:
+    def __init__(self, k: int, m: int) -> None:
         self.k = k
         self.m = m
-        self.log_pools = log_pools
         # placement is a pure function of the block id, and the hot paths
         # resolve the same few thousand blocks millions of times: memoize.
         # Caches are per-instance; a new epoch means a new instance.
         self._osd_cache: dict[BlockId, int] = {}
-        self._pool_cache: dict[BlockId, int] = {}
 
     # ------------------------------------------------------------------ API
     @property
@@ -76,18 +74,6 @@ class PlacementPolicy(ABC):
             idx = self.stripe_osds(block.file_id, block.stripe)[block.idx]
             self._osd_cache[block] = idx
         return idx
-
-    def pool_of(self, block: BlockId) -> int:
-        """Log pool index for a block — hash of (inode, stripe, block) §3.2.1.
-
-        Deliberately topology-independent: pool assignment survives epoch
-        changes, so log content never needs re-bucketing on a rebalance.
-        """
-        pool = self._pool_cache.get(block)
-        if pool is None:
-            pool = mix(block.file_id, block.stripe, block.idx) % self.log_pools
-            self._pool_cache[block] = pool
-        return pool
 
     def describe(self) -> str:
         return f"{self.name}(n={self.n_osds}, k={self.k}, m={self.m})"

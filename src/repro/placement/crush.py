@@ -68,13 +68,11 @@ class CrushPolicy(PlacementPolicy):
 
     name = "crush"
 
-    def __init__(
-        self, topology: Topology, k: int, m: int, log_pools: int = 4
-    ) -> None:
+    def __init__(self, topology: Topology, k: int, m: int) -> None:
         devices = topology.devices()
         if len(devices) < k + m:
             raise ValueError("need at least k+m devices in the topology")
-        super().__init__(k, m, log_pools)
+        super().__init__(k, m)
         self.failure_domain = topology.failure_domain
         #: immutable snapshot: [(osd, weight)] sorted by osd id
         self._devs: tuple[tuple[int, float], ...] = tuple(

@@ -56,10 +56,6 @@ class PlacementMap:
     def m(self) -> int:
         return self.policy.m
 
-    @property
-    def log_pools(self) -> int:
-        return self.policy.log_pools
-
     def osd_of(self, block: BlockId) -> int:
         """The *ideal* home under the current epoch's policy."""
         return self.policy.osd_of(block)
@@ -69,9 +65,6 @@ class PlacementMap:
 
     def replica_osd(self, block: BlockId) -> int:
         return self.policy.replica_osd(block)
-
-    def pool_of(self, block: BlockId) -> int:
-        return self.policy.pool_of(block)
 
     def describe(self) -> str:
         return f"epoch {self.epoch}: {self.policy.describe()}"

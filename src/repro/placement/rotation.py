@@ -44,7 +44,6 @@ class RotationPolicy(PlacementPolicy):
         n_osds: int,
         k: int,
         m: int,
-        log_pools: int = 4,
         active: Optional[Sequence[int]] = None,
     ) -> None:
         if active is None:
@@ -54,7 +53,7 @@ class RotationPolicy(PlacementPolicy):
             raise ValueError("active node list contains duplicates")
         if len(self._active) < k + m:
             raise ValueError("need n_osds >= k+m")
-        super().__init__(k, m, log_pools)
+        super().__init__(k, m)
 
     @property
     def n_osds(self) -> int:

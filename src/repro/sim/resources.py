@@ -17,8 +17,8 @@ round-trip.  Contended grants still go through the heap (the
 ``(priority, arrival)`` order is what the queue exists for).  ``release`` no longer constructs a
 confirmation event (the seed's ``Release``): nothing in the tree ever
 waited on one, and at ~25% of all scheduled events in a profiled TSUE run
-they were pure event-loop ballast.  Likewise ``Store.put``/``Store.get``
-finish immediately when the queue has room/items.
+they were pure event-loop ballast.  Likewise ``Store.put`` never waits and
+``Store.get`` finishes immediately when the queue holds an item.
 """
 
 from __future__ import annotations
@@ -147,63 +147,37 @@ class StoreGet(Event):
     __slots__ = ()
 
 
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, env: Environment, item: Any) -> None:
-        super().__init__(env)
-        self.item = item
-
-
 class Store:
-    """Unbounded-or-bounded FIFO queue of Python objects.
+    """Unbounded FIFO queue of Python objects.
 
-    ``put`` blocks only when a finite ``capacity`` is set and reached;
-    ``get`` blocks until an item is available.  Immediately satisfiable
-    puts/gets finish inline (no heap round-trip); blocked ones are woken
-    through the heap in FIFO order.
+    ``put`` never blocks; ``get`` blocks until an item is available.  A get
+    of a queued item finishes inline (no heap round-trip); blocked ones are
+    woken through the heap in FIFO order.
     """
 
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
         self.items: deque[Any] = deque()
         self._getters: deque[StoreGet] = deque()
-        self._putters: deque[StorePut] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        ev = StorePut(self.env, item)
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            ev._state = _PROCESSED
-            self._wake_getters()
-        else:
-            self._putters.append(ev)
-        return ev
+    def put(self, item: Any) -> None:
+        self.items.append(item)
+        self._wake_getters()
 
-    def put_front(self, item: Any) -> StorePut:
+    def put_front(self, item: Any) -> None:
         """Insert at the head of the queue (recovery requeues use this so an
         interrupted item replays before newer ones — FIFO is preserved)."""
-        ev = StorePut(self.env, item)
-        if len(self.items) < self.capacity:
-            self.items.appendleft(item)
-            ev._state = _PROCESSED
-            self._wake_getters()
-        else:
-            self._putters.appendleft(ev)
-        return ev
+        self.items.appendleft(item)
+        self._wake_getters()
 
     def get(self) -> StoreGet:
         ev = StoreGet(self.env)
         if self.items:
             ev._value = self.items.popleft()
             ev._state = _PROCESSED
-            self._admit_putters()
         else:
             self._getters.append(ev)
         return ev
@@ -214,12 +188,3 @@ class Store:
             if getter.triggered:
                 continue
             getter.succeed(self.items.popleft())
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            putter = self._putters.popleft()
-            if putter.triggered:
-                continue
-            self.items.append(putter.item)
-            putter.succeed()
-            self._wake_getters()

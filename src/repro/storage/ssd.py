@@ -47,12 +47,11 @@ class SSDevice(StorageDevice):
         env: Environment,
         name: str = "ssd",
         params: SSDParams | None = None,
-        wear: FlashWearModel | None = None,
     ) -> None:
         self.params = params or SSDParams()
         self.params.validate()
         super().__init__(env, name, channels=self.params.channels)
-        self.wear = wear or FlashWearModel()
+        self.wear = FlashWearModel()
         # the timing model in µs: the params converted once, here
         p = self.params
         self._us_rd_per_byte = 1e6 / p.seq_read_bw

@@ -33,9 +33,9 @@ class FlashWearModel:
     total_blocks: int = 100_000  # 400 GB / 4 MiB
     gc_live_fraction: float = 0.25  # live data copied per GC victim block
 
-    page_programs: int = 0
-    page_invalidations: int = 0
-    gc_page_copies: int = 0
+    page_programs: int = field(default=0, init=False)
+    page_invalidations: int = field(default=0, init=False)
+    gc_page_copies: int = field(default=0, init=False)
     _seq_buffer: dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ API

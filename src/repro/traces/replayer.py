@@ -136,16 +136,19 @@ class TraceReplayer:
 
 
 # --------------------------------------------------------------- open loop
+#: statistical fingerprint of every tenant's ops
+TENANT_TRACE = "tencloud"
+
+
 @dataclass(frozen=True)
 class TenantSpec:
-    """One tenant's arrival process and service expectations."""
+    """One tenant's arrival process and QoS class (its deadline is the
+    class default)."""
 
     name: str
     qos: str = "silver"  # scheduling class (see repro.frontend.request)
     rate: float = 400.0  # mean arrivals/sec (exponential gaps)
     n_ops: int = 100  # arrivals this tenant generates
-    deadline: float | None = None  # None: the QoS-class default
-    trace: str = "tencloud"  # statistical fingerprint of the ops
 
     def __post_init__(self) -> None:
         if self.rate <= 0 or self.n_ops <= 0:
@@ -183,7 +186,7 @@ class OpenLoopReplayer:
         self.tenants = list(tenants)
         self.files = list(files)
         for spec in self.tenants:
-            frontend.register_tenant(spec.name, spec.qos, spec.deadline)
+            frontend.register_tenant(spec.name, spec.qos)
 
     def run(self, seed: int = 2025) -> OpenLoopResult:
         """Generate every tenant's arrivals, wait for all completions (and
@@ -198,7 +201,7 @@ class OpenLoopReplayer:
         arrival_procs = []
         for idx, spec in enumerate(sorted(self.tenants, key=lambda s: s.name)):
             records = generate_trace(
-                resolve_trace(spec.trace),
+                resolve_trace(TENANT_TRACE),
                 spec.n_ops,
                 self.files,
                 file_bytes,

@@ -35,17 +35,16 @@ __all__ = ["CoRD"]
 
 _Buffers = dict[tuple[int, int], dict[int, ExtentMap]]
 
+#: CoRD's fixed collector buffer (fixed-size single log; its recycle
+#: concurrency limit is the method's weakness)
+BUFFER_SIZE = 512 * 1024
+
 
 class CoRD(UpdateMethod):
     name = "cord"
 
-    #: CoRD's fixed collector buffer (fixed-size single log; its recycle
-    #: concurrency limit is the method's weakness)
-    DEFAULT_BUFFER = 512 * 1024
-
-    def __init__(self, ecfs, buffer_size: int | None = None) -> None:
+    def __init__(self, ecfs) -> None:
         super().__init__(ecfs)
-        self.buffer_size = buffer_size or self.DEFAULT_BUFFER
         # collector state, per collector OSD name
         # (``_log_bytes[name]`` is the fill level of that collector's buffer)
         self._buffers: dict[str, _Buffers] = defaultdict(dict)
@@ -75,7 +74,7 @@ class CoRD(UpdateMethod):
 
     def _collector_append(self, collector: OSD, op: UpdateOp, delta) -> Generator:
         name = collector.name
-        while self._log_bytes[name] + op.size > self.buffer_size:
+        while self._log_bytes[name] + op.size > BUFFER_SIZE:
             if not self._recycling[name]:
                 self._start_recycle(collector)
             else:

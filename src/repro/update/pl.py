@@ -3,12 +3,12 @@
 Data blocks update in place (write-after-read to get the delta); the parity
 delta for each parity block is appended to that parity OSD's *parity log*
 (a large sequential log).  Log recycling is deferred until a space
-watermark (``ClusterConfig.recycle_high_watermark`` — effectively until
-flush/recovery in a bounded run, since the default watermark is 1 GiB) —
-so PL's foreground is fast but it carries the largest log debt into
-recovery.  When a node's log does pass the high watermark, a background
-recycle drains it below the low watermark through the unified maintenance
-scheduler's ``recycle`` stream.
+watermark (:data:`RECYCLE_HIGH_WATERMARK`, 1 GiB — effectively until
+flush/recovery in a bounded run) — so PL's foreground is fast but it
+carries the largest log debt into recovery.  When a node's log does pass
+the high watermark, a background recycle drains it below
+:data:`RECYCLE_LOW_WATERMARK` through the unified maintenance scheduler's
+``recycle`` stream.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from repro.storage.base import IOKind, IOPriority
 from repro.update.base import UpdateMethod
 
 __all__ = ["ParityLogging"]
+
+#: node-wide parity-log watermarks: passing the high one triggers a
+#: background recycle that drains the log back below the low one
+RECYCLE_HIGH_WATERMARK = 1 << 30
+RECYCLE_LOW_WATERMARK = 1 << 29
 
 
 class ParityLogging(UpdateMethod):
@@ -71,12 +76,12 @@ class ParityLogging(UpdateMethod):
     # ------------------------------------------------------------- recycle
     def _maybe_trigger_recycle(self, posd: OSD) -> None:
         """High-watermark trigger: a node whose parity log passed
-        ``recycle_high_watermark`` drains below the low watermark in the
+        :data:`RECYCLE_HIGH_WATERMARK` drains below the low watermark in the
         background (one drain per node at a time)."""
         name = posd.name
         if name in self._draining:
             return
-        if self._log_bytes[name] < self.ecfs.config.recycle_high_watermark:
+        if self._log_bytes[name] < RECYCLE_HIGH_WATERMARK:
             return
         self._draining.add(name)
         self.env.process(self._watermark_drain(posd), name=f"pl-wm-{name}")
@@ -86,7 +91,7 @@ class ParityLogging(UpdateMethod):
             yield from self._recycle_node(
                 posd,
                 IOPriority.BACKGROUND,
-                target_bytes=self.ecfs.config.recycle_low_watermark,
+                target_bytes=RECYCLE_LOW_WATERMARK,
             )
         except IntegrityError:
             pass  # the node died mid-drain; resync marks cover the rows

@@ -31,15 +31,16 @@ from repro.update.base import UpdateMethod
 
 __all__ = ["ParityLoggingReserved"]
 
+#: each parity block's reserved log space, as a share of the block size
+RESERVED_FRACTION = 0.03125
+
 
 class ParityLoggingReserved(UpdateMethod):
     name = "plr"
 
-    def __init__(self, ecfs, reserved_fraction: float = 0.03125) -> None:
+    def __init__(self, ecfs) -> None:
         super().__init__(ecfs)
-        if not 0 < reserved_fraction <= 1:
-            raise ValueError("reserved_fraction must be in (0, 1]")
-        self.reserved_size = max(4096, int(ecfs.config.block_size * reserved_fraction))
+        self.reserved_size = max(4096, int(ecfs.config.block_size * RESERVED_FRACTION))
         # per parity block: pending (offset, pdelta) + reserved bytes used
         self._pending: dict[BlockId, list[tuple[int, np.ndarray]]] = defaultdict(list)
         self._used: dict[BlockId, int] = defaultdict(int)

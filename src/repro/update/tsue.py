@@ -41,6 +41,7 @@ from repro.core.logpool import LogPool
 from repro.core.logunit import LogUnit, LogUnitState, RawKey
 from repro.core.recycler import RecyclePlanner, unit_recycle_op
 from repro.gf.field import gf_mul_scalar
+from repro.placement.base import mix
 from repro.sim import s_to_us, spawn_fanout
 from repro.storage.base import IOKind, IOPriority
 from repro.update.base import UpdateMethod
@@ -60,8 +61,7 @@ class TSUEOptions:
     pools_per_device: Optional[int] = None  # O4: pools per SSD (None: config)
     use_deltalog: bool = True  # O5: DeltaLog layer (else direct to parity)
     datalog_replicas: int = 1  # extra copies (1 -> 2 total; HDD uses 2)
-    unit_size: Optional[int] = None  # default: ClusterConfig.log_unit_size
-    max_units: Optional[int] = None
+    max_units: Optional[int] = None  # default: ClusterConfig.log_max_units
 
     @staticmethod
     def breakdown() -> dict[str, "TSUEOptions"]:
@@ -101,7 +101,7 @@ class TSUE(UpdateMethod):
         super().__init__(ecfs)
         self.opts = options or TSUEOptions()
         cfg = ecfs.config
-        self.unit_size = self.opts.unit_size or cfg.log_unit_size
+        self.unit_size = cfg.log_unit_size
         if self.opts.use_logpool:
             self.max_units = self.opts.max_units or cfg.log_max_units
         else:
@@ -113,6 +113,7 @@ class TSUE(UpdateMethod):
             self.max_units = 1
             self.unit_size = min(self.unit_size, 128 * 1024)
         self.n_pools = max(1, self.opts.pools_per_device or cfg.log_pools)
+        self._pool_of: dict[BlockId, int] = {}  # block -> pool index memo
         # hoisted per-pool stream names: the persist/forward/recycle inner
         # loops hit one of these per I/O, and the f-string was measurable
         self._dl_streams = [f"datalog{p}" for p in range(self.n_pools)]
@@ -956,7 +957,14 @@ class TSUE(UpdateMethod):
         return [pool for _p, pool in self.built_pools(osd.name) if pool.holds_debt]
 
     def _pool_idx(self, block: BlockId) -> int:
-        return self.ecfs.placement.pool_of(block) % self.n_pools
+        """Log pool index of a block: a hash of (inode, stripe, block)
+        (§3.2.1).  Topology-independent, so a block's pool survives epoch
+        changes and log content never needs re-bucketing on a rebalance."""
+        p = self._pool_of.get(block)
+        if p is None:
+            p = mix(block.file_id, block.stripe, block.idx) % self.n_pools
+            self._pool_of[block] = p
+        return p
 
     def _built_pool(self, osd_name: str, layer: str, block: BlockId) -> Optional[LogPool]:
         """``block``'s ``layer`` pool on ``osd_name``, or None if no append

@@ -29,6 +29,7 @@ from repro.background import (
     RepairOp,
     ScrubOp,
 )
+from repro.background.scheduler import MAX_YIELD_POLLS, YIELD_POLL
 from repro.cluster.config import ClusterConfig
 from repro.cluster.ecfs import ECFS
 from repro.common.units import KiB, MiB
@@ -36,6 +37,7 @@ from repro.fault.runner import ScenarioRunner
 from repro.fault.scenarios import SCENARIOS, get_scenario
 from repro.sim import Environment, Lane, spawn_fanout
 from repro.storage.base import IOKind, IOPriority
+from repro.update import pl
 
 
 def _bg_cluster(seed: int = 7, *, bg: BackgroundConfig | None = None, **kwargs) -> ECFS:
@@ -60,14 +62,7 @@ def test_background_config_validation():
     with pytest.raises(ValueError):
         BackgroundConfig(bandwidth=0).validate()
     with pytest.raises(ValueError):
-        BackgroundConfig(weight_repair=0).validate()
-    with pytest.raises(ValueError):
-        BackgroundConfig(backoff=1.5).validate()
-    with pytest.raises(ValueError):
         BackgroundConfig(floor=0.0).validate()
-    assert BackgroundConfig().weight("repair") == 4.0
-    with pytest.raises(ValueError):
-        BackgroundConfig().weight("compaction")
 
 
 def test_work_item_streams_and_validation():
@@ -138,10 +133,8 @@ def test_weighted_fairness_orders_contended_grants():
 
 def test_grants_yield_to_foreground_backlog_with_aging_bound():
     """A grant holds while the device has queued foreground I/O, but the
-    aging bound releases it after max_yield_polls — starvation freedom."""
-    cfg = BackgroundConfig(
-        enabled=True, bandwidth=1024 * MiB, yield_poll=1e-3, max_yield_polls=5
-    )
+    aging bound releases it after MAX_YIELD_POLLS — starvation freedom."""
+    cfg = BackgroundConfig(enabled=True, bandwidth=1024 * MiB)
     ecfs = _bg_cluster(bg=cfg)
     env = ecfs.env
     osd = ecfs.osds[0]
@@ -163,8 +156,8 @@ def test_grants_yield_to_foreground_backlog_with_aging_bound():
 
     env.run(env.process(bg_work()))
     assert granted_at, "background work starved under sustained foreground load"
-    # released by the aging bound: ~5 polls of 1ms, not the flood's full span
-    assert granted_at[0] <= 0.001 + 5 * 1e-3 + 1e-6
+    # released by the aging bound: MAX_YIELD_POLLS polls, not the flood's span
+    assert granted_at[0] <= 0.001 + MAX_YIELD_POLLS * YIELD_POLL + 1e-6
     for proc in floods:
         if proc.is_alive:
             proc.interrupt()
@@ -173,7 +166,7 @@ def test_grants_yield_to_foreground_backlog_with_aging_bound():
 def test_starvation_freedom_every_stream_progresses():
     """Property: under sustained foreground load, every admitted stream
     (recycle/scrub/repair/rebalance) makes progress."""
-    cfg = BackgroundConfig(enabled=True, bandwidth=8 * MiB, max_yield_polls=4)
+    cfg = BackgroundConfig(enabled=True, bandwidth=8 * MiB)
     ecfs = _bg_cluster(bg=cfg)
     env = ecfs.env
     osd = ecfs.osds[1]
@@ -311,18 +304,12 @@ def test_deadline_cancels_abandoned_read_legs():
 
 
 # ---------------------------------------------------------------- watermarks
-def test_pl_recycle_watermarks_trigger_background_drain():
-    """PL recycling now triggers off ClusterConfig watermarks: passing the
-    high watermark drains the node's parity log below the low one."""
-    cfg = ClusterConfig(
-        n_osds=8,
-        k=4,
-        m=2,
-        block_size=64 * KiB,
-        recycle_high_watermark=64 * KiB,
-        recycle_low_watermark=16 * KiB,
-        seed=3,
-    )
+def test_pl_recycle_watermarks_trigger_background_drain(monkeypatch):
+    """Passing PL's high watermark drains the node's parity log below the
+    low one (the 1 GiB / 512 MiB defaults, scaled down to fire here)."""
+    monkeypatch.setattr(pl, "RECYCLE_HIGH_WATERMARK", 64 * KiB)
+    monkeypatch.setattr(pl, "RECYCLE_LOW_WATERMARK", 16 * KiB)
+    cfg = ClusterConfig(n_osds=8, k=4, m=2, block_size=64 * KiB, seed=3)
     ecfs = ECFS(cfg, method="pl")
     ecfs.populate(1, 2, fill="random")
     client = ecfs.add_clients(1)[0]
@@ -334,16 +321,10 @@ def test_pl_recycle_watermarks_trigger_background_drain():
 
     env.run(env.process(workload()))
     env.run(until=env.now + 1.0)
-    high = cfg.recycle_high_watermark
     for osd in ecfs.osds:
-        assert ecfs.method.log_debt_bytes(osd) < high
+        assert ecfs.method.log_debt_bytes(osd) < pl.RECYCLE_HIGH_WATERMARK
     ecfs.drain()
     assert ecfs.verify() > 0
-
-
-def test_watermark_config_validation():
-    with pytest.raises(Exception):
-        ClusterConfig(recycle_low_watermark=2048, recycle_high_watermark=1024).validate()
 
 
 # ------------------------------------------------------------- governor pair
@@ -460,7 +441,7 @@ def test_scheduler_stats_shape():
     fake = _FakeECFS()
     fake.env = env
     fake.config = ClusterConfig()
-    sched = BackgroundScheduler(fake, BackgroundConfig())
+    sched = BackgroundScheduler(fake)
     stats = sched.stream_stats()
     assert set(stats) == {"recycle", "scrub", "repair", "rebalance"}
     for s in stats.values():

@@ -70,12 +70,13 @@ def test_placement_needs_enough_nodes():
         RotationPolicy(5, 4, 2)
 
 
-def test_pool_of_stable_and_bounded():
-    p = RotationPolicy(16, 6, 4, log_pools=4)
+def test_tsue_pool_index_stable_and_bounded():
+    tsue = ECFS(_small_config(), method="tsue").method
+    assert tsue.n_pools == 4
     for i in range(50):
-        b = BlockId(1, i, i % 10)
-        assert 0 <= p.pool_of(b) < 4
-        assert p.pool_of(b) == p.pool_of(b)
+        b = BlockId(1, i, i % 6)
+        assert 0 <= tsue._pool_idx(b) < 4
+        assert tsue._pool_idx(b) == tsue._pool_idx(b)
 
 
 # ------------------------------------------------------------------ MDS

@@ -26,11 +26,13 @@ from repro.common.units import KiB
 from repro.frontend import (
     AdmissionConfig,
     AdmissionController,
-    ExponentialBackoff,
     FrontEnd,
     RetryBudget,
     TokenBucket,
+    backoff_delay,
 )
+from repro.frontend.admission import MAX_QUEUED
+from repro.frontend.retry import BUDGET_INITIAL, BUDGET_RATIO, MAX_RETRIES
 from repro.frontend.request import Request, RequestResult
 from repro.metrics.collector import MetricsCollector
 
@@ -62,31 +64,35 @@ def test_token_bucket_refill_and_deny():
 
 
 def test_admission_graduated_depth_bounds():
-    cfg = AdmissionConfig(max_queued=90)
-    assert cfg.depth_bound("gold") == 90
-    assert cfg.depth_bound("silver") == 60
-    assert cfg.depth_bound("bronze") == 30
+    cfg = AdmissionConfig()
+    assert MAX_QUEUED == 96
+    assert cfg.depth_bound("gold") == 96
+    assert cfg.depth_bound("silver") == 64
+    assert cfg.depth_bound("bronze") == 32
     ctl = AdmissionController(cfg)
     # bronze sheds at a backlog gold rides through
-    assert ctl.admit("a", "bronze", 0.0, queued=45) is not None
-    assert ctl.admit("a", "gold", 0.0, queued=45) is None
+    assert ctl.admit("a", "bronze", 0.0, queued=48) is not None
+    assert ctl.admit("a", "gold", 0.0, queued=48) is None
     assert ctl.shed_depth == 1
 
 
 def test_exponential_backoff_schedule():
-    policy = ExponentialBackoff(base=0.002, factor=2.0, cap=0.05, max_retries=4)
-    assert [policy.delay(i) for i in (1, 2, 3, 4)] == [0.002, 0.004, 0.008, 0.016]
-    assert policy.delay(5) is None
+    assert MAX_RETRIES == 4
+    assert [backoff_delay(i) for i in (1, 2, 3, 4)] == [0.002, 0.004, 0.008, 0.016]
+    assert backoff_delay(5) is None
 
 
 def test_retry_budget_earn_and_deny():
-    budget = RetryBudget(ratio=0.5, initial=1.0)
-    assert budget.take()
+    budget = RetryBudget()
+    assert (BUDGET_RATIO, BUDGET_INITIAL) == (0.2, 10.0)
+    for _ in range(10):
+        assert budget.take()
     assert not budget.take()  # initial spent
-    for _ in range(2):
-        budget.earn()  # 2 completions x 0.5 = 1 token
+    for _ in range(5):
+        budget.earn()  # 5 completions x 0.2 = 1 token
     assert budget.take()
-    assert budget.spent == 2 and budget.denied == 1
+    assert not budget.take()
+    assert budget.spent == 11 and budget.denied == 2
 
 
 def test_error_taxonomy():

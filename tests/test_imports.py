@@ -5,16 +5,20 @@ repro.fault.digest import ...`` in ``harness/runner.py`` would run
 ``fault/__init__`` → ``fault/runner.py`` → ``from repro.harness.runner
 import resolve_trace`` while ``harness.runner`` is half built, and would
 load only because another module happened to import ``repro.fault`` first.
-One child interpreter imports each module from a cold ``repro`` (every
-``repro.*`` entry dropped from ``sys.modules``).
+:func:`_import_order_guard` replays Python's import of every module as the
+first one on the AST (module-level imports only, ``TYPE_CHECKING`` blocks
+left out), and one child interpreter imports each top-level package from a
+cold ``repro`` (every ``repro.*`` entry dropped from ``sys.modules``).
 
 Every def under ``src/repro`` also has a caller under ``src/repro``, or a
-reason in ``_NO_SRC_CALLER`` why it stays, and every module an importer, or
-a reason in ``_NO_SRC_IMPORTER`` (AST walks; see :func:`_caller_guard` and
-:func:`_importer_guard`).
+reason in ``_NO_SRC_CALLER`` why it stays, every module an importer, or a
+reason in ``_NO_SRC_IMPORTER``, and every knob a setter, or a reason in
+``_NO_SRC_SETTER`` (AST walks; see :func:`_caller_guard`,
+:func:`_importer_guard` and :func:`_setter_guard`).
 """
 
 import ast
+import functools
 import os
 import pathlib
 import subprocess
@@ -25,7 +29,7 @@ _SNIPPET = """
 import importlib, pkgutil, sys
 import repro
 
-names = sorted(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))
+names = sorted(m.name for m in pkgutil.iter_modules(repro.__path__, "repro."))
 for name in ["repro"] + [n for n in names if n != "repro.__main__"]:
     for loaded in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
         del sys.modules[loaded]
@@ -36,7 +40,103 @@ for name in ["repro"] + [n for n in names if n != "repro.__main__"]:
 """
 
 
+def _import_steps(body):
+    """One ``(imports, bound names)`` pair per module-level statement, in
+    execution order; ``imports`` lists ``(module, names or None)`` for every
+    ``repro`` import the statement runs.  ``if`` / ``try`` / ``with`` bodies
+    run at import time (all branches counted); ``if TYPE_CHECKING`` does not,
+    nor does a def or class body."""
+    for node in body:
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            yield from _import_steps(node.orelse)
+            continue
+        if isinstance(node, (ast.If, ast.Try, ast.With)):
+            blocks = [getattr(node, f, []) for f in ("body", "orelse", "finalbody")]
+            for block in blocks + [h.body for h in getattr(node, "handlers", [])]:
+                yield from _import_steps(block)
+            continue
+        imports, bound = [], set()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.partition(".")[0])
+                if alias.name.startswith("repro."):
+                    imports.append((alias.name.removeprefix("repro."), None))
+        elif isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+            if node.module == "repro" or (node.module or "").startswith("repro."):
+                target = node.module.removeprefix("repro").removeprefix(".")
+                imports.append((target, [alias.name for alias in node.names]))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            for target in filter(None, targets):
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        yield imports, bound
+
+
+def _import_order_guard(sources: dict[str, str]) -> list[str]:
+    """Every ``from X import name`` that some first-import order reaches
+    while ``X`` is half built and has not bound ``name`` yet, one line each.
+
+    For each module as the first import it replays Python's algorithm:
+    parent packages first, a module's statements in order, a submodule named
+    in a ``from`` import loaded, any other name looked up in the (maybe half
+    built) module."""
+    steps = {
+        module: list(_import_steps(_tree(module, text).body))
+        for module, text in sources.items()
+    }
+    problems = set()
+
+    def dotted(module):
+        return f"repro.{module}" if module else "repro"
+
+    def parents(module):
+        parts = module.split(".") if module else []
+        return [".".join(parts[:i]) for i in range(len(parts))]
+
+    for entry in sorted(sources):
+        position: dict[str, int] = {}  # module -> statement running; -1: done
+
+        def load(module):
+            if module in position or module not in steps:
+                return
+            for parent in parents(module):
+                load(parent)
+            if module in position:
+                return
+            for i, (imports, _bound) in enumerate(steps[module]):
+                position[module] = i
+                for target, names in imports:
+                    load(target)
+                    for name in names or ():
+                        sub = f"{target}.{name}" if target else name
+                        if sub in steps:
+                            load(sub)
+                        elif not bound(target, name):
+                            problems.add(
+                                f"{dotted(module)}: cannot import {name} from half-built "
+                                f"{dotted(target)} (first import {dotted(entry)})"
+                            )
+            position[module] = -1
+
+        def bound(module, name):
+            at = position.get(module, -1)
+            return at == -1 or any(name in b for _imports, b in steps[module][:at])
+
+        load(entry)
+    return sorted(problems)
+
+
 def test_every_module_imports_first():
+    sources = _module_sources(pathlib.Path(__file__).parent.parent / "src")
+    assert _import_order_guard(sources) == []
+
+
+def test_every_top_level_package_imports_cold():
+    """The import-order walk sees only what the AST says; a real import of
+    each top-level package from a cold ``repro`` runs what it cannot."""
     src_dir = pathlib.Path(__file__).parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _SNIPPET],
@@ -47,6 +147,24 @@ def test_every_module_imports_first():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "", proc.stdout
+
+
+def test_import_order_guard_flags_a_half_built_import():
+    sources = {
+        "": "",
+        "a": "from repro.a.one import ONE\n",
+        "a.one": "from repro.b.two import TWO\nONE = 1\n",
+        "b": "",
+        "b.two": "from repro.a.one import ONE\nTWO = 2\n",
+        "c": "from repro.c.x import X\nfrom repro.c.y import Y\n",
+        "c.x": "X = 1\n",
+        "c.y": "from repro.c import X\nY = X\n",
+    }
+    assert _import_order_guard(sources) == [
+        "repro.a.one: cannot import TWO from half-built repro.b.two (first import repro.b.two)",
+        "repro.b.two: cannot import ONE from half-built repro.a.one (first import repro.a)",
+        "repro.b.two: cannot import ONE from half-built repro.a.one (first import repro.a.one)",
+    ]
 
 
 # ------------------------------------------------- every def has a src caller
@@ -96,6 +214,18 @@ def _module_sources(src_dir: pathlib.Path) -> dict[str, str]:
     return out
 
 
+@functools.lru_cache(maxsize=256)  # every module of src/repro, and some edits
+def _tree(module: str, text: str) -> ast.Module:
+    """One parse per module text, shared by the guards (none mutates it)."""
+    return ast.parse(text, module)
+
+
+@functools.lru_cache(maxsize=256)
+def _walk(tree: ast.Module) -> list[ast.AST]:
+    """Every node of a tree, walked once and shared by the guards."""
+    return list(ast.walk(tree))
+
+
 def _defs(module: str, tree: ast.Module):
     """(qualified name, name, first line, last line) of every module-level
     function and class and every method, dunders left out."""
@@ -119,7 +249,7 @@ def _references(tree: ast.Module):
         targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
             exported.update(id(n) for n in ast.walk(node))
-    for node in ast.walk(tree):
+    for node in _walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -137,7 +267,7 @@ def _caller_guard(sources: dict[str, str], allowlist: dict[str, str]) -> list[st
     """Every failure of the rule, one line each: a def that nothing outside
     its own body names and the allowlist does not excuse, or an allowlist
     entry that is stale (its name is gone, or it has a caller now)."""
-    trees = {module: ast.parse(text, module) for module, text in sources.items()}
+    trees = {module: _tree(module, text) for module, text in sources.items()}
     seen: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
         for name, line in _references(tree):
@@ -182,7 +312,7 @@ def _imports(tree: ast.Module, modules):
     """(module, names) of every absolute ``repro`` import anywhere in a tree,
     lazy ones included: the names a ``from`` import takes, or None for a
     whole module (``import repro.x.y``, or a submodule named in a ``from``)."""
-    for node in ast.walk(tree):
+    for node in _walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("repro."):
@@ -204,7 +334,7 @@ def _importer_guard(sources: dict[str, str], allowlist: dict[str, str]) -> list[
     counts only if one of the names it takes is used: loaded in the
     ``__init__`` itself, or imported from the package by another module.
     So an alias module that only its package re-exports has no importer."""
-    trees = {module: ast.parse(text, module) for module, text in sources.items()}
+    trees = {module: _tree(module, text) for module, text in sources.items()}
     packages = {m for m in sources if any(o.startswith(m + ".") for o in sources)}
     packages.add("")
     edges = [(m, t, n) for m, tree in trees.items() for t, n in _imports(tree, sources)]
@@ -310,11 +440,15 @@ def test_caller_guard_counts_a_getattr_string_as_a_caller():
     assert _caller_guard(sources, {}) == []
 
 
-def test_caller_guard_runs_under_one_second():
+def test_the_three_guards_run_under_one_second():
+    """Caller, importer and setter guard together, from a cold parse."""
     sources = _module_sources(pathlib.Path(__file__).parent.parent / "src")
+    _tree.cache_clear()
+    _walk.cache_clear()
     start = time.process_time()
     _caller_guard(sources, _NO_SRC_CALLER)
     _importer_guard(sources, _NO_SRC_IMPORTER)
+    _setter_guard(sources, _NO_SRC_SETTER)
     assert time.process_time() - start < 1.0
 
 
@@ -335,3 +469,344 @@ def test_caller_guard_counts_no_export_or_reexport_as_a_caller():
     assert _caller_guard(sources, {}) == ["pkg.mod.helper: no caller under src/repro"]
     sources["pkg.user"] = "from pkg import helper\nhelper()\n"
     assert _caller_guard(sources, {}) == []
+
+
+# --------------------------------------------- every knob has a src setter
+#: Knobs under ``src/repro`` that no code under ``src/repro`` sets, each with
+#: the reason it stays a knob rather than a constant.  A key names one knob
+#: (``module.Class.name``) or a class, which covers every unset knob of that
+#: class.  An entry whose knob gets a src setter or is gone fails as stale.
+_NO_SRC_SETTER = {
+    # calibration: the device, network and CPU models ROADMAP item 7 sweeps
+    "storage.ssd.SSDParams": "calibration of the SSD timing model, swept by ROADMAP item 7",
+    "storage.hdd.HDDParams": "calibration of the HDD timing model, swept by ROADMAP item 7",
+    "net.fabric.NetParams.per_message_overhead": "calibration of the network model, swept by ROADMAP item 7",
+    "cluster.config.CPUCosts": "calibration of the CPU cost model, swept by ROADMAP item 7",
+    "storage.wear.FlashWearModel": "calibration of the NAND wear model, swept by ROADMAP item 7",
+    "cluster.config.ClusterConfig.header_bytes": "calibration of the control-message size, swept by ROADMAP item 7",
+    "cluster.config.ClusterConfig.ack_bytes": "calibration of the ack size, swept by ROADMAP item 7",
+    "cluster.ecfs.ECFS.ssd_params": "the entry for SSD calibration, swept by ROADMAP item 7",
+    "cluster.ecfs.ECFS.hdd_params": "the entry for HDD calibration, swept by ROADMAP item 7",
+    # perfbench-bound: perfbench is edited only by a benchmark change
+    "core.logpool.LogPool.min_units": "perfbench/probes.py builds its append-probe pool with it until ROADMAP item 5.2",
+    "core.recycler.RecyclePlanner.n_lanes": "perfbench/probes.py builds its plan-probe planner with it until ROADMAP item 5.2",
+    "harness.runner.ExperimentConfig.verify": "perfbench/driver.py's verified workload sets it until ROADMAP item 5.2",
+    "harness.runner.ExperimentConfig.duration": "perfbench/driver.py reads it and perfbench/test_perfbench.py sets it until ROADMAP item 5.2",
+    # fault vocabulary: the generator of ROADMAP item 1 draws every field
+    "fault.events.OSDDecommission.retire": "fault vocabulary the schedule generator of ROADMAP item 1 draws",
+    "fault.events.OSDDecommission.parallel": "fault vocabulary the schedule generator of ROADMAP item 1 draws",
+    "fault.events.CrashOSD.recover": "fault vocabulary the schedule generator of ROADMAP item 1 draws",
+    "fault.events.DegradeNIC.duration": "fault vocabulary the schedule generator of ROADMAP item 1 draws",
+    "fault.events.StickDisk.duration": "fault vocabulary the schedule generator of ROADMAP item 1 draws",
+    "fault.events.OSDJoin": "fault vocabulary the schedule generator of ROADMAP item 1 draws",
+    "fault.events.WeightChange": "fault vocabulary the schedule generator of ROADMAP item 1 draws",
+    # reached by a route the AST cannot follow
+    "update.tsue.TSUE.options": "reached through ECFS(method_options={'options': ...}), e.g. harness/fig7.py",
+    "cluster.heartbeat.HeartbeatService.on_failure": "examples/degraded_service.py rebuilds a detected node through it",
+    # test seams: a test sets another value to reach a case the model runs rarely
+    "frontend.dispatcher.FrontEnd.hedge_delay": "tests/test_frontend.py::test_hedged_read_dodges_partition hedges sooner; five tests turn it off",
+    "frontend.dispatcher.FrontEnd.max_inflight": "tests/test_frontend.py::test_frontend_strict_priority_order serializes dispatch",
+    "frontend.admission.AdmissionConfig.rate": "tests/test_frontend.py::test_frontend_sheds_over_rate sheds at a low rate",
+    "frontend.admission.AdmissionConfig.burst": "tests/test_frontend.py::test_frontend_sheds_over_rate sheds past a small burst",
+    "placement.rebalancer.Rebalancer.ship_threshold": "tests/test_migration_durability.py::test_ship_path_replays_live_log_content_at_destination forces the ship path",
+    "cluster.scrub.Scrubber.stripes_per_pass": "tests/test_scrub.py::test_scrubber_bounded_pass scrubs two stripes per pass",
+    "net.fabric.NetworkFabric.fault_seed": "tests/test_fault_injection.py::test_lossy_link_retransmits_deterministically draws link loss per seed",
+    "harness.runner.ExperimentConfig.block_size": "tests/test_golden_digests.py::test_golden_digest pins 64 KiB-block rows",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_kind(stmt) -> str | None:
+    """``"knob"``, ``"field"`` (an init parameter with no plain default) or
+    None (no init parameter) for one statement of a dataclass body."""
+    if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+        return None
+    if "ClassVar" in ast.unparse(stmt.annotation):
+        return None
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        keywords = {k.arg: k.value for k in value.keywords}
+        init = keywords.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            return None
+        return "knob" if "default" in keywords else "field"
+    return "field" if value is None else "knob"
+
+
+def _classes(module: str, tree: ast.Module):
+    """(qualified name, class node) of every class, nested ones included."""
+    stack = [(tree.body, module + ".")]
+    while stack:
+        body, prefix = stack.pop()
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield prefix + node.name, node
+                stack.append((node.body, f"{prefix}{node.name}."))
+
+
+def _init(node: ast.ClassDef):
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            return stmt
+    return None
+
+
+def _knobs(node: ast.ClassDef):
+    """Names of a class's knobs: its defaulted ``__init__`` parameters, or a
+    dataclass's defaulted fields; a ``_private`` name is none."""
+    init = _init(node)
+    if init is not None:
+        args = init.args
+        positional = args.posonlyargs + args.args
+        names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+        names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    elif _is_dataclass(node):
+        names = [s.target.id for s in node.body if _field_kind(s) == "knob"]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("_")]
+
+
+def _setter_guard(sources: dict[str, str], allowlist: dict[str, str]) -> list[str]:
+    """Every failure of the rule, one line each: a knob that no src code
+    sets and the allowlist does not excuse, or a stale allowlist entry.
+
+    A knob of class ``C`` is set when src code passes it to ``C`` or a
+    subclass (by keyword, by position, or through ``**`` a module-level
+    ``dict(...)``), to ``dataclasses.replace``, or through a subclass's
+    ``super().__init__``; or assigns ``<expr>.name`` outside ``C`` where
+    ``<expr>`` is not ``self``.  Classes match by bare name."""
+    trees = {module: _tree(module, text) for module, text in sources.items()}
+    nodes = {q: n for m, t in trees.items() for q, n in _classes(m, t)}
+    by_name = {node.name: node for node in nodes.values()}
+    bases = {name: set() for name in by_name}
+    for node in nodes.values():
+        bases[node.name].update(getattr(b, "id", getattr(b, "attr", None)) for b in node.bases)
+
+    @functools.lru_cache(maxsize=None)
+    def params(name):
+        """Positional parameter names of a call to class ``name``."""
+        node = by_name.get(name)
+        if node is None:
+            return ()
+        init = _init(node)
+        if init is not None:
+            return tuple(a.arg for a in init.args.posonlyargs + init.args.args)[1:]
+        inherited = tuple(p for b in sorted(bases[name] - {None, name}) for p in params(b))
+        if _is_dataclass(node):
+            return inherited + tuple(s.target.id for s in node.body if _field_kind(s))
+        return inherited
+
+    passed = set()  # (class name or "replace", knob)
+    stored: dict[str, set] = {}  # attribute -> classes whose code stores it
+    for module, tree in trees.items():
+        spans = sorted((n.lineno, n.end_lineno, n.name) for _, n in _classes(module, tree))
+
+        def owner(node):
+            """The innermost class whose body holds ``node``, or None."""
+            inside = [name for first, last, name in spans if first <= node.lineno <= last]
+            return inside[-1] if inside else None
+
+        aliases, calls = {}, []
+        splats = {
+            t.id: {k.arg for k in n.value.keywords if k.arg}
+            for n in tree.body
+            if isinstance(n, ast.Assign)
+            and isinstance(n.value, ast.Call)
+            and getattr(n.value.func, "id", None) == "dict"
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in _walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.append((node, name, owner(node) if name in ("cls", "__init__") else None))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in getattr(node, "targets", None) or [node.target]:
+                    if isinstance(target, ast.Attribute) and not (
+                        isinstance(target.value, ast.Name) and target.value.id == "self"
+                    ):
+                        stored.setdefault(target.attr, set()).add(owner(node))
+            elif isinstance(node, ast.ImportFrom):
+                aliases.update((a.asname, a.name) for a in node.names if a.asname)
+        for node, name, cls in calls:
+            func = node.func
+            name = aliases.get(name, name)
+            targets = {cls if name == "cls" else name}
+            if (
+                name == "__init__"
+                and isinstance(func.value, ast.Call)
+                and getattr(func.value.func, "id", None) == "super"
+            ):
+                targets = bases.get(cls, set())
+            for target in targets:
+                for kw in node.keywords:
+                    keys = {kw.arg} if kw.arg else splats.get(getattr(kw.value, "id", None), ())
+                    passed.update((target, key) for key in keys)
+                positional = params(target) if name != "replace" else ()
+                for arg, key in zip(node.args, positional):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    passed.add((target, key))
+
+    children: dict[str, set] = {}
+    for name, parents in bases.items():
+        for parent in parents:
+            children.setdefault(parent, set()).add(name)
+
+    def family(name):
+        out, todo = set(), [name]
+        while todo:
+            cls = todo.pop()
+            if cls not in out:
+                out.add(cls)
+                todo.extend(children.get(cls, ()))
+        return out
+
+    unset, known = set(), set()
+    for qualname, node in nodes.items():
+        if node.name.startswith("_"):
+            continue
+        callees = family(node.name)
+        if _is_dataclass(node):
+            callees.add("replace")
+        for knob in _knobs(node):
+            known.add(f"{qualname}.{knob}")
+            if any((cls, knob) in passed for cls in callees):
+                continue
+            if stored.get(knob, set()) - {node.name}:
+                continue
+            unset.add(f"{qualname}.{knob}")
+
+    def covers(entry, knob):
+        return knob == entry or knob.rpartition(".")[0] == entry
+
+    problems = [
+        f"{k}: no setter under src/repro"
+        for k in sorted(unset)
+        if not any(covers(entry, k) for entry in allowlist)
+    ]
+    for entry in sorted(allowlist):
+        if entry not in known and entry not in nodes:
+            problems.append(f"{entry}: allowlisted but not a knob")
+        elif not any(covers(entry, k) for k in unset):
+            problems.append(f"{entry}: allowlisted but has a setter now")
+    return problems
+
+
+def test_every_src_knob_has_a_src_setter():
+    """Every defaulted dataclass field or ``__init__`` parameter under
+    src/repro is set by src code, or ``_NO_SRC_SETTER`` says why it stays a
+    knob.  A failure is either a knob only tests, examples or perfbench set
+    (make it a constant, or allowlist it with a reason) or a stale entry."""
+    sources = _module_sources(pathlib.Path(__file__).parent.parent / "src")
+    assert _setter_guard(sources, _NO_SRC_SETTER) == []
+    assert all(reason and "\n" not in reason for reason in _NO_SRC_SETTER.values())
+
+
+def test_setter_guard_flags_a_restored_knob():
+    """``yield_poll`` back on :class:`BackgroundConfig`, read by nothing
+    that sets it, is a knob again and fails."""
+    sources = _module_sources(pathlib.Path(__file__).parent.parent / "src")
+    anchor = "    floor: float = 0.1\n"
+    assert anchor in sources["background.config"]
+    sources["background.config"] = sources["background.config"].replace(
+        anchor, anchor + "    yield_poll: float = 5e-4\n"
+    )
+    assert _setter_guard(sources, _NO_SRC_SETTER) == [
+        "background.config.BackgroundConfig.yield_poll: no setter under src/repro"
+    ]
+
+
+def test_setter_guard_counts_replace_and_an_outside_store():
+    sources = {
+        "pkg.cfg": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\n"
+            "class Cfg:\n"
+            "    floor: float = 0.1\n"
+            "    window: float = 0.05\n"
+            "    tags: list = field(default_factory=list)\n"
+            "    _cache: dict = None\n"
+        ),
+        "pkg.dev": (
+            "class Dev:\n"
+            "    def __init__(self, depth=4, width=2):\n"
+            "        self.depth = depth\n"
+            "        self.width = width\n"
+        ),
+        "pkg.run": (
+            "from dataclasses import replace\n"
+            "from pkg.cfg import Cfg\n"
+            "TUNED = replace(Cfg(), floor=0.02)\n"
+            "def build(dev):\n"
+            "    dev.depth = 8\n"
+        ),
+    }
+    assert _setter_guard(sources, {}) == [
+        "pkg.cfg.Cfg.window: no setter under src/repro",
+        "pkg.dev.Dev.width: no setter under src/repro",
+    ]
+
+
+def test_setter_guard_counts_position_splat_and_super_init():
+    sources = {
+        "pkg.dev": (
+            "from dataclasses import dataclass\n"
+            "class Dev:\n"
+            "    def __init__(self, depth=4, width=2, lanes=1):\n"
+            "        self.depth = depth\n"
+            "class Fast(Dev):\n"
+            "    def __init__(self):\n"
+            "        super().__init__(lanes=8)\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    name: str\n"
+            "    n_ops: int = 10\n"
+            "CELL = dict(n_ops=20)\n"
+            "SPECS = [Spec('a', **CELL), Dev(8)]\n"
+        ),
+    }
+    assert _setter_guard(sources, {}) == ["pkg.dev.Dev.width: no setter under src/repro"]
+
+
+def test_setter_guard_counts_no_store_inside_the_class_itself():
+    sources = {
+        "pkg.dev": (
+            "class Dev:\n"
+            "    def __init__(self, depth=4):\n"
+            "        self.depth = depth\n"
+            "    def grow(self, other):\n"
+            "        self.depth = 8\n"
+            "        other.depth = 8\n"
+            "DEV = Dev()\n"
+        ),
+    }
+    assert _setter_guard(sources, {}) == ["pkg.dev.Dev.depth: no setter under src/repro"]
+
+
+def test_setter_guard_flags_stale_allowlist_entries():
+    sources = {
+        "pkg.dev": (
+            "class Dev:\n"
+            "    def __init__(self, depth=4, width=2):\n"
+            "        self.depth = depth\n"
+            "DEV = Dev(width=3)\n"
+        ),
+    }
+    allowlist = {
+        "pkg.dev.Dev": "every knob of the class",
+        "pkg.dev.Dev.width": "had no setter once",
+        "pkg.dev.Dev.lanes": "was retired",
+    }
+    assert _setter_guard(sources, allowlist) == [
+        "pkg.dev.Dev.lanes: allowlisted but not a knob",
+        "pkg.dev.Dev.width: allowlisted but has a setter now",
+    ]

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro.cluster import ClusterConfig, ECFS
 from repro.cluster.ids import BlockId
 from repro.placement import (
     CrushPolicy,
@@ -57,6 +58,8 @@ def test_rotation_matches_seed_layout_exactly():
     so seed figures stay identical."""
     n, k, m = 16, 6, 4
     p = RotationPolicy(n, k, m)
+    # TSUE's log pool index keeps the seed's hash of (inode, stripe, block)
+    tsue = ECFS(ClusterConfig(n_osds=n, k=k, m=m), method="tsue").method
     for fid in range(1, 10):
         for s in range(10):
             base = _seed_mix(fid, s) % n
@@ -65,7 +68,7 @@ def test_rotation_matches_seed_layout_exactly():
             for i in range(k + m):
                 b = BlockId(fid, s, i)
                 assert p.osd_of(b) == (base + i) % n
-                assert p.pool_of(b) == _seed_mix(fid, s, i) % 4
+                assert tsue._pool_idx(b) == _seed_mix(fid, s, i) % 4
             # seed replica rule: next node after the stripe's span
             used = set(p.stripe_osds(fid, s))
             b0 = BlockId(fid, s, 0)
@@ -151,8 +154,10 @@ def test_crush_respects_weights():
 # ----------------------------------------------- cross-process determinism
 _DETERMINISM_SNIPPET = """
 import sys
+from repro.cluster import ClusterConfig, ECFS
 from repro.cluster.ids import BlockId
 from repro.placement import Topology, make_policy
+tsue = ECFS(ClusterConfig(n_osds=13, k=4, m=2), method="tsue").method
 topo = Topology.flat(13, osds_per_host=1, hosts_per_rack=4)
 topo.set_weight(2, 0.5)
 for name in ("rotation", "crush"):
@@ -162,7 +167,7 @@ for name in ("rotation", "crush"):
         for s in range(6):
             for i in range(6):
                 b = BlockId(f, s, i)
-                out.append((policy.osd_of(b), policy.pool_of(b)))
+                out.append((policy.osd_of(b), tsue._pool_idx(b)))
             out.append(policy.replica_osd(BlockId(f, s, 0)))
     print(name, out)
 """

@@ -146,27 +146,6 @@ def test_store_get_blocks_until_put():
     assert got == [("x", 4.0)]
 
 
-def test_store_bounded_capacity_blocks_put():
-    env = Environment()
-    events = []
-
-    def producer(store):
-        for i in range(3):
-            yield store.put(i)
-            events.append(("put", i, env.now))
-
-    def consumer(store):
-        yield env.timeout_us(2_000_000)
-        item = yield store.get()
-        events.append(("got", item, env.now))
-
-    store = Store(env, capacity=2)
-    env.process(producer(store))
-    env.process(consumer(store))
-    env.run()
-    assert ("put", 2, 2.0) in events  # third put waited for the get
-
-
 def test_store_get_of_a_queued_item_does_not_wait():
     env = Environment()
     got = []
@@ -183,9 +162,3 @@ def test_store_get_of_a_queued_item_does_not_wait():
     env.process(consumer(store))
     env.run()
     assert got == [(7, 1.0), (8, 1.0)]
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)

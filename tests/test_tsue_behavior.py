@@ -79,8 +79,7 @@ def test_recycled_unit_serves_reads_until_reused():
 
 
 def test_memory_quota_bounds_pool_growth():
-    opts = TSUEOptions(max_units=2, unit_size=1 << 16)
-    ecfs = _cluster(options=opts)
+    ecfs = _cluster(options=TSUEOptions(max_units=2), log_unit_size=1 << 16)
     _replay(ecfs, n_ops=300)
     for osd in ecfs.osds:
         for _p, pool in ecfs.method.built_pools(osd.name):
