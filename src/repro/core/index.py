@@ -1,7 +1,8 @@
 """Two-level index of a log unit (§3.3.1).
 
-Level 1: hash map block-key -> :class:`ExtentMap`.
-Level 2: the ExtentMap's offset-sorted extent list.
+Level 1: hash map block -> :class:`ExtentMap`, or :class:`RecordList` when
+the log does not merge (the fig. 7 ablations).
+Level 2: the map's offset-sorted extents, or the list's records in order.
 
 A page-granular bitmap per block answers "could this range be in the log?"
 in O(pages) without touching the extent list — the paper adds it to avoid
@@ -17,7 +18,7 @@ from typing import Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.core.intervals import Extent, ExtentMap, MergePolicy
+from repro.core.intervals import Extent, ExtentMap, MergePolicy, RecordList
 
 __all__ = ["TwoLevelIndex"]
 
@@ -27,10 +28,13 @@ _BITMAP_PAGE = 4096
 class TwoLevelIndex:
     """Block-keyed extent index with bitmap-accelerated membership tests."""
 
-    def __init__(self, policy: MergePolicy, block_size: int) -> None:
+    def __init__(
+        self, policy: MergePolicy, block_size: int, merge: bool = True
+    ) -> None:
         self.policy = policy
+        self.merge = merge
         self._npages = -(-block_size // _BITMAP_PAGE)
-        self._maps: dict[Hashable, ExtentMap] = {}
+        self._maps: dict[Hashable, ExtentMap | RecordList] = {}
         self._bitmaps: dict[Hashable, np.ndarray] = {}
 
     # ------------------------------------------------------------------ API
@@ -39,7 +43,9 @@ class TwoLevelIndex:
     ) -> None:
         emap = self._maps.get(block)
         if emap is None:
-            emap = self._maps[block] = ExtentMap(self.policy)
+            emap = self._maps[block] = (
+                ExtentMap(self.policy) if self.merge else RecordList()
+            )
             self._bitmaps[block] = np.zeros(self._npages, dtype=bool)
         emap.insert(offset, data, own=own)
         self._pages(block, offset, len(data))[:] = True
@@ -67,7 +73,7 @@ class TwoLevelIndex:
         emap = self._maps.get(block)
         return emap.extents() if emap else ()
 
-    def extent_map(self, block: Hashable) -> Optional[ExtentMap]:
+    def extent_map(self, block: Hashable) -> Optional[ExtentMap | RecordList]:
         return self._maps.get(block)
 
     def clear(self) -> None:
@@ -76,18 +82,6 @@ class TwoLevelIndex:
 
     def __len__(self) -> int:
         return len(self._maps)
-
-    @property
-    def total_extents(self) -> int:
-        return sum(len(m) for m in self._maps.values())
-
-    @property
-    def total_records_absorbed(self) -> int:
-        return sum(m.records_absorbed for m in self._maps.values())
-
-    @property
-    def live_bytes(self) -> int:
-        return sum(m.live_bytes for m in self._maps.values())
 
     # ------------------------------------------------------------ internals
     def _pages(

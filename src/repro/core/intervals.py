@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-__all__ = ["MergePolicy", "Extent", "ExtentMap", "overlay"]
+__all__ = ["MergePolicy", "Extent", "ExtentMap", "RecordList", "overlay"]
 
 
 class MergePolicy(enum.Enum):
@@ -171,15 +171,6 @@ class ExtentMap:
     def __len__(self) -> int:
         return len(self._extents)
 
-    @property
-    def live_bytes(self) -> int:
-        return sum(e.size for e in self._extents)
-
-    @property
-    def reduction_ratio(self) -> float:
-        """raw records in / extents out — the recycle-savings factor."""
-        return self.records_absorbed / max(1, len(self._extents))
-
     def clear(self) -> None:
         self._starts.clear()
         self._extents.clear()
@@ -193,3 +184,39 @@ class ExtentMap:
             lo += 1
         hi = bisect_left(self._starts, end)
         return lo, hi
+
+
+class RecordList:
+    """One block's records, unmerged and in append order: the per-block map
+    of a log that does not merge (§3.3.2's locality switched off)."""
+
+    def __init__(self) -> None:
+        self._records: list[Extent] = []
+
+    def insert(self, offset: int, data: np.ndarray, own: bool = False) -> None:
+        """Append a record; ``own`` as in :meth:`ExtentMap.insert`."""
+        self._records.append(Extent(offset, data if own else data.copy()))
+
+    def lookup(self, offset: int, size: int) -> Optional[np.ndarray]:
+        """The newest record holding any byte of the range decides: its
+        bytes if it holds the whole range, else None."""
+        end = offset + size
+        for rec in reversed(self._records):
+            if rec.start < end and offset < rec.end:
+                if rec.start <= offset and end <= rec.end:
+                    return rec.data[offset - rec.start : end - rec.start].copy()
+                return None
+        return None
+
+    def covers_any(self, offset: int, size: int) -> bool:
+        """True if any byte of the range is present (staleness check)."""
+        end = offset + size
+        return any(rec.start < end and offset < rec.end for rec in self._records)
+
+    def extents(self) -> Iterator[Extent]:
+        """The records oldest first, so a later one wins an overlay."""
+        return iter(self._records)
+
+    @property
+    def records_absorbed(self) -> int:
+        return len(self._records)

@@ -280,7 +280,7 @@ class LogPool:
     def _seal_active(self) -> None:
         if self.active.state is not LogUnitState.EMPTY:
             raise IntegrityError("active unit is not appendable")
-        self.active.seal(self.env.now)
+        self.active.seal()
         # only a non-empty active unit is ever sealed, so the pool is already
         # live: the debt moves from the active unit to the backlog
         self._backlog += 1

@@ -1,9 +1,13 @@
-"""Fixed-size log units with the four-state lifecycle of Fig. 3."""
+"""Fixed-size log units with the four-state lifecycle of Fig. 3.
+
+Records are keyed by block whether or not the unit merges: its index's
+level 1 maps a block to an ``ExtentMap`` or, unmerged, a ``RecordList``.
+"""
 
 from __future__ import annotations
 
 import enum
-from typing import Hashable, NamedTuple, Optional
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -11,16 +15,7 @@ from repro.common.errors import IntegrityError
 from repro.core.index import TwoLevelIndex
 from repro.core.intervals import MergePolicy
 
-__all__ = ["LogUnitState", "LogUnit", "RawKey"]
-
-
-class RawKey(NamedTuple):
-    """Index key used when locality merging is disabled (fig. 7 baseline):
-    every record gets its own key so nothing merges; ``block`` is the real
-    block id, ``seq`` preserves append order."""
-
-    block: Hashable
-    seq: int
+__all__ = ["LogUnitState", "LogUnit"]
 
 
 class LogUnitState(enum.Enum):
@@ -36,8 +31,8 @@ class LogUnit:
     ``capacity`` bounds the *raw* appended bytes (the on-disk footprint of
     the append stream); the in-memory index may hold fewer live bytes thanks
     to merging.  Timestamps record the residence intervals behind Table 2:
-    ``first_append_at`` → ``sealed_at`` is the fill period, ``sealed_at`` →
-    ``recycled_at`` is the buffer+recycle period.
+    ``first_append_at`` → ``recycle_started_at`` is the buffer period,
+    ``recycle_started_at`` → ``recycled_at`` the recycle period.
     """
 
     def __init__(
@@ -53,10 +48,8 @@ class LogUnit:
         self.unit_id = unit_id
         self.capacity = capacity
         self.state = LogUnitState.EMPTY
-        self.merge = merge
-        self.index = TwoLevelIndex(policy, block_size=block_size)
+        self.index = TwoLevelIndex(policy, block_size=block_size, merge=merge)
         self.used = 0
-        self._seq = 0
         #: extents a recycler already applied durably — consulted when a
         #: crashed/restarted recycle replays the unit so nothing re-applies
         self.recycle_progress: set = set()
@@ -64,7 +57,6 @@ class LogUnit:
         #: cycle uniquely — the basis of replay-dedup tokens
         self.generation = 0
         self.first_append_at: Optional[float] = None
-        self.sealed_at: Optional[float] = None
         self.recycle_started_at: Optional[float] = None
         self.recycled_at: Optional[float] = None
 
@@ -88,17 +80,12 @@ class LogUnit:
             raise IntegrityError("append overflows log unit")
         if self.first_append_at is None:
             self.first_append_at = now
-        if self.merge:
-            self.index.insert(block, offset, data, own=own)
-        else:
-            self.index.insert(RawKey(block, self._seq), offset, data, own=own)
-            self._seq += 1
+        self.index.insert(block, offset, data, own=own)
         self.used += nbytes
 
     # -- lifecycle ----------------------------------------------------------
-    def seal(self, now: float) -> None:
+    def seal(self) -> None:
         self._transition(LogUnitState.EMPTY, LogUnitState.RECYCLABLE)
-        self.sealed_at = now
 
     def start_recycle(self, now: float) -> None:
         self._transition(LogUnitState.RECYCLABLE, LogUnitState.RECYCLING)
@@ -113,11 +100,9 @@ class LogUnit:
         self._transition(LogUnitState.RECYCLED, LogUnitState.EMPTY)
         self.index.clear()
         self.used = 0
-        self._seq = 0
         self.recycle_progress.clear()
         self.generation += 1
         self.first_append_at = None
-        self.sealed_at = None
         self.recycle_started_at = None
         self.recycled_at = None
 

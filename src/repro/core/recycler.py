@@ -6,6 +6,9 @@ planner reproduces that: given a sealed unit's index, it yields per-block
 work items and assigns each block to a lane by hash, so the TSUE method can
 run ``n_lanes`` concurrent recycle processes without reordering a block's
 records.
+
+Within a lane, blocks recycle in first-append order, each block's content
+consecutively: merged extents by offset, unmerged records in append order.
 """
 
 from __future__ import annotations
@@ -30,16 +33,24 @@ def unit_recycle_op(osd_name: str, pool_name: str, unit: LogUnit) -> RecycleOp:
 
 @dataclass
 class BlockWork:
-    """All merged extents of one block within one sealed unit."""
+    """All extents (or unmerged records) of one block within one unit."""
 
     block: Hashable
     extents: list[Extent]
     raw_records: int
     lane: int
 
-    @property
-    def live_bytes(self) -> int:
-        return sum(e.size for e in self.extents)
+    def keyed(self, prefix: str) -> Iterator[tuple[tuple, Extent]]:
+        """``(recycle-progress key, extent)`` pairs.  A key is ``(prefix,
+        block, start, size, n)``, ``n`` counting earlier extents with the
+        same ``(start, size)`` (0 when merged): unique in an unmerged block,
+        and, unlike a list position, unmoved by a later append."""
+        seen: dict[tuple[int, int], int] = {}
+        for ext in self.extents:
+            span = (ext.start, ext.size)
+            n = seen.get(span, 0)
+            seen[span] = n + 1
+            yield (prefix, self.block, ext.start, ext.size, n), ext
 
 
 @dataclass
@@ -52,7 +63,8 @@ class RecyclePlanner:
     raw_records: int = field(default=0, init=False)
 
     def plan(self, unit: LogUnit, record: bool = True) -> list[BlockWork]:
-        """Work items for one sealed unit, ordered by lane then block.
+        """Work items for one sealed unit, ordered by lane, then by the
+        block's first append.
 
         ``record=False`` skips the cumulative stats update, for callers
         (``perfbench/probes.py``) that plan a unit without recycling it.
@@ -74,9 +86,7 @@ class RecyclePlanner:
                     lane=self.lane_of(block),
                 )
             )
-        # Keep the index's insertion order within each lane: when merging is
-        # disabled (fig7 baseline) a block's records appear as separate keys
-        # and must recycle in append order.
+        # a stable sort: the index's first-append order within each lane
         items.sort(key=lambda w: w.lane)
         if record:
             self.planned_extents += sum(len(w.extents) for w in items)
@@ -91,12 +101,4 @@ class RecyclePlanner:
                 yield lane_items
 
     def lane_of(self, block: Hashable) -> int:
-        # RawKey (merging disabled) hashes by its real block so that all of
-        # one block's records share a lane and apply in append order.
-        real = getattr(block, "block", block)
-        return hash(real) % self.n_lanes
-
-    @property
-    def reduction_ratio(self) -> float:
-        """Raw log records per recycled extent across all planned work."""
-        return self.raw_records / max(1, self.planned_extents)
+        return hash(block) % self.n_lanes

@@ -1,11 +1,9 @@
 """Cluster topology: racks > hosts > OSDs, with per-device weights.
 
 The :class:`Topology` is the *mutable* description of what hardware exists;
-placement policies take an immutable snapshot of it at construction.  Every
-membership or weight change bumps ``version`` — the cluster uses that to
-know an epoch advance is due.  Hosts and racks are plain integers so every
-hash involved in placement is over stable ints (no string hashing, no
-``PYTHONHASHSEED`` sensitivity).
+placement policies take an immutable snapshot of it at construction.  Hosts
+and racks are plain integers so every hash involved in placement is over
+stable ints (no string hashing, no ``PYTHONHASHSEED`` sensitivity).
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ class Topology:
             raise ValueError(f"unknown failure domain {failure_domain!r}")
         self.failure_domain = failure_domain
         self._devices: dict[int, Device] = {}
-        #: bumped on every add/remove/reweight — the epoch-advance signal
-        self.version = 0
 
     # --------------------------------------------------------- construction
     @classmethod
@@ -89,7 +85,6 @@ class Topology:
                 rack = 0
         device = Device(osd=int(osd), weight=float(weight), host=int(host), rack=int(rack))
         self._devices[osd] = device
-        self.version += 1
         return device
 
     def remove_osd(self, osd: int) -> Device:
@@ -97,7 +92,6 @@ class Topology:
             device = self._devices.pop(osd)
         except KeyError:
             raise ValueError(f"osd {osd} not in topology") from None
-        self.version += 1
         return device
 
     def set_weight(self, osd: int, weight: float) -> Device:
@@ -107,7 +101,6 @@ class Topology:
         if old is None:
             raise ValueError(f"osd {osd} not in topology")
         self._devices[osd] = Device(old.osd, float(weight), old.host, old.rack)
-        self.version += 1
         return self._devices[osd]
 
     # ------------------------------------------------------------- queries

@@ -35,10 +35,10 @@ import numpy as np
 from repro.cluster.client import UpdateOp
 from repro.cluster.ids import BlockId
 from repro.cluster.osd import OSD
-from repro.core.intervals import ExtentMap, MergePolicy, overlay
+from repro.core.intervals import ExtentMap, MergePolicy, RecordList, overlay
 from repro.common.errors import IntegrityError
 from repro.core.logpool import LogPool
-from repro.core.logunit import LogUnit, LogUnitState, RawKey
+from repro.core.logunit import LogUnit, LogUnitState
 from repro.core.recycler import RecyclePlanner, unit_recycle_op
 from repro.gf.field import gf_mul_scalar
 from repro.placement.base import mix
@@ -296,9 +296,8 @@ class TSUE(UpdateMethod):
     # -- stage 1: DataLog ----------------------------------------------------
     def _datalog_lane(self, osd: OSD, pool: LogPool, unit: LogUnit, lane_items) -> Generator:
         for work in lane_items:
-            block = self._real_block(work.block)
-            for ext in work.extents:
-                key = ("dl", work.block, ext.start, ext.size)
+            block = work.block
+            for key, ext in work.keyed("dl"):
                 if key in unit.recycle_progress:
                     continue  # replay of an interrupted recycle
                 # reconstruction may hold the stripe frozen: applying this
@@ -449,29 +448,23 @@ class TSUE(UpdateMethod):
         # group per stripe for Eq. (5) cross-block merging
         per_stripe: dict[tuple[int, int], list] = defaultdict(list)
         for work in self.planner.plan(unit):
-            block = self._real_block(work.block)
-            per_stripe[(block.file_id, block.stripe)].append((block, work))
+            block = work.block
+            per_stripe[(block.file_id, block.stripe)].append(work)
         rs = self.ecfs.rs
         occurrences: dict[tuple, int] = defaultdict(int)
         for (file_id, stripe), works in per_stripe.items():
             for j in range(rs.m):
                 pbid = BlockId(file_id, stripe, rs.k + j)
-                if self.opts.backend_locality:
-                    merged = ExtentMap(MergePolicy.XOR)
-                    for block, work in works:
-                        coef = self.parity_coef(j, block.idx)
-                        for ext in work.extents:
-                            merged.insert(ext.start, gf_mul_scalar(coef, ext.data), own=True)
-                    exts = list(merged.extents())
-                else:
-                    exts = []
-                    for block, work in works:
-                        coef = self.parity_coef(j, block.idx)
-                        for ext in work.extents:
-                            exts.append(
-                                type(ext)(ext.start, gf_mul_scalar(coef, ext.data))
-                            )
-                for ext in exts:
+                merged = (
+                    ExtentMap(MergePolicy.XOR)
+                    if self.opts.backend_locality
+                    else RecordList()
+                )
+                for work in works:
+                    coef = self.parity_coef(j, work.block.idx)
+                    for ext in work.extents:
+                        merged.insert(ext.start, gf_mul_scalar(coef, ext.data), own=True)
+                for ext in merged.extents():
                     base = (pbid, ext.start, ext.size)
                     n = occurrences[base]
                     occurrences[base] += 1
@@ -540,13 +533,11 @@ class TSUE(UpdateMethod):
     # -- stage 3: ParityLog ----------------------------------------------------
     def _paritylog_lane(self, osd: OSD, pool: LogPool, unit: LogUnit, lane_items) -> Generator:
         for work in lane_items:
-            pbid = self._real_block(work.block)
-            for ext in work.extents:
-                key = ("pl", work.block, ext.start, ext.size)
+            for key, ext in work.keyed("pl"):
                 if key in unit.recycle_progress:
                     continue  # replay of an interrupted recycle
                 yield from self.parity_rmw(
-                    osd, pbid, ext.start, ext.data,
+                    osd, work.block, ext.start, ext.data,
                     IOPriority.BACKGROUND, tag="tsue-pl-recycle",
                 )
                 unit.recycle_progress.add(key)
@@ -610,9 +601,8 @@ class TSUE(UpdateMethod):
                 # recycle already applied: degraded reads overlay them, and
                 # their replay self-cancels (the recomputed delta is zero
                 # because the rebuilt block already carries the new bytes)
-                for key in list(unit.index.blocks()):
-                    block = self._real_block(key)
-                    exts = list(unit.index.extents(key))
+                for block in list(unit.index.blocks()):
+                    exts = list(unit.index.extents(block))
                     self._stash_data.setdefault(block, []).extend(exts)
                     self._stash_bytes += sum(e.size for e in exts)
         for _p, pool in self.built_pools(victim.name, "deltalog"):
@@ -769,8 +759,7 @@ class TSUE(UpdateMethod):
                 for unit in pool.live_units():
                     if layer == "datalog" and unit.state is not LogUnitState.RECYCLING:
                         continue
-                    for key in unit.index.blocks():
-                        block = self._real_block(key)
+                    for block in unit.index.blocks():
                         out.add((block.file_id, block.stripe))
         # deltas parked for a bounced node or stashed for recovery replay
         # are also applied-in-data, pending-on-parity
@@ -788,10 +777,9 @@ class TSUE(UpdateMethod):
         live unit on any layer holding content for ``block`` blocks the
         move until a flush settles it."""
         return any(
-            self._real_block(key) == block
+            unit.index.extent_map(block) is not None
             for pool in self._live_pools_on(osd)
             for unit in pool.live_units()
-            for key in unit.index.blocks()
         )
 
     # ------------------------------------------------- migration (log move)
@@ -813,10 +801,9 @@ class TSUE(UpdateMethod):
             for _p, pool in self.built_pools(osd.name, layer):
                 for unit in pool.live_units():
                     for work in self.planner.plan(unit):
-                        if self._real_block(work.block) != block:
+                        if work.block != block:
                             continue
-                        for ext in work.extents:
-                            key = (prefix, work.block, ext.start, ext.size)
+                        for key, ext in work.keyed(prefix):
                             if key in unit.recycle_progress:
                                 continue  # already applied at the source
                             out.append((layer, pool, unit, key, ext))
@@ -996,7 +983,3 @@ class TSUE(UpdateMethod):
                 pool.fail()
             self._spawn_recycler(osd, layer, p, pool)
         return pool
-
-    @staticmethod
-    def _real_block(key) -> BlockId:
-        return key.block if isinstance(key, RawKey) else key

@@ -176,11 +176,6 @@ _NO_SRC_CALLER = {
     "sim.core.Environment.peek_us": "tests/test_sim_core.py::test_peek_us_reports_next_event_time reads the next due tick",
     "core.logpool.LogPool.n_units": "tests/test_logpool.py::test_rotation_seals_full_unit counts a pool's resident units",
     "core.logpool.LogPool.backlog": "tests/test_log_debt_ledger.py recounts the log-debt ledger by brute force against it",
-    "core.index.TwoLevelIndex.total_extents": "tests/test_index.py::test_totals_and_clear counts the index's extents",
-    "core.index.TwoLevelIndex.total_records_absorbed": "tests/test_index.py::test_totals_and_clear counts the records merged in",
-    "core.index.TwoLevelIndex.live_bytes": "tests/test_index.py::test_totals_and_clear reads the index's live bytes",
-    "core.intervals.ExtentMap.reduction_ratio": "tests/test_intervals.py::test_reduction_ratio_counts_merges reads the merge ratio",
-    "core.recycler.RecyclePlanner.reduction_ratio": "tests/test_recycler.py::test_reduction_ratio reads the planner's merge ratio",
     "storage.base.DeviceCounters.total_ops": "tests/test_invariants_extra.py::test_device_counters_conserve sums a device's I/Os",
     "storage.base.StorageDevice.estimate": "tests/test_storage.py::test_ssd_random_slower_than_sequential prices an I/O without queueing it",
     "cluster.scrub.ScrubReport.clean": "tests/test_scrub.py::test_clean_cluster_scrubs_clean reads a scrub's verdict",

@@ -51,12 +51,13 @@ def test_totals_and_clear():
     idx = TwoLevelIndex(MergePolicy.OVERWRITE, BLOCK)
     for i in range(5):
         idx.insert("blk", i * 100, _bytes(i, 10))
-    assert idx.total_extents == 5
-    assert idx.total_records_absorbed == 5
-    assert idx.live_bytes == 50
+    exts = list(idx.extents("blk"))
+    assert len(exts) == 5
+    assert idx.extent_map("blk").records_absorbed == 5
+    assert sum(e.size for e in exts) == 50
     idx.clear()
     assert len(idx) == 0
-    assert idx.total_extents == 0
+    assert list(idx.extents("blk")) == []
 
 
 def test_extents_iteration():
@@ -74,5 +75,5 @@ def test_merging_within_block():
     new = _bytes(1, 8)
     idx.insert("blk", 0, _bytes(0, 8))
     idx.insert("blk", 0, new)
-    assert idx.total_extents == 1
+    assert len(list(idx.extents("blk"))) == 1
     assert np.array_equal(idx.lookup("blk", 0, 8), new)

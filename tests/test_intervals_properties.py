@@ -10,7 +10,7 @@ agreeing with the model on every query, and its structural invariants
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.intervals import Extent, ExtentMap, MergePolicy, overlay
+from repro.core.intervals import Extent, ExtentMap, MergePolicy, RecordList, overlay
 
 SPACE = 256  # model byte-space size; small so overlaps/adjacency are common
 
@@ -88,7 +88,7 @@ def test_structure_sorted_nonoverlapping_coalesced(policy, ops):
         assert a.end < b.start, f"{a} and {b} overlap or should have merged"
     # extents are exactly the model's covered runs
     assert [(e.start, e.end) for e in extents] == model.runs()
-    assert emap.live_bytes == int(model.covered.sum())
+    assert sum(e.size for e in extents) == int(model.covered.sum())
 
 
 @settings(max_examples=120, deadline=None)
@@ -181,6 +181,34 @@ def test_overlay_matches_model_later_extent_wins(ops, qoff, qsize):
     )
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    ops_strategy,
+    st.integers(min_value=0, max_value=SPACE - 1),
+    st.integers(min_value=1, max_value=64),
+)
+def test_record_list_reads_as_the_merged_map(ops, qoff, qsize):
+    """An unmerged :class:`RecordList` reads like the ``ExtentMap
+    (OVERWRITE)`` built from the same records: its records overlay a window
+    to the map's bytes, and a lookup is a miss or exactly those bytes."""
+    qsize = min(qsize, SPACE - qoff)
+    emap, _model = _build(MergePolicy.OVERWRITE, ops)
+    records = RecordList()
+    for offset, size, fill in ops:
+        size = min(size, SPACE - offset)
+        records.insert(offset, ((np.arange(size) + fill) % 256).astype(np.uint8))
+    assert records.records_absorbed == emap.records_absorbed
+    assert records.covers_any(qoff, qsize) == emap.covers_any(qoff, qsize)
+    base = np.full(qsize, 0xEE, dtype=np.uint8)
+    assert np.array_equal(
+        overlay(base.copy(), qoff, records.extents()),
+        overlay(base.copy(), qoff, emap.extents()),
+    )
+    hit = records.lookup(qoff, qsize)
+    if hit is not None:
+        assert np.array_equal(hit, emap.read_range(qoff, qsize))
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops_strategy)
 def test_overwrite_newest_wins(ops):
@@ -202,7 +230,7 @@ def test_records_absorbed_counts_inserts(ops):
     emap, _model = _build(MergePolicy.OVERWRITE, ops)
     effective = sum(1 for o, s, _f in ops if min(s, SPACE - o) > 0)
     assert emap.records_absorbed == effective
-    assert emap.reduction_ratio >= 1.0 or len(emap) == 0
+    assert len(emap) <= emap.records_absorbed
 
 
 @settings(max_examples=120, deadline=None)

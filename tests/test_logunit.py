@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import IntegrityError
 from repro.core.intervals import MergePolicy
-from repro.core.logunit import LogUnit, LogUnitState, RawKey
+from repro.core.logunit import LogUnit, LogUnitState
 
 
 def _unit(capacity=1024, merge=True):
@@ -34,7 +34,7 @@ def test_append_overflow_rejected():
 def test_lifecycle_transitions():
     u = _unit()
     u.append("blk", 0, _bytes(10), now=1.0)
-    u.seal(2.0)
+    u.seal()
     assert u.state is LogUnitState.RECYCLABLE
     u.start_recycle(3.0)
     assert u.state is LogUnitState.RECYCLING
@@ -50,11 +50,11 @@ def test_illegal_transitions_rejected():
     u = _unit()
     with pytest.raises(IntegrityError):
         u.start_recycle(0.0)  # not sealed yet
-    u.seal(0.0)
+    u.seal()
     with pytest.raises(IntegrityError):
         u.append("blk", 0, _bytes(1), now=0.0)
     with pytest.raises(IntegrityError):
-        u.seal(0.0)
+        u.seal()
     with pytest.raises(IntegrityError):
         u.reuse()  # not recycled yet
 
@@ -62,7 +62,7 @@ def test_illegal_transitions_rejected():
 def test_residence_intervals():
     u = _unit()
     u.append("blk", 0, _bytes(10), now=1.0)
-    u.seal(5.0)
+    u.seal()
     u.start_recycle(7.0)
     u.finish_recycle(9.5)
     assert u.buffer_interval == pytest.approx(6.0)  # first append -> recycle
@@ -79,26 +79,28 @@ def test_merge_mode_merges_same_block():
     u = _unit()
     u.append("blk", 0, _bytes(10, 1), now=0.0)
     u.append("blk", 0, _bytes(10, 2), now=0.0)
-    assert u.index.total_extents == 1
+    assert len(list(u.index.extents("blk"))) == 1
 
 
 def test_raw_mode_keeps_every_record_in_order():
     u = _unit(merge=False)
     u.append("blk", 0, _bytes(10, 1), now=0.0)
+    u.append("other", 0, _bytes(10, 3), now=0.0)
     u.append("blk", 0, _bytes(10, 2), now=0.0)
-    keys = list(u.index.blocks())
-    assert keys == [RawKey("blk", 0), RawKey("blk", 1)]
-    # latest record's payload is the later key's extent
-    ext = next(iter(u.index.extents(RawKey("blk", 1))))
-    assert ext.data[0] == 2
+    # one key per block; the block's records stay unmerged, in append order
+    assert list(u.index.blocks()) == ["blk", "other"]
+    assert [e.data[0] for e in u.index.extents("blk")] == [1, 2]
+    # the newest record answers a read of its range
+    assert u.index.lookup("blk", 0, 10)[0] == 2
 
 
 def test_reuse_resets_raw_sequence():
     u = _unit(merge=False)
-    u.append("blk", 0, _bytes(10), now=0.0)
-    u.seal(0.0)
+    u.append("blk", 0, _bytes(10, 1), now=0.0)
+    u.seal()
     u.start_recycle(0.0)
     u.finish_recycle(0.0)
     u.reuse()
-    u.append("blk", 0, _bytes(10), now=0.0)
-    assert list(u.index.blocks()) == [RawKey("blk", 0)]
+    u.append("blk", 0, _bytes(10, 2), now=0.0)
+    assert list(u.index.blocks()) == ["blk"]
+    assert [e.data[0] for e in u.index.extents("blk")] == [2]

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.intervals import MergePolicy
-from repro.core.logunit import LogUnit, RawKey
+from repro.core.logunit import LogUnit
 from repro.core.recycler import RecyclePlanner
 
 
@@ -24,22 +24,51 @@ def test_plan_groups_by_block():
 def test_same_block_same_lane():
     planner = RecyclePlanner(n_lanes=4)
     assert planner.lane_of("blk") == planner.lane_of("blk")
-    # RawKey unwraps to its block for lane assignment
-    assert planner.lane_of(RawKey("blk", 0)) == planner.lane_of(RawKey("blk", 99))
-    assert planner.lane_of(RawKey("blk", 5)) == planner.lane_of("blk")
+    # an unmerged block is one work item, so all its records share a lane
+    unit = _unit(merge=False)
+    for i in range(5):
+        unit.append("blk", i, np.ones(4, dtype=np.uint8), now=0.0)
+    (work,) = planner.plan(unit)
+    assert (work.block, work.lane) == ("blk", planner.lane_of("blk"))
+    assert len(work.extents) == work.raw_records == 5
 
 
 def test_raw_mode_preserves_append_order_within_lane():
+    """The declared recycle order of an unmerged unit: within a lane,
+    blocks in first-append order, each block's records consecutively and
+    in append order — not the global append order interleaving blocks."""
     unit = _unit(merge=False)
-    for i in range(6):
-        unit.append("blk", 0, np.full(4, i, dtype=np.uint8), now=0.0)
+    blocks = ["b0", "b1", "b2"]
+    for i in range(9):
+        block = blocks[(i * 2) % 3]  # b0, b2, b1, b0, b2, b1, ...
+        unit.append(block, 0, np.full(4, i, dtype=np.uint8), now=0.0)
+    planner = RecyclePlanner(n_lanes=1)
+    (lane,) = planner.lanes(planner.plan(unit))
+    assert [w.block for w in lane] == ["b0", "b2", "b1"]
+    assert [[int(e.data[0]) for e in w.extents] for w in lane] == [
+        [0, 3, 6], [1, 4, 7], [2, 5, 8]
+    ]
+    # with more lanes each block keeps its records in append order
     planner = RecyclePlanner(n_lanes=3)
-    items = planner.plan(unit)
-    # all records of "blk" are in one lane, ordered by seq
-    lanes = list(planner.lanes(items))
-    assert len(lanes) == 1
-    seqs = [w.block.seq for w in lanes[0]]
-    assert seqs == sorted(seqs)
+    for work in planner.plan(unit):
+        values = [int(e.data[0]) for e in work.extents]
+        assert values == sorted(values) and len(values) == 3
+
+
+def test_progress_keys_count_repeated_ranges():
+    """Two unmerged records over one range get distinct recycle-progress
+    keys, told apart by the ordinal ``n``; a merged block's is always 0."""
+    keys = {}
+    for merge in (False, True):
+        unit = _unit(merge=merge)
+        for offset, fill in ((0, 1), (8, 2), (0, 3)):
+            unit.append("blk", offset, np.full(4, fill, dtype=np.uint8), now=0.0)
+        (work,) = RecyclePlanner().plan(unit)
+        keys[merge] = [key for key, _ext in work.keyed("dl")]
+    assert keys[False] == [
+        ("dl", "blk", 0, 4, 0), ("dl", "blk", 8, 4, 0), ("dl", "blk", 0, 4, 1)
+    ]
+    assert keys[True] == [("dl", "blk", 0, 4, 0), ("dl", "blk", 8, 4, 0)]
 
 
 def test_lanes_partition_items():
@@ -61,7 +90,7 @@ def test_reduction_ratio():
         unit.append("blk", 0, np.ones(8, dtype=np.uint8), now=0.0)
     planner = RecyclePlanner()
     planner.plan(unit)
-    assert planner.reduction_ratio == 10.0
+    assert (planner.raw_records, planner.planned_extents) == (10, 1)
 
 
 def test_work_live_bytes():
@@ -70,5 +99,4 @@ def test_work_live_bytes():
     unit.append("blk", 8, np.ones(8, dtype=np.uint8), now=0.0)  # coalesces
     planner = RecyclePlanner()
     (work,) = planner.plan(unit)
-    assert work.live_bytes == 16
-    assert len(work.extents) == 1
+    assert [(e.start, e.size) for e in work.extents] == [(0, 16)]
