@@ -2,12 +2,15 @@
 
 A pool owns a FIFO queue of :class:`LogUnit`.  The *active* unit (queue tail)
 takes appends; when full it is sealed (-> RECYCLABLE) and handed to the
-recycler through :attr:`recyclable`.  A new active unit is obtained by
-reusing the oldest RECYCLED unit — whose retained index stops serving as a
-read cache at that moment — or by allocating a fresh unit while the pool is
-below its quota.  When neither is possible the append **waits**: this
-backpressure is the mechanism behind Fig. 6a (a 2-unit quota starves updates
-because appends stall until recycling frees a unit).
+recycler through :attr:`recyclable`.  A DataLog unit keeps its index once
+RECYCLED, as a read cache; a DeltaLog/ParityLog (XOR) unit's deltas are
+never read, so its index is dropped as its recycle ends.  A new active unit
+is obtained by reusing the oldest RECYCLED unit — whose retained index
+stops serving as a read cache at that moment — or by allocating a fresh
+unit while the pool is below its quota.  When neither is possible the
+append **waits**: this backpressure is the mechanism behind Fig. 6a (a
+2-unit quota starves updates because appends stall until recycling frees a
+unit).
 
 **Reads** (§3.3.3): the newest unit holding any byte of a range decides a
 read-cache :meth:`lookup` — its one-extent hit, or a miss.  A miss reads the
@@ -182,8 +185,14 @@ class LogPool:
             self._acquire_active()
 
     def unit_recycled(self, unit: LogUnit) -> None:
-        """Recycler callback: unit finished; record stats and wake waiters."""
+        """Recycler callback: unit finished; record stats and wake waiters.
+
+        An XOR unit's index goes now: only DataLog pools serve reads
+        (:meth:`lookup`, :meth:`overlay`), and :meth:`live_units` skips a
+        RECYCLED unit, so its deltas would only hold memory until reuse."""
         unit.finish_recycle(self.env.now)
+        if self.policy is MergePolicy.XOR:
+            unit.index.clear()
         buf = unit.buffer_interval or 0.0
         rec = unit.recycle_interval or 0.0
         self.residence.append((buf, rec))
@@ -258,8 +267,9 @@ class LogPool:
     def live_units(self) -> list[LogUnit]:
         """The units behind :attr:`holds_debt`, oldest first: content still
         to be recycled, whether filling, sealed or mid-recycle.  A RECYCLED
-        unit keeps its index and ``used`` only as a read cache — its content
-        is already merged and must never be replayed, shipped or counted."""
+        unit keeps ``used`` until reuse, and a DataLog one its index as a
+        read cache (an XOR one's is dropped) — its content is already merged
+        and must never be replayed, shipped or counted."""
         return [
             u for u in self.units
             if u.used and u.state is not LogUnitState.RECYCLED

@@ -22,7 +22,7 @@ class LogUnitState(enum.Enum):
     EMPTY = "empty"  # active or ready for appends
     RECYCLABLE = "recyclable"  # sealed, waiting for a recycle thread
     RECYCLING = "recycling"  # attached to a recycle thread
-    RECYCLED = "recycled"  # done; index retained as read cache until reuse
+    RECYCLED = "recycled"  # done; a DataLog index stays a read cache until reuse
 
 
 class LogUnit:

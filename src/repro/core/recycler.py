@@ -14,7 +14,7 @@ consecutively: merged extents by offset, unmerged records in append order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from typing import Hashable, Iterator, Optional
 
 from repro.background.work import RecycleOp
 from repro.core.intervals import Extent
@@ -71,27 +71,33 @@ class RecyclePlanner:
         """
         if self.n_lanes < 1:
             raise ValueError("need at least one lane")
-        items: list[BlockWork] = []
-        for block in unit.index.blocks():
-            emap = unit.index.extent_map(block)
-            assert emap is not None
-            extents = list(emap.extents())
-            if not extents:
-                continue
-            items.append(
-                BlockWork(
-                    block=block,
-                    extents=extents,
-                    raw_records=emap.records_absorbed,
-                    lane=self.lane_of(block),
-                )
-            )
+        items = [
+            work
+            for block in unit.index.blocks()
+            if (work := self.block_work(unit, block)) is not None
+        ]
         # a stable sort: the index's first-append order within each lane
         items.sort(key=lambda w: w.lane)
         if record:
             self.planned_extents += sum(len(w.extents) for w in items)
             self.raw_records += sum(w.raw_records for w in items)
         return items
+
+    def block_work(self, unit: LogUnit, block: Hashable) -> Optional[BlockWork]:
+        """``block``'s item of :meth:`plan` for ``unit`` — None when the unit
+        holds nothing for it — without touching the cumulative stats."""
+        emap = unit.index.extent_map(block)
+        if emap is None:
+            return None
+        extents = list(emap.extents())
+        if not extents:
+            return None
+        return BlockWork(
+            block=block,
+            extents=extents,
+            raw_records=emap.records_absorbed,
+            lane=self.lane_of(block),
+        )
 
     def lanes(self, items: list[BlockWork]) -> Iterator[list[BlockWork]]:
         """Group planned items by lane (each lane processed sequentially)."""

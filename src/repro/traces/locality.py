@@ -11,22 +11,37 @@ Two mechanisms compose:
   continues at the previous end offset (sequential run), producing the
   adjacent-update patterns the DataLog coalesces.
 
-The hot-set draw reproduces ``Generator.choice(n, p=probs)`` without paying
-for it per access.  numpy's scalar weighted ``choice`` re-validates ``p``,
+An access draws one or two doubles from the model's own generator: a run
+check against ``p_run`` once a previous access has ended somewhere, then,
+unless the run continues, a hot-set page ``Generator.choice(n, p=probs)``
+would have picked.  numpy's scalar weighted ``choice`` re-validates ``p``,
 builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` and returns
-``cdf.searchsorted(random(), side="right")`` on every call: one ``random()``
-double and one binary search, behind passes over the whole distribution
-(13–15 µs per draw for a 614-page hot set on a 2-vCPU x86 host, against
-1.5 µs for the search alone).  ``probs`` never changes after construction,
-so building that CDF once with the same two operations gives the same
-float64 array, and the same double searched in it gives the same rank: the
-generator consumes exactly what ``choice`` consumed.  The probability check
-``choice`` made on every draw is made once, on the CDF.
+``cdf.searchsorted(random(), side="right")`` on every call.  ``probs``
+never changes, so the CDF is built once at construction, with the same two
+operations (the same float64 array); its probability check is made there.
+
+:meth:`LocalityModel.offsets` then places all of one file's accesses in a
+single batch instead of one Python call per access:
+
+1. one ``random(2 * len(sizes))`` draw — every access needs at most two
+   doubles, and the array draw returns the doubles the scalar calls would;
+2. one vectorized ``searchsorted(side="right")`` maps every double to a
+   hot-set page, exactly what ``choice`` would return for it;
+3. a loop over plain lists decides run or hot set per access, taking the
+   doubles in order (an access with ``size >= file_bytes`` draws none);
+4. the doubles left over are given back: ``bit_generator.advance(2**128 -
+   unused)`` steps PCG64 back, and since ``advance`` clears the buffered
+   32-bit half, ``has_uint32`` / ``uinteger`` are written back as
+   ``common/randbytes.py`` does.
+
+The offsets and the generator state afterwards equal what per-access
+draws would have produced, so every trace is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -67,24 +82,44 @@ class LocalityModel:
         self._page_of_rank = self._rng.permutation(self.n_pages)[:hot_pages]
         self._last_end = 0
 
-    def next_offset(self, size: int) -> int:
-        """File offset for the next access of ``size`` bytes (page aligned).
-
-        A hot-set access is ``Generator.choice(len(probs), p=probs)`` done by
-        hand: one ``random()`` double searched (``side="right"``) in the CDF
-        built at construction, so it returns the same rank and leaves the
-        same generator state, for about one double and one binary search
-        instead of a pass over the distribution.  An access that fills the
-        file (``size >= file_bytes``) draws nothing.
-        """
-        limit = self.file_bytes - size
-        if limit <= 0:
-            return 0
-        if self._last_end and self._rng.random() < self.p_run:
-            offset = min(self._last_end, limit)  # sequential continuation
-        else:
-            rank = int(self._cdf.searchsorted(self._rng.random(), side="right"))
-            offset = int(self._page_of_rank[rank]) * _PAGE
-            offset = min(offset, limit)
-        self._last_end = offset + size
-        return offset
+    def offsets(self, sizes: Sequence[int]) -> list[int]:
+        """File offsets (page aligned) for consecutive accesses of ``sizes``
+        bytes: a run continues at the previous end, any other access lands
+        on a hot-set page; an access that fills the file (``size >=
+        file_bytes``) is at 0 and draws nothing."""
+        rng = self._rng
+        drawn = 2 * len(sizes)
+        doubles = rng.random(drawn)
+        ranks = self._cdf.searchsorted(doubles, side="right")
+        hot = (self._page_of_rank[ranks] * _PAGE).tolist()
+        doubles = doubles.tolist()
+        file_bytes, p_run = self.file_bytes, self.p_run
+        last_end, used = self._last_end, 0
+        out = []
+        for size in sizes:
+            limit = file_bytes - size
+            if limit <= 0:
+                out.append(0)
+                continue
+            if last_end and doubles[used] < p_run:
+                offset = min(last_end, limit)  # sequential continuation
+                used += 1
+            else:
+                if last_end:
+                    used += 1  # the run check drew a double and failed
+                offset = min(hot[used], limit)
+                used += 1
+            last_end = offset + size
+            out.append(offset)
+        self._last_end = last_end
+        if used < drawn:
+            # give the unused doubles back; advance clears the buffered half
+            bitgen = rng.bit_generator
+            state = bitgen.state
+            bitgen.advance(2**128 - (drawn - used))
+            if state["has_uint32"] or state["uinteger"]:
+                after = bitgen.state
+                after["has_uint32"] = state["has_uint32"]
+                after["uinteger"] = state["uinteger"]
+                bitgen.state = after
+        return out

@@ -73,12 +73,16 @@ def generate_trace(
     ops = (rng.random(n_ops) < spec.update_ratio).tolist()
     size_draws = rng.choice(sizes, size=n_ops, p=probs).tolist()
     file_draws = rng.choice(np.asarray(file_ids), size=n_ops).tolist()
+    # each file's model draws from its own generator, so one batch per file
+    # gives the offsets per-op calls would, and they zip back in trace order
+    sizes_of: dict[int, list[int]] = {fid: [] for fid in localities}
+    for size, fid in zip(size_draws, file_draws):
+        sizes_of[fid].append(size)
+    offsets = {
+        fid: iter(localities[fid].offsets(fid_sizes))
+        for fid, fid_sizes in sizes_of.items()
+    }
     return [
-        TraceRecord(
-            op="update" if is_update else "read",
-            file_id=fid,
-            offset=localities[fid].next_offset(size),
-            size=size,
-        )
+        TraceRecord("update" if is_update else "read", fid, next(offsets[fid]), size)
         for is_update, size, fid in zip(ops, size_draws, file_draws)
     ]

@@ -788,10 +788,12 @@ class TSUE(UpdateMethod):
         extent on ``osd`` addressed to ``block``, oldest unit first, minus
         extents the unit's own recycle already applied.
 
-        Planned through :class:`RecyclePlanner` so the keys (and therefore
-        the dedup tokens) are byte-identical to the ones the source's own
-        recycle of the same units would generate — shipping and recycling
-        are two deliveries of ONE logical record.  DeltaLog content never
+        Keyed through :meth:`RecyclePlanner.block_work`, the item the
+        source's own recycle of the same unit plans for ``block``, so the
+        keys (and therefore the dedup tokens) are byte-identical to the
+        recycle's — shipping and recycling are two deliveries of ONE
+        logical record.  A query plans no other block and leaves the
+        planner's recycle stats alone.  DeltaLog content never
         qualifies: it is keyed by data blocks but homed with the stripe's
         first parity OSD, and its recycle already resolves the parity
         destination through ``osd_hosting`` at forward time.
@@ -800,13 +802,13 @@ class TSUE(UpdateMethod):
         for layer, prefix in (("datalog", "dl"), ("paritylog", "pl")):
             for _p, pool in self.built_pools(osd.name, layer):
                 for unit in pool.live_units():
-                    for work in self.planner.plan(unit):
-                        if work.block != block:
-                            continue
-                        for key, ext in work.keyed(prefix):
-                            if key in unit.recycle_progress:
-                                continue  # already applied at the source
-                            out.append((layer, pool, unit, key, ext))
+                    work = self.planner.block_work(unit, block)
+                    if work is None:
+                        continue
+                    for key, ext in work.keyed(prefix):
+                        if key in unit.recycle_progress:
+                            continue  # already applied at the source
+                        out.append((layer, pool, unit, key, ext))
         return out
 
     def block_log_bytes(self, osd: OSD, block: BlockId) -> int:

@@ -18,6 +18,7 @@ of the recovery-priority-inversion fix.
 import pytest
 
 from repro.cluster import ClusterConfig, ECFS, RecoveryManager
+from repro.core.recycler import RecyclePlanner
 from repro.harness.runner import resolve_trace
 from repro.placement import Rebalancer
 from repro.traces.replayer import TraceReplayer
@@ -162,6 +163,35 @@ def _debt_carrying_osd(ecfs) -> int:
         if ecfs.method.block_log_bytes(osd, block) > 0:
             return osd.idx
     raise AssertionError("no block with pending log content")
+
+
+def test_block_log_queries_leave_recycle_stats_alone():
+    """A migration's log queries are not recycles: ``block_log_bytes`` and
+    ``collect_block_logs`` leave the planner's ``raw_records`` /
+    ``planned_extents`` unchanged, and key each extent as a full plan of
+    its unit would."""
+    ecfs = _loaded_cluster()
+    method, planner = ecfs.method, ecfs.method.planner
+    stats = (planner.raw_records, planner.planned_extents)
+    queried = 0
+    for block in sorted(ecfs.known_blocks):
+        osd = ecfs.osd_hosting(block)
+        pending = method.block_log_bytes(osd, block)
+        records = method.collect_block_logs(osd, block)
+        assert pending == sum(ext.size for *_rest, ext in records)
+        planned = [
+            (unit, key)
+            for layer, prefix in (("datalog", "dl"), ("paritylog", "pl"))
+            for _p, pool in method.built_pools(osd.name, layer)
+            for unit in pool.live_units()
+            for work in RecyclePlanner().plan(unit)
+            if work.block == block
+            for key, _ext in work.keyed(prefix)
+            if key not in unit.recycle_progress
+        ]
+        assert [(unit, key) for _l, _p, unit, key, _e in records] == planned
+        queried += pending > 0
+    assert queried and (planner.raw_records, planner.planned_extents) == stats
 
 
 def test_ship_path_replays_live_log_content_at_destination():

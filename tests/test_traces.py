@@ -34,6 +34,20 @@ def test_record_validation():
         TraceRecord("read", 1, -1, 4096)
 
 
+def test_record_is_an_immutable_value():
+    rec = TraceRecord("update", 1, 8192, 4096)
+    assert rec == TraceRecord(op="update", file_id=1, offset=8192, size=4096)
+    assert hash(rec) == hash(TraceRecord("update", 1, 8192, 4096))
+    assert rec != TraceRecord("read", 1, 8192, 4096)
+    assert len({rec, TraceRecord("update", 1, 8192, 4096)}) == 1
+    assert (rec.op, rec.file_id, rec.offset, rec.size) == ("update", 1, 8192, 4096)
+    assert repr(rec) == "TraceRecord(op='update', file_id=1, offset=8192, size=4096)"
+    for name in ("op", "file_id", "offset", "size", "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    assert rec.size == 4096
+
+
 def test_record_has_no_first_write_op():
     """Every trace is replayed onto pre-written files, so no record is a
     first write.  A "write" record would be an update to the closed-loop
@@ -132,7 +146,7 @@ def test_records_stay_in_bounds():
 
 # ------------------------------------------------------------- locality
 def _pages_touched(model: LocalityModel, samples: int) -> int:
-    return len({model.next_offset(4096) // 4096 for _ in range(samples)})
+    return len({off // 4096 for off in model.offsets([4096] * samples)})
 
 
 def test_locality_zipf_concentrates_accesses():
@@ -143,7 +157,7 @@ def test_locality_zipf_concentrates_accesses():
 
 def test_locality_sequential_runs():
     loc = LocalityModel(file_bytes=_MB, p_run=0.99, seed=1)
-    offsets = [loc.next_offset(4096) for _ in range(50)]
+    offsets = loc.offsets([4096] * 50)
     diffs = [b - a for a, b in zip(offsets, offsets[1:])]
     assert diffs.count(4096) >= 40  # almost always continues the run
 
@@ -166,8 +180,8 @@ def test_locality_validation():
 @given(st.integers(min_value=0, max_value=2**31))
 def test_locality_offsets_always_valid(seed):
     loc = LocalityModel(file_bytes=4 * _MB, seed=seed)
-    for size in (4096, 65536, 4 * _MB):
-        off = loc.next_offset(size)
+    sizes = [4096, 65536, 4 * _MB]
+    for size, off in zip(sizes, loc.offsets(sizes)):
         assert 0 <= off <= 4 * _MB - size
 
 
@@ -261,16 +275,36 @@ def _model_and_sizes(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_model_and_sizes())
-def test_locality_draws_match_generator_choice(case):
-    """The CDF built once draws what ``Generator.choice(n, p=probs)`` drew:
-    the same offset on every call, and the same generator state after the
-    last one (an access at or above the file size draws nothing)."""
+@given(_model_and_sizes(), st.data())
+def test_locality_batch_matches_per_access_choice(case, data):
+    """One ``offsets`` batch draws what per-access ``Generator.choice(n,
+    p=probs)`` drew: the same offset for every access, and the same
+    generator state after the last one, buffered 32-bit half included (an
+    access at or above the file size draws nothing).  The batch may be cut
+    in two, and a 32-bit draw may leave a half buffered before it."""
     params, sizes = case
     model, ref = LocalityModel(**params), _ReferenceLocality(**params)
-    for size in sizes:
-        assert model.next_offset(size) == ref.next_offset(size), size
+    if data.draw(st.booleans(), label="buffered"):
+        for rng in (model._rng, ref._rng):
+            rng.integers(0, 2**32, dtype=np.uint32)
+    cut = data.draw(st.integers(min_value=0, max_value=len(sizes)), label="cut")
+    got = model.offsets(sizes[:cut]) + model.offsets(sizes[cut:])
+    assert got == [ref.next_offset(size) for size in sizes]
     assert model._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+def test_locality_rewind_keeps_the_buffered_half():
+    """``advance`` clears PCG64's buffered 32-bit half; the rewind of the
+    unused doubles puts it back, so the next 32-bit draw is unchanged."""
+    model = LocalityModel(file_bytes=_MB, seed=3)
+    ref = _ReferenceLocality(file_bytes=_MB, seed=3)
+    for rng in (model._rng, ref._rng):
+        rng.integers(0, 2**32, dtype=np.uint32)
+    assert model._rng.bit_generator.state["has_uint32"] == 1
+    assert model.offsets([4096] * 40) == [ref.next_offset(4096) for _ in range(40)]
+    assert model._rng.bit_generator.state == ref._rng.bit_generator.state
+    nxt = [rng.integers(0, 2**32, dtype=np.uint32) for rng in (model._rng, ref._rng)]
+    assert nxt[0] == nxt[1]
 
 
 @pytest.mark.parametrize("seed", [2025, 7])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.cluster import BlockId, ClusterConfig, ECFS
 from repro.core.intervals import ExtentMap, MergePolicy
 from repro.core.logpool import LogPool
-from repro.core.logunit import LogUnit
+from repro.core.logunit import LogUnit, LogUnitState
 from repro.gf.field import gf_mul_scalar
 from repro.harness import runner
 from repro.traces import TraceReplayer, generate_trace, tencloud_spec
@@ -76,6 +76,23 @@ def test_recycled_unit_serves_reads_until_reused():
     block, _ = ecfs.mds.locate(files[0], 0, ecfs.rs.k)
     pool = ecfs.method._pool(ecfs.osd_hosting(block), "datalog", block)
     assert pool.lookup(block, 0, 4096) is not None
+
+
+def test_recycled_xor_units_drop_their_index():
+    """Only a DataLog unit serves reads once RECYCLED; a DeltaLog or
+    ParityLog unit's deltas are never read again, so its recycle drops
+    them."""
+    ecfs = _cluster(seed=33)
+    _replay(ecfs, n_ops=300)
+    ecfs.drain()
+    recycled = defaultdict(list)
+    for osd in ecfs.osds:
+        for _p, pool in ecfs.method.built_pools(osd.name):
+            for unit in pool.units:
+                if unit.state is LogUnitState.RECYCLED:
+                    recycled[pool.policy].append(len(unit.index))
+    assert recycled[MergePolicy.XOR] and not any(recycled[MergePolicy.XOR])
+    assert recycled[MergePolicy.OVERWRITE] and all(recycled[MergePolicy.OVERWRITE])
 
 
 def test_memory_quota_bounds_pool_growth():
