@@ -50,7 +50,7 @@ class WorkItem:
 @dataclass(frozen=True)
 class RecycleOp(WorkItem):
     """Recycle one sealed log unit (TSUE pipeline layer) or drain one
-    deferred parity log (PL watermark trigger)."""
+    deferred parity log (PL flush)."""
 
     stream: ClassVar[str] = "recycle"
 

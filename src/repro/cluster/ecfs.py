@@ -27,10 +27,6 @@ from repro.storage.ssd import SSDevice, SSDParams
 __all__ = ["ECFS"]
 
 
-def _never_blocked() -> bool:
-    return False
-
-
 class ECFS:
     """One simulated deployment: environment + fabric + MDS + OSDs + clients.
 
@@ -197,39 +193,34 @@ class ECFS:
     def note_update_end(self, block: BlockId) -> None:
         self._inflight_stripe.decr((block.file_id, block.stripe))
 
-    def settle_stripe(self, file_id, stripe, extra_blocked=None):
+    def settle_stripe(self, file_id, stripe):
         """Process fragment: wait until the stripe can be captured — no
-        in-flight update, no applied-but-unsettled delta, not frozen, and
-        (optionally) no ``extra_blocked()`` condition.
+        in-flight update, no applied-but-unsettled delta, not frozen.
 
         This is THE settle discipline shared by reconstruction and the
         rebalancer: activity that signals its own completion (in-flight
         updates, freezes, mid-application log content) is waited out
         event-based via :meth:`stripe_released`; debt that only settles on
-        an explicit flush (PL-style deferred recycling, or the caller's
-        extra condition such as TSUE DataLog content pending on a source
-        node) is forced through ``flush`` + ``resync_parity``, with a
-        bounded-poll fallback for the stripe an in-flight settlement
-        elsewhere is still draining.  On return the caller may freeze the
-        stripe immediately — the DES never preempts between the last check
-        and the freeze.
+        an explicit flush (PL-style deferred recycling) is forced through
+        ``flush`` + ``resync_parity``, with a bounded-poll fallback for the
+        stripe an in-flight settlement elsewhere is still draining.  On
+        return the caller may freeze the stripe immediately — the DES never
+        preempts between the last check and the freeze.
         """
         key = (file_id, stripe)
-        extra = extra_blocked if extra_blocked is not None else _never_blocked
         while (
             not self.stripe_quiescent(file_id, stripe)
             or self.stripe_frozen(file_id, stripe)
-            or extra()
         ):
             if (
-                (key in self.method.unsettled_stripes() or extra())
+                key in self.method.unsettled_stripes()
                 and not self.inflight_updates(file_id, stripe)
                 and not self.stripe_frozen(file_id, stripe)
             ):
                 # deferred-recycle methods settle only on an explicit
                 # flush; force one — then repair any parity rows that lost
                 # deltas — so the capture isn't stuck behind debt that
-                # would otherwise sit until a threshold
+                # would otherwise sit until the next flush
                 yield self.env.process(
                     self.method.flush(), name=f"settle-f{file_id}.s{stripe}"
                 )
@@ -238,7 +229,7 @@ class ECFS:
                     name=f"resync-f{file_id}.s{stripe}",
                 )
                 if (
-                    (key in self.method.unsettled_stripes() or extra())
+                    key in self.method.unsettled_stripes()
                     and not self.inflight_updates(file_id, stripe)
                     and not self.stripe_frozen(file_id, stripe)
                 ):
@@ -519,9 +510,6 @@ class ECFS:
         return file_ids
 
     # ----------------------------------------------------------- execution
-    def run(self, until=None):
-        return self.env.run(until)
-
     def drain(self) -> None:
         """Flush every outstanding log and repair parity rows that lost
         deltas to down nodes (runs simulated time)."""

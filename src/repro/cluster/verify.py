@@ -101,11 +101,9 @@ class GroundTruth:
                 f"({diff} bytes differ)"
             )
 
-    def verify_cluster(
-        self, ecfs: "ECFS", rs: RSCode, stripes: Iterable[tuple[int, int]] | None = None
-    ) -> int:
-        """Verify all (or the given) stripes; returns stripes checked."""
-        todo = sorted(stripes if stripes is not None else self.stripes())
+    def verify_cluster(self, ecfs: "ECFS", rs: RSCode) -> int:
+        """Verify every stripe; returns stripes checked."""
+        todo = sorted(self.stripes())
         for file_id, stripe in todo:
             self.verify_stripe(ecfs, file_id, stripe, rs)
         return len(todo)

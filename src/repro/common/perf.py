@@ -33,15 +33,14 @@ __all__ = ["host_usage", "parked_gc", "rss_mb"]
 
 
 @contextmanager
-def parked_gc(collect_first: bool = True) -> Iterator[None]:
+def parked_gc() -> Iterator[None]:
     """Run the body with the cyclic GC disabled (see module docstring)."""
     if not gc.isenabled():
         # already parked by an outer frame (or the host runs GC-free):
         # don't collect, don't re-enable early
         yield
         return
-    if collect_first:
-        gc.collect()
+    gc.collect()
     gc.disable()
     try:
         yield

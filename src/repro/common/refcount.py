@@ -31,17 +31,17 @@ class RefCounter:
         self._counts: dict[Hashable, int] = {}
         self._on_zero = on_zero
 
-    def incr(self, key: Hashable, n: int = 1) -> int:
-        """Add ``n`` holds on ``key``; returns the new count."""
-        count = self._counts.get(key, 0) + n
+    def incr(self, key: Hashable) -> int:
+        """Add a hold on ``key``; returns the new count."""
+        count = self._counts.get(key, 0) + 1
         self._counts[key] = count
         return count
 
-    def decr(self, key: Hashable, n: int = 1) -> int:
-        """Release ``n`` holds; at zero the key is dropped and ``on_zero``
-        fires.  Over-release clamps to zero (matching the seed's hand-rolled
+    def decr(self, key: Hashable) -> int:
+        """Release a hold; at zero the key is dropped and ``on_zero`` fires.
+        Over-release clamps to zero (matching the seed's hand-rolled
         pattern, where a stray decrement must not underflow)."""
-        left = self._counts.get(key, 0) - n
+        left = self._counts.get(key, 0) - 1
         if left > 0:
             self._counts[key] = left
             return left

@@ -58,17 +58,6 @@ class RSCode:
             )
         return gf_matmul(self.coding, data)
 
-    def verify(
-        self, data_blocks: Sequence[np.ndarray], parity_blocks: Sequence[np.ndarray]
-    ) -> bool:
-        """True iff the given parities match a fresh encode of the data."""
-        if len(parity_blocks) != self.m:
-            return False
-        return all(
-            np.array_equal(exp, np.asarray(got, dtype=np.uint8))
-            for exp, got in zip(self.encode(data_blocks), parity_blocks)
-        )
-
     def decode(
         self,
         available: Mapping[int, np.ndarray],

@@ -54,7 +54,7 @@ def content_digest(ecfs: "ECFS") -> str:
     return h.hexdigest()
 
 
-def cluster_digest(ecfs: "ECFS", include_content: bool = True) -> str:
+def cluster_digest(ecfs: "ECFS") -> str:
     """SHA-256 digest of the cluster's observable end state."""
     state: dict[str, Any] = {
         "now": ecfs.env.now,
@@ -76,6 +76,5 @@ def cluster_digest(ecfs: "ECFS", include_content: bool = True) -> str:
         snap = osd.device.counters.snapshot()
         snap["fault_delay"] = osd.device.fault_delay_time
         state[f"dev_{osd.name}"] = snap
-    if include_content:
-        state["content"] = content_digest(ecfs)
+    state["content"] = content_digest(ecfs)
     return hashlib.sha256(canonical(state).encode()).hexdigest()

@@ -3,9 +3,9 @@
 A :class:`FaultSchedule` is an ordered list of ``(Trigger, FaultEvent)``
 pairs.  Triggers fire either at a simulated timestamp (``at``) or when a
 predicate over the live cluster becomes true (``when`` — e.g. "after N log
-units have been recycled"), polled on the DES at ``poll`` granularity with
-an optional give-up ``deadline``.  Everything is plain data, so a schedule
-is reusable across runs and — given one seed — replays identically.
+units have been recycled"), polled on the DES at ``poll`` granularity.
+Everything is plain data, so a schedule is reusable across runs and — given
+one seed — replays identically.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class Trigger:
     #: predicate poll period (simulated seconds) — well under the sim time
     #: of a small workload, so faults genuinely land mid-flight
     poll: float = 0.001
-    deadline: Optional[float] = None  # give up waiting at this sim time
 
     def __post_init__(self) -> None:
         if (self.at is None) == (self.when is None):
@@ -203,11 +202,8 @@ class FaultSchedule:
         predicate: Callable[["ECFS"], bool],
         event: FaultEvent,
         poll: float = 0.001,
-        deadline: Optional[float] = None,
     ) -> "FaultSchedule":
-        self.entries.append(
-            (Trigger(when=predicate, poll=poll, deadline=deadline), event)
-        )
+        self.entries.append((Trigger(when=predicate, poll=poll), event))
         return self
 
     def __iter__(self) -> Iterator[tuple[Trigger, FaultEvent]]:

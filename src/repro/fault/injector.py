@@ -52,8 +52,8 @@ class FaultInjector:
         self.scrub_reports: list[ScrubReport] = []
         self.rebalance_reports: list[RebalanceReport] = []
         self.corrupted: list = []  # BlockIds injected with latent errors
-        #: events never applied: the trigger's deadline passed, or its
-        #: predicate could no longer turn true (see :meth:`workload_finished`)
+        #: events never applied: their predicate could no longer turn true
+        #: (see :meth:`workload_finished`)
         self.skipped: list[str] = []
         self._procs: list = []
         self._polling: list[Trigger] = []  # predicate triggers still unfired
@@ -90,9 +90,6 @@ class FaultInjector:
             self._polling.append(trigger)
             try:
                 while not trigger.when(self.ecfs):
-                    if trigger.deadline is not None and env.now >= trigger.deadline:
-                        self.skipped.append(type(event).__name__)
-                        return
                     if self._stalled():
                         self.skipped.append(type(event).__name__)
                         self._note(f"skip {type(event).__name__}: trigger cannot fire")

@@ -100,7 +100,6 @@ class FrontEnd:
 
         self._queues: dict[str, deque] = {}  # tenant -> deque[(Request, Event)]
         self._tenant_qos: dict[str, str] = {}
-        self._tenant_deadline: dict[str, float] = {}
         self._clients: dict[str, object] = {}
         self._rank_tenants: dict[str, list[str]] = {q: [] for q in QOS_CLASSES}
         self._rr: dict[str, int] = {q: 0 for q in QOS_CLASSES}
@@ -126,18 +125,13 @@ class FrontEnd:
         }
 
     # ------------------------------------------------------------------ API
-    def register_tenant(
-        self, name: str, qos: str = "silver", deadline: Optional[float] = None
-    ) -> None:
+    def register_tenant(self, name: str, qos: str = "silver") -> None:
         """Create the tenant's queue and its client endpoint on the fabric."""
         if name in self._tenant_qos:
             raise ValueError(f"tenant {name!r} already registered")
         if qos not in QOS_RANK:
             raise ValueError(f"unknown QoS class {qos!r}")
         self._tenant_qos[name] = qos
-        self._tenant_deadline[name] = (
-            deadline if deadline is not None else DEFAULT_DEADLINES[qos]
-        )
         self._queues[name] = deque()
         self._clients[name] = self.ecfs.add_clients(1)[-1]
         bucket = self._rank_tenants[qos]
@@ -151,7 +145,6 @@ class FrontEnd:
         file_id: int,
         offset: int,
         size: int,
-        deadline: Optional[float] = None,
     ) -> "Event":
         """Enqueue one request; returns an event firing with its
         :class:`RequestResult` (sheds resolve immediately)."""
@@ -163,15 +156,16 @@ class FrontEnd:
         if self._scheduler is None or not self._scheduler.is_alive:
             self._scheduler = env.process(self._schedule_loop(), name="fe-sched")
         self._req_counter += 1
+        qos = self._tenant_qos[tenant]
         request = Request(
             req_id=self._req_counter,
             tenant=tenant,
-            qos=self._tenant_qos[tenant],
+            qos=qos,
             op=op,
             file_id=file_id,
             offset=offset,
             size=size,
-            deadline=deadline if deadline is not None else self._tenant_deadline[tenant],
+            deadline=DEFAULT_DEADLINES[qos],
             submitted_at=env.now,
         )
         self.counters["submitted"] += 1

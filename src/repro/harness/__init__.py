@@ -1,10 +1,10 @@
 """Experiment harness: one driver per table/figure of the paper.
 
-Every driver exposes ``run(scale=...)`` returning ``(text, data)`` where
-``text`` is the formatted table/series (printed by the benchmarks) and
-``data`` is the raw dict for assertions.  ``scale`` is "quick" (CI-sized,
-seconds per experiment) or "full" (closer to paper scale); the default
-comes from the ``REPRO_SCALE`` environment variable.
+Every driver exposes ``run()`` returning ``(text, data)`` where ``text``
+is the formatted table/series (printed by the benchmarks) and ``data`` is
+the raw dict for assertions.  The scale, "quick" (CI-sized, seconds per
+experiment) or "full" (closer to paper scale), is read from the
+``REPRO_SCALE`` environment variable through :func:`current_scale`.
 """
 
 from repro.harness.runner import (

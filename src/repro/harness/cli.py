@@ -402,7 +402,7 @@ def _run_experiments(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the TSUE paper's tables and figures on the "

@@ -21,7 +21,7 @@ __all__ = ["METHODS", "run"]
 METHODS = ("fo", "fl", "pl", "plr", "parix", "cord", "tsue")
 
 
-def run(scale: str | None = None) -> tuple[str, dict]:
+def run() -> tuple[str, dict]:
     rows: dict[str, dict[str, float]] = {}
     for method in METHODS:
         cfg = ExperimentConfig(method=method, k=6, m=4, seed=99)

@@ -7,20 +7,20 @@ aggregate update IOPS, exactly the paper's y-axis.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.harness.runner import ExperimentConfig, current_scale
 from repro.harness.sweep import run_grid
 from repro.metrics.tables import format_table
 
 __all__ = ["METHODS", "RS_CODES", "run", "cell_config"]
 
+TRACES = ("alicloud", "tencloud")
 METHODS = ("fo", "pl", "plr", "parix", "cord", "tsue")
 RS_CODES = ((6, 2), (12, 2), (6, 3), (12, 3), (6, 4), (12, 4))
+CLIENT_COUNTS = (4, 16, 64)
 
 
 def cell_config(
-    method: str, trace: str, k: int, m: int, n_clients: int, n_ops: int, seed: int = 2025
+    method: str, trace: str, k: int, m: int, n_clients: int, n_ops: int
 ) -> ExperimentConfig:
     """Config of one bar of one subplot."""
     return ExperimentConfig(
@@ -30,23 +30,14 @@ def cell_config(
         m=m,
         n_clients=n_clients,
         n_ops=n_ops,
-        seed=seed,
     )
 
 
-def run(
-    scale: str | None = None,
-    traces: Iterable[str] = ("alicloud", "tencloud"),
-    rs_codes: Iterable[tuple[int, int]] | None = None,
-    methods: Iterable[str] = METHODS,
-    client_counts: Iterable[int] | None = None,
-) -> tuple[str, dict]:
-    scale = scale or current_scale()
-    if rs_codes is None:
-        rs_codes = ((6, 2), (6, 4)) if scale == "quick" else RS_CODES
-    if client_counts is None:
-        client_counts = (64,) if scale == "quick" else (4, 16, 64)
-    n_ops = 1200 if scale == "quick" else 6000
+def run() -> tuple[str, dict]:
+    quick = current_scale() == "quick"
+    rs_codes = ((6, 2), (6, 4)) if quick else RS_CODES
+    client_counts = (64,) if quick else CLIENT_COUNTS
+    n_ops = 1200 if quick else 6000
 
     # independent cells: fanned through the sweep executor (serial unless
     # REPRO_WORKERS says otherwise)
@@ -56,10 +47,10 @@ def run(
                 (f"{trace} RS({k},{m}) c{nc}", method.upper()),
                 cell_config(method, trace, k, m, nc, n_ops),
             )
-            for trace in traces
+            for trace in TRACES
             for k, m in rs_codes
             for nc in client_counts
-            for method in methods
+            for method in METHODS
         ]
     )
     data = {

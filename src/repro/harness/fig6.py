@@ -18,8 +18,8 @@ __all__ = ["run_fig6a", "run_fig6b"]
 NODE_MEMORY = 256e9
 
 
-def run_fig6a(scale: str | None = None) -> tuple[str, dict]:
-    scale = scale or current_scale()
+def run_fig6a() -> tuple[str, dict]:
+    scale = current_scale()
     n_ops = 2500 if scale == "quick" else 10000
     out: dict[str, dict] = {}
     texts = []
@@ -62,8 +62,8 @@ def run_fig6a(scale: str | None = None) -> tuple[str, dict]:
     return "\n\n".join(texts), out
 
 
-def run_fig6b(scale: str | None = None) -> tuple[str, dict]:
-    scale = scale or current_scale()
+def run_fig6b() -> tuple[str, dict]:
+    scale = current_scale()
     quotas = (2, 4, 8) if scale == "quick" else (2, 4, 6, 8, 12, 16, 20)
     # long enough that every quota reaches backend steady state (otherwise
     # a large quota just absorbs the whole finite run in buffers)

@@ -13,9 +13,6 @@ twins under RS(6,M):
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Iterable
-
 from repro.harness.runner import ExperimentConfig, current_scale
 from repro.harness.sweep import run_grid
 from repro.metrics.tables import format_table
@@ -23,17 +20,15 @@ from repro.update.tsue import TSUEOptions
 
 __all__ = ["run"]
 
+TRACES = ("alicloud", "tencloud")
+MS = (2, 3, 4)  # parity counts m of RS(6, m)
 
-def run(
-    scale: str | None = None,
-    traces: Iterable[str] = ("alicloud", "tencloud"),
-    ms: Iterable[int] = (2, 3, 4),
-) -> tuple[str, dict]:
-    scale = scale or current_scale()
-    if scale == "quick":
-        traces = ("tencloud",)
-        ms = (4,)
-    n_ops = 1200 if scale == "quick" else 6000
+
+def run() -> tuple[str, dict]:
+    quick = current_scale() == "quick"
+    traces = ("tencloud",) if quick else TRACES
+    ms = (4,) if quick else MS
+    n_ops = 1200 if quick else 6000
     ladder = TSUEOptions.breakdown()
     grid = run_grid(
         [

@@ -8,8 +8,6 @@ the point) and one-node recovery bandwidth is measured.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.cluster.recovery import RecoveryManager
 from repro.harness.runner import ExperimentConfig, current_scale, run_experiment
 from repro.harness.sweep import run_grid
@@ -45,20 +43,15 @@ def _config(method: str, volume: str, n_ops: int) -> ExperimentConfig:
     )
 
 
-def run_fig8a(
-    scale: str | None = None,
-    volumes: Iterable[str] | None = None,
-    methods: Iterable[str] = METHODS,
-) -> tuple[str, dict]:
-    scale = scale or current_scale()
-    if volumes is None:
-        volumes = ("src10", "hm0") if scale == "quick" else VOLUMES
-    n_ops = 600 if scale == "quick" else 3000
+def run_fig8a() -> tuple[str, dict]:
+    quick = current_scale() == "quick"
+    volumes = ("src10", "hm0") if quick else VOLUMES
+    n_ops = 600 if quick else 3000
     grid = run_grid(
         [
             ((volume, method.upper()), _config(method, volume, n_ops))
             for volume in volumes
-            for method in methods
+            for method in METHODS
         ]
     )
     rows = {
@@ -71,19 +64,14 @@ def run_fig8a(
     return text, rows
 
 
-def run_fig8b(
-    scale: str | None = None,
-    volumes: Iterable[str] | None = None,
-    methods: Iterable[str] = METHODS,
-) -> tuple[str, dict]:
-    scale = scale or current_scale()
-    if volumes is None:
-        volumes = ("src10",) if scale == "quick" else VOLUMES
-    n_ops = 1000 if scale == "quick" else 3000
+def run_fig8b() -> tuple[str, dict]:
+    quick = current_scale() == "quick"
+    volumes = ("src10",) if quick else VOLUMES
+    n_ops = 1000 if quick else 3000
     rows: dict[str, dict[str, float]] = {}
     for volume in volumes:
         row: dict[str, float] = {}
-        for method in methods:
+        for method in METHODS:
             cfg = _config(method, volume, n_ops)
             cfg.drain = False  # the paper recovers with logs outstanding
             res = run_experiment(cfg, keep_cluster=True)

@@ -7,8 +7,6 @@ plus the derived erase counts behind the lifespan claim.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.harness.runner import ExperimentConfig, current_scale
 from repro.harness.sweep import run_cells
 from repro.metrics.lifespan import lifespan_ratios
@@ -19,29 +17,25 @@ __all__ = ["METHODS", "run"]
 METHODS = ("fo", "pl", "plr", "parix", "cord", "tsue")
 
 
-def run(
-    scale: str | None = None, methods: Iterable[str] = METHODS
-) -> tuple[str, dict]:
-    scale = scale or current_scale()
-    n_ops = 1500 if scale == "quick" else 8000
-    methods = list(methods)
+def run() -> tuple[str, dict]:
+    n_ops = 1500 if current_scale() == "quick" else 8000
     results = run_cells(
         [
             ExperimentConfig(
                 method=method, trace="tencloud", k=6, m=4, n_clients=16, n_ops=n_ops
             )
-            for method in methods
+            for method in METHODS
         ]
     )
     data: dict[str, dict[str, float]] = {}
     erases: dict[str, float] = {}
-    for method, res in zip(methods, results):
+    for method, res in zip(METHODS, results):
         row = res.workload.row()
         row["ERASES"] = res.workload.total_erases
         data[method.upper()] = row
         erases[method] = res.workload.total_erases
     ratios = lifespan_ratios(erases, reference="tsue")
-    for method in methods:
+    for method in METHODS:
         data[method.upper()]["LIFESPAN (TSUE=1x)"] = (
             1.0 / ratios[method] if ratios[method] else float("inf")
         )

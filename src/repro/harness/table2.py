@@ -13,9 +13,8 @@ from repro.metrics.tables import format_table
 __all__ = ["run"]
 
 
-def run(scale: str | None = None) -> tuple[str, dict]:
-    scale = scale or current_scale()
-    n_ops = 1500 if scale == "quick" else 8000
+def run() -> tuple[str, dict]:
+    n_ops = 1500 if current_scale() == "quick" else 8000
     rows: dict[str, dict[str, float]] = {}
     raw: dict[str, dict] = {}
     for trace in ("alicloud", "tencloud"):

@@ -74,6 +74,3 @@ class PlacementPolicy(ABC):
             idx = self.stripe_osds(block.file_id, block.stripe)[block.idx]
             self._osd_cache[block] = idx
         return idx
-
-    def describe(self) -> str:
-        return f"{self.name}(n={self.n_osds}, k={self.k}, m={self.m})"

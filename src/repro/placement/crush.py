@@ -163,9 +163,3 @@ class CrushPolicy(PlacementPolicy):
         home = self.osd_of(block)
         others = [(o, w) for o, w in self._devs if o != home]
         return self._straw2(seed, mix(_SALT_REPLICA, block.idx), others)
-
-    def describe(self) -> str:
-        return (
-            f"crush(n={self.n_osds}, k={self.k}, m={self.m}, "
-            f"domains={len(self._domains)} x {self.failure_domain})"
-        )

@@ -66,9 +66,6 @@ class PlacementMap:
     def replica_osd(self, block: BlockId) -> int:
         return self.policy.replica_osd(block)
 
-    def describe(self) -> str:
-        return f"epoch {self.epoch}: {self.policy.describe()}"
-
     # ------------------------------------------------------------ remapping
     @property
     def remapped(self) -> dict[BlockId, int]:

@@ -622,9 +622,7 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout_us(
-        self, delay_us: int, value: Any = None, phase: int = PHASE_NORMAL
-    ) -> Timeout:
+    def timeout_us(self, delay_us: int, phase: int = PHASE_NORMAL) -> Timeout:
         """An event firing ``delay_us`` microseconds from now.
 
         ``phase`` selects the same-time lane; :data:`PHASE_LATE` wakeups
@@ -638,7 +636,7 @@ class Environment:
         ev = Timeout.__new__(Timeout)
         ev.env = self
         ev.callbacks = []
-        ev._value = value
+        ev._value = None
         ev._ok = True
         ev._defused = False
         ev._cancelled = False
@@ -646,12 +644,11 @@ class Environment:
         self._push(self._now + delay_us, phase, ev)
         return ev
 
-    def timeout_at_us(self, when_us: int, value: Any = None) -> Event:
+    def timeout_at_us(self, when_us: int) -> Event:
         """An event firing at the *absolute* simulated time ``when_us`` (no
         delay arithmetic at the call site).  Used by schedulers that hold
         wall-of-time plans, e.g. the fault injector's trigger list."""
         ev = Event(self)
-        ev._value = value
         ev._state = _TRIGGERED
         self.schedule_at_us(ev, when_us)
         return ev
@@ -679,9 +676,7 @@ class Environment:
         else:
             heappush(self._heap, (t_us, phase, seq, event))
 
-    def schedule_at_us(
-        self, event: Event, when_us: int, phase: int = PHASE_NORMAL
-    ) -> None:
+    def schedule_at_us(self, event: Event, when_us: int) -> None:
         """Schedule ``event`` at the absolute time ``when_us``.
 
         ``event`` must already be triggered-but-unscheduled by the caller
@@ -692,7 +687,7 @@ class Environment:
             raise ValueError(
                 f"schedule_at_us({when_us}) is in the past (now_us={self._now})"
             )
-        self._push(when_us, phase, event)
+        self._push(when_us, PHASE_NORMAL, event)
 
     def peek_us(self) -> Optional[int]:
         """Integer-µs time of the next live entry, or ``None`` if none

@@ -86,28 +86,23 @@ class BlockStore:
         that was never written (an absent or zero-template block)."""
         return self._gens.get(block_id, 0)
 
-    def create(
-        self, block_id: Hashable, data: np.ndarray | None = None, own: bool = False
-    ) -> None:
-        """Materialize a block, zero-filled or from ``data``.
-
-        ``own=True`` transfers ownership of ``data`` (a fresh, unshared,
-        writable uint8 array) to the store instead of copying it — the
-        rebuild paths hand over arrays nothing else references.
-        """
+    def create(self, block_id: Hashable, data: np.ndarray | None = None) -> None:
+        """Materialize a block, zero-filled or from a copy of ``data``."""
         if block_id in self._blocks:
             raise IntegrityError(f"block {block_id!r} already exists")
         if data is None:
             self._blocks[block_id] = self._zero  # promoted on mutation
         else:
-            self.put(block_id, data, own=own)
+            self.put(block_id, data)
 
     def put(self, block_id: Hashable, data: np.ndarray, own: bool = False) -> None:
         """Land a whole block, whether or not the store already holds it —
         a client stripe write, a rebuild, a migration copy or a parity
         resync arrives the same way on a first write and on a rewrite.  The
         previous content (and any delta) is dropped, not written through.
-        ``own`` as for :meth:`create`."""
+        ``own=True`` transfers ownership of ``data`` (a fresh, unshared,
+        writable uint8 array) to the store instead of copying it — the
+        rebuild paths hand over arrays nothing else references."""
         data = self._whole_block(block_id, data)
         self._deltas.pop(block_id, None)
         self._gens[block_id] = _next_stamp()
@@ -119,7 +114,7 @@ class BlockStore:
     def create_shared(self, block_id: Hashable, data: np.ndarray) -> None:
         """Materialize a block as a read-only view sharing ``data``'s buffer.
 
-        The zero-copy sibling of ``create(own=True)`` for bulk paths that
+        The zero-copy sibling of ``put(own=True)`` for bulk paths that
         carve many blocks out of one backing buffer (random-fill populate's
         draw and parity, a cached populate): the view becomes the block's
         base, and its mutations land in an XOR delta, never in ``data``.

@@ -93,12 +93,3 @@ class FlashWearModel:
     # ------------------------------------------------------------ internals
     def _pages_touched(self, size: int) -> int:
         return -(-size // self.page_size)  # ceil division
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "page_programs": self.page_programs,
-            "page_invalidations": self.page_invalidations,
-            "gc_erases": self.gc_erases,
-            "capacity_erases": self.capacity_erases,
-            "total_erases": self.total_erases,
-        }

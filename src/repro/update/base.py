@@ -351,9 +351,7 @@ class UpdateMethod:
     def costs(self):
         return self.ecfs.config.costs
 
-    def data_rmw(
-        self, osd: OSD, op: UpdateOp, priority: int = IOPriority.FOREGROUND
-    ) -> Generator:
+    def data_rmw(self, osd: OSD, op: UpdateOp) -> Generator:
         """In-place data update: read old, write new; returns the data delta.
 
         This is the 'time-consuming write-after-read process' of §2.3.1 that
@@ -362,14 +360,14 @@ class UpdateMethod:
         """
         with osd.block_lock(op.block).request() as lock:
             yield lock
-            yield from osd.io_block(IOKind.READ, op.block, op.offset, op.size, priority)
+            yield from osd.io_block(IOKind.READ, op.block, op.offset, op.size)
             # Zero-copy capture: the XOR below materializes the delta from a
             # read-only view *before* any further yield, so the snapshot is
             # taken at the read instant without an ndarray.copy().
             delta = osd.store.read_view(op.block, op.offset, op.size) ^ op.payload
             yield self.env.timeout_us(self.costs.xor(op.size))
             yield from osd.io_block(
-                IOKind.WRITE, op.block, op.offset, op.size, priority, overwrite=True
+                IOKind.WRITE, op.block, op.offset, op.size, overwrite=True
             )
             osd.store.write(op.block, op.offset, op.payload)
             self.ecfs.oracle.apply(op.block, op.offset, op.payload)

@@ -50,8 +50,6 @@ class CoRD(UpdateMethod):
         self._buffers: dict[str, _Buffers] = defaultdict(dict)
         self._recycling: dict[str, bool] = defaultdict(bool)
         self._waiters: dict[str, list[Event]] = defaultdict(list)
-        self.stalls = 0
-        self.stall_time = 0.0
 
     # ------------------------------------------------------------ front end
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
@@ -80,12 +78,9 @@ class CoRD(UpdateMethod):
             else:
                 # single log: buffer full AND a recycle already in flight —
                 # the append has nowhere to go (the paper's bottleneck)
-                t0 = self.env.now
                 waiter = self.env.event()
                 self._waiters[name].append(waiter)
-                self.stalls += 1
                 yield waiter
-                self.stall_time += self.env.now - t0
         yield from collector.io_log_append("cord-buffer", op.size, tag="cord-append")
         collector.check_alive()  # died with the append in flight: not buffered
         per_idx = self._buffers[name].setdefault(

@@ -2,13 +2,10 @@
 
 Data blocks update in place (write-after-read to get the delta); the parity
 delta for each parity block is appended to that parity OSD's *parity log*
-(a large sequential log).  Log recycling is deferred until a space
-watermark (:data:`RECYCLE_HIGH_WATERMARK`, 1 GiB — effectively until
-flush/recovery in a bounded run) — so PL's foreground is fast but it
-carries the largest log debt into recovery.  When a node's log does pass
-the high watermark, a background recycle drains it below
-:data:`RECYCLE_LOW_WATERMARK` through the unified maintenance scheduler's
-``recycle`` stream.
+(a large sequential log).  Log recycling is deferred: a node's log is
+replayed only at flush, as one grant of the unified maintenance scheduler's
+``recycle`` stream, and in the foreground at recovery preparation — so PL's
+foreground is fast but it carries the largest log debt into recovery.
 """
 
 from __future__ import annotations
@@ -30,11 +27,6 @@ from repro.update.base import UpdateMethod
 
 __all__ = ["ParityLogging"]
 
-#: node-wide parity-log watermarks: passing the high one triggers a
-#: background recycle that drains the log back below the low one
-RECYCLE_HIGH_WATERMARK = 1 << 30
-RECYCLE_LOW_WATERMARK = 1 << 29
-
 
 class ParityLogging(UpdateMethod):
     name = "pl"
@@ -43,8 +35,6 @@ class ParityLogging(UpdateMethod):
         super().__init__(ecfs)
         # per-OSD: list of (parity BlockId, offset, pdelta) in arrival order
         self._logs: dict[str, list[tuple[BlockId, int, np.ndarray]]] = defaultdict(list)
-        #: nodes with a watermark-triggered background recycle in flight
-        self._draining: set[str] = set()
 
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         delta = yield from self.data_rmw(osd, op)
@@ -71,33 +61,8 @@ class ParityLogging(UpdateMethod):
             raise
         self._logs[posd.name].append((pbid, op.offset, pdelta))
         self._log_bytes[posd.name] += op.size
-        self._maybe_trigger_recycle(posd)
 
     # ------------------------------------------------------------- recycle
-    def _maybe_trigger_recycle(self, posd: OSD) -> None:
-        """High-watermark trigger: a node whose parity log passed
-        :data:`RECYCLE_HIGH_WATERMARK` drains below the low watermark in the
-        background (one drain per node at a time)."""
-        name = posd.name
-        if name in self._draining:
-            return
-        if self._log_bytes[name] < RECYCLE_HIGH_WATERMARK:
-            return
-        self._draining.add(name)
-        self.env.process(self._watermark_drain(posd), name=f"pl-wm-{name}")
-
-    def _watermark_drain(self, posd: OSD) -> Generator:
-        try:
-            yield from self._recycle_node(
-                posd,
-                IOPriority.BACKGROUND,
-                target_bytes=RECYCLE_LOW_WATERMARK,
-            )
-        except IntegrityError:
-            pass  # the node died mid-drain; resync marks cover the rows
-        finally:
-            self._draining.discard(posd.name)
-
     def flush(self) -> Generator:
         # the log is node-wide and stays with the node that took the append
         yield from self._flush_per_osd(
@@ -105,34 +70,14 @@ class ParityLogging(UpdateMethod):
         )
 
     def _recycle_node(
-        self,
-        posd: OSD,
-        priority: int = IOPriority.BACKGROUND,
-        target_bytes: int = 0,
+        self, posd: OSD, priority: int = IOPriority.BACKGROUND
     ) -> Generator:
-        """Replay this node's parity log: read deltas back, RMW parity blocks.
-
-        ``target_bytes > 0`` drains oldest-first only until the remaining
-        log drops to the target (the watermark path); 0 drains everything
-        (flush / recovery preparation).
-        """
-        log = self._logs.get(posd.name)
-        if not log:
+        """Replay this node's whole parity log (flush / recovery
+        preparation): read deltas back, RMW parity blocks."""
+        if not self._logs.get(posd.name):
             return
-        if target_bytes > 0:
-            excess = self._log_bytes[posd.name] - target_bytes
-            drop = freed = 0
-            while drop < len(log) and freed < excess:
-                freed += int(log[drop][2].shape[0])
-                drop += 1
-            entries = log[:drop]
-            del log[:drop]
-            self._log_bytes[posd.name] -= freed
-        else:
-            entries = self._logs.pop(posd.name, [])
-            self._log_bytes[posd.name] = 0
-        if not entries:
-            return
+        entries = self._logs.pop(posd.name)
+        self._log_bytes[posd.name] = 0
         stripes = {(pbid.file_id, pbid.stripe) for pbid, _o, _d in entries}
         # busy-mark BEFORE the arbiter grant: while the grant is pending the
         # popped deltas are in neither the visible log nor the blocks, and a

@@ -37,7 +37,6 @@ from repro.fault.runner import ScenarioRunner
 from repro.fault.scenarios import SCENARIOS, get_scenario
 from repro.sim import Environment, Lane, spawn_fanout
 from repro.storage.base import IOKind, IOPriority
-from repro.update import pl
 
 
 def _bg_cluster(seed: int = 7, *, bg: BackgroundConfig | None = None, **kwargs) -> ECFS:
@@ -246,14 +245,15 @@ def test_lane_inherits_through_process_tree_and_demotes_io():
     assert len(lanes) == 4 and all(cell is lane for cell in lanes)
 
 
-def test_deadline_demotes_straggler_update_leg():
+def test_deadline_demotes_straggler_update_leg(monkeypatch):
     """A deadline-expired update keeps running (mutations cannot be
     cancelled) but its remaining device I/O runs in the DEMOTED lane."""
-    from repro.frontend import FrontEnd
+    from repro.frontend import DEFAULT_DEADLINES, FrontEnd
 
+    monkeypatch.setitem(DEFAULT_DEADLINES, "gold", 0.01)
     ecfs = _bg_cluster(bg=BackgroundConfig(enabled=False))
     fe = FrontEnd(ecfs, hedge_delay=None)
-    fe.register_tenant("t", "gold", deadline=0.01)
+    fe.register_tenant("t", "gold")
     bid = next(b for b in sorted(ecfs.known_blocks) if b.idx == 0)
     home = ecfs.osd_hosting(bid)
     ecfs.net.partition((home.name,))
@@ -275,15 +275,16 @@ def test_deadline_demotes_straggler_update_leg():
     assert ecfs.verify() > 0
 
 
-def test_deadline_cancels_abandoned_read_legs():
+def test_deadline_cancels_abandoned_read_legs(monkeypatch):
     """A read leg parked on a network cut is cancelled at deadline expiry:
     its queued simulated I/O is withdrawn instead of running to completion,
     so quiesce() no longer has to outwait the heal (the PR-4 known limit)."""
-    from repro.frontend import FrontEnd
+    from repro.frontend import DEFAULT_DEADLINES, FrontEnd
 
+    monkeypatch.setitem(DEFAULT_DEADLINES, "gold", 0.01)
     ecfs = _bg_cluster(bg=BackgroundConfig(enabled=False))
     fe = FrontEnd(ecfs, hedge_delay=None)
-    fe.register_tenant("t", "gold", deadline=0.01)
+    fe.register_tenant("t", "gold")
     bid = next(b for b in sorted(ecfs.known_blocks) if b.idx == 0)
     home = ecfs.osd_hosting(bid)
     ecfs.net.partition((home.name,))  # the read leg parks on the cut
@@ -299,30 +300,6 @@ def test_deadline_cancels_abandoned_read_legs():
     ecfs.env.run(ecfs.env.process(fe.quiesce()))
     assert ecfs.env.now == pytest.approx(t0)
     ecfs.net.heal()
-    ecfs.drain()
-    assert ecfs.verify() > 0
-
-
-# ---------------------------------------------------------------- watermarks
-def test_pl_recycle_watermarks_trigger_background_drain(monkeypatch):
-    """Passing PL's high watermark drains the node's parity log below the
-    low one (the 1 GiB / 512 MiB defaults, scaled down to fire here)."""
-    monkeypatch.setattr(pl, "RECYCLE_HIGH_WATERMARK", 64 * KiB)
-    monkeypatch.setattr(pl, "RECYCLE_LOW_WATERMARK", 16 * KiB)
-    cfg = ClusterConfig(n_osds=8, k=4, m=2, block_size=64 * KiB, seed=3)
-    ecfs = ECFS(cfg, method="pl")
-    ecfs.populate(1, 2, fill="random")
-    client = ecfs.add_clients(1)[0]
-    env = ecfs.env
-
-    def workload():
-        for i in range(40):
-            yield env.process(client.update(1, (i % 16) * 4096, 4096))
-
-    env.run(env.process(workload()))
-    env.run(until=env.now + 1.0)
-    for osd in ecfs.osds:
-        assert ecfs.method.log_debt_bytes(osd) < pl.RECYCLE_HIGH_WATERMARK
     ecfs.drain()
     assert ecfs.verify() > 0
 

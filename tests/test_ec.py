@@ -54,14 +54,22 @@ def test_encode_shapes_and_verify():
     data, parity = _stripe(rs)
     assert len(parity) == 2
     assert all(p.shape == (1024,) for p in parity)
-    assert rs.verify(data, parity)
+    # the parity rebuilds the data: erase every pair of data blocks and
+    # decode them from the two surviving data blocks and both parities
+    for erased in combinations(range(4), 2):
+        survivors = {i: data[i] for i in range(4) if i not in erased}
+        survivors.update({4 + j: p for j, p in enumerate(parity)})
+        rebuilt = rs.decode(survivors, erased)
+        assert all(np.array_equal(rebuilt[e], data[e]) for e in erased)
 
 
 def test_verify_detects_corruption():
     rs = RSCode(4, 2)
     data, parity = _stripe(rs)
     parity[0][10] ^= 0xFF
-    assert not rs.verify(data, parity)
+    survivors = {2: data[2], 3: data[3], 4: parity[0], 5: parity[1]}
+    rebuilt = rs.decode(survivors, [0, 1])
+    assert not all(np.array_equal(rebuilt[e], data[e]) for e in (0, 1))
 
 
 def test_unequal_block_sizes_rejected():
@@ -148,18 +156,6 @@ def test_decode_rejects_available_index_outside_stripe():
         rs.decode({0: data[0], 1: data[1], 2: data[2], 9: data[3]}, [3])
     with pytest.raises(DecodeError):
         rs.decode({-1: data[0], 1: data[1], 2: data[2], 3: data[3]}, [0])
-
-
-def test_verify_checks_parity_count_before_encoding(monkeypatch):
-    rs = RSCode(4, 2)
-    data, parity = _stripe(rs)
-    encodes = []
-    encode = rs.encode
-    monkeypatch.setattr(rs, "encode", lambda blocks: encodes.append(1) or encode(blocks))
-    assert not rs.verify(data, parity[:1])
-    assert not rs.verify(data, parity + parity)
-    assert not encodes
-    assert rs.verify(data, parity) and encodes == [1]
 
 
 # ------------------------------------------------------------ fused kernel

@@ -381,7 +381,7 @@ def test_century_horizon_fits_the_grid():
     century_us = 100 * 365 * 24 * 3600 * 10**6
     env = Environment()
     fired = []
-    timeout = env.timeout_us(century_us, value="tick")
+    timeout = env.timeout_us(century_us)
     timeout.callbacks.append(lambda _ev: fired.append(env.now_us))
     env.run()
     assert fired == [century_us]

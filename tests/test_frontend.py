@@ -33,7 +33,7 @@ from repro.frontend import (
 )
 from repro.frontend.admission import MAX_QUEUED
 from repro.frontend.retry import BUDGET_INITIAL, BUDGET_RATIO, MAX_RETRIES
-from repro.frontend.request import Request, RequestResult
+from repro.frontend.request import DEFAULT_DEADLINES, Request, RequestResult
 from repro.metrics.collector import MetricsCollector
 
 
@@ -186,12 +186,13 @@ def test_frontend_sheds_over_rate():
     assert fe.admission.shed_rate == 6
 
 
-def test_retry_heals_transient_outage():
+def test_retry_heals_transient_outage(monkeypatch):
     """An update lands on a bounced (down-then-back) node: the first
     attempt fails UnavailableError, backoff retries succeed."""
+    monkeypatch.setitem(DEFAULT_DEADLINES, "bronze", 2.0)
     ecfs = _small_cluster()
     fe = FrontEnd(ecfs, hedge_delay=None)
-    fe.register_tenant("t", "bronze", deadline=2.0)
+    fe.register_tenant("t", "bronze")
     victim_bid = next(b for b in sorted(ecfs.known_blocks) if b.idx == 0)
     victim = ecfs.osd_hosting(victim_bid)
     ecfs.stop_osd(victim.idx)  # a bounce: contents intact, no MDS declaration
@@ -209,10 +210,11 @@ def test_retry_heals_transient_outage():
     assert fe.stats()["retries"] > 0
 
 
-def test_hedged_read_dodges_partition():
+def test_hedged_read_dodges_partition(monkeypatch):
+    monkeypatch.setitem(DEFAULT_DEADLINES, "silver", 1.0)
     ecfs = _small_cluster()
     fe = FrontEnd(ecfs, hedge_delay=0.005)
-    fe.register_tenant("t", "silver", deadline=1.0)
+    fe.register_tenant("t", "silver")
     bid = next(b for b in sorted(ecfs.known_blocks) if b.idx == 0)
     home = ecfs.osd_hosting(bid)
     ecfs.net.partition((home.name,))
@@ -233,11 +235,12 @@ def test_hedged_read_dodges_partition():
     ecfs.env.run(ecfs.env.process(fe.quiesce()))
 
 
-def test_quiesce_waits_out_stragglers():
+def test_quiesce_waits_out_stragglers(monkeypatch):
     """A deadline-abandoned leg keeps running; quiesce must outwait it."""
+    monkeypatch.setitem(DEFAULT_DEADLINES, "gold", 0.01)
     ecfs = _small_cluster()
     fe = FrontEnd(ecfs, hedge_delay=None)
-    fe.register_tenant("t", "gold", deadline=0.01)
+    fe.register_tenant("t", "gold")
     bid = next(b for b in sorted(ecfs.known_blocks) if b.idx == 0)
     home = ecfs.osd_hosting(bid)
     ecfs.net.partition((home.name,))

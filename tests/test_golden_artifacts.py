@@ -25,6 +25,7 @@ def test_fig1_byte_compat(assert_golden):
     assert_golden(text, "fig1.txt")
 
 
-def test_table1_quick_byte_compat(assert_golden):
-    text, _ = table1.run(scale="quick")
+def test_table1_quick_byte_compat(assert_golden, monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "quick")
+    text, _ = table1.run()
     assert_golden(text, "table1_quick.txt")

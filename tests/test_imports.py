@@ -469,8 +469,10 @@ def test_caller_guard_counts_no_export_or_reexport_as_a_caller():
 # --------------------------------------------- every knob has a src setter
 #: Knobs under ``src/repro`` that no code under ``src/repro`` sets, each with
 #: the reason it stays a knob rather than a constant.  A key names one knob
-#: (``module.Class.name``) or a class, which covers every unset knob of that
-#: class.  An entry whose knob gets a src setter or is gone fails as stale.
+#: (``module.Class.name`` for a constructor's, ``module.func.name`` or
+#: ``module.Class.method.name`` for a function's) or a class or function,
+#: which covers every unset knob of its constructor or signature.  An entry
+#: whose knob gets a src setter or is gone fails as stale.
 _NO_SRC_SETTER = {
     # calibration: the device, network and CPU models ROADMAP item 7 sweeps
     "storage.ssd.SSDParams": "calibration of the SSD timing model, swept by ROADMAP item 7",
@@ -507,6 +509,14 @@ _NO_SRC_SETTER = {
     "cluster.scrub.Scrubber.stripes_per_pass": "tests/test_scrub.py::test_scrubber_bounded_pass scrubs two stripes per pass",
     "net.fabric.NetworkFabric.fault_seed": "tests/test_fault_injection.py::test_lossy_link_retransmits_deterministically draws link loss per seed",
     "harness.runner.ExperimentConfig.block_size": "tests/test_golden_digests.py::test_golden_digest pins 64 KiB-block rows",
+    # bound by perfbench or on a user path
+    "storage.blockstore.BlockStore.create.data": "perfbench/probes.py builds its write-probe block from bytes until ROADMAP item 5.2",
+    "traces.loader.load_trace.max_records": "the user's path for the real Ali / Ten / MSR traces, which are not shipped",
+    "traces.loader.load_msr_csv.max_records": "the user's path for the real MSR traces; tests/test_loader.py::test_max_records_cap caps one",
+    "traces.loader.load_alibaba_csv.max_records": "the user's path for the real Ali-Cloud traces, which are not shipped",
+    "traces.loader.load_tencent_csv.max_records": "the user's path for the real Ten-Cloud traces, which are not shipped",
+    # kept for a planned caller
+    "placement.topology.Topology.flat.failure_domain": "rack-domain placement, kept for the rack-loss adversary of ROADMAP item 1",
 }
 
 
@@ -553,44 +563,84 @@ def _init(node: ast.ClassDef):
     return None
 
 
+def _defaulted(args: ast.arguments) -> list[str]:
+    """Names of a signature's parameters that carry a default."""
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    return names + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _functions(module: str, tree: ast.Module):
+    """(qualified name, def node, whether a call binds its first parameter)
+    of every function and method, nested ones included."""
+
+    def visit(body, prefix, in_class):
+        for child in body:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators = {getattr(d, "id", None) for d in child.decorator_list}
+                yield prefix + child.name, child, in_class and "staticmethod" not in decorators
+                yield from visit(child.body, f"{prefix}{child.name}.", False)
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child.body, f"{prefix}{child.name}.", True)
+            else:  # the blocks of a compound statement, an except or a case
+                for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+                    yield from visit(getattr(child, field, ()), prefix, in_class)
+
+    yield from visit(tree.body, module + ".", False)
+
+
 def _knobs(node: ast.ClassDef):
     """Names of a class's knobs: its defaulted ``__init__`` parameters, or a
-    dataclass's defaulted fields; a ``_private`` name is none."""
+    dataclass's defaulted fields."""
     init = _init(node)
     if init is not None:
-        args = init.args
-        positional = args.posonlyargs + args.args
-        names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
-        names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-    elif _is_dataclass(node):
-        names = [s.target.id for s in node.body if _field_kind(s) == "knob"]
-    else:
-        names = []
-    return [n for n in names if not n.startswith("_")]
+        return _defaulted(init.args)
+    if _is_dataclass(node):
+        return [s.target.id for s in node.body if _field_kind(s) == "knob"]
+    return []
 
 
 def _setter_guard(sources: dict[str, str], allowlist: dict[str, str]) -> list[str]:
     """Every failure of the rule, one line each: a knob that no src code
     sets and the allowlist does not excuse, or a stale allowlist entry.
 
-    A knob of class ``C`` is set when src code passes it to ``C`` or a
-    subclass (by keyword, by position, or through ``**`` a module-level
-    ``dict(...)``), to ``dataclasses.replace``, or through a subclass's
-    ``super().__init__``; or assigns ``<expr>.name`` outside ``C`` where
-    ``<expr>`` is not ``self``.  Classes match by bare name."""
+    A knob is a defaulted parameter of a function or method (``module.func.p``,
+    ``module.Class.method.p``), or a defaulted ``__init__`` parameter or
+    dataclass field of a class (``module.Class.p``); a ``_private`` name is
+    none.  A call sets it when it passes it by keyword, by position, through
+    ``*`` (every position from there on) or through ``**`` (a module-level
+    ``dict(...)`` its keys, anything else every parameter).  Calls match by
+    bare name: a function or method of that name, or a class or any subclass
+    (through ``super().__init__`` too); ``dataclasses.replace`` sets a field
+    of every dataclass.  A class knob is also set by an assignment to
+    ``<expr>.name`` outside the class where ``<expr>`` is not ``self``.  A
+    value that is just a defaulted parameter of the enclosing function
+    passes that parameter through: it sets the knob only if that parameter
+    is set itself."""
     trees = {module: _tree(module, text) for module, text in sources.items()}
     nodes = {q: n for m, t in trees.items() for q, n in _classes(m, t)}
-    by_name = {node.name: node for node in nodes.values()}
-    bases = {name: set() for name in by_name}
-    for node in nodes.values():
-        bases[node.name].update(getattr(b, "id", getattr(b, "attr", None)) for b in node.bases)
+    by_name: dict[str, list] = {}
+    bases: dict[str, set] = {}
+    for qualname, node in nodes.items():
+        by_name.setdefault(node.name, []).append(qualname)
+        bases.setdefault(node.name, set()).update(
+            getattr(b, "id", getattr(b, "attr", None)) for b in node.bases
+        )
+    funcs = {m: list(_functions(m, t)) for m, t in trees.items()}
+    defs: dict[str, list] = {}  # bare name -> [(knob prefix, positional params, params)]
+    for qualname, node, bound in (f for fs in funcs.values() for f in fs):
+        if node.name != "__init__":
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][int(bound):]
+            every = set(positional) | {a.arg for a in args.kwonlyargs}
+            defs.setdefault(node.name, []).append((qualname, positional, every))
 
     @functools.lru_cache(maxsize=None)
     def params(name):
         """Positional parameter names of a call to class ``name``."""
-        node = by_name.get(name)
-        if node is None:
+        if name not in by_name:
             return ()
+        node = nodes[by_name[name][-1]]
         init = _init(node)
         if init is not None:
             return tuple(a.arg for a in init.args.posonlyargs + init.args.args)[1:]
@@ -599,15 +649,46 @@ def _setter_guard(sources: dict[str, str], allowlist: dict[str, str]) -> list[st
             return inherited + tuple(s.target.id for s in node.body if _field_kind(s))
         return inherited
 
-    passed = set()  # (class name or "replace", knob)
+    @functools.lru_cache(maxsize=None)
+    def ancestors(name):
+        out = {name}
+        for base in bases.get(name, set()) - {None, name}:
+            out |= ancestors(base)
+        return frozenset(out)
+
+    dataclass_fields: dict[str, list] = {}
+    for qualname, node in nodes.items():
+        if _is_dataclass(node):
+            for knob in _knobs(node):
+                dataclass_fields.setdefault(knob, []).append(f"{qualname}.{knob}")
+
+    setters: dict[str, set] = {}  # knob -> knobs it passes through (None: none)
     stored: dict[str, set] = {}  # attribute -> classes whose code stores it
     for module, tree in trees.items():
         spans = sorted((n.lineno, n.end_lineno, n.name) for _, n in _classes(module, tree))
+        scopes = sorted((n.lineno, n.end_lineno, q, n) for q, n, _ in funcs[module])
 
         def owner(node):
             """The innermost class whose body holds ``node``, or None."""
             inside = [name for first, last, name in spans if first <= node.lineno <= last]
             return inside[-1] if inside else None
+
+        def through(value, line):
+            """The knob a call's argument passes through, or None."""
+            if isinstance(value, ast.Starred):
+                value = value.value
+            if not isinstance(value, ast.Name):
+                return None
+            for first, last, qualname, node in reversed(scopes):
+                if first <= line <= last:
+                    args = node.args
+                    every = args.posonlyargs + args.args + args.kwonlyargs
+                    if value.id in {a.arg for a in every}:
+                        if value.id not in _defaulted(args):
+                            return None
+                        prefix = qualname.removesuffix(".__init__")
+                        return f"{prefix}.{value.id}"
+            return None
 
         aliases, calls = {}, []
         splats = {
@@ -634,62 +715,85 @@ def _setter_guard(sources: dict[str, str], allowlist: dict[str, str]) -> list[st
         for node, name, cls in calls:
             func = node.func
             name = aliases.get(name, name)
-            targets = {cls if name == "cls" else name}
+            targets = []  # (knob prefixes, positional params, params)
+            classes = {cls if name == "cls" else name}
             if (
                 name == "__init__"
                 and isinstance(func.value, ast.Call)
                 and getattr(func.value.func, "id", None) == "super"
             ):
-                targets = bases.get(cls, set())
-            for target in targets:
+                classes = bases.get(cls, set())
+            for target in classes & set(by_name):
+                prefixes = [q for a in ancestors(target) for q in by_name.get(a, ())]
+                targets.append((prefixes, params(target), None))
+            for prefix, positional, every in defs.get(name, ()):
+                targets.append(([prefix], positional, every))
+            if name == "replace":
                 for kw in node.keywords:
-                    keys = {kw.arg} if kw.arg else splats.get(getattr(kw.value, "id", None), ())
-                    passed.update((target, key) for key in keys)
-                positional = params(target) if name != "replace" else ()
-                for arg, key in zip(node.args, positional):
+                    for knob in dataclass_fields.get(kw.arg, ()):
+                        setters.setdefault(knob, set()).add(through(kw.value, node.lineno))
+            for prefixes, positional, every in targets:
+                passes = []  # (parameter name, value)
+                for kw in node.keywords:
+                    if kw.arg:
+                        passes.append((kw.arg, kw.value))
+                    elif getattr(kw.value, "id", None) in splats:
+                        passes += [(k, kw.value) for k in splats[kw.value.id]]
+                    else:
+                        passes += [(k, kw.value) for k in every or positional]
+                for i, arg in enumerate(node.args):
                     if isinstance(arg, ast.Starred):
+                        passes += [(k, arg) for k in positional[i:]]
                         break
-                    passed.add((target, key))
+                    if i < len(positional):
+                        passes.append((positional[i], arg))
+                for key, value in passes:
+                    dep = through(value, node.lineno)
+                    for prefix in prefixes:
+                        setters.setdefault(f"{prefix}.{key}", set()).add(dep)
 
-    children: dict[str, set] = {}
-    for name, parents in bases.items():
-        for parent in parents:
-            children.setdefault(parent, set()).add(name)
-
-    def family(name):
-        out, todo = set(), [name]
-        while todo:
-            cls = todo.pop()
-            if cls not in out:
-                out.add(cls)
-                todo.extend(children.get(cls, ()))
-        return out
-
-    unset, known = set(), set()
+    knobs: dict[str, str] = {}  # knob -> owning class name, or None for a function's
     for qualname, node in nodes.items():
-        if node.name.startswith("_"):
-            continue
-        callees = family(node.name)
-        if _is_dataclass(node):
-            callees.add("replace")
-        for knob in _knobs(node):
-            known.add(f"{qualname}.{knob}")
-            if any((cls, knob) in passed for cls in callees):
-                continue
-            if stored.get(knob, set()) - {node.name}:
-                continue
-            unset.add(f"{qualname}.{knob}")
+        if not node.name.startswith("_"):
+            knobs.update((f"{qualname}.{k}", node.name) for k in _knobs(node))
+    for qualname, node, _bound in (f for fs in funcs.values() for f in fs):
+        if node.name != "__init__":
+            knobs.update((f"{qualname}.{k}", None) for k in _defaulted(node.args))
+    knobs = {k: c for k, c in knobs.items() if not k.rpartition(".")[2].startswith("_")}
+
+    fed: dict[str, list] = {}  # knob -> knobs that pass it through
+    for knob, deps in setters.items():
+        for dep in deps - {None}:
+            fed.setdefault(dep, []).append(knob)
+
+    def closure(seeds):
+        """Every knob the seeds set, directly or through pass-throughs."""
+        out, todo = set(), list(seeds)
+        while todo:
+            knob = todo.pop()
+            if knob not in out:
+                out.add(knob)
+                todo.extend(fed.get(knob, ()))
+        return out
 
     def covers(entry, knob):
         return knob == entry or knob.rpartition(".")[0] == entry
 
+    seeds = [
+        knob
+        for knob, cls in knobs.items()
+        if None in setters.get(knob, ())
+        or (cls and stored.get(knob.rpartition(".")[2], set()) - {cls})
+    ]
+    unset = set(knobs) - closure(seeds)
+    # an allowlisted knob is set from outside src/repro: its pass-throughs count
+    excused = {k for k in unset if any(covers(entry, k) for entry in allowlist)}
+    owners = set(nodes) | {q for fs in funcs.values() for q, _, _ in fs}
     problems = [
-        f"{k}: no setter under src/repro"
-        for k in sorted(unset)
-        if not any(covers(entry, k) for entry in allowlist)
+        f"{k}: no setter under src/repro" for k in sorted(unset - closure(seeds + list(excused)))
     ]
     for entry in sorted(allowlist):
-        if entry not in known and entry not in nodes:
+        if entry not in knobs and entry not in owners:
             problems.append(f"{entry}: allowlisted but not a knob")
         elif not any(covers(entry, k) for k in unset):
             problems.append(f"{entry}: allowlisted but has a setter now")
@@ -697,10 +801,11 @@ def _setter_guard(sources: dict[str, str], allowlist: dict[str, str]) -> list[st
 
 
 def test_every_src_knob_has_a_src_setter():
-    """Every defaulted dataclass field or ``__init__`` parameter under
-    src/repro is set by src code, or ``_NO_SRC_SETTER`` says why it stays a
-    knob.  A failure is either a knob only tests, examples or perfbench set
-    (make it a constant, or allowlist it with a reason) or a stale entry."""
+    """Every defaulted parameter of a function, method or constructor and
+    every defaulted dataclass field under src/repro is set by src code, or
+    ``_NO_SRC_SETTER`` says why it stays a knob.  A failure is either a knob
+    only tests, examples or perfbench set (make it a constant, or allowlist
+    it with a reason) or a stale entry."""
     sources = _module_sources(pathlib.Path(__file__).parent.parent / "src")
     assert _setter_guard(sources, _NO_SRC_SETTER) == []
     assert all(reason and "\n" not in reason for reason in _NO_SRC_SETTER.values())
@@ -717,6 +822,90 @@ def test_setter_guard_flags_a_restored_knob():
     )
     assert _setter_guard(sources, _NO_SRC_SETTER) == [
         "background.config.BackgroundConfig.yield_poll: no setter under src/repro"
+    ]
+
+
+def test_setter_guard_flags_a_restored_function_knob():
+    """``collect_first`` back on :func:`parked_gc`, passed by no call, is a
+    knob again and fails."""
+    sources = _module_sources(pathlib.Path(__file__).parent.parent / "src")
+    anchor = "def parked_gc() -> Iterator[None]:\n"
+    assert anchor in sources["common.perf"]
+    sources["common.perf"] = sources["common.perf"].replace(
+        anchor, "def parked_gc(collect_first: bool = True) -> Iterator[None]:\n"
+    )
+    assert _setter_guard(sources, _NO_SRC_SETTER) == [
+        "common.perf.parked_gc.collect_first: no setter under src/repro"
+    ]
+
+
+def test_setter_guard_counts_no_pass_through_of_an_unset_parameter():
+    """``FaultSchedule.when(deadline)`` handing its own default to
+    ``Trigger(deadline=deadline)`` sets neither while no call passes
+    ``deadline`` to ``when``; one that does (or an allowlist entry for the
+    outer parameter) sets both."""
+    sources = _module_sources(pathlib.Path(__file__).parent.parent / "src")
+    events = sources["fault.events"]
+    field_anchor = "    poll: float = 0.001\n\n    def __post_init__"
+    call_anchor = "        poll: float = 0.001,\n    ) -> \"FaultSchedule\":\n"
+    trigger_call = "Trigger(when=predicate, poll=poll)"
+    assert field_anchor in events and call_anchor in events and trigger_call in events
+    events = events.replace(
+        field_anchor, field_anchor.replace("\n\n", "\n    deadline: float | None = None\n\n")
+    )
+    events = events.replace(
+        call_anchor, call_anchor.replace("0.001,\n", "0.001,\n        deadline: float | None = None,\n")
+    )
+    sources["fault.events"] = events.replace(
+        trigger_call, "Trigger(when=predicate, poll=poll, deadline=deadline)"
+    )
+    assert _setter_guard(sources, _NO_SRC_SETTER) == [
+        "fault.events.FaultSchedule.when.deadline: no setter under src/repro",
+        "fault.events.Trigger.deadline: no setter under src/repro",
+    ]
+    allowlist = dict(_NO_SRC_SETTER)
+    allowlist["fault.events.FaultSchedule.when.deadline"] = "a user's schedule gives up"
+    assert _setter_guard(sources, allowlist) == []
+    sources["fault.scenarios"] += "LATE = FaultSchedule().when(bool, ScrubPass(), deadline=1.0)\n"
+    assert _setter_guard(sources, _NO_SRC_SETTER) == []
+
+
+def test_setter_guard_counts_function_calls_by_keyword_position_and_splat():
+    sources = {
+        "pkg.mod": (
+            "class Pool:\n"
+            "    def grow(self, n=1, cap=8, lanes=2):\n"
+            "        pass\n"
+            "    def shrink(self, n=1, floor=0):\n"
+            "        pass\n"
+            "def fill(pool, depth=4, width=2):\n"
+            "    pool.grow(depth)\n"  # passes fill's depth through
+            "    pool.shrink(*ARGS)\n"
+            "def build(pool, size=3):\n"
+            "    fill(pool, width=size)\n"  # passes build's size through
+            "ARGS = (1, 2)\n"
+            "CELL = dict(cap=4)\n"
+            "fill(Pool(), 6)\n"
+            "Pool().grow(**CELL)\n"
+        ),
+    }
+    assert _setter_guard(sources, {}) == [
+        "pkg.mod.Pool.grow.lanes: no setter under src/repro",
+        "pkg.mod.build.size: no setter under src/repro",
+        "pkg.mod.fill.width: no setter under src/repro",
+    ]
+
+
+def test_setter_guard_flags_stale_function_parameter_entries():
+    sources = {"pkg.mod": "def grow(n=1, cap=8):\n    pass\ngrow(cap=4)\n"}
+    allowlist = {
+        "pkg.mod.grow.n": "a test varies it",
+        "pkg.mod.grow.cap": "had no setter once",
+        "pkg.mod.grow.lanes": "was retired",
+    }
+    assert _setter_guard(sources, allowlist) == [
+        "pkg.mod.grow.cap: allowlisted but has a setter now",
+        "pkg.mod.grow.lanes: allowlisted but not a knob",
     ]
 
 

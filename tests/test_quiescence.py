@@ -43,8 +43,10 @@ def test_refcounter_overrelease_clamps():
 def test_refcounter_iteration_matches_held_keys():
     rc = RefCounter()
     rc.incr(("a", 1))
-    rc.incr(("b", 2), n=3)
+    for _ in range(3):
+        rc.incr(("b", 2))
     assert set(rc) == {("a", 1), ("b", 2)}
+    assert rc.count(("b", 2)) == 3
 
 
 # ------------------------------------------------------------------- waiters

@@ -31,19 +31,6 @@ def test_timeout_advances_clock():
     assert env.now == pytest.approx(2.0)
 
 
-def test_timeout_value_delivered():
-    env = Environment()
-    seen = []
-
-    def proc():
-        value = yield env.timeout_us(1_000_000, value="hello")
-        seen.append(value)
-
-    env.process(proc())
-    env.run()
-    assert seen == ["hello"]
-
-
 def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
@@ -158,14 +145,14 @@ def test_all_of_waits_for_every_event():
     done = []
 
     def proc():
-        t1 = env.timeout_us(1_000_000, value="a")
-        t2 = env.timeout_us(3_000_000, value="b")
+        t1 = env.timeout_us(1_000_000)
+        t2 = env.timeout_us(3_000_000)
         results = yield env.all_of([t1, t2])
-        done.append(sorted(results.values()))
+        done.append(set(results) == {t1, t2})
 
     env.process(proc())
     env.run()
-    assert done == [["a", "b"]]
+    assert done == [True]
     assert env.now == pytest.approx(3.0)
 
 
@@ -377,10 +364,7 @@ def test_run_until_event_drains_earlier_same_time_events():
     env.process(logger("b", t_b))
     # a priority-0 stop event at t=1 pops ahead of the same-time timeouts
     # even though they were scheduled first — the drain still runs them
-    stop = env.event()
-    stop._ok = True
-    stop._state = 1  # triggered
-    env.schedule_at_us(stop, 1_000_000, phase=PHASE_URGENT)
+    stop = env.timeout_us(1_000_000, phase=PHASE_URGENT)
     env.run(stop)
     assert order == ["a", "b"]
     # the logger processes' completion events were scheduled *after* the
@@ -396,19 +380,19 @@ def test_timeout_at_us_fires_at_absolute_time():
 
     def proc():
         yield env.timeout_us(1_000)
-        seen.append((yield env.timeout_at_us(2_500, value="at")))
+        yield env.timeout_at_us(2_500)
         seen.append(env.now_us)
 
     env.process(proc())
     env.run()
-    assert seen == ["at", 2_500]
+    assert seen == [2_500]
     with pytest.raises(ValueError):
         env.timeout_at_us(2_499)  # in the past
 
 
 def test_run_until_already_processed_event_returns_value():
     env = Environment()
-    t = env.timeout_us(0, value="x")
+    t = env.event().succeed("x")
     env.run()
     assert t.processed
     assert env.run(until=t) == "x"
@@ -441,38 +425,25 @@ def _triggered(env):
 
 
 def test_spawn_then_zero_delay_urgent_fire_in_schedule_order():
-    """A process spawned before a zero-delay URGENT entry, in the same
+    """A process spawned before a zero-delay URGENT timeout, in the same
     callback, initialises first: both are URGENT at the same tick, so
-    ``seq`` decides, whichever call enqueued the URGENT entry."""
+    ``seq`` decides."""
+    env = Environment()
+    order = []
 
-    def fire_order(urgent_entry):
-        env = Environment()
-        order = []
+    def child():
+        order.append("init")
+        yield env.timeout_us(0)
 
-        def child():
-            order.append("init")
-            yield env.timeout_us(0)
+    def parent():
+        yield env.timeout_us(5)
+        env.process(child())
+        ev = env.timeout_us(0, phase=PHASE_URGENT)
+        ev.callbacks.append(lambda _ev: order.append("urgent-timeout"))
 
-        def parent():
-            yield env.timeout_us(5)
-            env.process(child())
-            ev = urgent_entry(env)
-            ev.callbacks.append(lambda _ev: order.append("urgent-timeout"))
-
-        env.process(parent())
-        env.run()
-        return order
-
-    def via_schedule_at(env):
-        ev = _triggered(env)
-        env.schedule_at_us(ev, env.now_us, phase=PHASE_URGENT)
-        return ev
-
-    assert fire_order(lambda env: env.timeout_us(0, phase=PHASE_URGENT)) == [
-        "init",
-        "urgent-timeout",
-    ]
-    assert fire_order(via_schedule_at) == ["init", "urgent-timeout"]
+    env.process(parent())
+    env.run()
+    assert order == ["init", "urgent-timeout"]
 
 
 def _tagged(env, order, tag, delay_us=0, phase=PHASE_NORMAL):

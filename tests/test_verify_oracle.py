@@ -78,5 +78,5 @@ def test_oracle_stripe_enumeration():
 def test_verify_subset_of_stripes():
     ecfs = _cluster()
     files = ecfs.populate(n_files=1, stripes_per_file=3, fill="random")
-    checked = ecfs.oracle.verify_cluster(ecfs, ecfs.rs, stripes=[(files[0], 1)])
-    assert checked == 1
+    ecfs.oracle.verify_stripe(ecfs, files[0], 1, ecfs.rs)
+    assert ecfs.oracle.verify_cluster(ecfs, ecfs.rs) == 3
