@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -15,12 +16,13 @@ from repro.cluster.verify import GroundTruth
 from repro.common.errors import ConfigError
 from repro.common.randbytes import uniform_bytes
 from repro.common.refcount import RefCounter
+from repro.common.zeromem import zero_template
 from repro.ec.rs import RSCode
 from repro.metrics.collector import MetricsCollector
 from repro.net.fabric import NetParams, NetworkFabric
 from repro.placement import MigrationPlan, PlacementMap, Topology, make_policy
 from repro.sim import PHASE_LATE, Environment, Event
-from repro.storage.blockstore import BlockStore
+from repro.storage.blockstore import Base, BlockStore, SharedRows
 from repro.storage.hdd import HDDevice, HDDParams
 from repro.storage.ssd import SSDevice, SSDParams
 
@@ -257,31 +259,75 @@ class ECFS:
         file_id: int,
         stripe: int,
         gens: tuple[int, ...] | None,
-        data: Sequence[np.ndarray],
-        parity: Callable[[int], np.ndarray],
+        read: Callable[[int], np.ndarray],
+        pairs: Sequence[tuple[Base, np.ndarray | None] | None] | None,
     ) -> dict[int, int]:
         """The stripe's parity rows that differ from a fresh RS encode of
-        ``data`` (its k data blocks), as row -> differing byte count.
+        its k data blocks, as row -> differing byte count.
 
-        ``gens`` are the generations of the k+m blocks whose bytes ``data``
-        and ``parity(row)`` hold.  When they equal the generations recorded
-        at the stripe's last clean check, those are the bytes that checked
-        clean (equal stamps mean equal bytes), so nothing is encoded and
-        ``parity`` is never called.  A check that finds every row clean
+        ``read(i)`` gives the bytes of the stripe's block ``i`` (data
+        ``0..k-1``, parity ``k..k+m-1``).  ``gens`` are the generations of
+        the k+m blocks those bytes hold.  When they equal the generations
+        recorded at the stripe's last clean check, those are the bytes that
+        checked clean (equal stamps mean equal bytes), so nothing is encoded
+        and ``read`` is never called.  A check that finds every row clean
         records ``gens``; ``gens=None`` neither consults nor records.
+
+        ``pairs`` are the k+m blocks' :meth:`BlockStore.named_base` pairs
+        (``None`` when the caller holds only bytes).  While every block
+        still stands on its row of one populate codeword, the base rows
+        cancel by linearity: parity row ``j`` differs from the encode of
+        the data exactly where its delta differs from row ``j`` of the
+        encode of the data deltas, in the same byte count, so ``read`` is
+        never called and no parity base is made.  Once a ``put`` has
+        replaced a base (rebuild, migration, resync), the content is
+        encoded.
         """
         key = (file_id, stripe)
         if gens is not None and self._parity_clean.get(key) == gens:
             return {}
-        expected = self.rs.encode(data)
+        k = self.rs.k
+        deltas = self._codeword_deltas(pairs)
+        if deltas is None:
+            expected = self.rs.encode([read(i) for i in range(k)])
+            got = [read(k + j) for j in range(self.rs.m)]
+        elif any(d is not None for d in deltas[:k]):
+            zero = zero_template(self.config.block_size)
+            expected = self.rs.encode([zero if d is None else d for d in deltas[:k]])
+            got = [zero if d is None else d for d in deltas[k:]]
+        else:  # the data stands on its codeword rows: the parity must too
+            expected = None
+            got = deltas[k:]
         stale = {}
-        for j, want in enumerate(expected):
-            got = parity(j)
-            if not np.array_equal(got, want):
-                stale[j] = int(np.count_nonzero(got != want))
+        for j, row in enumerate(got):
+            if expected is None:
+                diff = 0 if row is None else int(np.count_nonzero(row))
+            elif np.array_equal(row, expected[j]):
+                continue
+            else:
+                diff = int(np.count_nonzero(row != expected[j]))
+            if diff:
+                stale[j] = diff
         if not stale and gens is not None:
             self._parity_clean[key] = gens
         return stale
+
+    def _codeword_deltas(
+        self, pairs: Sequence[tuple[Base, np.ndarray | None] | None] | None
+    ) -> list[np.ndarray | None] | None:
+        """The k+m deltas of a stripe whose blocks all stand on their rows
+        of one populate codeword (``pairs[i]`` on row ``i`` of one
+        :class:`SharedRows`, which only :meth:`populate` makes), else
+        ``None``."""
+        if pairs is None or pairs[0] is None:
+            return None
+        rows = pairs[0][0].rows
+        deltas = []
+        for i, pair in enumerate(pairs):
+            if pair is None or pair[0] != (rows, i):
+                return None
+            deltas.append(pair[1])
+        return deltas
 
     def record_clean_stripes(
         self, placed: Iterable[tuple[BlockId, BlockStore]]
@@ -452,7 +498,8 @@ class ECFS:
     ) -> list[int]:
         """Instantly create and place files (no simulated time) so trace
         replay starts from a fully-written state.  ``fill`` is "random"
-        (parity computed, stronger verification) or "zeros" (fast)."""
+        (random data, parity encoded when first read; stronger
+        verification) or "zeros" (fast)."""
         if fill not in ("random", "zeros"):
             raise ConfigError(f"unknown fill {fill!r}")
         bs = self.config.block_size
@@ -465,26 +512,40 @@ class ECFS:
             if fill == "random":
                 # One draw per file — the bytes ``integers(0, 256, (spf, k,
                 # bs), dtype=np.uint8)`` would give, read from the
-                # generator's raw words.  Data block i of stripe s is the
-                # view draw[s, i] and each stripe's parity is encoded from
-                # draw[s], so no byte is copied.  Every block is read-only;
-                # a store's or the oracle's write lands in the block's XOR
-                # delta, never in the draw or the parity.
+                # generator's raw words.  Stripe s is one SharedRows: data
+                # block i stands on the view draw[s, i], and parity row j
+                # on row j of draw[s]'s encode, made the first time a
+                # reader needs a parity base's bytes — so no byte is
+                # copied, and a stripe whose parity only takes deltas is
+                # never encoded.  Every base is read-only; a store's or the
+                # oracle's write lands in the block's XOR delta.  The name
+                # (the generator state the draw started from, its shape,
+                # the file, the stripe and the code) is what the content
+                # digest hashes for the base.
+                state = self._rng.bit_generator.state
+                start = (
+                    state["state"]["state"],
+                    state["state"]["inc"],
+                    state["has_uint32"],
+                    state["uinteger"],
+                )
                 draw = uniform_bytes(self._rng, spf * k * bs).reshape(spf, k, bs)
                 draw.flags.writeable = False
+                name = ("populate", start, draw.shape, meta.file_id, repr(self.rs))
                 placed = []
                 for s in range(spf):
-                    parity = self.rs.encode_matrix(draw[s])
-                    parity.flags.writeable = False
+                    rows = SharedRows(
+                        (*name, s), draw[s], partial(self.rs.encode_matrix, draw[s])
+                    )
                     for i in range(k + m):
                         bid = BlockId(meta.file_id, s, i)
-                        content = draw[s, i] if i < k else parity[i - k]
+                        base = Base(rows, i)
                         store = self.osd_hosting(bid).store
-                        store.create_shared(bid, content)
+                        store.create_shared(bid, base)
                         placed.append((bid, store))
                         self.known_blocks.add(bid)
                         if i < k:
-                            self.oracle.adopt(bid, content)
+                            self.oracle.adopt(bid, base)
             else:
                 # zero fill: copy-on-write — no per-block allocation in
                 # the store or the oracle until something writes

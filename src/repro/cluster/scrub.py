@@ -180,14 +180,9 @@ class Scrubber:
                 for i in bad:
                     report.repaired.append(BlockId(file_id, stripe, i))
         yield env.timeout_us(ecfs.config.costs.gf_mul(bs * ecfs.rs.k, terms=ecfs.rs.m))
-        k = ecfs.rs.k
         # a stripe with sector errors never reads or writes the clean record
         stale = ecfs.stale_parity_rows(
-            file_id,
-            stripe,
-            None if bad else tuple(gens),
-            blocks[:k],
-            lambda j: blocks[k + j],
+            file_id, stripe, None if bad else tuple(gens), blocks.__getitem__, None
         )
         report.mismatches.extend((file_id, stripe, j) for j in stale)
         report.stripes_checked += 1

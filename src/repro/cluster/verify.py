@@ -4,22 +4,27 @@ Update methods call :meth:`GroundTruth.apply` at their commit point (the
 moment an update is durably ordered).  After a run is drained/flushed, the
 harness calls :meth:`verify_cluster` which checks, stripe by stripe, that
 
-1. every data block in the OSD block stores equals the oracle's bytes, and
-2. the parity blocks equal a fresh RS encode of the data blocks — unless
-   the generations of the stripe's k+m blocks equal those at its last clean
-   check, in which case the bytes are the ones that checked clean and the
-   re-encode is skipped
-   (:meth:`~repro.cluster.ecfs.ECFS.stale_parity_rows`).
+1. every data block in the OSD block stores equals the oracle's bytes —
+   compared as XOR deltas when the store's block and the oracle's stand on
+   the same named populate base, so neither side's ``base ^ delta`` is
+   built — and
+2. the parity blocks equal a fresh RS encode of the data blocks
+   (:meth:`~repro.cluster.ecfs.ECFS.stale_parity_rows`).  The re-encode is
+   skipped when the generations of the stripe's k+m blocks equal those at
+   its last clean check: the bytes are the ones that checked clean.  While
+   the k+m blocks still stand on one populate codeword, only their deltas
+   are read: each parity delta must equal the encode of the data deltas
+   (RS linearity), so no parity base is made and no base byte is encoded.
 
 Any divergence raises :class:`IntegrityError` — the reproduction's tests
 run every method through this oracle.
 
 The mirror is a :class:`~repro.storage.blockstore.BlockStore`, so the oracle
 shares, promotes and reads block bytes by the same rules as an OSD's store:
-zero-fill blocks stand on the zero template, populate blocks are read-only
-views of a file's populate draw or a stripe's parity, and an update into
-one of those costs the pages it writes (an XOR delta), not a copy of the
-block.
+zero-fill blocks stand on the zero template, populate data blocks stand on
+the same named read-only views of a file's populate draw as the stores'
+blocks, and an update into one of those costs the pages it writes (an XOR
+delta), not a copy of the block.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from repro.cluster.ids import BlockId
 from repro.common.errors import IntegrityError
 from repro.ec.rs import RSCode
-from repro.storage.blockstore import BlockStore
+from repro.storage.blockstore import Base, BlockStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.ecfs import ECFS
@@ -52,9 +57,10 @@ class GroundTruth:
         """Register known-zero blocks without allocating (zero-fill populate)."""
         self.store.create_zero_many(blocks)
 
-    def adopt(self, block: BlockId, data: np.ndarray) -> None:
-        """Register initial content zero-copy: a read-only view sharing the
-        caller's buffer (a file's populate draw), never written through."""
+    def adopt(self, block: BlockId, data: Base) -> None:
+        """Register initial content zero-copy: the named base the stores'
+        block stands on (a row of a file's populate draw), never written
+        through."""
         self.store.create_shared(block, data)
 
     def apply(self, block: BlockId, offset: int, data: np.ndarray) -> None:
@@ -76,23 +82,17 @@ class GroundTruth:
         bids = [BlockId(file_id, stripe, i) for i in range(rs.k + rs.m)]
         stores = [ecfs.osd_hosting(bid).store for bid in bids]
         gens = tuple(store.generation(bid) for store, bid in zip(stores, bids))
-        data_blocks: list[np.ndarray] = []
+        pairs = [store.named_base(bid) for store, bid in zip(stores, bids)]
         for i in range(rs.k):
-            got = stores[i].view(bids[i])
-            want = self.expected(bids[i])
-            if not np.array_equal(got, want):
-                diff = int(np.count_nonzero(got != want))
+            diff = self._data_diff(stores[i], bids[i], pairs[i])
+            if diff:
                 raise IntegrityError(
                     f"stripe f{file_id}.s{stripe}: data block {i} diverges from "
                     f"oracle in {diff} bytes"
                 )
-            data_blocks.append(got)
+        # the data equals the oracle's: read it from either side's store
         stale = ecfs.stale_parity_rows(
-            file_id,
-            stripe,
-            gens,
-            data_blocks,
-            lambda j: stores[rs.k + j].view(bids[rs.k + j]),
+            file_id, stripe, gens, lambda i: stores[i].view(bids[i]), pairs
         )
         if stale:
             j, diff = next(iter(stale.items()))  # the first stale row
@@ -100,6 +100,28 @@ class GroundTruth:
                 f"stripe f{file_id}.s{stripe}: parity block {j} stale "
                 f"({diff} bytes differ)"
             )
+
+    def _data_diff(
+        self,
+        store: BlockStore,
+        block: BlockId,
+        pair: tuple[Base, np.ndarray | None] | None,
+    ) -> int:
+        """Bytes in which ``store``'s ``block`` differs from the oracle's:
+        from the two XOR deltas when both stand on the same named base
+        (``base ^ a`` and ``base ^ b`` differ where ``a`` and ``b`` do),
+        else from the contents."""
+        mine = self.store.named_base(block)
+        if pair is None or mine is None or pair[0] != mine[0]:
+            got, want = store.view(block), self.expected(block)
+        else:
+            got, want = pair[1], mine[1]
+            if got is None or want is None:
+                rest = want if got is None else got
+                return 0 if rest is None else int(np.count_nonzero(rest))
+        if np.array_equal(got, want):
+            return 0
+        return int(np.count_nonzero(got != want))
 
     def verify_cluster(self, ecfs: "ECFS", rs: RSCode) -> int:
         """Verify every stripe; returns stripes checked."""

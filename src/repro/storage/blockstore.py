@@ -6,49 +6,101 @@ that still decode (see the integrity oracle in :mod:`repro.cluster.verify`,
 which keeps its own mirror in a store of this class).
 
 Block memory costs the pages written, not the block.  A block is held one of
-three ways, and a mutation never copies a whole block:
+four ways, and a mutation never copies a whole block:
 
 * **the zero template** (:func:`~repro.common.zeromem.zero_template`) for a
   zero-filled block; its first mutation gives it a lazily-resident
   :func:`~repro.common.zeromem.zero_block`, which *is* its content;
 * **an owned writable array** (``put`` / ``create``, a promoted zero block),
   mutated in place;
-* **a shared read-only base** (``create_shared``: a view into a file's
-  populate draw or a stripe's populate parity) plus, from its first
-  mutation on, an **XOR delta** carved by ``zero_block``.  The content is
-  ``base ^ delta``: a write stores ``data ^ base[range]`` into the delta,
-  ``xor_in`` and ``corrupt`` XOR into it, so only the pages a mutation
-  touches become resident and the base is never written.
+* **a shared read-only base** (``create_shared`` with an array) plus, from
+  its first mutation on, an **XOR delta** carved by ``zero_block``.  The
+  content is ``base ^ delta``: a write stores ``data ^ base[range]`` into
+  the delta, ``xor_in`` and ``corrupt`` XOR into it, so only the pages a
+  mutation touches become resident and the base is never written;
+* **a named shared base** (``create_shared`` with a :class:`Base`: row ``i``
+  of a :class:`SharedRows`), held and mutated like the one above.  Random-
+  fill populate is its one maker: a stripe's k data rows are views of the
+  file's draw, and its m parity rows are **lazy** — the stripe's one RS
+  encode runs the first time a reader needs any parity base's bytes
+  (``read``, ``view``, ``read_view``, or the ``base[range]`` a ``write``
+  XORs against).  ``put`` and ``xor_in`` never need them, so a stripe whose
+  parity only takes deltas is never encoded.  :meth:`BlockStore.named_base`
+  hands out a block's (base, delta) pair, from which the stripe-verify
+  oracle and the content digest work without the base's bytes.
 
 Every block carries a **generation**: an integer stamp that names one state
 of its bytes.  Stamps come from one module-level counter, so no two states
 of any block in any store share one.  Every mutator takes a fresh stamp —
 ``write``, ``xor_in`` and ``corrupt`` (all through ``_writable``), ``put``,
-``create`` with data and ``create_shared``.  An
+``create`` with data and ``create_shared``; encoding a lazy row changes no
+bytes and takes none.  An
 absent block and a block still on the zero template read as generation 0;
 both read as zeros.  Equal generations therefore mean equal bytes, which is
 what lets :meth:`~repro.cluster.ecfs.ECFS.stale_parity_rows` skip the
 re-encode of a stripe none of whose blocks changed since its last clean
-check.  Readers (``read``, ``view``, ``read_view``) never change a stamp,
-and nothing outside this module touches the block, delta or generation
-dicts (``tests/test_cluster.py`` guards that).
+check.  Readers (``read``, ``view``, ``read_view``, ``named_base``) never
+change a stamp, and nothing outside this module touches the block, delta or
+generation dicts (``tests/test_cluster.py`` guards that).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.common.errors import IntegrityError
 from repro.common.zeromem import zero_block, zero_template
 
-__all__ = ["BlockStore"]
+__all__ = ["Base", "BlockStore", "SharedRows"]
 
 #: the one source of generation stamps, shared by every store (0 is never
 #: drawn: it names zero content)
 _next_stamp = itertools.count(1).__next__
+
+
+class SharedRows:
+    """Named read-only rows that blocks of many stores stand on as bases.
+
+    ``head`` are the first rows, given now; ``tail()`` makes the rest the
+    first time any of them is read, once.  Random-fill populate makes one
+    per stripe: its k data rows (views of the file's draw) and a function
+    RS-encoding them, so ``len(head) + len(tail())`` rows are one codeword.
+    ``name`` identifies the bytes: equal names, equal rows."""
+
+    __slots__ = ("name", "_head", "_tail", "_make")
+
+    def __init__(
+        self, name: Hashable, head: np.ndarray, tail: Callable[[], np.ndarray]
+    ) -> None:
+        self.name = name
+        self._head = head
+        self._tail: np.ndarray | None = None
+        self._make = tail
+
+    def row(self, i: int) -> np.ndarray:
+        """Read-only row ``i``, making the tail rows if ``i`` is one."""
+        head = len(self._head)
+        if i < head:
+            return self._head[i]
+        if self._tail is None:
+            tail = self._make()
+            tail.flags.writeable = False
+            self._tail, self._make = tail, None
+        return self._tail[i - head]
+
+
+class Base(NamedTuple):
+    """Row ``i`` of ``rows``: a named shared base (see module docstring)."""
+
+    rows: SharedRows
+    i: int
+
+    @property
+    def name(self) -> tuple:
+        return (self.rows.name, self.i)
 
 
 class BlockStore:
@@ -58,8 +110,9 @@ class BlockStore:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.block_size = block_size
-        #: block id -> zero template, owned array, or shared read-only base
-        self._blocks: dict[Hashable, np.ndarray] = {}
+        #: block id -> zero template, owned array, shared read-only base or
+        #: named shared base
+        self._blocks: dict[Hashable, np.ndarray | Base] = {}
         #: block id -> XOR delta over its shared base (see module docstring)
         self._deltas: dict[Hashable, np.ndarray] = {}
         #: block id -> generation stamp; absent while the block reads zeros
@@ -111,21 +164,24 @@ class BlockStore:
         else:
             self._blocks[block_id] = data.copy()
 
-    def create_shared(self, block_id: Hashable, data: np.ndarray) -> None:
-        """Materialize a block as a read-only view sharing ``data``'s buffer.
+    def create_shared(self, block_id: Hashable, data: np.ndarray | Base) -> None:
+        """Materialize a block standing on a shared read-only base: a view
+        sharing ``data``'s buffer, or the named :class:`Base` ``data``.
 
         The zero-copy sibling of ``put(own=True)`` for bulk paths that
         carve many blocks out of one backing buffer (random-fill populate's
-        draw and parity, a cached populate): the view becomes the block's
-        base, and its mutations land in an XOR delta, never in ``data``.
-        The caller must not mutate the backing buffer afterwards.
+        stripes): ``data`` becomes the block's base, and its mutations land
+        in an XOR delta, never in the base.  The caller must not mutate the
+        backing buffer afterwards.  A named base's bytes are not read here,
+        so a lazy row stays unmade.
         """
         if block_id in self._blocks:
             raise IntegrityError(f"block {block_id!r} already exists")
-        data = self._whole_block(block_id, data)
-        if data.flags.writeable:
-            data = data.view()
-            data.flags.writeable = False
+        if type(data) is not Base:
+            data = self._whole_block(block_id, data)
+            if data.flags.writeable:
+                data = data.view()
+                data.flags.writeable = False
         self._blocks[block_id] = data
         self._gens[block_id] = _next_stamp()
 
@@ -140,10 +196,12 @@ class BlockStore:
         zero = self._zero
         self._blocks.update((bid, zero) for bid in ids)
 
-    def _writable(self, block_id: Hashable) -> tuple[np.ndarray, np.ndarray | None]:
+    def _writable(
+        self, block_id: Hashable
+    ) -> tuple[np.ndarray, np.ndarray | Base | None]:
         """The writable array a mutation of ``block_id`` lands in, and the
-        shared base under it (``None`` when the array is the content);
-        materializes a missing block.  Both new arrays are carves from a
+        shared base under it (``None`` when the array is the content; a
+        named base's bytes are left unread); materializes a missing block.  Both new arrays are carves from a
         lazily-zero mmap arena: a page becomes resident when a byte is
         written to it, so a 4 KiB write into a 256 KiB block costs 4 KiB of
         memory, not the block.  The mutation takes a fresh generation."""
@@ -152,7 +210,7 @@ class BlockStore:
         if block is None or block is self._zero:
             block = self._blocks[block_id] = zero_block(self.block_size)
             return block, None
-        if block.flags.writeable:
+        if type(block) is not Base and block.flags.writeable:
             return block, None
         delta = self._deltas.get(block_id)
         if delta is None:
@@ -194,6 +252,8 @@ class BlockStore:
         if base is None:
             target[offset:end] = data
         else:
+            if type(base) is Base:
+                base = base.rows.row(base.i)
             np.bitwise_xor(data, base[offset:end], out=target[offset:end])
 
     def xor_in(self, block_id: Hashable, offset: int, delta: np.ndarray) -> None:
@@ -215,6 +275,22 @@ class BlockStore:
         self._writable(block_id)[0][offset : offset + nbytes] ^= 0xA5
         self.corrupted.add(block_id)
 
+    def named_base(
+        self, block_id: Hashable
+    ) -> tuple[Base, np.ndarray | None] | None:
+        """``(base, delta)`` of a block standing on a named :class:`Base`:
+        its content is ``base ^ delta``, ``delta`` read-only, or ``None``
+        while nothing has mutated the block.  ``None`` for any other block.
+        Reads neither bytes of the base nor the stamp."""
+        base = self._blocks.get(block_id)
+        if type(base) is not Base:
+            return None
+        delta = self._deltas.get(block_id)
+        if delta is not None:
+            delta = delta.view()
+            delta.flags.writeable = False
+        return base, delta
+
     def mark_clean(self, block_id: Hashable) -> None:
         """Clear the latent-error flag after a repair rewrote the block."""
         self.corrupted.discard(block_id)
@@ -225,14 +301,17 @@ class BlockStore:
     # ------------------------------------------------------------ internals
     def _slice(self, block_id: Hashable, offset: int, size: int | None) -> np.ndarray:
         """Bytes ``[offset, offset + size)`` of a block: a view of its array,
-        or ``base ^ delta`` as a fresh one.  A block nothing was written to
+        or ``base ^ delta`` as a fresh one (making a lazy base's row).  A block nothing was written to
         reads as zeros — what :meth:`write` and :meth:`xor_in` assume when
         they materialize one — and stays absent (``not in`` the store) until
         a write lands."""
         size = self.block_size - offset if size is None else size
         self._check_range(offset, size)
         end = offset + size
-        data = self._blocks.get(block_id, self._zero)[offset:end]
+        block = self._blocks.get(block_id, self._zero)
+        if type(block) is Base:
+            block = block.rows.row(block.i)
+        data = block[offset:end]
         delta = self._deltas.get(block_id)
         return data if delta is None else data ^ delta[offset:end]
 

@@ -455,20 +455,31 @@ def test_populate_ignores_an_earlier_cells_writes():
 
 
 def test_populate_allocates_no_transient_copy():
-    """Traced peak minus end of a 6 x 8 x 256 KiB random-fill populate: what
-    is live at the end is the draw (12 MiB) and the parity (8 MiB).  The
-    transposed-matrix populate's transient measured 21.5 MiB (the draw
-    beside the matrix, and the parity beside its copy); in place it
-    measured 1.5 MiB, the encoder's scratch and cold pair tables."""
-    ecfs = ECFS(_small_config(k=6, m=4, block_size=256 * 1024), method="fo")
+    """Traced peak minus end of a 6 x 8 x 256 KiB random-fill populate, then
+    of reading every parity block.  Populate leaves the draw (12 MiB) live
+    and encodes nothing: a stripe's parity is made when a reader first needs
+    it, so the reads add the parity (8 MiB).  The transposed-matrix
+    populate's transient measured 21.5 MiB (the draw beside the matrix, and
+    the parity beside its copy); in place it measured 1.5 MiB, the encoder's
+    scratch and cold pair tables, which the reads now pay."""
+    cfg = _small_config(k=6, m=4, block_size=256 * 1024)
+    ecfs = ECFS(cfg, method="fo")
     tracemalloc.start()
     try:
-        ecfs.populate(n_files=1, stripes_per_file=8, fill="random")
-        end, peak = tracemalloc.get_traced_memory()
+        (fid,) = ecfs.populate(n_files=1, stripes_per_file=8, fill="random")
+        populated, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for s in range(8):
+            for i in range(cfg.k, cfg.k + cfg.m):
+                bid = BlockId(fid, s, i)
+                ecfs.osd_hosting(bid).store.view(bid)
+        end, read_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert end >= 20 << 20
-    assert peak - end < 2 << 20, (end, peak)
+    assert 12 << 20 <= populated < 13 << 20
+    assert peak - populated < 2 << 20, (populated, peak)
+    assert end - populated >= 8 << 20
+    assert read_peak - end < 2 << 20, (end, read_peak)
 
 
 def test_unknown_method_rejected():
