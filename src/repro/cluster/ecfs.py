@@ -286,28 +286,23 @@ class ECFS:
         key = (file_id, stripe)
         if gens is not None and self._parity_clean.get(key) == gens:
             return {}
-        k = self.rs.k
+        k, m = self.rs.k, self.rs.m
         deltas = self._codeword_deltas(pairs)
         if deltas is None:
             expected = self.rs.encode([read(i) for i in range(k)])
-            got = [read(k + j) for j in range(self.rs.m)]
-        elif any(d is not None for d in deltas[:k]):
+            got = [read(k + j) for j in range(m)]
+        else:
             zero = zero_template(self.config.block_size)
-            expected = self.rs.encode([zero if d is None else d for d in deltas[:k]])
+            data = [zero if d is None else d for d in deltas[:k]]
             got = [zero if d is None else d for d in deltas[k:]]
-        else:  # the data stands on its codeword rows: the parity must too
-            expected = None
-            got = deltas[k:]
-        stale = {}
-        for j, row in enumerate(got):
-            if expected is None:
-                diff = 0 if row is None else int(np.count_nonzero(row))
-            elif np.array_equal(row, expected[j]):
-                continue
+            if all(d is None for d in deltas[:k]):  # zero deltas encode to zeros
+                expected = [zero] * m
             else:
-                diff = int(np.count_nonzero(row != expected[j]))
-            if diff:
-                stale[j] = diff
+                expected = self.rs.encode(data)
+        stale = {}
+        for j, (row, want) in enumerate(zip(got, expected)):
+            if not np.array_equal(row, want):
+                stale[j] = int(np.count_nonzero(row != want))
         if not stale and gens is not None:
             self._parity_clean[key] = gens
         return stale

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.cluster.ids import BlockId
 from repro.common.errors import IntegrityError
+from repro.common.zeromem import zero_template
 from repro.ec.rs import RSCode
 from repro.storage.blockstore import Base, BlockStore
 
@@ -114,12 +115,10 @@ class GroundTruth:
         mine = self.store.named_base(block)
         if pair is None or mine is None or pair[0] != mine[0]:
             got, want = store.view(block), self.expected(block)
-        else:
-            got, want = pair[1], mine[1]
-            if got is None or want is None:
-                rest = want if got is None else got
-                return 0 if rest is None else int(np.count_nonzero(rest))
-        if np.array_equal(got, want):
+        else:  # no delta reads as zeros
+            zero = zero_template(self.store.block_size)
+            got, want = (zero if d is None else d for d in (pair[1], mine[1]))
+        if got is want or np.array_equal(got, want):
             return 0
         return int(np.count_nonzero(got != want))
 

@@ -3,8 +3,22 @@
 Two runs of the same experiment/scenario with the same seed must produce
 byte-identical digests.  The digest covers the simulation clock, op counts,
 latency sums, per-device counters, network totals, failure state, and a
-hash of every block's actual bytes — so any nondeterminism in event
-ordering, data movement, or fault timing changes it.
+hash of every block's content — so any nondeterminism in event ordering,
+data movement, or fault timing changes it.
+
+The content hash names a block's bytes as cheaply as it can say them
+exactly.  A block still on the zero template contributes a constant; one
+standing on a named populate base (see :mod:`repro.storage.blockstore`)
+contributes the base's name — the generator state its file's draw started
+from, the draw's shape, the file, stripe and row, and the code — plus its
+XOR delta, if it has one; only owned arrays are hashed by their bytes.  The
+name fixes the base's bytes, so the digest still changes with any byte, but
+a stripe's parity is never encoded and an untouched base never read for
+it.  ``tests/test_populate_bytes.py`` pins the SHA-256 of the bytes the
+names stand for.  The hash covers how a block is held as well as its bytes:
+an all-zero delta and none, or a promoted zero block and the template, hash
+apart.  Equal histories still hash alike, which is all a determinism oracle
+asks.
 
 Floats are serialized with ``repr`` (shortest round-trip form), which is
 deterministic for identical computation histories; the digest is therefore
@@ -42,15 +56,24 @@ def canonical(obj: Any) -> str:
 
 
 def content_digest(ecfs: "ECFS") -> str:
-    """SHA-256 over every known block's bytes, in placement-sorted order."""
+    """SHA-256 over every known block's content, in placement-sorted order:
+    a constant for an absent or a zero-template block, a named base's name
+    and delta, or the bytes (see module docstring)."""
     h = hashlib.sha256()
     for bid in sorted(ecfs.known_blocks):
-        osd = ecfs.osd_hosting(bid)
+        store = ecfs.osd_hosting(bid).store
         h.update(str(bid).encode())
-        if bid in osd.store:
-            h.update(np.ascontiguousarray(osd.store.view(bid)))
-        else:
+        if bid not in store:
             h.update(b"<absent>")
+        elif not store.generation(bid):  # reads zeros off the template
+            h.update(b"<zero>")
+        elif (pair := store.named_base(bid)) is not None:
+            base, delta = pair
+            h.update(f"<base {base.name!r}>".encode())
+            if delta is not None:
+                h.update(delta)
+        else:
+            h.update(np.ascontiguousarray(store.view(bid)))
     return h.hexdigest()
 
 

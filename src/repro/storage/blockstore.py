@@ -6,28 +6,27 @@ that still decode (see the integrity oracle in :mod:`repro.cluster.verify`,
 which keeps its own mirror in a store of this class).
 
 Block memory costs the pages written, not the block.  A block is held one of
-four ways, and a mutation never copies a whole block:
+three ways, and a mutation never copies a whole block:
 
 * **the zero template** (:func:`~repro.common.zeromem.zero_template`) for a
   zero-filled block; its first mutation gives it a lazily-resident
   :func:`~repro.common.zeromem.zero_block`, which *is* its content;
 * **an owned writable array** (``put`` / ``create``, a promoted zero block),
   mutated in place;
-* **a shared read-only base** (``create_shared`` with an array) plus, from
-  its first mutation on, an **XOR delta** carved by ``zero_block``.  The
-  content is ``base ^ delta``: a write stores ``data ^ base[range]`` into
-  the delta, ``xor_in`` and ``corrupt`` XOR into it, so only the pages a
-  mutation touches become resident and the base is never written;
-* **a named shared base** (``create_shared`` with a :class:`Base`: row ``i``
-  of a :class:`SharedRows`), held and mutated like the one above.  Random-
-  fill populate is its one maker: a stripe's k data rows are views of the
-  file's draw, and its m parity rows are **lazy** — the stripe's one RS
-  encode runs the first time a reader needs any parity base's bytes
-  (``read``, ``view``, ``read_view``, or the ``base[range]`` a ``write``
-  XORs against).  ``put`` and ``xor_in`` never need them, so a stripe whose
-  parity only takes deltas is never encoded.  :meth:`BlockStore.named_base`
-  hands out a block's (base, delta) pair, from which the stripe-verify
-  oracle and the content digest work without the base's bytes.
+* **a named shared read-only base** (``create_shared``: a :class:`Base`,
+  row ``i`` of a :class:`SharedRows`) plus, from its first mutation on, an
+  **XOR delta** carved by ``zero_block``.  The content is ``base ^ delta``:
+  a write stores ``data ^ base[range]`` into the delta, ``xor_in`` and
+  ``corrupt`` XOR into it, so only the pages a mutation touches become
+  resident and the base is never written.  Random-fill populate is the one
+  maker of bases: a stripe's k data rows are views of the file's draw, and
+  its m parity rows are **lazy** — the stripe's one RS encode runs the
+  first time a reader needs any parity base's bytes (``read``, ``view``,
+  ``read_view``, or the ``base[range]`` a ``write`` XORs against).  ``put``
+  and ``xor_in`` never need them, so a stripe whose parity only takes
+  deltas is never encoded.  :meth:`BlockStore.named_base` hands out a
+  block's (base, delta) pair, from which the stripe-verify oracle and the
+  content digest work without the base's bytes.
 
 Every block carries a **generation**: an integer stamp that names one state
 of its bytes.  Stamps come from one module-level counter, so no two states
@@ -110,8 +109,7 @@ class BlockStore:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.block_size = block_size
-        #: block id -> zero template, owned array, shared read-only base or
-        #: named shared base
+        #: block id -> zero template, owned array or named shared base
         self._blocks: dict[Hashable, np.ndarray | Base] = {}
         #: block id -> XOR delta over its shared base (see module docstring)
         self._deltas: dict[Hashable, np.ndarray] = {}
@@ -164,25 +162,18 @@ class BlockStore:
         else:
             self._blocks[block_id] = data.copy()
 
-    def create_shared(self, block_id: Hashable, data: np.ndarray | Base) -> None:
-        """Materialize a block standing on a shared read-only base: a view
-        sharing ``data``'s buffer, or the named :class:`Base` ``data``.
+    def create_shared(self, block_id: Hashable, base: Base) -> None:
+        """Materialize a block standing on the named read-only ``base``.
 
         The zero-copy sibling of ``put(own=True)`` for bulk paths that
         carve many blocks out of one backing buffer (random-fill populate's
-        stripes): ``data`` becomes the block's base, and its mutations land
-        in an XOR delta, never in the base.  The caller must not mutate the
-        backing buffer afterwards.  A named base's bytes are not read here,
-        so a lazy row stays unmade.
+        stripes): the block's mutations land in an XOR delta, never in the
+        base, whose rows the caller must not mutate afterwards.  The base's
+        bytes are not read here, so a lazy row stays unmade.
         """
         if block_id in self._blocks:
             raise IntegrityError(f"block {block_id!r} already exists")
-        if type(data) is not Base:
-            data = self._whole_block(block_id, data)
-            if data.flags.writeable:
-                data = data.view()
-                data.flags.writeable = False
-        self._blocks[block_id] = data
+        self._blocks[block_id] = base
         self._gens[block_id] = _next_stamp()
 
     def create_zero_many(self, block_ids: Iterable[Hashable]) -> None:
@@ -196,21 +187,20 @@ class BlockStore:
         zero = self._zero
         self._blocks.update((bid, zero) for bid in ids)
 
-    def _writable(
-        self, block_id: Hashable
-    ) -> tuple[np.ndarray, np.ndarray | Base | None]:
+    def _writable(self, block_id: Hashable) -> tuple[np.ndarray, Base | None]:
         """The writable array a mutation of ``block_id`` lands in, and the
-        shared base under it (``None`` when the array is the content; a
-        named base's bytes are left unread); materializes a missing block.  Both new arrays are carves from a
-        lazily-zero mmap arena: a page becomes resident when a byte is
-        written to it, so a 4 KiB write into a 256 KiB block costs 4 KiB of
-        memory, not the block.  The mutation takes a fresh generation."""
+        shared base under it (``None`` when the array is the content; the
+        base's bytes are left unread); materializes a missing block.
+        Both new arrays are carves from a lazily-zero mmap arena: a page
+        becomes resident when a byte is written to it, so a 4 KiB write into
+        a 256 KiB block costs 4 KiB of memory, not the block.  The mutation
+        takes a fresh generation."""
         self._gens[block_id] = _next_stamp()
         block = self._blocks.get(block_id)
         if block is None or block is self._zero:
             block = self._blocks[block_id] = zero_block(self.block_size)
             return block, None
-        if type(block) is not Base and block.flags.writeable:
+        if type(block) is not Base:
             return block, None
         delta = self._deltas.get(block_id)
         if delta is None:
@@ -252,9 +242,8 @@ class BlockStore:
         if base is None:
             target[offset:end] = data
         else:
-            if type(base) is Base:
-                base = base.rows.row(base.i)
-            np.bitwise_xor(data, base[offset:end], out=target[offset:end])
+            row = base.rows.row(base.i)
+            np.bitwise_xor(data, row[offset:end], out=target[offset:end])
 
     def xor_in(self, block_id: Hashable, offset: int, delta: np.ndarray) -> None:
         """In-place XOR merge — the parity-log recycle primitive."""
@@ -301,10 +290,10 @@ class BlockStore:
     # ------------------------------------------------------------ internals
     def _slice(self, block_id: Hashable, offset: int, size: int | None) -> np.ndarray:
         """Bytes ``[offset, offset + size)`` of a block: a view of its array,
-        or ``base ^ delta`` as a fresh one (making a lazy base's row).  A block nothing was written to
-        reads as zeros — what :meth:`write` and :meth:`xor_in` assume when
-        they materialize one — and stays absent (``not in`` the store) until
-        a write lands."""
+        or ``base ^ delta`` as a fresh one (making a lazy base's row).  A
+        block nothing was written to reads as zeros — what :meth:`write` and
+        :meth:`xor_in` assume when they materialize one — and stays absent
+        (``not in`` the store) until a write lands."""
         size = self.block_size - offset if size is None else size
         self._check_range(offset, size)
         end = offset + size

@@ -102,6 +102,11 @@ class TSUE(UpdateMethod):
         self.opts = options or TSUEOptions()
         cfg = ecfs.config
         self.unit_size = cfg.log_unit_size
+        #: the largest DataLog append: a record goes in whole (one larger
+        #: than a configured unit is a ConfigError), except under the
+        #: no-pool cap below, which TSUE itself sets and an Ali-Cloud
+        #: record (up to a 256 KiB block) outgrows
+        self._datalog_piece: Optional[int] = None
         if self.opts.use_logpool:
             self.max_units = self.opts.max_units or cfg.log_max_units
         else:
@@ -112,6 +117,7 @@ class TSUE(UpdateMethod):
             # the paper is exactly lifting this constraint.
             self.max_units = 1
             self.unit_size = min(self.unit_size, 128 * 1024)
+            self._datalog_piece = self.unit_size
         self.n_pools = max(1, self.opts.pools_per_device or cfg.log_pools)
         self._pool_of: dict[BlockId, int] = {}  # block -> pool index memo
         # hoisted per-pool stream names: the persist/forward/recycle inner
@@ -207,11 +213,16 @@ class TSUE(UpdateMethod):
     def handle_update(self, osd: OSD, op: UpdateOp) -> Generator:
         t0 = self.env.now
         pool = self._pool(osd, "datalog", op.block)
-        # in-memory append (may stall on the unit quota — Fig. 6a)
-        yield from pool.append(op.block, op.offset, op.payload, own=True)
-        # the log IS the serialization point: commit to the oracle in append
-        # order, before any interleaving-prone I/O below.
-        self.ecfs.oracle.apply(op.block, op.offset, op.payload)
+        # in-memory append (may stall on the unit quota — Fig. 6a).  Under
+        # the no-pool cap a record goes in as unit-sized pieces, each
+        # committed in its own append order; they persist and ack as one.
+        step = self._datalog_piece or op.size
+        for lo in range(0, op.size, step):
+            piece = op.payload[lo : lo + step]
+            yield from pool.append(op.block, op.offset + lo, piece, own=True)
+            # the log IS the serialization point: commit to the oracle in
+            # append order, before any interleaving-prone I/O below.
+            self.ecfs.oracle.apply(op.block, op.offset + lo, piece)
         # persist locally and replicate, concurrently; ack when all durable
         legs = [self._persist_local(osd, pool, op)]
         for r in range(self.opts.datalog_replicas):

@@ -130,15 +130,32 @@ def test_the_clean_record_changes_no_result(name, monkeypatch):
 def test_scrub_and_verify_encode_only_changed_stripes(monkeypatch):
     """``bg-storm-crash-recovery`` at seed 7 scrubs 24 stripes three times
     and verifies them once: 96 RS encodes without the clean record.  A
-    count back at 96 means the skip was silently disabled."""
-    real = RSCode.encode
+    count back at 96 means the skip was silently disabled.
+
+    The count stayed 27 when populate's parity became lazy and codeword-
+    backed stripes began to be checked from their deltas: all 27 encode
+    bytes, none deltas.  Scrub holds only the bytes it read, so its checks
+    encode content, and its first pass makes each stripe's parity rows
+    (24 ``encode_matrix`` calls, where populate used to make them); the
+    stripes the verify re-encodes are the ones a rebuild ``put`` took off
+    their codeword."""
+    real, real_matrix = RSCode.encode, RSCode.encode_matrix
     calls = []
+    made = []
 
     def counted(self, data_blocks):
-        if sys._getframe(1).f_code is ECFS.stale_parity_rows.__code__:
-            calls.append(1)
+        frame = sys._getframe(1)
+        if frame.f_code is ECFS.stale_parity_rows.__code__:
+            calls.append(frame.f_locals["deltas"] is not None)
         return real(self, data_blocks)
 
+    def made_rows(self, data):
+        made.append(1)
+        return real_matrix(self, data)
+
     monkeypatch.setattr(RSCode, "encode", counted)
+    monkeypatch.setattr(RSCode, "encode_matrix", made_rows)
     ScenarioRunner(get_scenario("bg-storm-crash-recovery")).run(7)
     assert len(calls) == 27
+    assert sum(calls) == 0  # encodes of deltas
+    assert len(made) == 24

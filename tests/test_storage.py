@@ -20,6 +20,12 @@ from repro.storage import (
     SSDParams,
 )
 from repro.storage.base import IOPriority
+from repro.storage.blockstore import Base, SharedRows
+
+
+def _shared(rows: np.ndarray, i: int) -> Base:
+    """Row ``i`` of ``rows`` as a named shared base (no lazy rows)."""
+    return Base(SharedRows("rows", rows, None), i)
 
 
 def _io(env, dev, *reqs):
@@ -266,7 +272,7 @@ def test_content_digest_tells_absent_from_zero():
 def test_blockstore_put_lands_a_whole_block_over_anything():
     backing = np.arange(128, dtype=np.uint8).reshape(2, 64)
     bs = BlockStore(64)
-    bs.create_shared("b", backing[1])
+    bs.create_shared("b", _shared(backing, 1))
 
     def no_promotion(block_id):
         raise AssertionError(f"put promoted {block_id!r} before replacing it")
@@ -292,6 +298,7 @@ def test_blockstore_put_lands_a_whole_block_over_anything():
 
 # ------------------------------------------------------------ generations
 _ONES = np.ones(64, dtype=np.uint8)
+_ONES_BASE = _shared(_ONES[None], 0)
 #: mutator -> (set-up giving block "b" a state, the mutation)
 _MUTATORS = {
     "write": (
@@ -299,14 +306,17 @@ _MUTATORS = {
         lambda s: s.write("b", 0, _ONES[:4]),
     ),
     "write-over-shared": (
-        lambda s: s.create_shared("b", _ONES),
+        lambda s: s.create_shared("b", _ONES_BASE),
         lambda s: s.write("b", 0, _ONES[:4]),
     ),
     "xor_in": (lambda s: s.create("b", _ONES), lambda s: s.xor_in("b", 4, _ONES[:4])),
-    "corrupt": (lambda s: s.create_shared("b", _ONES), lambda s: s.corrupt("b", 8, 4)),
+    "corrupt": (
+        lambda s: s.create_shared("b", _ONES_BASE),
+        lambda s: s.corrupt("b", 8, 4),
+    ),
     "put": (lambda s: s.create("b", _ONES), lambda s: s.put("b", _ONES)),
     "create": (lambda s: None, lambda s: s.create("b", _ONES)),
-    "create_shared": (lambda s: None, lambda s: s.create_shared("b", _ONES)),
+    "create_shared": (lambda s: None, lambda s: s.create_shared("b", _ONES_BASE)),
 }
 
 
@@ -328,7 +338,7 @@ def test_blockstore_every_mutator_changes_the_generation(mutator):
 def test_blockstore_readers_leave_the_generation_alone():
     store = BlockStore(64)
     store.create("owned", _ONES)
-    store.create_shared("shared", _ONES)
+    store.create_shared("shared", _ONES_BASE)
     store.write("shared", 0, _ONES[:4])  # a base with a delta
     for bid in ("owned", "shared"):
         gen = store.generation(bid)
@@ -391,7 +401,7 @@ _OPS = ("write", "xor_in", "corrupt", "put", "read", "read_view", "view")
 @given(st.data())
 def test_blockstore_over_a_readonly_base_matches_a_byte_model(data):
     """Random ``write`` / ``xor_in`` / ``corrupt`` / ``put`` / reads on a
-    store whose blocks start as views of one read-only matrix
+    store whose blocks start as named rows of one read-only matrix
     (plus a zero-template block and an absent one), against plain numpy
     arrays.  After every step the contents, the membership and
     ``corrupted`` agree, the matrix is still its pristine self, and a
@@ -404,7 +414,7 @@ def test_blockstore_over_a_readonly_base_matches_a_byte_model(data):
     store = BlockStore(_MODEL_BS)
     model = {b: matrix[b].copy() for b in range(_ZERO)}
     for b in range(_ZERO):
-        store.create_shared(b, matrix[b])
+        store.create_shared(b, _shared(matrix, b))
     store.create_zero_many([_ZERO])
     model[_ZERO] = zeros.copy()
     corrupted: set[int] = set()

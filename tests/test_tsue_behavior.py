@@ -410,6 +410,36 @@ def test_read_returns_the_clients_own_update(step):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("step", ["Baseline", "O1", "O2"])
+def test_alicloud_records_over_the_no_pool_unit_split(monkeypatch, step):
+    """Fig. 7's no-pool rungs cap the single log unit at 128 KiB, and an
+    Ali-Cloud record reaches 256 KiB, a whole harness block: it goes into
+    the DataLog as unit-sized pieces.  A full-scale fig. 7 cell (RS(6,2),
+    64 clients, harness block size) cut to 300 ops runs and verifies."""
+    sizes = []
+    handle_update = tsue.TSUE.handle_update
+
+    def recorded(self, osd, op):
+        sizes.append(op.size)
+        return handle_update(self, osd, op)
+
+    monkeypatch.setattr(tsue.TSUE, "handle_update", recorded)
+    cfg = runner.ExperimentConfig(
+        method="tsue", trace="alicloud", k=6, m=2, n_clients=64, n_ops=300,
+        verify=True, method_options={"options": TSUEOptions.breakdown()[step]},
+    )
+    ecfs = runner.run_experiment(cfg, keep_cluster=True).ecfs
+    unit = ecfs.method.unit_size
+    assert unit == 128 * 1024 < max(sizes) <= cfg.block_size
+    appends = sum(
+        pool.appends
+        for osd in ecfs.osds
+        for _p, pool in ecfs.method.built_pools(osd.name, "datalog")
+    )
+    assert appends == sum(-(-size // unit) for size in sizes)
+    assert ecfs.verify() == 48
+
+
 def test_unmerged_records_of_one_range_both_recycle():
     """A Baseline DataLog unit holding two records of one block, offset and
     size recycles both, in append order: the block ends with the second

@@ -21,7 +21,7 @@ from repro.common import zeromem
 from repro.common.errors import IntegrityError
 from repro.common.units import KiB, MiB
 from repro.common.zeromem import zero_block, zero_template
-from repro.storage.blockstore import BlockStore
+from repro.storage.blockstore import Base, BlockStore, SharedRows
 
 BS = 256 * KiB
 
@@ -149,10 +149,11 @@ def test_write_into_a_populate_view_lands_in_a_delta_not_a_copy(owner):
     else:
         store = BlockStore(64)
         register, write = store.create_shared, store.write
-    register("b", backing[1])
+    base = Base(SharedRows("populate", backing, None), 1)
+    register("b", base)
     assert np.shares_memory(store.view("b"), backing)
     write("b", 0, np.zeros(4, dtype=np.uint8))
-    assert np.shares_memory(store._blocks["b"], backing)  # the base is kept
+    assert store.named_base("b")[0] is base  # the base is kept
     delta = store._deltas["b"]
     assert (delta[:4] == [64, 65, 66, 67]).all() and not delta[4:].any()
     view = store.view("b")
@@ -232,15 +233,16 @@ import gc, json
 import numpy as np
 from repro.cluster.verify import GroundTruth
 from repro.common.perf import rss_mb
-from repro.storage.blockstore import BlockStore
+from repro.storage.blockstore import Base, BlockStore, SharedRows
 
 MiB = 1 << 20
 matrix = np.random.default_rng(0).integers(0, 256, (64, MiB), dtype=np.uint8)
 matrix.flags.writeable = False
+rows = SharedRows("populate", matrix, None)
 store, oracle = BlockStore(MiB), GroundTruth(MiB)
 for i in range(64):
-    store.create_shared(i, matrix[i])
-    oracle.adopt(i, matrix[i])
+    store.create_shared(i, Base(rows, i))
+    oracle.adopt(i, Base(rows, i))
 chunk = np.full(4096, 7, dtype=np.uint8)
 gc.collect()
 out = {"start": rss_mb()}
