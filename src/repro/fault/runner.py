@@ -75,7 +75,6 @@ class ScenarioSpec:
     #: TenantSpecs (repro.traces.replayer); any tenant selects front-end
     #: mode, see :attr:`frontend`
     tenants: tuple = ()
-    slo_window: float = 0.05  # series bucket width (simulated seconds)
     #: unified background-work scheduler (repro.background); None keeps the
     #: subsystem disabled (the pre-PR-5 per-stream pacing)
     background: Optional[BackgroundConfig] = None
@@ -181,6 +180,22 @@ class ScenarioResult:
                 f"(shed {stats['shed']:.0f}, retries {stats['retries']:.0f}, "
                 f"hedges {stats['hedges']:.0f})"
             )
+        if self.slo_overall:
+            stats = self.slo_overall
+            lines.append(
+                f"  slo overall: p50 {stats['p50'] * 1e3:.2f}ms "
+                f"p99 {stats['p99'] * 1e3:.2f}ms p999 {stats['p999'] * 1e3:.2f}ms "
+                f"avail {stats['availability']:.4f} "
+                f"({stats['served']:.0f} of {stats['submitted']:.0f} served)"
+            )
+        if self.slo_series.get("t"):
+            series = self.slo_series
+            lines.append("  window series (availability / p99 per window):")
+            lines.append(f"    {'t(s)':>8} {'avail':>7} {'p99(ms)':>9} {'arrivals':>9}")
+            for t, avail, p99, n in zip(
+                series["t"], series["availability"], series["p99"], series["submitted"]
+            ):
+                lines.append(f"    {t:8.3f} {avail:7.3f} {p99 * 1e3:9.3f} {n:9.0f}")
         if self.rebalance_reports:
             stats = self.rebalance_stats
             lines.append(
@@ -290,9 +305,7 @@ class ScenarioRunner:
         stripes = ecfs.verify()
 
         slo = frontend.slo.summary() if frontend is not None else {}
-        slo_series = (
-            frontend.slo.series(spec.slo_window) if frontend is not None else {}
-        )
+        slo_series = frontend.slo.series() if frontend is not None else {}
         bg_enabled = ecfs.background.enabled
         bg_stats = ecfs.background.stream_stats() if bg_enabled else {}
         gov_stats = ecfs.background.governor_stats() if bg_enabled else {}

@@ -28,6 +28,10 @@ __all__ = ["SLO_TARGETS", "SLORecord", "SLOTracker"]
 
 #: per-class availability targets the error budget is burned against
 SLO_TARGETS = {"gold": 0.999, "silver": 0.99, "bronze": 0.9}
+#: bucket width of :meth:`SLOTracker.series` (simulated seconds); the
+#: series is folded into the scenario digest, so changing it moves every
+#: front-end golden
+SERIES_WINDOW = 0.05
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,9 @@ class SLOTracker:
             for tenant, qos in ordered
         }
 
-    def series(self, window: float = 0.05) -> dict[str, list[float]]:
-        """Windowed availability + p99 latency time series (all tenants).
+    def series(self) -> dict[str, list[float]]:
+        """Windowed availability + p99 latency time series (all tenants),
+        one :data:`SERIES_WINDOW`-wide bucket per point.
 
         Keys: ``t`` (window centers), ``availability`` (deadline-met
         fraction per window), ``p99`` (served-latency p99 per window),
@@ -171,7 +176,9 @@ class SLOTracker:
         times = [r.t for r in self.records]
         t0 = min(times)
         met = [1.0 if r.met else 0.0 for r in self.records]
-        centers, met_bins = MetricsCollector.windowed(times, met, window, t0=t0)
+        centers, met_bins = MetricsCollector.windowed(
+            times, met, SERIES_WINDOW, t0=t0
+        )
         out = {
             "t": [float(c) for c in centers],
             "availability": [
@@ -189,7 +196,7 @@ class SLOTracker:
             s_centers, lat_bins = MetricsCollector.windowed(
                 [t for t, _l in served],
                 [latency for _t, latency in served],
-                window,
+                SERIES_WINDOW,
                 t0=t0,
             )
             by_center = {

@@ -14,6 +14,13 @@ Usage::
     python -m repro sweep --scenarios crash-mid-update,double-failure \
         --seeds 7,8 --workers 2
 
+    python -m repro topology             # static placement movement matrix
+    python -m repro profile --method pl  # cProfile one experiment
+
+A catalog scenario (fault, topology, SLO or background) runs one way:
+``scenario <name>`` prints its whole read-out, and ``sweep --scenarios``
+fans rows across seeds.
+
 Every command takes only its own flags (``python -m repro <command> -h``);
 a flag that belongs to another command is an error, not ignored.
 """
@@ -147,118 +154,6 @@ def _run_sweep(args) -> int:
     return 0
 
 
-def _run_slo(args) -> int:
-    """Run the QoS x fault SLO grid (or one slo-* scenario) and report
-    per-tenant percentiles/availability plus the windowed time series."""
-    # imported lazily so plain experiment runs stay light
-    from repro.fault.runner import ScenarioRunner
-    from repro.fault.scenarios import SCENARIOS, get_scenario
-    from repro.metrics.tables import format_table
-
-    if args.name is not None:
-        names = [args.name]
-    else:
-        names = sorted(n for n in SCENARIOS if n.startswith("slo-"))
-    grid: dict[str, dict[str, float]] = {}
-    for name in names:
-        try:
-            spec = get_scenario(name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        if not spec.frontend:
-            print(f"scenario {name!r} does not run the front end", file=sys.stderr)
-            return 2
-        if args.window is not None:
-            spec.slo_window = args.window
-        result = ScenarioRunner(spec).run(seed=args.seed)
-        print(result.summary())
-        series = result.slo_series
-        if series.get("t"):
-            print("  window series (availability / p99 during the fault window):")
-            print(f"    {'t(s)':>8} {'avail':>7} {'p99(ms)':>9} {'arrivals':>9}")
-            for t, avail, p99, n in zip(
-                series["t"],
-                series["availability"],
-                series["p99"],
-                series["submitted"],
-            ):
-                print(f"    {t:8.3f} {avail:7.3f} {p99 * 1e3:9.3f} {n:9.0f}")
-        print()
-        for who, stats in result.slo.items():
-            grid[f"{name} {who}"] = {
-                "p50 ms": stats["p50"] * 1e3,
-                "p99 ms": stats["p99"] * 1e3,
-                "p999 ms": stats["p999"] * 1e3,
-                "avail": stats["availability"],
-                "goodput/s": stats["goodput"],
-                "budget": stats["error_budget"],
-            }
-    print(
-        format_table(
-            grid,
-            title="SLO grid — per tenant/class (QoS x fault)",
-            floatfmt="{:,.3f}",
-        )
-    )
-    return 0
-
-
-def _run_background(args) -> int:
-    """Run the bg-* maintenance-plane grid (or one bg-* scenario): per-stream
-    bandwidth/backlog/time-to-drain plus the governor on/off p99 contrast."""
-    # imported lazily so plain experiment runs stay light
-    from repro.fault.runner import ScenarioRunner
-    from repro.fault.scenarios import SCENARIOS, get_scenario
-    from repro.metrics.tables import format_table
-
-    if args.name is not None:
-        names = [args.name]
-    else:
-        names = sorted(n for n in SCENARIOS if n.startswith("bg-"))
-    grid: dict[str, dict[str, float]] = {}
-    overall: dict[str, dict] = {}
-    for name in names:
-        try:
-            spec = get_scenario(name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        result = ScenarioRunner(spec).run(seed=args.seed)
-        print(result.summary())
-        print()
-        overall[name] = result
-        for stream, stats in result.background.items():
-            if not stats["submitted_items"]:
-                continue
-            grid[f"{name} {stream}"] = {
-                "grants": stats["granted_items"],
-                "MB": stats["granted_bytes"] / 1e6,
-                "MB/s": stats["bandwidth"] / 1e6,
-                "drain s": stats["time_to_drain"],
-                "backlog B": stats["backlog_bytes"],
-            }
-    print(
-        format_table(
-            grid,
-            title="background grid — per maintenance stream",
-            floatfmt="{:,.2f}",
-        )
-    )
-    on = overall.get("bg-rebalance-governor-on")
-    off = overall.get("bg-rebalance-governor-off")
-    if on is not None and off is not None and on.slo_overall and off.slo_overall:
-        p_on = on.slo_overall["p99"] * 1e3
-        p_off = off.slo_overall["p99"] * 1e3
-        print(
-            f"\ngovernor contrast: foreground p99 {p_off:.3f} ms (off) -> "
-            f"{p_on:.3f} ms (on), "
-            f"{on.governor.get('breaches', 0):.0f} breaches, min scale "
-            f"{on.governor.get('min_scale', 1.0):.2f}"
-        )
-    return 0
-
-
 def _run_profile(args) -> int:
     """cProfile one experiment (default: perfbench's ``tsue_mixed_ten`` cell
     at 1500 ops; ``--osds`` widens the cluster) and print its phase and
@@ -271,15 +166,14 @@ def _run_profile(args) -> int:
 
     from repro.harness.runner import ExperimentConfig, run_experiment
 
-    method = args.methods.split(",")[0]
-    cfg = ExperimentConfig(method=method, n_ops=args.ops, n_osds=args.osds)
+    cfg = ExperimentConfig(method=args.method, n_ops=args.ops, n_osds=args.osds)
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_experiment(cfg)
     profiler.disable()
     perf = result.perf
     print(
-        f"profiled {method} run: {cfg.n_ops} ops on {cfg.n_osds} OSDs, "
+        f"profiled {cfg.method} run: {cfg.n_ops} ops on {cfg.n_osds} OSDs, "
         f"{perf['events']:.0f} events "
         f"in {perf['wall_seconds']:.3f}s wall "
         f"({perf['events_per_sec']:.0f} ev/s, "
@@ -302,30 +196,11 @@ def _run_profile(args) -> int:
 
 
 def _run_topology(args) -> int:
-    """Static policy x event movement matrix, or a live elastic scenario."""
+    """Static policy x event movement matrix (the planner diff, no DES)."""
     # imported lazily so plain experiment runs stay light
     from repro.cluster.ids import BlockId
     from repro.metrics.tables import format_table
     from repro.placement import MigrationPlanner, Topology, make_policy
-
-    if args.live:
-        from repro.fault.runner import ScenarioRunner
-        from repro.fault.scenarios import get_scenario
-
-        name = f"topo-{args.event}-{args.policy}"
-        try:
-            spec = get_scenario(name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        result = ScenarioRunner(spec).run(seed=args.seed)
-        print(result.summary())
-        stats = result.rebalance_stats
-        print(
-            f"[{name}: moved {stats.get('moved_bytes', 0) / 1e6:.1f} MB, "
-            f"time-to-balanced {stats.get('time_to_balanced', 0):.3f}s]"
-        )
-        return 0
 
     k, m = args.k, args.m
     width = k + m
@@ -378,8 +253,8 @@ def _run_topology(args) -> int:
         )
     )
     print(
-        "[static planner diff - no simulation; run with --live "
-        "--policy crush --event join for a full DES scenario]"
+        "[static planner diff - no simulation; `scenario topo-join-crush` "
+        "runs one cell on the DES]"
     )
     return 0
 
@@ -410,18 +285,9 @@ def main(argv: list[str]) -> int:
         "sweep grid across a process pool.",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument(
-        "--seed",
-        type=int,
-        default=2025,
-        help="simulation seed (same seed = same digest)",
-    )
 
-    def command(name: str, run, summary: str, seed: bool = False):
-        sub = commands.add_parser(
-            name, help=summary, parents=[seeded] if seed else [], allow_abbrev=False
-        )
+    def command(name: str, run, summary: str):
+        sub = commands.add_parser(name, help=summary, allow_abbrev=False)
         sub.set_defaults(run=run)
         return sub
 
@@ -438,34 +304,15 @@ def main(argv: list[str]) -> int:
         )
     command("list", _run_list, "list the artifacts")
 
-    sub = command(
-        "scenario", _run_scenario, "run one fault-injection scenario", seed=True
-    )
+    sub = command("scenario", _run_scenario, "run one fault-injection scenario")
     sub.add_argument("name", nargs="?", help="scenario name (omit to browse)")
     sub.add_argument("--list", action="store_true", help="list the catalog and exit")
-
-    sub = command(
-        "slo",
-        _run_slo,
-        "QoS x fault front-end grid with per-tenant SLO metrics",
-        seed=True,
-    )
-    sub.add_argument("name", nargs="?", help="one slo-* scenario (default: all)")
     sub.add_argument(
-        "--window",
-        type=float,
-        help="time-series bucket width in simulated seconds (default: each "
-        "scenario's slo_window)",
+        "--seed",
+        type=int,
+        default=2025,
+        help="simulation seed (same seed = same digest)",
     )
-
-    sub = command(
-        "background",
-        _run_background,
-        "bg-* maintenance-plane grid: per-stream bandwidth/drain read-outs and "
-        "the governor on/off contrast",
-        seed=True,
-    )
-    sub.add_argument("name", nargs="?", help="one bg-* scenario (default: all)")
 
     sub = command(
         "sweep",
@@ -498,9 +345,7 @@ def main(argv: list[str]) -> int:
         _run_profile,
         "cProfile one experiment and print the top-N cumulative table",
     )
-    sub.add_argument(
-        "--methods", default="tsue", help="update method (the first of a comma list)"
-    )
+    sub.add_argument("--method", default="tsue", help="update method")
     sub.add_argument("--ops", type=int, default=1500)
     sub.add_argument("--osds", type=int, default=16, help="cluster size")
     sub.add_argument("--top", type=int, default=25, help="rows of the pstats table")
@@ -514,7 +359,6 @@ def main(argv: list[str]) -> int:
         "topology",
         _run_topology,
         "placement policies under elastic topology events",
-        seed=True,
     )
     sub.add_argument(
         "--policies", default="rotation,crush", help="comma-separated policies"
@@ -531,18 +375,6 @@ def main(argv: list[str]) -> int:
     sub.add_argument("--hosts-per-rack", type=int, default=4)
     sub.add_argument("--files", type=int, default=8)
     sub.add_argument("--stripes", type=int, default=40)
-    sub.add_argument(
-        "--live",
-        action="store_true",
-        help="run the catalog scenario topo-<event>-<policy> on the DES "
-        "instead of the static planner matrix",
-    )
-    sub.add_argument("--policy", default="crush", help="with --live: placement policy")
-    sub.add_argument("--event", default="join", help="with --live: topology event")
 
     args = parser.parse_args(argv)
     return args.run(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

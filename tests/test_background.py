@@ -400,13 +400,12 @@ def test_bg_catalog_registered():
     }
 
 
-def test_cli_background_single(capsys):
+def test_scenario_cli_prints_background_streams(capsys):
     from repro.harness.cli import main
 
-    assert main(["background", "bg-scrub-under-load", "--seed", "9"]) == 0
+    assert main(["scenario", "bg-scrub-under-load", "--seed", "9"]) == 0
     out = capsys.readouterr().out
     assert "bg scrub" in out
-    assert "background grid" in out
 
 
 def test_scheduler_stats_shape():

@@ -1,5 +1,7 @@
 """Tests for the experiment CLI."""
 
+import re
+
 import pytest
 
 from repro.harness.cli import EXPERIMENTS, main
@@ -16,6 +18,21 @@ def test_unknown_experiment_rejected():
         main(["bogus"])
 
 
+@pytest.mark.parametrize("retired", ["slo", "background"])
+def test_command_set_is_pinned(retired, capsys):
+    """The nine artifacts plus six tools, nothing else: a catalog scenario
+    runs through ``scenario`` or ``sweep --scenarios`` only, so the
+    retired per-family runners exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main([retired, "--seed", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    choices = re.search(r"invalid choice: .*\(choose from (.*)\)", err).group(1)
+    assert set(re.findall(r"\w+", choices)) == set(EXPERIMENTS) | {
+        "all", "list", "scenario", "sweep", "profile", "topology",
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -25,6 +42,9 @@ def test_unknown_experiment_rejected():
         ["sweep", "--top", "3"],
         ["sweep", "--cache-dir", "/nonexistent"],
         ["topology", "--scale", "quick"],
+        ["topology", "--live"],
+        ["topology", "--seed", "7"],
+        ["profile", "--methods", "pl"],
     ],
 )
 def test_foreign_flag_is_rejected(argv, capsys):
@@ -51,15 +71,11 @@ def test_topology_matrix_via_cli(capsys):
     assert "data moved by one topology event" in out
 
 
-def test_topology_live_via_cli(capsys):
-    assert main(["topology", "--live", "--policy", "crush", "--event", "join"]) == 0
+def test_scenario_prints_topology_rebalance(capsys):
+    assert main(["scenario", "topo-join-crush"]) == 0
     out = capsys.readouterr().out
     assert "rebalance epoch 1" in out
     assert "time-to-balanced" in out
-
-
-def test_topology_live_unknown_combo(capsys):
-    assert main(["topology", "--live", "--policy", "bogus"]) == 2
 
 
 def test_scale_flag_sets_env(monkeypatch, capsys):
@@ -71,8 +87,9 @@ def test_scale_flag_sets_env(monkeypatch, capsys):
 
 
 def test_profile_via_cli(capsys):
-    assert main(["profile", "--ops", "100", "--osds", "24", "--top", "3"]) == 0
+    argv = ["profile", "--method", "pl", "--ops", "100", "--osds", "24", "--top", "3"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "profiled tsue run: 100 ops on 24 OSDs" in out
+    assert "profiled pl run: 100 ops on 24 OSDs" in out
     assert "phases: replay" in out
     assert "memory: rss" in out and "minor faults" in out

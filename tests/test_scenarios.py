@@ -31,7 +31,7 @@ def test_catalog_copies_are_independent():
     spec = get_scenario("crash-mid-update")
     assert spec == row
     spec.checks.append(lambda ecfs, injector: None)
-    spec.slo_window = 1.0
+    spec.n_ops = 1
     spec.faults.when(after_ops(1), CrashOSD(osd=1))
     assert get_scenario("crash-mid-update") == row
     assert spec.checks is not row.checks

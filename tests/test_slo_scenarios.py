@@ -4,7 +4,8 @@ The catalog-wide run/verify/determinism coverage lives in
 tests/test_scenarios.py (parametrized over every scenario, slo-* included);
 this file pins the *SLO semantics*: per-class availability ordering, the
 presence and shape of the windowed series, retry/hedge behaviour under each
-fault archetype, and the CLI surfaces (`repro slo`, `repro sweep --table`).
+fault archetype, and the CLI surfaces (`repro scenario slo-*`, `repro sweep
+--table`).
 """
 
 import pytest
@@ -97,16 +98,12 @@ def test_slo_fields_change_the_digest(slo_results):
 
 
 # ---------------------------------------------------------------------- CLI
-def test_cli_slo_single_scenario(capsys):
-    assert main(["slo", "slo-steady", "--seed", "9"]) == 0
+def test_scenario_cli_prints_slo_read_out(capsys):
+    assert main(["scenario", "slo-steady", "--seed", "9"]) == 0
     out = capsys.readouterr().out
     assert "slo t-gold/gold" in out
+    assert "slo overall" in out
     assert "window series" in out
-    assert "SLO grid" in out
-
-
-def test_cli_slo_rejects_non_frontend_scenario(capsys):
-    assert main(["slo", "crash-mid-update"]) == 2
 
 
 def test_cli_sweep_table_markdown(capsys):
